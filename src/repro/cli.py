@@ -877,8 +877,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="disable degraded-mode fallback to the exact "
                             "naive scan on engine failure")
     serve.add_argument("--no-kernel", action="store_true",
-                       help="answer coalesced batches with the dense rank "
-                            "sweep instead of the blocked GIR kernel")
+                       help="answer every request through the per-query "
+                            "engine instead of the blocked GIR kernel "
+                            "(slower; for debugging and differential checks)")
     serve.add_argument("--no-recover", action="store_true",
                        help="fail instead of rebuilding damaged derived "
                             "index artifacts at startup")

@@ -23,9 +23,11 @@ import math
 from typing import Tuple
 
 import numpy as np
-from scipy.stats import norm
 
 from ..errors import InvalidParameterError
+
+# ``scipy.stats`` is imported inside the three functions that use it: the
+# import costs ~1 s and ~60 MB, and a serving process never calls them.
 
 
 # ----------------------------------------------------------------------
@@ -89,6 +91,8 @@ def score_distribution_params(d: int, value_range: float = 1.0) -> Tuple[float, 
 
 def score_pdf(x: np.ndarray, d: int, value_range: float = 1.0) -> np.ndarray:
     """Normal pdf of the score distribution (Equation 21)."""
+    from scipy.stats import norm
+
     mu_p, sigma_p = score_distribution_params(d, value_range)
     return norm.pdf(np.asarray(x, dtype=np.float64), loc=mu_p, scale=sigma_p)
 
@@ -115,6 +119,8 @@ def worst_case_filtering(d: int, partitions: int) -> float:
     """
     if partitions <= 0 or d <= 0:
         raise InvalidParameterError("d and partitions must be positive")
+    from scipy.stats import norm
+
     z_delta = math.sqrt(3.0 * d) / partitions ** 2
     return float(2.0 * norm.sf(z_delta))
 
@@ -154,6 +160,8 @@ def required_partitions(d: int, epsilon: float = 0.01) -> float:
             f"epsilon must be a finite number, got {epsilon!r}")
     if not 0 < epsilon < 1:
         raise InvalidParameterError("epsilon must be in (0, 1)")
+    from scipy.stats import norm
+
     delta = 2.0 * norm.isf((1.0 - epsilon) / 2.0)
     return math.sqrt(2.0 * math.sqrt(3.0 * d) / delta)
 

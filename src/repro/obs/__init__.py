@@ -40,6 +40,7 @@ from .trace import (
     Tracer,
     current,
     current_trace_id,
+    detached,
     new_trace_id,
     sanitize_trace_id,
     span,
@@ -48,7 +49,7 @@ from .trace import (
 
 __all__ = [
     "Tracer", "Trace", "Span", "span", "current", "current_trace_id",
-    "use_context", "new_trace_id", "sanitize_trace_id",
+    "use_context", "detached", "new_trace_id", "sanitize_trace_id",
     "DEFAULT_TRACE_CAPACITY",
     "Histogram", "Exposition", "lint_exposition",
     "LATENCY_BUCKETS_S", "FILTER_RATE_BUCKETS",

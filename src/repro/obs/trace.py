@@ -238,6 +238,17 @@ def use_context(ctx: Optional[_SpanContext]) -> Iterator[None]:
 
 
 @contextmanager
+def detached() -> Iterator[None]:
+    """Run a block under no span context: work shared by several traces
+    belongs to none of them."""
+    token = _current.set(None)
+    try:
+        yield
+    finally:
+        _current.reset(token)
+
+
+@contextmanager
 def span(name: str) -> Iterator[object]:
     """A child span of the active context (no-op when tracing is dark).
 

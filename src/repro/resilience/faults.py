@@ -51,6 +51,8 @@ site                       where
 ``storage.write.<file>``   each index artifact write (incl. MANIFEST.json)
 ``io.write.<file>``        default site of any other atomic write
 ``scheduler.dispatch``     just before a micro-batch hits the engine
+``scheduler.kernel``       just before a micro-batch's kernel sweep (a raise
+                           is answered by the counted per-query fallback)
 ``service.query``          entry of :meth:`QueryService.query`
 ``service.mutate``         entry of :meth:`DurableQueryService.mutate`
 ``wal.append``             after framing, before the WAL write+fsync

@@ -82,6 +82,8 @@ class ServiceMetrics:
                               "refined": 0, "domin_skipped": 0, "f32": 0}
         self._kernel_fused = {"batches": 0, "queries": 0}
         self._kernel_weights_pruned = 0
+        #: (from, to, reason) -> batches handed to a slower exact route.
+        self._fallbacks: Dict[tuple, int] = {}
         self._mutations_total = 0
         self._mutations_by_op: Dict[str, int] = {}
         self._mutations_rejected = 0
@@ -199,6 +201,17 @@ class ServiceMetrics:
                 self._filter_rate_hist.observe(stats["filter_rate"],
                                                exemplar=trace_id)
 
+    def record_fallback(self, source: str, target: str, reason: str) -> None:
+        """One micro-batch the ``source`` route handed to ``target``.
+
+        Every degraded route is exact but slower; counting each hand-over
+        with its reason is what keeps a broken fast path from looking
+        like a healthy slow service.
+        """
+        key = (source, target, reason)
+        with self._lock:
+            self._fallbacks[key] = self._fallbacks.get(key, 0) + 1
+
     def record_batch(self, size: int, counter: Optional[OpCounter] = None) -> None:
         """One dispatched micro-batch of ``size`` coalesced requests."""
         with self._lock:
@@ -288,6 +301,15 @@ class ServiceMetrics:
                         if self._kernel_pairs["total"] else 0.0
                     ),
                 },
+                "fallbacks": {
+                    "total": sum(self._fallbacks.values()),
+                    "routes": [
+                        {"from": source, "to": target, "reason": reason,
+                         "count": count}
+                        for (source, target, reason), count
+                        in sorted(self._fallbacks.items())
+                    ],
+                },
                 "mutations": {
                     "total": self._mutations_total,
                     "by_op": dict(self._mutations_by_op),
@@ -345,6 +367,9 @@ class ServiceMetrics:
             kernel_pairs = dict(self._kernel_pairs)
             kernel_fused = dict(self._kernel_fused)
             weights_pruned = self._kernel_weights_pruned
+            # A zero sample keeps the series present for rate() alerts.
+            fallbacks = dict(self._fallbacks) or {
+                ("kernel", "engine", "kernel_error"): 0}
             filter_rate = (
                 (kernel_pairs["case1"] + kernel_pairs["case2"])
                 / kernel_pairs["total"] if kernel_pairs["total"] else 0.0
@@ -431,6 +456,12 @@ class ServiceMetrics:
         exp.histogram("rrq_query_filter_rate",
                       "Per-query filter effectiveness (fraction of pairs "
                       "decided without an inner product).", rate_hist)
+        for (source, target, reason), count in sorted(fallbacks.items()):
+            exp.counter("rrq_fallback_total",
+                        "Micro-batches a failed or inapplicable fast route "
+                        "handed to a slower exact one, by reason.",
+                        count, labels={"from": source, "to": target,
+                                       "reason": reason})
         for op in sorted(mutations_by_op):
             exp.counter("rrq_mutations_total",
                         "Durable mutations applied, by operation.",

@@ -1,23 +1,36 @@
 """Micro-batching admission scheduler for concurrent reverse-rank queries.
 
-Single-query latency and whole-service throughput want different
-execution strategies.  One query is answered fastest by the Grid-index
-scan (:class:`~repro.queries.engine.RRQEngine`); a burst of concurrent
-queries is answered fastest by one shared BLAS sweep over the score
-matrix (:func:`repro.vectorized.batch.all_ranks_multi`), because every
-coalesced query rides the same ``P @ W.T`` products.
+Requests are admitted into a bounded queue; a dispatcher thread collects
+everything that arrives within a configurable *batch window* and answers
+the micro-batch — **whatever its size** — with one call per query kind
+into the blocked Grid-index kernel
+(:meth:`~repro.vectorized.girkernel.GirKernelRRQ.reverse_topk_batch` /
+``reverse_kranks_batch``): the pre-multiplied boundary products of each
+(P-block × W-block) tile decide most ``(p, w)`` pairs without a dot
+product, and every query of the batch rides the same tiles.  A lone
+request is simply a batch of one through the same sweep; it is several
+times faster there than through the scalar per-query engine
+(``docs/performance.md`` §9).
 
-The scheduler bridges the two: requests are admitted into a bounded
-queue, a dispatcher thread collects everything that arrives within a
-configurable *batch window*, and
+There are two answer routes and no others:
 
-* a batch of one is dispatched straight through the per-query engine
-  (low load ⇒ no added latency beyond the window);
-* a batch of many is answered from one ``all_ranks_multi`` sweep, with
-  per-request RTK/RKR answers derived exactly the way
-  :class:`~repro.vectorized.batch.BatchOracle` derives them — so batched
-  and unbatched answers are identical (the integration tests enforce
-  byte-equality against :class:`~repro.algorithms.naive.NaiveRRQ`).
+* **kernel** (default) — the static engine's
+  :class:`~repro.vectorized.girkernel.GirKernelRRQ`, or on MVCC engines
+  the pinned snapshot's :class:`~repro.storage.SnapshotKernel`, rebuilt
+  on the first read after the store generation moves;
+* **per query** — the engine's own ``reverse_topk`` / ``reverse_kranks``
+  (the snapshot's merge route on MVCC engines).  It is the route of
+  ``use_kernel=False`` and of dynamic engines without snapshots, and the
+  *declared fallback* of the kernel route: a snapshot with an empty side
+  has nothing to densify, and a kernel that fails to build or to answer
+  hands its batch over.  Every fallback is counted
+  (``rrq_fallback_total{from,to,reason}``) and annotated on the request
+  spans (``fallback_reason``) — a broken kernel never looks like a
+  healthy slow service.
+
+Both routes are byte-identical to
+:class:`~repro.algorithms.naive.NaiveRRQ` (the property and integration
+suites enforce it), so a payload never depends on which one ran.
 
 Admission control (queue bounds, deadlines) lives in
 :mod:`repro.service.limits`; this module enforces it at submit and
@@ -32,6 +45,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeoutError
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -44,11 +58,10 @@ from ..errors import (
     ServiceOverloadError,
     ServiceUnavailableError,
 )
-from ..obs.trace import current, current_trace_id, span, use_context
-from ..queries.types import RKRResult, RTKResult, make_rkr_result
+from ..obs.trace import NULL_SPAN, current, detached, span, use_context
 from ..resilience.faults import fire
 from ..stats.counters import OpCounter
-from ..vectorized.batch import DEFAULT_CHUNK_BUDGET, all_ranks_multi
+from ..vectorized.blasthreads import single_threaded
 from ..vectorized.girkernel import GirKernelRRQ
 from .limits import Deadline, ServiceLimits
 from .metrics import ServiceMetrics
@@ -79,6 +92,35 @@ class _Pending:
     ctx: Optional[object] = None
 
 
+@contextmanager
+def _request_spans(live: List[_Pending], name: str):
+    """One open ``name`` span per request, each inside its own trace."""
+    with ExitStack() as stack:
+        spans = []
+        for pending in live:
+            if pending.ctx is None:  # never a child of a neighbour's trace
+                spans.append(NULL_SPAN)
+                continue
+            stack.enter_context(use_context(pending.ctx))
+            spans.append(stack.enter_context(span(name)))
+        if len(live) > 1:  # a shared sweep runs in nobody's trace
+            stack.enter_context(detached())
+        yield spans
+
+
+def _describe(sp, pending: _Pending, batch_size: int, snap, fallback) -> None:
+    """The annotations every dispatch span carries, whichever the route."""
+    sp.annotate("kind", pending.kind)
+    sp.annotate("batch_size", batch_size)
+    if snap is not None:
+        sp.annotate("generation", snap.generation)
+    if fallback is not None:
+        reason, error = fallback
+        sp.annotate("fallback_reason", reason)
+        if error is not None:
+            sp.annotate("fallback_error", error)
+
+
 class MicroBatchScheduler:
     """Coalesces concurrent single queries into vectorized micro-batches.
 
@@ -87,33 +129,27 @@ class MicroBatchScheduler:
     engine:
         Any library engine/algorithm exposing ``reverse_topk``,
         ``reverse_kranks``, ``products`` and ``weights`` (an
-        :class:`~repro.queries.engine.RRQEngine` in practice).  Used for
-        the single-request fast path.
+        :class:`~repro.queries.engine.RRQEngine` in practice).  Its own
+        query methods are the per-query route.
     batch_window_s:
         How long the dispatcher waits for more requests after the first
-        one arrives.  ``0`` disables coalescing entirely (every request
-        takes the per-query path).
+        one arrives.  ``0`` disables coalescing entirely (every dispatch
+        is a batch of one).
     limits:
         Admission bounds (queue depth, default deadline, max batch size).
     metrics:
         Destination for batch/rejection tallies; a private instance is
         created when omitted.
-    chunk_budget:
-        Memory bound forwarded to :func:`all_ranks_multi`.
     use_kernel:
-        Answer coalesced batches with the weight-blocked GIR kernel
-        (:class:`~repro.vectorized.girkernel.GirKernelRRQ`) instead of
-        the dense ``all_ranks_multi`` sweep.  The kernel is built lazily
-        on the first coalesced batch — wrapping the engine's own grid
-        when it is a :class:`~repro.core.gir.GridIndexRRQ` — and its
-        per-stage timings / filter rates flow into ``/metrics``.
-        Coalesced batches of more than one request run through the
-        *fused* multi-query kernel path (one shared gather/matmul
-        pipeline for the whole batch), with the per-query kernel loop
-        preserved as the fallback.  Answers are byte-identical either
-        way; this only changes how much arithmetic the batch path
-        performs.  Ignored for dynamic engines (their arrays mutate
-        under the scheduler).
+        Answer every dispatch with the weight-blocked GIR kernel
+        (:class:`~repro.vectorized.girkernel.GirKernelRRQ`).  The kernel
+        is built lazily on the first dispatch — wrapping the engine's
+        own grid when it is a :class:`~repro.core.gir.GridIndexRRQ` —
+        and its per-stage timings / filter rates flow into ``/metrics``.
+        ``False`` answers every request through the engine itself, one
+        query at a time.  Answers are byte-identical either way.
+        Dynamic engines without MVCC snapshots always take the
+        per-query route (their arrays mutate under the scheduler).
     kernel_cache_dir:
         Directory for mmap kernel warm starts
         (:mod:`repro.vectorized.kernelstore`).  Static engines persist
@@ -129,7 +165,6 @@ class MicroBatchScheduler:
     def __init__(self, engine, batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
                  limits: Optional[ServiceLimits] = None,
                  metrics: Optional[ServiceMetrics] = None,
-                 chunk_budget: int = DEFAULT_CHUNK_BUDGET,
                  use_kernel: bool = True,
                  kernel_cache_dir: Optional[str] = None,
                  auto_start: bool = True):
@@ -139,13 +174,12 @@ class MicroBatchScheduler:
         self.batch_window_s = float(batch_window_s)
         self.limits = limits or ServiceLimits()
         self.metrics = metrics or ServiceMetrics()
-        self.chunk_budget = chunk_budget
         self._dim = engine.products.dim
         # A dynamic engine's product/weight views expose no ``.values``
-        # (the arrays change under mutation); the coalesced BLAS sweep
-        # would capture stale state, so such engines always take the
-        # per-query path — serialized against mutations by the engine's
-        # own lock.
+        # (the arrays change under mutation); a kernel over them would
+        # capture stale state, so such engines take the per-query route
+        # — serialized against mutations by the engine's own lock —
+        # unless they can pin MVCC snapshots (below).
         self._dynamic = not hasattr(engine.products, "values")
         self._engine_lock = getattr(engine, "lock", None)
         if self._dynamic:
@@ -156,17 +190,18 @@ class MicroBatchScheduler:
         self.use_kernel = bool(use_kernel) and not self._dynamic
         self.kernel_cache_dir = kernel_cache_dir
         self._kernel: Optional[GirKernelRRQ] = None
-        self._kernel_failed = False
+        #: ``(store generation or None, error)`` of the last failed kernel
+        #: build; see :meth:`_sweep`.
+        self._build_failure = None
         # MVCC engines (the segmented store) pin one immutable snapshot
         # per batch: queries run against it without the engine lock and
-        # never observe mutations that land mid-batch.  Coalesced
-        # batches may additionally densify the snapshot into a blocked
-        # kernel, cached until the store generation moves.
+        # never observe mutations that land mid-batch.  The snapshot is
+        # densified into a blocked kernel, cached until the store
+        # generation moves.
         self._pin_snapshot = getattr(engine, "pin_snapshot", None)
         self._use_snapshot_kernel = bool(use_kernel) and \
             self._pin_snapshot is not None
         self._snap_kernel = None
-        self._snap_kernel_failed = False
         #: Tuned snapshot-kernel config (a CandidateConfig), set by the
         #: auto-tuner's hot-swap on MVCC engines; None = default build.
         self._snapshot_tuning = None
@@ -333,183 +368,181 @@ class MicroBatchScheduler:
         counter = OpCounter()
         try:
             fire("scheduler.dispatch")
-            if self._dynamic:
-                snap = (self._pin_snapshot()
-                        if self._pin_snapshot is not None else None)
+            snap = (self._pin_snapshot()
+                    if self._pin_snapshot is not None else None)
+            try:
+                self._answer(live, snap, counter)
+            finally:
                 if snap is not None:
-                    try:
-                        self._answer_snapshot(live, snap, counter)
-                    finally:
-                        snap.release()
-                else:
-                    for pending in live:
-                        self._answer_single(pending, counter)
-            elif len(live) == 1:
-                self._answer_single(live[0], counter)
-            else:
-                self._answer_batched(live, counter)
+                    snap.release()
         except Exception as exc:  # surface backend failures to callers
             for pending in live:
                 if not pending.future.done():
                     pending.future.set_exception(exc)
         self.metrics.record_batch(len(live), counter)
 
-    def _answer_single(self, pending: _Pending, counter: OpCounter) -> None:
-        """Low-load fast path: straight through the per-query engine.
+    def _answer(self, live: List[_Pending], snap, counter: OpCounter) -> None:
+        """Route one micro-batch: the kernel, else the per-query route.
 
-        The span closes before the future resolves, so the submitting
-        thread never reads a trace whose dispatch span is still open.
+        ``snap`` is the batch's pinned MVCC snapshot (``None`` on engines
+        without one).  No engine lock is taken on the kernel route or on
+        a snapshot — writers proceed concurrently and the batch still
+        sees one consistent state.
         """
-        with use_context(pending.ctx), span("engine.query") as sp:
-            sp.annotate("kind", pending.kind)
-            lock = self._engine_lock
-            if lock is not None:
-                lock.acquire()
-            try:
-                if pending.kind == "rtk":
-                    result = self.engine.reverse_topk(pending.q, pending.k)
-                else:
-                    result = self.engine.reverse_kranks(pending.q, pending.k)
-            finally:
-                if lock is not None:
-                    lock.release()
-        counter.merge(result.counter)
-        pending.future.set_result(result)
-
-    def _answer_snapshot(self, live: List[_Pending], snap,
-                         counter: OpCounter) -> None:
-        """MVCC path: the whole batch reads one pinned snapshot.
-
-        No engine lock is taken — writers proceed concurrently and the
-        batch still sees one consistent state.  A coalesced batch may
-        run through a densified :class:`~repro.storage.SnapshotKernel`
-        (byte-identical answers, BLAS arithmetic); a batch of one uses
-        the snapshot's merge path directly.
-        """
-        kernel = self._get_snapshot_kernel(snap) if len(live) > 1 else None
-        if kernel is not None and len(live) > 1 and \
-                self._answer_fused(live, kernel, counter):
+        if not (self._use_snapshot_kernel if snap is not None
+                else self.use_kernel):
+            self._answer_per_query(live, snap, counter)
             return
-        for pending in live:
-            with use_context(pending.ctx), span("snapshot.query") as sp:
-                sp.annotate("kind", pending.kind)
-                sp.annotate("batch_size", len(live))
-                sp.annotate("generation", snap.generation)
-                backend = kernel if kernel is not None else snap
-                if pending.kind == "rtk":
-                    result = backend.reverse_topk(pending.q, pending.k)
-                else:
-                    result = backend.reverse_kranks(pending.q, pending.k)
-                if kernel is not None and kernel.last_stats is not None:
-                    stats = kernel.last_stats.snapshot()
-                    sp.annotate("kernel_stats", stats)
-                    self.metrics.record_kernel(
-                        stats, trace_id=current_trace_id()
-                    )
+        single = len(live) == 1
+        # Every request's ``kernel.batch`` span encloses the shared sweep
+        # (and the kernel build, when this batch pays for one).  The spans
+        # close before the futures resolve, so a submitting thread never
+        # reads a trace whose dispatch span is still open.
+        with _request_spans(live, "kernel.batch") as spans:
+            # One BLAS thread: a sweep that has to wake a sleeping second
+            # one took 27 or 120 ms depending on the requests before it.
+            with single_threaded():
+                swept, fallback = self._sweep(live, snap)
+            for sp, pending in zip(spans, live):
+                _describe(sp, pending, len(live), snap, fallback)
+                sp.annotate("fused", not single)
+            # A batch of one is the request operators look up: its
+            # sweep's stats ride on its span (the slow log's Table-4
+            # profile) and its trace id becomes the filter-rate exemplar.
+            if swept is not None and single and swept[1]:
+                spans[0].annotate("kernel_stats", swept[1][0])
+        if swept is None:
+            self._answer_per_query(live, snap, counter, fallback)
+            return
+        results, sweeps = swept
+        exemplar = (live[0].ctx.trace.trace_id
+                    if single and live[0].ctx is not None else None)
+        for stats in sweeps:
+            self.metrics.record_kernel(stats, trace_id=exemplar)
+        for pending, result in zip(live, results):
             counter.merge(result.counter)
             pending.future.set_result(result)
 
-    def _answer_fused(self, live: List[_Pending], backend,
-                      counter: OpCounter) -> bool:
-        """Answer the whole batch through the fused multi-query kernel.
+    def _sweep(self, live: List[_Pending], snap):
+        """The kernel route's arithmetic, or why it has to be skipped.
+
+        Returns ``((results, sweep_stats), None)``, or
+        ``(None, (reason, error))`` when the batch must fall back to the
+        per-query route: the snapshot has an empty side and nothing to
+        densify (``empty_snapshot``), or the kernel could not be built
+        (``kernel_build_error``) or raised while answering
+        (``kernel_error``).  No future is touched here, so a failure
+        leaves the whole batch for the fallback to answer exactly.
+
+        A failed build is not attempted again until something it
+        depends on has changed — the store generation, or the kernel or
+        tuning through :meth:`swap_kernel` / :meth:`set_snapshot_tuning`
+        — but every batch it turns away is still a counted fallback.
 
         Requests are grouped by kind and each group runs as *one*
         ``reverse_topk_batch`` / ``reverse_kranks_batch`` call, sharing
         the (P-block × W-block) boundary matmuls across every query of
-        the group — byte-identical to the per-query path (the property
-        suite enforces it).  Returns False (with no futures touched) on
-        any failure, so the caller's per-query loop remains the
-        fallback.
+        the group.
         """
-        if not hasattr(backend, "reverse_topk_batch"):
-            return False
-        groups: dict = {}
-        for idx, pending in enumerate(live):
-            groups.setdefault(pending.kind, []).append(idx)
+        state = snap.generation if snap is not None else None
+        if self._build_failure is not None and \
+                self._build_failure[0] == state:
+            return None, ("kernel_build_error", self._build_failure[1])
         try:
+            kernel = (self._get_snapshot_kernel(snap) if snap is not None
+                      else self._get_kernel())
+        except Exception as exc:
+            self._build_failure = (state, f"{type(exc).__name__}: {exc}")
+            return None, ("kernel_build_error", self._build_failure[1])
+        if kernel is None:
+            return None, ("empty_snapshot", None)
+        try:
+            fire("scheduler.kernel")
+            groups: dict = {}
+            for idx, pending in enumerate(live):
+                groups.setdefault(pending.kind, []).append(idx)
             results: List[Optional[object]] = [None] * len(live)
-            fused_stats = []
+            sweeps = []
             for kind, idxs in groups.items():
-                queries = [live[i].q for i in idxs]
-                ks = [live[i].k for i in idxs]
-                if kind == "rtk":
-                    answers = backend.reverse_topk_batch(queries, ks)
-                else:
-                    answers = backend.reverse_kranks_batch(queries, ks)
+                run = (kernel.reverse_topk_batch if kind == "rtk"
+                       else kernel.reverse_kranks_batch)
+                answers = run([live[i].q for i in idxs],
+                              [live[i].k for i in idxs])
                 for i, res in zip(idxs, answers):
                     results[i] = res
-                if backend.last_stats is not None:
-                    fused_stats.append(backend.last_stats.snapshot())
-        except Exception:
-            return False
-        for stats in fused_stats:
-            self.metrics.record_kernel(stats)
-        for pending, result in zip(live, results):
-            with use_context(pending.ctx), span("kernel.fused") as sp:
-                sp.annotate("kind", pending.kind)
-                sp.annotate("batch_size", len(live))
-                sp.annotate("fused", True)
+                if kernel.last_stats is not None:
+                    sweeps.append(kernel.last_stats.snapshot())
+            return (results, sweeps), None
+        except Exception as exc:  # declared fallback: counted by the caller
+            return None, ("kernel_error", f"{type(exc).__name__}: {exc}")
+
+    def _answer_per_query(self, live: List[_Pending], snap,
+                          counter: OpCounter, fallback=None) -> None:
+        """One engine call per request: the snapshot's merge route, or
+        the engine's own methods under its lock (if it has one).
+
+        ``fallback`` is :meth:`_sweep`'s ``(reason, error)`` when the
+        kernel route handed this batch over; the hand-over is counted
+        once and named on every request's span.
+        """
+        if snap is not None:
+            route, backend, lock = "snapshot", snap, None
+        else:
+            route, backend, lock = "engine", self.engine, self._engine_lock
+        if fallback is not None:
+            self.metrics.record_fallback("kernel", route, fallback[0])
+        for pending in live:
+            with use_context(pending.ctx), span(f"{route}.query") as sp:
+                _describe(sp, pending, len(live), snap, fallback)
+                with lock if lock is not None else nullcontext():
+                    if pending.kind == "rtk":
+                        result = backend.reverse_topk(pending.q, pending.k)
+                    else:
+                        result = backend.reverse_kranks(pending.q, pending.k)
             counter.merge(result.counter)
             pending.future.set_result(result)
-        return True
 
     def _get_snapshot_kernel(self, snap):
-        """Densified kernel for ``snap``, cached across coalesced batches.
+        """Densified kernel for ``snap``, cached across batches.
 
-        Rebuilt only when the store generation moved; a build failure is
-        remembered and the merge path serves from then on.
+        Rebuilt only when the store generation (or the tuned config)
+        moved.  ``None`` means the snapshot has an empty side.
         """
-        if not self._use_snapshot_kernel or self._snap_kernel_failed:
-            return None
         cached = self._snap_kernel
         tuning = self._snapshot_tuning
         variant = tuning.short() if tuning is not None else None
         if cached is not None and cached.matches(snap) and \
                 getattr(cached, "variant", None) == variant:
             return cached
-        try:
-            from ..storage import SnapshotKernel
+        from ..storage import SnapshotKernel
 
-            self._snap_kernel = SnapshotKernel.build(
-                snap, cache_dir=self.kernel_cache_dir,
-                tuning=self._snapshot_tuning,
-            )
-        except Exception:
-            self._snap_kernel_failed = True
-            self._snap_kernel = None
+        self._snap_kernel = SnapshotKernel.build(
+            snap, cache_dir=self.kernel_cache_dir, tuning=tuning,
+        )
         return self._snap_kernel
 
-    def _get_kernel(self) -> Optional[GirKernelRRQ]:
-        """The batch-path kernel, built lazily on first use.
+    def _get_kernel(self) -> GirKernelRRQ:
+        """The static engine's kernel, built lazily on first use.
 
         Wraps the engine's own grid when the engine is (or fronts) a
         :class:`~repro.core.gir.GridIndexRRQ` — no re-quantization —
-        otherwise quantizes fresh from the static arrays.  A build
-        failure is remembered and the dense sweep is used from then on;
-        serving must not die because an optimization could not start.
+        otherwise quantizes fresh from the static arrays.
         """
-        if not self.use_kernel or self._kernel_failed:
-            return None
         if self._kernel is None:
-            try:
-                self._kernel = self._load_cached_static_kernel()
-                if self._kernel is not None:
-                    return self._kernel
+            kernel = self._load_cached_static_kernel()
+            if kernel is None:
                 from ..core.gir import GridIndexRRQ
 
                 algorithm = getattr(self.engine, "algorithm", self.engine)
                 if isinstance(algorithm, GirKernelRRQ):
-                    self._kernel = algorithm
+                    kernel = algorithm
                 elif isinstance(algorithm, GridIndexRRQ):
-                    self._kernel = GirKernelRRQ.from_gir(algorithm)
+                    kernel = GirKernelRRQ.from_gir(algorithm)
                 else:
-                    self._kernel = GirKernelRRQ(
-                        self.engine.products, self.engine.weights
-                    )
-                self._save_static_kernel(self._kernel)
-            except Exception:
-                self._kernel_failed = True
-                return None
+                    kernel = GirKernelRRQ(self.engine.products,
+                                          self.engine.weights)
+                self._save_static_kernel(kernel)
+            self._kernel = kernel
         return self._kernel
 
     def _expected_static_digest(self) -> Optional[str]:
@@ -638,7 +671,7 @@ class MicroBatchScheduler:
             except Exception:
                 pass
         self._kernel = kernel
-        self._kernel_failed = False
+        self._build_failure = None
 
     def set_snapshot_tuning(self, config) -> None:
         """Adopt a tuned config for snapshot kernels (MVCC engines).
@@ -646,59 +679,8 @@ class MicroBatchScheduler:
         The next ``_get_snapshot_kernel`` miss rebuilds under
         ``config`` (a :class:`~repro.tuning.tuner.CandidateConfig`);
         callers pair this with an engine checkpoint so a fresh
-        generation exists to densify.  Clearing the failure latch lets
-        a previously failed build retry under the new config.
+        generation exists to densify.
         """
         self._snapshot_tuning = config
         self._snap_kernel = None
-        self._snap_kernel_failed = False
-
-    def _answer_batched(self, live: List[_Pending],
-                        counter: OpCounter) -> None:
-        """Coalesced path: the blocked kernel, or one shared rank sweep.
-
-        Both produce answers byte-identical to the per-query engine
-        (derivation from the rank vector mirrors
-        :class:`~repro.vectorized.batch.BatchOracle`; the kernel's
-        equivalence is enforced by the property tests), so the HTTP
-        payloads never depend on which path ran.
-        """
-        kernel = self._get_kernel()
-        if kernel is not None:
-            if len(live) > 1 and self._answer_fused(live, kernel, counter):
-                return
-            for pending in live:
-                with use_context(pending.ctx), span("kernel.query") as sp:
-                    sp.annotate("kind", pending.kind)
-                    sp.annotate("batch_size", len(live))
-                    if pending.kind == "rtk":
-                        result = kernel.reverse_topk(pending.q, pending.k)
-                    else:
-                        result = kernel.reverse_kranks(pending.q, pending.k)
-                    if kernel.last_stats is not None:
-                        stats = kernel.last_stats.snapshot()
-                        sp.annotate("kernel_stats", stats)
-                        self.metrics.record_kernel(
-                            stats, trace_id=current_trace_id()
-                        )
-                counter.merge(result.counter)
-                pending.future.set_result(result)
-            return
-        Q = np.stack([pending.q for pending in live])
-        rank_matrix = all_ranks_multi(self._P, self._W, Q, self.chunk_budget)
-        # One shared sweep: |P| * |W| pairwise products total, not per query.
-        counter.pairwise += self._P.shape[0] * self._W.shape[0]
-        for pending, row in zip(live, rank_matrix):
-            with use_context(pending.ctx), span("batch.derive") as sp:
-                sp.annotate("kind", pending.kind)
-                sp.annotate("batch_size", len(live))
-                sp.annotate("shared_sweep", True)
-                if pending.kind == "rtk":
-                    qualifying = frozenset(
-                        int(i) for i in np.nonzero(row < pending.k)[0]
-                    )
-                    result = RTKResult(weights=qualifying, k=pending.k)
-                else:
-                    pairs = [(int(r), int(i)) for i, r in enumerate(row)]
-                    result = make_rkr_result(pairs, pending.k, OpCounter())
-            pending.future.set_result(result)
+        self._build_failure = None

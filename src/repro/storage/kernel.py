@@ -1,13 +1,13 @@
 """Blocked-kernel execution over a pinned snapshot.
 
 The merge path in :mod:`repro.storage.snapshot` is exact but scalar —
-one GInTop-k call per (weight, segment).  When the scheduler coalesces
-a batch of queries against one snapshot, it pays off to densify: gather
-the snapshot's live rows once, build a
+one GInTop-k call per (weight, segment), ten times the cost of a kernel
+sweep even for a single query.  So the scheduler densifies: gather the
+snapshot's live rows once, build a
 :class:`~repro.vectorized.girkernel.GirKernelRRQ` over them, and run
-every query of the batch through the BLAS kernel.  Answers come back in
-*local* (dense) indices; this wrapper maps them to the snapshot's
-stable global ids.
+every micro-batch — a batch of one included — through the BLAS kernel.
+Answers come back in *local* (dense) indices; this wrapper maps them to
+the snapshot's stable global ids.
 
 The remap preserves byte-identical tie-breaking: live rows are gathered
 in ascending global-id order, so local order *is* global order and the
@@ -36,7 +36,6 @@ import numpy as np
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import DataValidationError, IndexCorruptionError
 from ..queries.types import RKRResult, RTKResult
-from ..stats.counters import OpCounter
 from ..vectorized.girkernel import GirKernelRRQ
 from ..vectorized.kernelstore import load_kernel_bundle, save_kernel
 from .snapshot import StoreSnapshot
@@ -164,25 +163,9 @@ class SnapshotKernel:
 
     # ------------------------------------------------------------------
 
-    def reverse_topk(self, q, k: int,
-                     counter: Optional[OpCounter] = None) -> RTKResult:
-        res = self.kernel.reverse_topk(q, k, counter)
-        remapped = frozenset(int(self.w_gids[j]) for j in res.weights)
-        return RTKResult(weights=remapped, k=res.k, counter=res.counter)
-
-    def reverse_kranks(self, q, k: int,
-                       counter: Optional[OpCounter] = None) -> RKRResult:
-        res = self.kernel.reverse_kranks(q, k, counter)
-        entries = tuple(
-            (rank, int(self.w_gids[j])) for rank, j in res.entries
-        )
-        return RKRResult(entries=entries, k=res.k, counter=res.counter)
-
-    # ------------------------------------------------------------------
-    # fused multi-query entry points (id-remapped like the scalar ones)
-    # ------------------------------------------------------------------
-
     def reverse_topk_batch(self, queries, k):
+        """One tile sweep for the whole micro-batch (``k`` scalar or
+        per-query), answers remapped to stable global ids."""
         results = self.kernel.reverse_topk_batch(queries, k)
         return [RTKResult(weights=frozenset(int(self.w_gids[j])
                                             for j in res.weights),
@@ -195,6 +178,13 @@ class SnapshotKernel:
                                         for rank, j in res.entries),
                           k=res.k, counter=res.counter)
                 for res in results]
+
+    def reverse_topk(self, q, k: int) -> RTKResult:
+        """A single query is a batch of one through the same sweep."""
+        return self.reverse_topk_batch([q], k)[0]
+
+    def reverse_kranks(self, q, k: int) -> RKRResult:
+        return self.reverse_kranks_batch([q], k)[0]
 
     @property
     def last_stats(self):

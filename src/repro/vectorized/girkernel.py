@@ -125,7 +125,8 @@ class KernelStats:
         prefilter (a subset of ``pairs_total``).
     fused_batches:
         Fused multi-query passes executed (one per coalesced batch and
-        query kind).
+        query kind).  A sweep that answers a single query shares its
+        tiles with nobody and is not counted here.
     fused_queries:
         Queries answered inside a fused pass (each shares its batch's
         gather/matmul work instead of paying for its own).
@@ -144,6 +145,13 @@ class KernelStats:
     pairs_f32: int = 0
     fused_batches: int = 0
     fused_queries: int = 0
+
+    def record_sweep(self, nq: int) -> None:
+        """Tally one tile sweep that answers ``nq`` queries."""
+        self.queries += nq
+        if nq > 1:
+            self.fused_batches += 1
+            self.fused_queries += nq
 
     def merge(self, other: "KernelStats") -> "KernelStats":
         """Accumulate ``other`` into this object and return ``self``."""
@@ -802,9 +810,7 @@ class KernelCore:
         the decisions themselves.
         """
         nq = QM.shape[0]
-        stats.queries += nq
-        stats.fused_batches += 1
-        stats.fused_queries += nq
+        stats.record_sweep(nq)
         batch = self.prepare_batch(QM)
         results: List[List[int]] = [[] for _ in range(nq)]
         limits = np.empty(nq, dtype=np.float64)
@@ -855,9 +861,7 @@ class KernelCore:
         that query's column-pruning limit inside the shared pass.
         """
         nq = QM.shape[0]
-        stats.queries += nq
-        stats.fused_batches += 1
-        stats.fused_queries += nq
+        stats.record_sweep(nq)
         batch = self.prepare_batch(QM)
         for qi in range(nq):
             stats.pairs_domin_skipped += batch.n_dom[qi] * (hi - lo)

@@ -79,10 +79,14 @@ def _get_json(base_url, path, timeout=30):
         return json.loads(resp.read())
 
 
-def _span_names(node):
-    yield node["name"]
+def _spans(node):
+    yield node
     for child in node["children"]:
-        yield from _span_names(child)
+        yield from _spans(child)
+
+
+def _span_names(node):
+    return (span["name"] for span in _spans(node))
 
 
 class TestTraceIdEndToEnd:
@@ -111,8 +115,18 @@ class TestTraceIdEndToEnd:
         names = list(_span_names(root))
         assert names[0] == "http.query"
         assert "service.query" in names
-        # batch of one dispatches through the engine span.
-        assert "engine.query" in names or "kernel.query" in names
+        # A batch of one is answered by the same kernel sweep as any
+        # other dispatch, never by the per-query engine, and its span
+        # carries the sweep's stats.
+        assert "engine.query" not in names
+        (dispatch,) = [s for s in _spans(root) if s["name"] == "kernel.batch"]
+        notes = dispatch["annotations"]
+        assert notes["batch_size"] == 1 and notes["fused"] is False
+        assert notes["kernel_stats"]["queries"] == 1
+        assert notes["kernel_stats"]["fused"]["queries"] == 0
+        # The span encloses the sweep it reports on.
+        assert dispatch["duration_s"] >= \
+            sum(notes["kernel_stats"]["stage_s"].values())
 
         # (3) the slow-query log (threshold 0.0) captured the request,
         # with the same id and the span tree attached.
@@ -128,6 +142,9 @@ class TestTraceIdEndToEnd:
         # entry is cut).
         assert any("service.query" in _span_names(s)
                    for s in entry["spans"])
+        # ... and the Table-4 profile of the sweep that answered it.
+        assert entry["kernel"] == notes["kernel_stats"]
+        assert entry["kernel"]["pairs"]["total"] > 0
 
         # (4) a live Prometheus scrape lints clean and carries the id
         # as a latency-bucket exemplar.
@@ -137,7 +154,12 @@ class TestTraceIdEndToEnd:
             assert resp.headers["Content-Type"].startswith("text/plain")
             text = resp.read().decode()
         assert lint_exposition(text) == []
-        assert f'trace_id="{trace_id}"' in text
+        latency, filter_rate = (
+            [line for line in text.splitlines()
+             if line.startswith(family) and f'trace_id="{trace_id}"' in line]
+            for family in ("rrq_request_latency_seconds_bucket",
+                           "rrq_query_filter_rate_bucket"))
+        assert latency and filter_rate
 
     def test_generated_id_when_header_absent(self, served):
         _, client = served
@@ -176,8 +198,8 @@ class TestTraceIdEndToEnd:
         assert root["status"] == "error"
 
     def test_coalesced_batch_traces_kernel_span(self, served):
-        """Concurrent traced requests: at least one trace shows the
-        batched kernel path (``kernel.query``) under its root."""
+        """Concurrent traced requests: at least one trace shows a
+        shared sweep (``kernel.batch`` with ``fused``) under its root."""
         service, client = served
         kernel_traced = []
 
@@ -208,8 +230,10 @@ class TestTraceIdEndToEnd:
                     continue
                 (root,) = found["trace"]["spans"]
                 names = list(_span_names(root))
-                if "kernel.query" in names or "kernel.fused" in names \
-                        or "batch.derive" in names:
+                if any(s["name"] == "kernel.batch"
+                       and s["annotations"]["fused"]
+                       and s["annotations"]["batch_size"] > 1
+                       for s in _spans(root)):
                     kernel_traced.append((tid, names))
             if kernel_traced:
                 break

@@ -183,3 +183,38 @@ class TestCeilPartitions:
         n = model.recommend_partitions(20, 0.01, power_of_two=False)
         assert n == model.ceil_partitions(bound)
         assert n >= 1
+
+
+class TestLazyScipy:
+    def test_serving_process_never_imports_scipy_stats(self):
+        """``scipy.stats`` is ~1 s of cold start and ~60 MB of RSS; only
+        the three normal-approximation functions may pay for it."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import repro.cli\n"
+            "from repro.data.synthetic import uniform_products, "
+            "uniform_weights\n"
+            "from repro.service import QueryService\n"
+            "service = QueryService.from_datasets(\n"
+            "    uniform_products(30, 3, seed=1), "
+            "uniform_weights(20, 3, seed=2))\n"
+            "try:\n"
+            "    service.query(product=4, kind='rkr', k=3)\n"
+            "finally:\n"
+            "    service.close()\n"
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'\n"
+            "from repro.core import model\n"
+            "model.worst_case_filtering(4, 32)\n"
+            "assert 'scipy.stats' in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.abspath(src)] + env.get("PYTHONPATH", "").split(os.pathsep))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

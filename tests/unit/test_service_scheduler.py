@@ -93,7 +93,7 @@ class TestCoalescing:
         assert snap["batches"]["mean_size"] == 1.0
 
     def test_batched_equals_single_path(self, engine):
-        """The all_ranks_multi path and the engine path agree exactly."""
+        """A query inside a coalesced batch and the engine agree exactly."""
         q = engine.products[17]
         coalescing = make_scheduler(engine, batch_window_s=0.1)
         futures = [coalescing.submit(q, "rkr", 4),
@@ -154,7 +154,89 @@ class TestKernelPath:
         assert fused["queries"] == 5
         assert fused["batches"] == 2  # one rtk group + one rkr group
 
-    def test_use_kernel_false_keeps_dense_sweep(self, engine):
+    def test_each_traced_request_gets_its_own_dispatch_span(self, engine):
+        """The spans of a shared sweep enclose it, one per traced request;
+        an untraced neighbour never shows up in somebody else's trace."""
+        from repro.obs.trace import Tracer
+
+        scheduler = make_scheduler(
+            engine, batch_window_s=0.1,
+            limits=ServiceLimits(max_batch=16),
+        )
+        tracer = Tracer()
+        roots, futures = [], []
+        for i in (5, 17):
+            with tracer.trace("test.request") as root:
+                futures.append(scheduler.submit(engine.products[i], "rkr", 4))
+            roots.append(root)
+            futures.append(scheduler.submit(engine.products[i + 1], "rkr", 4))
+        scheduler.start()
+        try:
+            [f.result(timeout=10) for f in futures]
+        finally:
+            scheduler.close()
+        swept = sum(scheduler.metrics.snapshot()["kernel"]["stage_s"].values())
+        for root in roots:
+            (dispatch,) = tracer.get(root.trace_id)["spans"][0]["children"]
+            assert dispatch["name"] == "kernel.batch"
+            assert dispatch["annotations"]["batch_size"] == 4
+            assert dispatch["annotations"]["fused"] is True
+            assert "kernel_stats" not in dispatch["annotations"]
+            assert dispatch["duration_s"] >= swept
+
+    def test_lone_sweep_runs_in_its_trace_a_shared_one_in_none(self, engine):
+        from repro.obs.trace import Tracer, current_trace_id
+
+        scheduler = make_scheduler(engine, batch_window_s=0.1)
+        kernel = scheduler._get_kernel()
+        seen = []
+
+        def recording(queries, ks):
+            seen.append((len(queries), current_trace_id()))
+            return type(kernel).reverse_kranks_batch(kernel, queries, ks)
+
+        kernel.reverse_kranks_batch = recording
+        tracer = Tracer()
+        try:
+            with tracer.trace("test.request") as pair:
+                futures = [scheduler.submit(engine.products[i], "rkr", 4)
+                           for i in (5, 6)]
+            scheduler.start()
+            [f.result(timeout=10) for f in futures]
+            with tracer.trace("test.request") as lone:
+                scheduler.answer(engine.products[7], "rkr", 4)
+        finally:
+            scheduler.close()
+            del kernel.reverse_kranks_batch
+        assert pair.trace_id != lone.trace_id
+        assert seen == [(2, None), (1, lone.trace_id)]
+
+    def test_sweep_runs_at_one_blas_thread(self, engine, monkeypatch):
+        from repro.vectorized import blasthreads
+
+        state = {"threads": 2}
+        monkeypatch.setattr(blasthreads, "_controls", [
+            (lambda: state["threads"],
+             lambda count: state.update(threads=count))])
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        kernel = scheduler._get_kernel()
+        seen = []
+
+        def recording(queries, ks):
+            seen.append(blasthreads.thread_counts())
+            return type(kernel).reverse_topk_batch(kernel, queries, ks)
+
+        kernel.reverse_topk_batch = recording
+        scheduler.start()
+        try:
+            scheduler.answer(engine.products[9], "rtk", 5)
+        finally:
+            scheduler.close()
+            del kernel.reverse_topk_batch
+        assert seen == [[1]]
+        assert blasthreads.thread_counts() == [2]
+
+    def test_use_kernel_false_answers_per_query(self, engine):
         scheduler = make_scheduler(
             engine, batch_window_s=0.1, use_kernel=False,
             limits=ServiceLimits(max_batch=16),
@@ -169,11 +251,14 @@ class TestKernelPath:
         for i, result in zip((1, 2, 3), results):
             assert result.weights == engine.reverse_topk(
                 engine.products[i], 6).weights
-        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 0
+        snap = scheduler.metrics.snapshot()
+        assert snap["kernel"]["queries"] == 0
+        # The configured route, not a fallback from a broken kernel.
+        assert snap["fallbacks"]["total"] == 0
 
-    def test_kernel_and_dense_payloads_identical(self, engine):
-        """The acceptance bar: flipping the batch path never changes an
-        HTTP response payload."""
+    def test_kernel_and_per_query_payloads_identical(self, engine):
+        """The acceptance bar: flipping the answer route never changes
+        an HTTP response payload."""
         from repro.service.server import encode_result
 
         queries = [engine.products[i] for i in (5, 31, 77)]
@@ -196,15 +281,118 @@ class TestKernelPath:
             )
         assert payloads[True] == payloads[False]
 
-    def test_single_request_stays_on_engine_path(self, engine):
+    def test_single_request_is_a_batch_of_one_through_the_kernel(
+            self, engine):
         scheduler = make_scheduler(engine, batch_window_s=0.0)
         scheduler.start()
         try:
-            scheduler.answer(engine.products[9], "rtk", 5)
+            got = scheduler.answer(engine.products[9], "rtk", 5)
+            ranks = scheduler.answer(engine.products[9], "rkr", 5)
         finally:
             scheduler.close()
-        # Batch of one takes the per-query engine, not the kernel.
-        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 0
+        assert got.weights == engine.reverse_topk(
+            engine.products[9], 5).weights
+        assert ranks.entries == engine.reverse_kranks(
+            engine.products[9], 5).entries
+        snap = scheduler.metrics.snapshot()
+        # Same sweep as a coalesced batch, but it shares its tiles with
+        # nobody: counted as kernel work, never as fused.
+        assert snap["kernel"]["queries"] == 2
+        assert snap["kernel"]["fused"] == {"batches": 0, "queries": 0}
+        assert snap["batches"]["coalesced"] == 0
+        assert snap["fallbacks"]["total"] == 0
+
+
+class TestDeclaredFallback:
+    """A kernel that cannot answer hands its batch to the per-query
+    route: exact, counted once per batch, and named on the spans."""
+
+    def _naive_payloads(self, engine, requests):
+        from repro.algorithms.naive import NaiveRRQ
+        from repro.service.server import canonical_json, encode_result
+
+        naive = NaiveRRQ(engine.products, engine.weights)
+        return [canonical_json(encode_result(
+            naive.reverse_topk(q, k) if kind == "rtk"
+            else naive.reverse_kranks(q, k), kind))
+            for q, kind, k in requests]
+
+    def test_kernel_raising_on_every_batch_is_exact_and_counted(
+            self, engine):
+        from repro.obs.trace import Tracer
+        from repro.resilience.faults import FaultPlan, inject
+        from repro.service.server import canonical_json, encode_result
+
+        requests = [(engine.products[i], kind, 6)
+                    for i in (4, 19, 63) for kind in ("rtk", "rkr")]
+        plan = FaultPlan(seed=7).add(
+            "scheduler.kernel", "raise", times=None,
+            exception=lambda: RuntimeError("tile sweep exploded"))
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        tracer = Tracer()
+        payloads = []
+        with inject(plan) as injector:
+            scheduler.start()
+            try:
+                for q, kind, k in requests:
+                    with tracer.trace("test.request") as root:
+                        result = scheduler.answer(q, kind, k)
+                    payloads.append(
+                        canonical_json(encode_result(result, kind)))
+                    spans = {s["name"]: s for s in
+                             tracer.get(root.trace_id)["spans"][0]["children"]}
+                    notes = spans["engine.query"]["annotations"]
+                    assert notes["fallback_reason"] == "kernel_error"
+                    assert "tile sweep exploded" in notes["fallback_error"]
+            finally:
+                scheduler.close()
+            assert injector.fired("scheduler.kernel") == len(requests)
+        assert payloads == self._naive_payloads(engine, requests)
+        snap = scheduler.metrics.snapshot()
+        assert snap["batches"]["total"] == len(requests)
+        assert snap["fallbacks"] == {
+            "total": len(requests),
+            "routes": [{"from": "kernel", "to": "engine",
+                        "reason": "kernel_error",
+                        "count": len(requests)}],
+        }
+        assert snap["kernel"]["queries"] == 0
+        text = scheduler.metrics.prometheus()
+        assert ('rrq_fallback_total{from="kernel",to="engine",'
+                f'reason="kernel_error"}} {len(requests)}') in text
+
+    def test_failed_build_is_counted_per_batch_and_retried_on_change(
+            self, engine, monkeypatch):
+        from repro.vectorized.girkernel import GirKernelRRQ
+
+        real = GirKernelRRQ.from_gir
+        attempts = []
+
+        def no_room(*args, **kwargs):
+            attempts.append(1)
+            raise MemoryError("no room for the bound matrices")
+
+        monkeypatch.setattr(GirKernelRRQ, "from_gir", no_room)
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        scheduler.start()
+        try:
+            answers = [scheduler.answer(engine.products[2], "rtk", 5)
+                       for _ in range(3)]
+            # Nothing the build depends on moved: one attempt, three
+            # counted fallbacks.
+            assert len(attempts) == 1
+            assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
+                {"from": "kernel", "to": "engine",
+                 "reason": "kernel_build_error", "count": 3}]
+            scheduler.swap_kernel(real(engine.algorithm))
+            answers.append(scheduler.answer(engine.products[2], "rtk", 5))
+        finally:
+            scheduler.close()
+        expected = engine.reverse_topk(engine.products[2], 5).weights
+        assert all(answer.weights == expected for answer in answers)
+        snap = scheduler.metrics.snapshot()
+        assert snap["fallbacks"]["total"] == 3
+        assert snap["kernel"]["queries"] == 1  # the swapped-in kernel
 
 
 class TestDeadlines:
@@ -401,7 +589,8 @@ class TestSnapshotBatchPath:
         for q, result in zip(queries, results):
             assert result.weights == durable.reverse_topk(q, 6).weights
 
-    def test_single_request_uses_snapshot_without_kernel(self, durable):
+    def test_single_request_builds_and_uses_the_snapshot_kernel(
+            self, durable):
         scheduler = make_scheduler(durable, batch_window_s=0.0)
         scheduler.start()
         try:
@@ -410,7 +599,70 @@ class TestSnapshotBatchPath:
             scheduler.close()
         assert got.weights == durable.reverse_topk(
             durable.products[3], 5).weights
-        assert scheduler.metrics.snapshot()["kernel"]["queries"] == 0
+        snap = scheduler.metrics.snapshot()
+        assert scheduler._snap_kernel is not None
+        assert snap["kernel"]["queries"] == 1
+        assert snap["kernel"]["fused"]["queries"] == 0
+        assert snap["fallbacks"]["total"] == 0
+
+    def test_failed_snapshot_build_waits_for_the_next_generation(
+            self, durable, monkeypatch):
+        import numpy as np
+
+        from repro.storage import SnapshotKernel
+
+        real = SnapshotKernel.build.__func__
+        attempts = []
+
+        def fails_once(cls, snap, **kwargs):
+            attempts.append(snap.generation)
+            if len(attempts) == 1:
+                raise MemoryError("no room to densify")
+            return real(cls, snap, **kwargs)
+
+        monkeypatch.setattr(SnapshotKernel, "build", classmethod(fails_once))
+        scheduler = make_scheduler(durable, batch_window_s=0.0)
+        q = durable.products[3]
+        scheduler.start()
+        try:
+            merged = [scheduler.answer(q, "rkr", 4) for _ in range(2)]
+            assert len(attempts) == 1  # same generation: not attempted again
+            durable.insert_product(np.full(4, 0.42))
+            swept = scheduler.answer(q, "rkr", 4)
+        finally:
+            scheduler.close()
+        assert len(attempts) == 2 and attempts[1] != attempts[0]
+        assert merged[0].entries == merged[1].entries
+        assert swept.entries == durable.reverse_kranks(q, 4).entries
+        snap = scheduler.metrics.snapshot()
+        assert snap["fallbacks"]["routes"] == [
+            {"from": "kernel", "to": "snapshot",
+             "reason": "kernel_build_error", "count": 2}]
+        assert snap["kernel"]["queries"] == 1
+
+    def test_empty_snapshot_side_is_a_counted_fallback(self, tmp_path):
+        import numpy as np
+
+        from repro.durability import DurableDynamicRRQ
+
+        engine = DurableDynamicRRQ(tmp_path / "empty", dim=3,
+                                   backend="segmented", fsync="never")
+        try:
+            engine.insert_product(np.array([0.2, 0.4, 0.1]))
+            scheduler = make_scheduler(engine, batch_window_s=0.0)
+            scheduler.start()
+            try:
+                # Nothing to densify, so the merge route answers — with
+                # its structured refusal (there are no weights to rank).
+                with pytest.raises(InvalidParameterError):
+                    scheduler.answer(np.array([0.3, 0.3, 0.3]), "rtk", 2)
+            finally:
+                scheduler.close()
+        finally:
+            engine.close()
+        assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
+            {"from": "kernel", "to": "snapshot",
+             "reason": "empty_snapshot", "count": 1}]
 
 
 class TestKernelHotSwap:
