@@ -379,8 +379,8 @@ def run_fused_config(cfg: dict, seed: int = DEFAULT_SEED,
     """Benchmark one config's fused-batch and cold-start story.
 
     For each query kind the whole ``queries``-sized batch is answered
-    (a) sequentially — one per-query kernel call per query — and
-    (b) through the fused multi-query kernel path; wall clock and the
+    (a) sequentially — one batch of one per query — and
+    (b) as one batch through the same sweep; wall clock and the
     kernel's filter-stage seconds are recorded for both, along with a
     byte-identity check (fused vs sequential vs oracle).  The
     cold-start race times a full kernel rebuild from the raw data

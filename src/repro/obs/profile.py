@@ -15,7 +15,8 @@ The four reported classes partition the classified pairs exactly::
 
 where *refined* pairs got an exact dot product and *undecided* pairs
 were classified as neither case but never refined, because their weight
-had already been pruned by the k / minRank abort.  The fractions
+had already been pruned by the k / minRank abort or the RKR
+rank-interval cap.  The fractions
 therefore sum to 1.0 by construction, and every count is taken verbatim
 from the kernel's stats — the acceptance tests pin both properties.
 

@@ -448,8 +448,8 @@ class ServiceMetrics:
                     "Queries answered inside a fused multi-query pass.",
                     kernel_fused["queries"])
         exp.counter("rrq_kernel_weights_pruned_total",
-                    "Weight vectors pruned by the k/minRank abort before "
-                    "refinement.", weights_pruned)
+                    "Weight vectors pruned by the k/minRank abort or the "
+                    "rank-interval cap before refinement.", weights_pruned)
         exp.gauge("rrq_kernel_filter_rate",
                   "Fraction of classified pairs decided by bounds alone.",
                   filter_rate)

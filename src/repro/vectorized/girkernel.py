@@ -22,8 +22,9 @@ an entire *block* of weights at once:
 Answers are **byte-identical** to :class:`GridIndexRRQ` and
 :class:`~repro.algorithms.naive.NaiveRRQ`: the Domin semantics (k
 strictly dominating products ⇒ empty RTK answer) and the RKR minRank
-feedback (a weight block is pruned when its certain-better count already
-reaches the current k-th best rank) are preserved, and every comparison
+feedback (a weight is pruned when its certain-better count already
+reaches the current k-th best rank, or exceeds the k-th smallest rank
+upper bound of its own block) are preserved, and every comparison
 that could be perturbed by BLAS rounding goes through the near-tie band
 of :mod:`repro.core.ties`.  Only the *work* differs, and
 :class:`KernelStats` reports exactly where it went (filter / refine /
@@ -66,6 +67,15 @@ DEFAULT_P_BLOCK = 2048
 #: hundred products; later tiles quadruple up to ``p_block`` once the
 #: survivor set is thin.
 FIRST_P_TILE = 256
+
+#: Widest batch whose gate hits are tallied by direct comparison.  One
+#: dense compare per query and tile side costs 0.5 ms per million-cell
+#: side against 4 ms for the shared sort, which a pair of queries never
+#: earns back.  At three and four queries direct counting is still
+#: ahead on RTK but between level and 5 % behind on RKR, where the time
+#: is (``docs/performance.md`` section 10), and no gated workload runs
+#: there: the cut is the last size at which it won every measured cell.
+DIRECT_COUNT_MAX_Q = 2
 
 #: Filter dtypes the kernel accepts.  ``float32`` halves the memory
 #: traffic of the bound matmuls (the ~85% filter stage) and is proven
@@ -118,8 +128,9 @@ class KernelStats:
         Pairs never classified because the product strictly dominates
         the query (counted straight into every weight's rank floor).
     weights_pruned:
-        Weight vectors dropped without refinement because their
-        certain-better count already met the k / minRank abort threshold.
+        Weight vectors dropped without refinement: their certain-better
+        count already met the k / minRank abort threshold, or (RKR) it
+        exceeds the block's rank-interval cap.
     pairs_f32:
         Pairs whose bound classification ran through the float32
         prefilter (a subset of ``pairs_total``).
@@ -229,35 +240,48 @@ def _count_sorted(S: np.ndarray, G: np.ndarray, strict: bool) -> np.ndarray:
     return pos
 
 
-@dataclass
-class _QueryState:
-    """Per-query prep shared by every weight block of one scan."""
+def _gate_tallies(uT: np.ndarray, lT: np.ndarray, g_hi: np.ndarray,
+                  g_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Case-1 and low-side hit counts of one tile, per column and query.
 
-    #: Global row indices of live products, or ``None`` for "all rows"
-    #: (the common case: no duplicates of q, nothing dominating it).
-    rows: Optional[np.ndarray]
-    #: Bound matrices restricted to the live rows.
-    a_lo: np.ndarray
-    a_hi: np.ndarray
-    #: Size of the Domin set — the rank floor under every weight.
-    n_dom: int
-    #: Live products (bound-classified rows).
-    n_live: int
-    #: float32 views of ``a_lo`` / ``a_hi`` (None on the float64 path).
-    a_lo32: Optional[np.ndarray] = None
-    a_hi32: Optional[np.ndarray] = None
+    ``uT`` / ``lT`` are the tile's upper / lower bound scores, shape
+    ``(cols, rows)``; ``g_hi`` / ``g_lo`` the ``(cols, nq)`` gates
+    (``-inf`` where a query has pruned the column).  Returns the
+    ``(cols, nq)`` tallies of ``uT < g_hi`` and ``lT <= g_lo``.
+    """
+    nq = g_hi.shape[1]
+    if nq <= DIRECT_COUNT_MAX_Q:
+        # int32 tallies: the narrow reduction is a third faster and a
+        # tile never has 2**31 rows.
+        case1 = [(uT < g_hi[:, qi, None]).sum(axis=1, dtype=np.int32)
+                 for qi in range(nq)]
+        lowhit = [(lT <= g_lo[:, qi, None]).sum(axis=1, dtype=np.int32)
+                  for qi in range(nq)]
+        return np.stack(case1, axis=1), np.stack(lowhit, axis=1)
+    # The tile's scores are query-independent, so sort them once and
+    # answer *all* queries' gate counts by binary search: O(rows log
+    # rows) shared, O(nq log rows) per column.  Both sides share one
+    # stacked sort + one count pass; the low side's non-strict ``<=``
+    # becomes a strict ``<`` against ``nextafter(gate)`` — exact for
+    # floats (``-inf`` steps to the most negative finite value, which
+    # no finite score is below either).
+    stacked = np.concatenate((uT, lT), axis=0)
+    stacked.sort(axis=1)
+    gates = np.concatenate((g_hi, np.nextafter(g_lo, np.inf)))
+    tallies = _count_sorted(stacked, gates, strict=True)
+    return tallies[:uT.shape[0]], tallies[uT.shape[0]:]
 
 
 @dataclass
 class _BatchState:
-    """Per-batch prep for one fused multi-query pass.
+    """Per-batch prep for one tile sweep.
 
-    Unlike :class:`_QueryState`, the fused path never compacts product
-    rows per query — the whole point is that every query shares one
-    gather/matmul per (P-block, W-block) tile — so each query instead
-    carries the *sorted global indices* of its excluded rows (duplicates
-    of q plus, with ``use_domin``, its dominators), masked out of that
-    query's classification after the shared tile products are formed.
+    The sweep never compacts product rows per query — the whole point is
+    that every query shares one gather/matmul per (P-block, W-block)
+    tile — so each query instead carries the *sorted global indices* of
+    its excluded rows (duplicates of q plus, with ``use_domin``, its
+    dominators), masked out of that query's classification after the
+    shared tile products are formed.
     """
 
     #: Stacked query matrix, shape ``(nq, d)``.
@@ -266,6 +290,35 @@ class _BatchState:
     excl: List[Optional[np.ndarray]]
     #: Per-query Domin-set sizes (the rank floor under every weight).
     n_dom: List[int]
+
+    def take(self, keep: Sequence[int]) -> "_BatchState":
+        """The sub-batch of the queries at positions ``keep``."""
+        return _BatchState(QM=self.QM[keep],
+                           excl=[self.excl[qi] for qi in keep],
+                           n_dom=[self.n_dom[qi] for qi in keep])
+
+
+@dataclass
+class _BlockState:
+    """One W-block's bound classification, held until its survivors are
+    refined.  Per-query arrays are ``(nq, B)``, per-weight ``(B, nq)``."""
+
+    #: Certain-better counts (Domin floor included) and undecided-pair
+    #: counts: ``[counts, counts + gap]`` brackets the exact rank of
+    #: every column still ``active``.
+    counts: np.ndarray
+    gap: np.ndarray
+    #: Columns still below their query's limit at block end.
+    active: np.ndarray
+    #: ``f_w(q)`` and the near-tie half-width.
+    FQ: np.ndarray
+    TOL: np.ndarray
+    #: The gates the tiles were compared against (filter dtype).
+    hi_cmp: np.ndarray
+    lo_cmp: np.ndarray
+    #: ``(first P row, live columns, upper, lower)`` per tile, scores
+    #: transposed to ``(columns, rows)``.
+    tiles: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
 
 
 class KernelCore:
@@ -322,35 +375,8 @@ class KernelCore:
             self.wb_lo32 = self.wb_hi32 = None
 
     # ------------------------------------------------------------------
-    # per-query preparation
+    # gates, tiles, exact refinement
     # ------------------------------------------------------------------
-
-    def prepare(self, q: np.ndarray) -> _QueryState:
-        """Skip mask, Domin floor and live-row bound matrices for ``q``."""
-        excluded = duplicate_mask(self.P, q)
-        n_dom = 0
-        if self.use_domin:
-            # The full Domin set up front: one vectorized pass replaces
-            # Algorithm 1's lazy per-weight discovery.  Every dominator
-            # contributes exactly 1 to every weight's rank either way.
-            domin = np.all(self.P < q, axis=1)
-            n_dom = int(np.count_nonzero(domin))
-            if n_dom:
-                excluded = excluded | domin
-        a_lo32 = a_hi32 = None
-        if excluded.any():
-            rows = np.flatnonzero(~excluded)
-            a_lo, a_hi = self.pa_lo[rows], self.pa_hi[rows]
-            if self._f32:
-                a_lo32, a_hi32 = self.pa_lo32[rows], self.pa_hi32[rows]
-        else:
-            rows, a_lo, a_hi = None, self.pa_lo, self.pa_hi
-            if self._f32:
-                a_lo32, a_hi32 = self.pa_lo32, self.pa_hi32
-        n_live = a_lo.shape[0]
-        return _QueryState(rows=rows, a_lo=a_lo, a_hi=a_hi,
-                           n_dom=n_dom, n_live=n_live,
-                           a_lo32=a_lo32, a_hi32=a_hi32)
 
     def _f32_gates(self, hi_gate: np.ndarray, lo_gate: np.ndarray):
         """Widen the classification gates for the float32 prefilter.
@@ -379,121 +405,31 @@ class KernelCore:
                               np.float32(np.inf))
         return hi_eff, lo_eff
 
-    # ------------------------------------------------------------------
-    # the blocked filter
-    # ------------------------------------------------------------------
-
-    def _classify(self, state: _QueryState, fq: np.ndarray, tol: np.ndarray,
-                  ws: int, we: int, limit: float, counter: OpCounter,
-                  stats: KernelStats,
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Bound-classify the live pairs for weights ``[ws, we)``.
-
-        Returns ``(counts, und_rows, und_cols, alive)``: per-weight
-        certain-better counts (Domin floor included), the COO coordinates
-        of the undecided pairs (``und_rows`` are *global* P row indices,
-        ``und_cols`` block-local weight offsets), and the survivor mask.
-
-        ``limit`` carries the abort semantics of Algorithm 1 into the
-        blocked scan: the certain-better count is a lower bound on the
-        exact rank, so once a weight's count reaches ``limit`` (``k``
-        for RTK, the current k-th best rank for RKR) it can never enter
-        the answer.  Dead weights are compacted out of the remaining
-        tiles — the bulk equivalent of gin_topk's early return, and
-        where most of the speedup over the full sweep comes from.
-        """
-        t0 = perf_counter()
-        B = we - ws
-        d = self.P.shape[1]
-        hi_gate = fq - tol
-        lo_gate = fq + tol
-        if self._f32:
-            hi_cmp, lo_cmp = self._f32_gates(hi_gate, lo_gate)
-            a_hi_f, a_lo_f = state.a_hi32, state.a_lo32
-            wb_hi_all, wb_lo_all = self.wb_hi32, self.wb_lo32
-        else:
-            hi_cmp, lo_cmp = hi_gate, lo_gate
-            a_hi_f, a_lo_f = state.a_hi, state.a_lo
-            wb_hi_all, wb_lo_all = self.wb_hi, self.wb_lo
-        counts = np.full(B, state.n_dom, dtype=np.int64)
-        #: Columns still worth classifying, as block-local indices.
-        active = np.flatnonzero(counts < limit)
-        und_rows: List[np.ndarray] = []
-        und_cols: List[np.ndarray] = []
-        for ps, pe in self._tiles(state.n_live):
-            if active.size == 0:
-                break
-            wb_hi = wb_hi_all[ws:we][active]
-            wb_lo = wb_lo_all[ws:we][active]
-            # Equations 3-4 for the whole tile: two gemms instead of
-            # (pe - ps) * |active| per-pair grid gathers (sgemm on the
-            # float32 prefilter path, dgemm otherwise).
-            upper = a_hi_f[ps:pe] @ wb_hi.T
-            case1 = upper < hi_cmp[active]
-            counts[active] += case1.sum(axis=0, dtype=np.int64)
-            lower = a_lo_f[ps:pe] @ wb_lo.T
-            undecided = lower <= lo_cmp[active]
-            undecided &= ~case1
-            n_pairs = (pe - ps) * active.size
-            if self._f32:
-                stats.pairs_f32 += n_pairs
-            n_case1 = int(np.count_nonzero(case1))
-            n_und = int(np.count_nonzero(undecided))
-            counter.approx_accessed += pe - ps
-            counter.grid_lookups += n_pairs * d + (n_pairs - n_case1) * d
-            counter.additions += n_pairs * d + (n_pairs - n_case1) * d
-            counter.filtered_case1 += n_case1
-            counter.filtered_case2 += n_pairs - n_case1 - n_und
-            stats.pairs_total += n_pairs
-            stats.pairs_case1 += n_case1
-            stats.pairs_case2 += n_pairs - n_case1 - n_und
-            if n_und:
-                rr, cc = np.nonzero(undecided)
-                rr = rr + ps
-                if state.rows is not None:
-                    rr = state.rows[rr]
-                und_rows.append(rr)
-                und_cols.append(active[cc])
-            survivors = counts[active] < limit
-            if not survivors.all():
-                active = active[survivors]
-        if und_rows:
-            rows_arr = np.concatenate(und_rows)
-            cols_arr = np.concatenate(und_cols)
-        else:
-            rows_arr = np.empty(0, dtype=np.intp)
-            cols_arr = np.empty(0, dtype=np.intp)
-        alive = counts < limit
-        stats.filter_s += perf_counter() - t0
-        return counts, rows_arr, cols_arr, alive
-
-    def _tiles(self, n_live: int):
+    def _tiles(self):
         """The escalating P-tile schedule: ``FIRST_P_TILE`` rows, then
         quadrupling up to ``p_block`` per tile."""
+        n = self.P.shape[0]
         size = min(FIRST_P_TILE, self.p_block)
         ps = 0
-        while ps < n_live:
-            pe = min(ps + size, n_live)
+        while ps < n:
+            pe = min(ps + size, n)
             yield ps, pe
             ps = pe
             size = min(size * 4, self.p_block)
 
     def _refine(self, q: np.ndarray, fq: np.ndarray, tol: np.ndarray,
-                ws: int, B: int, und_rows: np.ndarray, und_cols: np.ndarray,
-                alive: np.ndarray, counter: OpCounter, stats: KernelStats,
-                ) -> np.ndarray:
+                ws: int, rows: np.ndarray, cols: np.ndarray,
+                counter: OpCounter, stats: KernelStats) -> np.ndarray:
         """Exact strictly-better counts per weight for the undecided band.
 
-        Only pairs whose weight is still ``alive`` (not pruned by the k /
-        minRank threshold) are scored.  Near-ties are re-decided in exact
-        rational arithmetic, so the counts match every other engine
-        bit-for-bit regardless of which BLAS kernel produced the floats.
+        ``rows`` / ``cols`` are the COO pairs :meth:`_undecided` listed
+        (global P rows, block-local weight columns).  Near-ties are
+        re-decided in exact rational arithmetic, so the counts match
+        every other engine bit-for-bit regardless of which BLAS kernel
+        produced the floats.
         """
         t0 = perf_counter()
-        keep = alive[und_cols]
-        rows = und_rows[keep]
-        cols = und_cols[keep]
-        add = np.zeros(B, dtype=np.int64)
+        add = np.zeros(fq.shape[0], dtype=np.int64)
         if rows.size:
             w_rows = self.W[ws + cols]
             scores = np.einsum("ij,ij->i", self.P[rows], w_rows)
@@ -503,7 +439,7 @@ class KernelCore:
             near = np.flatnonzero(np.abs(scores - f) <= t)
             for i in near:
                 better[i] = exact_strictly_less(w_rows[i], self.P[rows[i]], q)
-            add = np.bincount(cols[better], minlength=B)
+            add = np.bincount(cols[better], minlength=add.size)
             counter.pairwise += rows.size
             counter.points_accessed += rows.size
             counter.refined += rows.size
@@ -511,103 +447,15 @@ class KernelCore:
         stats.refine_s += perf_counter() - t0
         return add
 
-    def _block_scores(self, q: np.ndarray, ws: int, we: int,
-                      counter: OpCounter) -> Tuple[np.ndarray, np.ndarray]:
-        """``f_w(q)`` and the near-tie half-width for weights ``[ws, we)``."""
-        fq = self.W[ws:we] @ q
-        tol = TIE_REL_TOL * (1.0 + np.abs(fq))
-        counter.pairwise += we - ws
-        return fq, tol
-
     # ------------------------------------------------------------------
-    # query kinds (range-restricted so shards can reuse them)
-    # ------------------------------------------------------------------
-
-    def rtk_indices(self, q: np.ndarray, k: int, lo: int, hi: int,
-                    counter: OpCounter, stats: KernelStats) -> List[int]:
-        """Weight indices in ``[lo, hi)`` whose rank of ``q`` is below ``k``."""
-        stats.queries += 1
-        state = self.prepare(q)
-        if state.n_dom >= k:
-            # k dominating products out-rank q under *every* weight: the
-            # answer is empty everywhere (Algorithm 2 lines 7-8).
-            stats.pairs_domin_skipped += state.n_dom * (hi - lo)
-            stats.weights_pruned += hi - lo
-            counter.dominated_skips += state.n_dom * (hi - lo)
-            counter.early_terminations += hi - lo
-            return []
-        result: List[int] = []
-        stats.pairs_domin_skipped += state.n_dom * (hi - lo)
-        counter.dominated_skips += state.n_dom * (hi - lo)
-        for ws in range(lo, hi, self.w_block):
-            we = min(ws + self.w_block, hi)
-            B = we - ws
-            fq, tol = self._block_scores(q, ws, we, counter)
-            counts, und_r, und_c, alive = self._classify(
-                state, fq, tol, ws, we, k, counter, stats
-            )
-            n_pruned = B - int(np.count_nonzero(alive))
-            stats.weights_pruned += n_pruned
-            counter.early_terminations += n_pruned
-            counts += self._refine(q, fq, tol, ws, B, und_r, und_c, alive,
-                                   counter, stats)
-            t0 = perf_counter()
-            hits = np.flatnonzero(counts < k)
-            result.extend((hits + ws).tolist())
-            stats.merge_s += perf_counter() - t0
-        return result
-
-    def rkr_pairs(self, q: np.ndarray, k: int, lo: int, hi: int,
-                  counter: OpCounter, stats: KernelStats,
-                  ) -> List[Tuple[int, int]]:
-        """The k best ``(rank, weight index)`` pairs within ``[lo, hi)``.
-
-        Tie-break matches the library contract: among equal ranks the
-        smaller index wins (blocks are scanned in index order and the
-        heap replacement test is strict, like Algorithm 3).
-        """
-        stats.queries += 1
-        state = self.prepare(q)
-        stats.pairs_domin_skipped += state.n_dom * (hi - lo)
-        counter.dominated_skips += state.n_dom * (hi - lo)
-        # Max-heap of the current k best: entries (-rank, -index).
-        heap: List[Tuple[int, int]] = []
-        for ws in range(lo, hi, self.w_block):
-            we = min(ws + self.w_block, hi)
-            B = we - ws
-            min_rank = float("inf") if len(heap) < k else float(-heap[0][0])
-            fq, tol = self._block_scores(q, ws, we, counter)
-            # minRank feedback: the threshold is the one from *before*
-            # this block — minRank only shrinks, so the stale value
-            # prunes less than Algorithm 3's per-weight update, never
-            # wrongly.
-            counts, und_r, und_c, alive = self._classify(
-                state, fq, tol, ws, we, min_rank, counter, stats
-            )
-            n_pruned = B - int(np.count_nonzero(alive))
-            stats.weights_pruned += n_pruned
-            counter.early_terminations += n_pruned
-            counts += self._refine(q, fq, tol, ws, B, und_r, und_c, alive,
-                                   counter, stats)
-            t0 = perf_counter()
-            for j in np.flatnonzero(alive):
-                rnk = int(counts[j])
-                if len(heap) < k:
-                    heapq.heappush(heap, (-rnk, -(ws + int(j))))
-                elif rnk < -heap[0][0]:
-                    heapq.heapreplace(heap, (-rnk, -(ws + int(j))))
-            stats.merge_s += perf_counter() - t0
-        return [(-neg_rank, -neg_idx) for neg_rank, neg_idx in heap]
-
-    # ------------------------------------------------------------------
-    # the fused multi-query path
+    # the tile sweep
     # ------------------------------------------------------------------
 
     def prepare_batch(self, QM: np.ndarray) -> _BatchState:
-        """Per-query skip masks and Domin floors for one fused pass.
+        """Per-query skip masks and Domin floors for one tile sweep.
 
         ``QM`` stacks the batch's query points as rows.  The §5.3 cost
-        model observation behind the fused path: the Eq. 3/4 boundary
+        model observation behind the shared sweep: the Eq. 3/4 boundary
         products per (P-block, W-block) tile are *query independent*, so
         one gather + one matmul can serve every query of the batch; only
         the per-query gates, exclusions and refinement bands differ.
@@ -615,11 +463,14 @@ class KernelCore:
         QM = np.asarray(QM, dtype=np.float64)
         excl: List[Optional[np.ndarray]] = []
         n_dom: List[int] = []
-        for qi in range(QM.shape[0]):
-            q = QM[qi]
+        for q in QM:
             excluded = duplicate_mask(self.P, q)
             nd = 0
             if self.use_domin:
+                # The full Domin set up front: one vectorized pass
+                # replaces Algorithm 1's lazy per-weight discovery.
+                # Every dominator contributes exactly 1 to every
+                # weight's rank either way.
                 domin = np.all(self.P < q, axis=1)
                 nd = int(np.count_nonzero(domin))
                 if nd:
@@ -630,24 +481,22 @@ class KernelCore:
 
     def classify_batch(self, batch: _BatchState, ws: int, we: int,
                        limits: np.ndarray, counters: List[OpCounter],
-                       stats: KernelStats):
+                       stats: KernelStats) -> _BlockState:
         """Bound-classify one W-block for *all* queries off shared tiles.
 
         One ``(P-tile × W-block)`` gemm pair per tile is shared by every
-        query; per-query work is reduced to the cheap elementwise gate
-        comparisons, exclusion masking and undecided-pair extraction.
-        Per-query column pruning carries over from the per-query path:
-        the shared gemm is compacted to the **union** of the queries'
-        still-active columns (so the fused pass never multiplies more
-        columns than the per-query scans would in total, while the
-        gather/matmul itself is paid once), and each query's gate
-        comparisons run over only *its* active slice of that union.
+        query; per-query work is reduced to the gate tallies and
+        exclusion masking.  The shared gemm is compacted to the
+        **union** of the queries' still-active columns, and each
+        query's gates are open over only *its* active slice of that
+        union.
 
-        Returns ``(counts, FQ, TOL, und_rows, und_cols)``: per-query
-        certain-better counts (Domin floor included, shape ``(nq, B)``),
-        the per-query scores/tolerances (shape ``(B, nq)``), and
-        per-query COO undecided-pair lists (global P rows, block-local
-        weight columns).
+        ``limits`` carries the abort semantics of Algorithm 1 into the
+        blocked scan: the certain-better count is a lower bound on the
+        exact rank, so once a weight's count reaches its query's limit
+        (``k`` for RTK, the k-th best rank so far for RKR) it can never
+        enter the answer and leaves the remaining tiles — the bulk
+        equivalent of gin_topk's early return.
         """
         t0 = perf_counter()
         B = we - ws
@@ -655,37 +504,27 @@ class KernelCore:
         d = self.P.shape[1]
         FQ = self.W[ws:we] @ batch.QM.T
         TOL = TIE_REL_TOL * (1.0 + np.abs(FQ))
-        hi_gate = FQ - TOL
-        lo_gate = FQ + TOL
+        hi_cmp = FQ - TOL
+        lo_cmp = FQ + TOL
         if self._f32:
-            hi_cmp, lo_cmp = self._f32_gates(hi_gate, lo_gate)
+            hi_cmp, lo_cmp = self._f32_gates(hi_cmp, lo_cmp)
             pa_hi_f, pa_lo_f = self.pa_hi32, self.pa_lo32
-            wb_hi_t = self.wb_hi32[ws:we].T
-            wb_lo_t = self.wb_lo32[ws:we].T
+            wb_hi_all, wb_lo_all = self.wb_hi32[ws:we], self.wb_lo32[ws:we]
+            neg_inf = np.float32(-np.inf)
         else:
-            hi_cmp, lo_cmp = hi_gate, lo_gate
             pa_hi_f, pa_lo_f = self.pa_hi, self.pa_lo
-            wb_hi_t = self.wb_hi[ws:we].T
-            wb_lo_t = self.wb_lo[ws:we].T
+            wb_hi_all, wb_lo_all = self.wb_hi[ws:we], self.wb_lo[ws:we]
+            neg_inf = -np.inf
         for counter in counters:
             counter.pairwise += B
-        counts = np.empty((nq, B), dtype=np.int64)
-        for qi in range(nq):
-            counts[qi] = batch.n_dom[qi]
-        # The low-side/case-1 tally gap accumulates per column; a
-        # nonzero gap locates every undecided pair at block end.
+        counts = np.repeat(np.asarray(batch.n_dom, dtype=np.int64)[:, None],
+                           B, axis=1)
+        # The low-side/case-1 tally gap accumulates per column: the
+        # undecided pairs, and with ``counts`` the rank interval.
         gap = np.zeros((nq, B), dtype=np.int64)
         active = counts < limits[:, None]
-        und_rows: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        und_cols: List[List[np.ndarray]] = [[] for _ in range(nq)]
-        neg_inf = np.float32(-np.inf) if self._f32 else -np.inf
-        wb_hi_all = self.wb_hi32[ws:we] if self._f32 else self.wb_hi[ws:we]
-        wb_lo_all = self.wb_lo32[ws:we] if self._f32 else self.wb_lo[ws:we]
-        #: Tile score matrices, kept for the deferred undecided-pair
-        #: extraction (the refine step only ever touches columns alive
-        #: at block end, so extraction waits until then).
-        tile_scores: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
-        for ps, pe in self._tiles(self.P.shape[0]):
+        tiles: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        for ps, pe in self._tiles():
             # Union compaction: a column enters the shared gemm while
             # *any* query still needs it (block-local sorted indices).
             live_cols = np.flatnonzero(active.any(axis=0))
@@ -695,19 +534,11 @@ class KernelCore:
             wb_hi_sel = wb_hi_all if full else wb_hi_all[live_cols]
             wb_lo_sel = wb_lo_all if full else wb_lo_all[live_cols]
             # The amortized work, transposed so each weight column is a
-            # contiguous row: one gemm pair per tile feeds every query.
+            # contiguous row: one gemm pair per tile feeds every query
+            # (sgemm on the float32 prefilter path, dgemm otherwise).
             uT = wb_hi_sel @ pa_hi_f[ps:pe].T          # (U, rows)
             lT = wb_lo_sel @ pa_lo_f[ps:pe].T
-            tile_scores.append((ps, live_cols, uT, lT))
-            # The tile's scores are query-independent, so sort them
-            # once per side and answer *all* queries' gate counts by
-            # binary search: O(rows log rows) shared, O(nq log rows)
-            # per column — instead of nq dense compare sweeps.  Both
-            # sides share one stacked sort + one count pass; the
-            # low side's non-strict ``<=`` becomes a strict ``<``
-            # against ``nextafter(gate)`` — exact for floats.
-            stacked = np.concatenate((uT, lT), axis=0)
-            stacked.sort(axis=1)
+            tiles.append((ps, live_cols, uT, lT))
             # Gates over the union slice, one (U, nq) matrix per side;
             # a column another query keeps live but this one has pruned
             # gets a -inf gate, so it can produce neither case-1 nor
@@ -715,15 +546,7 @@ class KernelCore:
             act_u = active.T if full else active.T[live_cols]
             g_hi = np.where(act_u, hi_cmp[live_cols], neg_inf)
             g_lo = np.where(act_u, lo_cmp[live_cols], neg_inf)
-            g_lo_open = np.where(act_u,
-                                 np.nextafter(lo_cmp[live_cols], np.inf),
-                                 neg_inf)
-            tallies = _count_sorted(stacked,
-                                    np.concatenate((g_hi, g_lo_open)),
-                                    strict=True)
-            U = uT.shape[0]
-            case1_per_col = tallies[:U]
-            lowhit_per_col = tallies[U:]
+            case1_per_col, lowhit_per_col = _gate_tallies(uT, lT, g_hi, g_lo)
             for qi in range(nq):
                 excl = batch.excl[qi]
                 if excl is None:
@@ -731,9 +554,9 @@ class KernelCore:
                 lo_i, hi_i = np.searchsorted(excl, (ps, pe))
                 if hi_i <= lo_i:
                     continue
-                # The sorted tallies count every row; subtract the
-                # excluded rows' contributions directly (|excl| is
-                # tiny: dominators and duplicates of one query).
+                # The tallies count every row; subtract the excluded
+                # rows' contributions directly (|excl| is tiny:
+                # dominators and duplicates of one query).
                 local = excl[lo_i:hi_i] - ps
                 case1_per_col[:, qi] -= np.count_nonzero(
                     uT[:, local] < g_hi[:, qi, None], axis=1)
@@ -766,84 +589,99 @@ class KernelCore:
                 if self._f32:
                     stats.pairs_f32 += n_pairs
             np.less(counts, limits[:, None], out=active, where=active)
-        # Deferred undecided-pair extraction: only columns that are
-        # still alive ever reach the refine step (``_refine`` keeps
-        # ``alive[und_cols]``), and an alive column was active in every
-        # tile, so scanning the stashed tile scores reproduces exactly
-        # the pairs a per-tile extraction would have kept — at the cost
-        # of a handful of candidate columns instead of dense sweeps.
-        for qi in range(nq):
-            cand = np.flatnonzero(active[qi] & (gap[qi] > 0))
-            if cand.size == 0:
-                continue
-            g_hi_q = hi_cmp[cand, qi][:, None]
-            g_lo_q = lo_cmp[cand, qi][:, None]
-            excl = batch.excl[qi]
-            for ps, live_cols, uT, lT in tile_scores:
+        stats.filter_s += perf_counter() - t0
+        return _BlockState(counts=counts, gap=gap, active=active, FQ=FQ,
+                           TOL=TOL, hi_cmp=hi_cmp, lo_cmp=lo_cmp, tiles=tiles)
+
+    def _undecided(self, excl: Optional[np.ndarray], block: _BlockState,
+                   qi: int, alive: np.ndarray, stats: KernelStats,
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """COO list of query ``qi``'s undecided pairs in ``alive`` columns.
+
+        Extraction is deferred to block end because only columns that
+        survive the limit *and* the rank-interval cap are ever refined.
+        A surviving column was active in every tile, so replaying the
+        *stored* tile scores reproduces exactly the pairs the tallies
+        counted (recomputing a smaller gemm could flip a counted pair
+        by one ulp) at the cost of a handful of candidate columns.
+        """
+        t0 = perf_counter()
+        cand = np.flatnonzero(alive & (block.gap[qi] > 0))
+        und_rows: List[np.ndarray] = []
+        und_cols: List[np.ndarray] = []
+        if cand.size:
+            g_hi = block.hi_cmp[cand, qi][:, None]
+            g_lo = block.lo_cmp[cand, qi][:, None]
+            for ps, live_cols, uT, lT in block.tiles:
                 pos = np.searchsorted(live_cols, cand)
-                und = lT[pos] <= g_lo_q
-                und &= ~(uT[pos] < g_hi_q)
+                und = lT[pos] <= g_lo
+                und &= ~(uT[pos] < g_hi)
                 if excl is not None:
-                    lo_i, hi_i = np.searchsorted(
-                        excl, (ps, ps + uT.shape[1]))
+                    lo_i, hi_i = np.searchsorted(excl, (ps, ps + uT.shape[1]))
                     if hi_i > lo_i:
                         und[:, excl[lo_i:hi_i] - ps] = False
                 cc, rr = np.nonzero(und)
                 if rr.size:
-                    und_rows[qi].append(rr + ps)
-                    und_cols[qi].append(cand[cc])
-        rows_cat = [np.concatenate(r) if r else np.empty(0, dtype=np.intp)
-                    for r in und_rows]
-        cols_cat = [np.concatenate(c) if c else np.empty(0, dtype=np.intp)
-                    for c in und_cols]
+                    und_rows.append(rr + ps)
+                    und_cols.append(cand[cc])
+        empty = np.empty(0, dtype=np.intp)
+        rows = np.concatenate(und_rows) if und_rows else empty
+        cols = np.concatenate(und_cols) if und_cols else empty
         stats.filter_s += perf_counter() - t0
-        return counts, FQ, TOL, rows_cat, cols_cat
+        return rows, cols
+
+    def _exact_counts(self, batch: _BatchState, block: _BlockState, ws: int,
+                      qi: int, alive: np.ndarray, counter: OpCounter,
+                      stats: KernelStats) -> np.ndarray:
+        """Strictly-better counts of query ``qi``'s block, exact wherever
+        ``alive``; every other column keeps its lower bound and is
+        tallied as pruned."""
+        n_pruned = alive.size - int(np.count_nonzero(alive))
+        stats.weights_pruned += n_pruned
+        counter.early_terminations += n_pruned
+        rows, cols = self._undecided(batch.excl[qi], block, qi, alive, stats)
+        return block.counts[qi] + self._refine(
+            batch.QM[qi], block.FQ[:, qi], block.TOL[:, qi], ws, rows, cols,
+            counter, stats)
+
+    # ------------------------------------------------------------------
+    # query kinds (range-restricted so shards can reuse them)
+    # ------------------------------------------------------------------
 
     def rtk_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
                   counters: List[OpCounter],
                   stats: KernelStats) -> List[List[int]]:
-        """Fused RTK: per-query qualifying weight indices in ``[lo, hi)``.
-
-        Answers are byte-identical to per-query :meth:`rtk_indices` —
-        the shared-tile classification only changes which pairs the
-        bounds decide (everything marginal is refined exactly), never
-        the decisions themselves.
-        """
+        """Per-query weight indices in ``[lo, hi)`` whose rank of the
+        query is below its ``k``, all queries off one tile sweep."""
         nq = QM.shape[0]
         stats.record_sweep(nq)
         batch = self.prepare_batch(QM)
         results: List[List[int]] = [[] for _ in range(nq)]
-        limits = np.empty(nq, dtype=np.float64)
-        done = np.zeros(nq, dtype=bool)
+        live: List[int] = []
         for qi in range(nq):
-            limits[qi] = ks[qi]
             stats.pairs_domin_skipped += batch.n_dom[qi] * (hi - lo)
             counters[qi].dominated_skips += batch.n_dom[qi] * (hi - lo)
             if batch.n_dom[qi] >= ks[qi]:
                 # k dominators out-rank q under every weight: empty
-                # answer everywhere (Algorithm 2 lines 7-8).
-                done[qi] = True
+                # answer everywhere (Algorithm 2 lines 7-8), and the
+                # query leaves the batch before the sweep.
                 stats.weights_pruned += hi - lo
                 counters[qi].early_terminations += hi - lo
-        if done.all():
+            else:
+                live.append(qi)
+        if not live:
             return results
+        batch = batch.take(live)
+        counters = [counters[qi] for qi in live]
+        limits = np.array([ks[qi] for qi in live], dtype=np.float64)
         for ws in range(lo, hi, self.w_block):
             we = min(ws + self.w_block, hi)
-            B = we - ws
-            counts, FQ, TOL, und_r, und_c = self.classify_batch(
-                batch, ws, we, limits, counters, stats
-            )
-            for qi in range(nq):
-                if done[qi]:
-                    continue
-                alive = counts[qi] < ks[qi]
-                n_pruned = B - int(np.count_nonzero(alive))
-                stats.weights_pruned += n_pruned
-                counters[qi].early_terminations += n_pruned
-                total = counts[qi] + self._refine(
-                    batch.QM[qi], FQ[:, qi], TOL[:, qi], ws, B,
-                    und_r[qi], und_c[qi], alive, counters[qi], stats
-                )
+            block = self.classify_batch(batch, ws, we, limits, counters,
+                                        stats)
+            for j, qi in enumerate(live):
+                total = self._exact_counts(batch, block, ws, j,
+                                           block.active[j], counters[j],
+                                           stats)
                 t0 = perf_counter()
                 hits = np.flatnonzero(total < ks[qi])
                 results[qi].extend((hits + ws).tolist())
@@ -853,12 +691,15 @@ class KernelCore:
     def rkr_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
                   counters: List[OpCounter],
                   stats: KernelStats) -> List[List[Tuple[int, int]]]:
-        """Fused RKR: per-query k best ``(rank, index)`` pairs in ``[lo, hi)``.
+        """Per-query k best ``(rank, index)`` pairs within ``[lo, hi)``.
 
-        Per-query minRank feedback is preserved: each query's threshold
-        entering a block is its k-th best rank from the blocks before it
-        (exactly the per-query :meth:`rkr_pairs` semantics), applied as
-        that query's column-pruning limit inside the shared pass.
+        Tie-break matches the library contract: among equal ranks the
+        smaller index wins (blocks are scanned in index order and the
+        heap replacement test is strict, like Algorithm 3).  minRank
+        feedback is per query and per block: the limit entering a block
+        is the k-th best rank of the blocks before it — minRank only
+        shrinks, so the stale value prunes less than Algorithm 3's
+        per-weight update, never wrongly.
         """
         nq = QM.shape[0]
         stats.record_sweep(nq)
@@ -866,29 +707,38 @@ class KernelCore:
         for qi in range(nq):
             stats.pairs_domin_skipped += batch.n_dom[qi] * (hi - lo)
             counters[qi].dominated_skips += batch.n_dom[qi] * (hi - lo)
+        # Max-heaps of the current k best: entries (-rank, -index).
         heaps: List[List[Tuple[int, int]]] = [[] for _ in range(nq)]
         limits = np.empty(nq, dtype=np.float64)
         for ws in range(lo, hi, self.w_block):
             we = min(ws + self.w_block, hi)
-            B = we - ws
             for qi in range(nq):
                 heap = heaps[qi]
                 limits[qi] = (float("inf") if len(heap) < ks[qi]
                               else float(-heap[0][0]))
-            counts, FQ, TOL, und_r, und_c = self.classify_batch(
-                batch, ws, we, limits, counters, stats
-            )
+            block = self.classify_batch(batch, ws, we, limits, counters,
+                                        stats)
             for qi in range(nq):
-                alive = counts[qi] < limits[qi]
-                n_pruned = B - int(np.count_nonzero(alive))
-                stats.weights_pruned += n_pruned
-                counters[qi].early_terminations += n_pruned
-                total = counts[qi] + self._refine(
-                    batch.QM[qi], FQ[:, qi], TOL[:, qi], ws, B,
-                    und_r[qi], und_c[qi], alive, counters[qi], stats
-                )
-                t0 = perf_counter()
                 heap, k = heaps[qi], ks[qi]
+                alive = block.active[qi]
+                # Rank-interval cap.  [counts, counts + gap] brackets a
+                # column's exact rank, so the k-th smallest of the ranks
+                # already held and the block's upper ends has k
+                # witnesses at or below it: a column whose *lower* end
+                # exceeds it ranks strictly behind all k and is dropped
+                # unrefined.  ``>`` not ``>=``: an equal rank can still
+                # win on the smaller index.
+                counts = block.counts[qi]
+                held = np.fromiter((-nr for nr, _ in heap), np.int64,
+                                   len(heap))
+                ranks = np.concatenate((held,
+                                        (counts + block.gap[qi])[alive]))
+                if ranks.size >= k:
+                    cap = np.partition(ranks, k - 1)[k - 1]
+                    alive = alive & (counts <= cap)
+                total = self._exact_counts(batch, block, ws, qi, alive,
+                                           counters[qi], stats)
+                t0 = perf_counter()
                 for j in np.flatnonzero(alive):
                     rnk = int(total[j])
                     if len(heap) < k:
@@ -897,6 +747,17 @@ class KernelCore:
                         heapq.heapreplace(heap, (-rnk, -(ws + int(j))))
                 stats.merge_s += perf_counter() - t0
         return [[(-nr, -ni) for nr, ni in heap] for heap in heaps]
+
+    def rtk_indices(self, q: np.ndarray, k: int, lo: int, hi: int,
+                    counter: OpCounter, stats: KernelStats) -> List[int]:
+        """:meth:`rtk_batch` for a batch of one."""
+        return self.rtk_batch(q[None, :], [k], lo, hi, [counter], stats)[0]
+
+    def rkr_pairs(self, q: np.ndarray, k: int, lo: int, hi: int,
+                  counter: OpCounter, stats: KernelStats,
+                  ) -> List[Tuple[int, int]]:
+        """:meth:`rkr_batch` for a batch of one."""
+        return self.rkr_batch(q[None, :], [k], lo, hi, [counter], stats)[0]
 
 
 class GirKernelRRQ(RRQAlgorithm):

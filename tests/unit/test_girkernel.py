@@ -8,6 +8,7 @@ from repro.core.gir import GridIndexRRQ
 from repro.data.synthetic import uniform_products, uniform_weights
 from repro.errors import InvalidParameterError
 from repro.queries.engine import RRQEngine
+from repro.vectorized import girkernel
 from repro.vectorized.girkernel import GirKernelRRQ, KernelStats
 
 
@@ -162,3 +163,107 @@ class TestStats:
         kernel = GirKernelRRQ(P, W, partitions=16)
         result = kernel.reverse_topk(P[0], 10)
         assert result.counter.pairwise > 0
+
+
+class TestGateTallies:
+    """Direct comparison and the sorted tally count the same hits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nq", [1, girkernel.DIRECT_COUNT_MAX_Q,
+                                    girkernel.DIRECT_COUNT_MAX_Q + 1, 9])
+    def test_direct_equals_sorted_equals_dense(self, monkeypatch, dtype, nq):
+        rng = np.random.default_rng(nq)
+        cols, rows = 37, 53
+        # Few distinct values, so gates land *on* scores: the strict
+        # high side and the non-strict (nextafter) low side must differ
+        # exactly there.
+        lT = (rng.integers(0, 6, size=(cols, rows)) / 8.0).astype(dtype)
+        uT = lT + (rng.integers(0, 3, size=(cols, rows)) / 8.0).astype(dtype)
+        g_hi = (rng.integers(0, 8, size=(cols, nq)) / 8.0).astype(dtype)
+        g_lo = g_hi + dtype(0.125)
+        pruned = rng.random((cols, nq)) < 0.3
+        g_hi[pruned] = -np.inf
+        g_lo[pruned] = -np.inf
+        dense = ((uT[:, :, None] < g_hi[:, None, :]).sum(axis=1),
+                 (lT[:, :, None] <= g_lo[:, None, :]).sum(axis=1))
+        assert (dense[1] > dense[0]).any() and not dense[0][pruned].any()
+        for cut in (nq, nq - 1):            # direct side, sorted side
+            monkeypatch.setattr(girkernel, "DIRECT_COUNT_MAX_Q", cut)
+            case1, lowhit = girkernel._gate_tallies(uT, lT, g_hi, g_lo)
+            np.testing.assert_array_equal(case1, dense[0])
+            np.testing.assert_array_equal(lowhit, dense[1])
+
+
+class TestRankIntervalCap:
+    """The benchmark's shape (UNxUN, d=4, 1000 x 2000, k=10, data seeds
+    7/8), product 532 from the middle of the coordinate-sum ranking."""
+
+    #: Measured at the commit before the cap: the sweep classified this
+    #: many pairs and refined every undecided pair of the columns alive
+    #: at block end.
+    PARENT_PAIRS_TOTAL = 1_601_960
+    PARENT_PAIRS_REFINED = 181_652
+
+    def test_batch_of_one_rkr_refines_a_fraction(self):
+        P = uniform_products(1000, 4, seed=7)
+        W = uniform_weights(2000, 4, seed=8)
+        kernel = GirKernelRRQ(P, W, partitions=32)
+        result, = kernel.reverse_kranks_batch([P[532]], 10)
+        assert result.entries == NaiveRRQ(P, W).reverse_kranks(
+            P[532], 10).entries
+        stats = kernel.last_stats
+        # The cap acts after classification: it classifies no fewer
+        # pairs, it refines fewer.
+        assert stats.pairs_total == self.PARENT_PAIRS_TOTAL
+        assert 0 < stats.pairs_refined * 4 < self.PARENT_PAIRS_REFINED
+        assert stats.weights_pruned > 1500
+
+    def test_capped_pairs_land_in_the_never_refined_bucket(self, monkeypatch):
+        """``case1 + case2 + undecided + refined == pairs_total`` with
+        every term counted on its own: the profile's *undecided* is the
+        sweep's ``gap`` over the columns it dropped (limit or cap), its
+        *refined* the ``gap`` over the columns it kept."""
+        from repro.obs.profile import profile_workload
+
+        P = uniform_products(1000, 4, seed=7)
+        W = uniform_weights(2000, 4, seed=8)
+        kernel = GirKernelRRQ(P, W, partitions=32)
+        gaps = {"kept": 0, "dropped": 0, "columns_dropped": 0}
+        exact_counts = girkernel.KernelCore._exact_counts
+
+        def tally(core, batch, block, ws, qi, alive, counter, stats):
+            gap = block.gap[qi]
+            gaps["kept"] += int(gap[alive].sum())
+            gaps["dropped"] += int(gap[~alive].sum())
+            gaps["columns_dropped"] += int(np.count_nonzero(~alive))
+            return exact_counts(core, batch, block, ws, qi, alive, counter,
+                                stats)
+
+        monkeypatch.setattr(girkernel.KernelCore, "_exact_counts", tally)
+        report = profile_workload(kernel, [P[532]], k=10, kinds=("rkr",))
+        pairs = report["pairs"]
+        assert pairs["refined"] == gaps["kept"] > 0
+        assert pairs["undecided"] == gaps["dropped"] > 3 * gaps["kept"]
+        assert report["weights_pruned"] == gaps["columns_dropped"]
+        assert report["pairs_total"] == self.PARENT_PAIRS_TOTAL
+        assert (pairs["case1"] + pairs["case2"] + gaps["dropped"]
+                + gaps["kept"]) == report["pairs_total"]
+
+
+class TestDominEmptiedQuery:
+    def test_leaves_a_mixed_batch_before_the_sweep(self, data):
+        P, W = data
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=32)
+        dominated = P.values.max(axis=0) * 0.999
+        alone, = kernel.reverse_topk_batch([P[0]], 3)
+        alone_total = kernel.last_stats.pairs_total
+        empty, mixed = kernel.reverse_topk_batch([dominated, P[0]], 3)
+        assert empty.weights == frozenset()
+        assert mixed.weights == alone.weights
+        stats = kernel.last_stats
+        # Still one dispatched pair ...
+        assert (stats.queries, stats.fused_queries) == (2, 2)
+        # ... but the emptied query rode no tile: not one f_w(q) score.
+        assert empty.counter.pairwise == 0
+        assert mixed.counter.pairwise == alone.counter.pairwise
+        assert stats.pairs_total == alone_total
