@@ -2,7 +2,7 @@
 queries (ARRQ) and bounds-only (anytime) answers.
 
 These have no paper counterpart — they measure features a deployed system
-needs — and double as regression anchors: the dynamic engine must match a
+needs — and double as regression anchors: the segment store must match a
 freshly built static GIR, the aggregate solver its brute-force oracle,
 and the anytime envelope must tighten with grid resolution.
 """
@@ -16,8 +16,8 @@ from repro.ext.aggregate import (
     AggregateGridIndexRKR,
     aggregate_reverse_kranks_naive,
 )
-from repro.ext.dynamic import DynamicRRQEngine
 from repro.stats.timing import Timer
+from repro.storage import SegmentStore
 
 from bench_common import (
     DEFAULT_K,
@@ -38,18 +38,20 @@ def workload():
 
 
 def test_dynamic_engine_overhead(benchmark, workload):
-    """Static GIR vs the updatable engine on identical data."""
+    """Static GIR vs the updatable store's per-query merge route on
+    identical data (served reads ride the kernel sweep, not this)."""
     P, W, queries = workload
     static = GridIndexRRQ(P, W)
-    dynamic = DynamicRRQEngine.from_datasets(P, W)
+    dynamic = SegmentStore.from_datasets(P, W)
     rows = []
-    for name, engine in (("static GIR", static), ("dynamic engine", dynamic)):
+    for name, engine in (("static GIR", static),
+                         ("segment store (sealed)", dynamic)):
         timer = Timer()
         for q in queries:
             with timer.measure():
                 engine.reverse_kranks(q, DEFAULT_K)
         rows.append([name, ms(timer.mean)])
-    # Same answers, with or without the growable substrate.
+    # Same answers, with or without the mutable substrate.
     for q in queries:
         assert (static.reverse_kranks(q, DEFAULT_K).entries
                 == dynamic.reverse_kranks(q, DEFAULT_K).entries)

@@ -4,8 +4,8 @@
 Goes beyond the paper's static experiments to what a deployed
 recommendation backend needs day to day:
 
-* products launch and retire while queries keep flowing
-  (:class:`DynamicRRQEngine`);
+* products launch and retire while queries keep flowing (a memory-only
+  :class:`~repro.storage.SegmentStore`);
 * marketing asks about *bundles* — "which customers should we pitch this
   three-product kit to?" — the aggregate reverse rank query of the
   authors' follow-up work (``repro.ext.aggregate``).
@@ -17,8 +17,8 @@ import numpy as np
 
 from repro import uniform_products, uniform_weights
 from repro.ext.aggregate import AggregateGridIndexRKR
-from repro.ext.dynamic import DynamicRRQEngine
 from repro.stats.report import print_table
+from repro.storage import SegmentStore
 
 DIM = 5
 SEED = 2024
@@ -30,7 +30,7 @@ def main() -> None:
     # --- Bootstrap the live engine from an initial catalogue ---------------
     P0 = uniform_products(800, DIM, value_range=1.0, seed=SEED)
     W0 = uniform_weights(700, DIM, seed=SEED + 1)
-    engine = DynamicRRQEngine.from_datasets(P0, W0, partitions=32)
+    engine = SegmentStore.from_datasets(P0, W0, partitions=32)
     print(f"Bootstrapped: {engine.num_products} products, "
           f"{engine.num_weights} customers")
 

@@ -55,7 +55,6 @@ from .errors import (
 from .ext import (
     AdaptiveGridIndexRRQ,
     AggregateGridIndexRKR,
-    DynamicRRQEngine,
     SparseGridIndexRRQ,
     aggregate_reverse_kranks_naive,
     sparsify_weights,
@@ -86,7 +85,7 @@ __all__ = [
     "ThresholdRTK",
     "BatchOracle", "AdaptiveGridIndexRRQ", "SparseGridIndexRRQ",
     "sparsify_weights", "AggregateGridIndexRKR",
-    "aggregate_reverse_kranks_naive", "DynamicRRQEngine",
+    "aggregate_reverse_kranks_naive",
     # data
     "ProductSet", "WeightSet", "uniform_products", "clustered_products",
     "anticorrelated_products", "uniform_weights", "clustered_weights",

@@ -9,9 +9,9 @@ Installed as ``repro-rrq``.  Subcommands cover the full life cycle:
   agreement and timings;
 * ``model`` — Theorem-1 partition recommendations for a dimensionality;
 * ``info`` — size report of a persisted index, or the durability report
-  (snapshot + WAL integrity) of a ``--durable`` directory;
+  (checkpoint + WAL integrity) of a ``--durable`` directory;
 * ``serve`` — run the JSON/HTTP query service over an index or data set,
-  or (``--durable``) a write-ahead-logged dynamic engine with mutation
+  or (``--durable``) a write-ahead-logged segment store with mutation
   endpoints and optional hot-standby replication (``--standby-of``);
 * ``cluster`` — launch N local durable workers plus the scatter-gather
   coordinator front door (dev/test form of ``repro.cluster``);
@@ -297,16 +297,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         from .durability import DurableDynamicRRQ
         from .service.server import DurableQueryService
 
-        backend = args.storage
-        if backend == "auto" and not (Path(args.index) / "engine.json").exists():
-            # Fresh serve directories get the MVCC segment store; existing
-            # directories keep whatever backend they were created with
-            # (DurableDynamicRRQ resolves the persisted/detected backend).
-            backend = "segmented"
         engine = DurableDynamicRRQ(
             args.index, dim=args.dim, value_range=args.value_range,
             fsync=args.fsync, snapshot_every=args.snapshot_every,
-            backend=backend,
         )
         role = "standby" if args.standby_of else "primary"
         service = DurableQueryService(engine, config=config, role=role,
@@ -315,8 +308,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                              verbose=args.verbose)
         info = service.info()
         print(f"serving durable {info['method']} ({role}, "
-              f"storage={engine.backend}, fsync={info['fsync']}, "
-              f"lsn={info['last_lsn']}) over "
+              f"fsync={info['fsync']}, lsn={info['last_lsn']}) over "
               f"{info['products']}x{info['weights']} (d={info['dim']}) "
               f"at {server.url}", flush=True)
         print("endpoints: POST /query /insert /delete /modify /compact "
@@ -408,7 +400,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
                 print(f"    standby: {standby.url}  "
                       f"(pid {standby.proc.pid})", flush=True)
         print(f"coordinator at {cluster.url}", flush=True)
-        print("endpoints: POST /query /insert /delete /rebuild /snapshot "
+        print("endpoints: POST /query /insert /delete /compact /snapshot "
               "/promote, GET /healthz /metrics /info /traces /slowlog "
               "/cluster/healthz /cluster/topology", flush=True)
         while True:
@@ -491,7 +483,7 @@ def _kernel_store_info(path: Path) -> None:
 
 
 def _durability_info(path: Path) -> int:
-    """The ``info`` body for a durability (WAL + snapshot) directory."""
+    """The ``info`` body for a durability (WAL + segments) directory."""
     import json as _json
 
     from .durability import durability_report
@@ -505,24 +497,24 @@ def _durability_info(path: Path) -> int:
         except ValueError:
             print(f"{'engine':18s} durable-dynamic (engine.json unreadable)")
     report = durability_report(path)
-    snap = report["snapshot"] if "snapshot" in report else None
-    if snap is not None:
-        print(f"{'snapshot':18s} lsn={snap['lsn']}  {snap['status']}")
+    storage = report["storage"]
+    if storage["status"] == "ok":
+        print(f"{'checkpoint':18s} lsn={storage['lsn']}, "
+              f"generation={storage['generation']}, "
+              f"{storage['segments']} segment(s), "
+              f"dead={storage['dead_products']}p/"
+              f"{storage['dead_weights']}w  [ok]")
+    elif storage["status"] == "none":
+        print(f"{'checkpoint':18s} none (a flat-format directory: "
+              "migrated by the next serve --durable)")
+    else:
+        print(f"{'checkpoint':18s} {storage['status']}")
     wal = report["wal"]
     print(f"{'wal':18s} {wal['records']} records, "
           f"lsn {wal['first_lsn']}..{wal['last_lsn']}, "
           f"{wal['torn_bytes']} torn bytes  [{wal['status']}]")
     if wal["status"] == "corrupt":
         print(f"{'wal error':18s} {wal['error']} (offset {wal['offset']})")
-    storage = report.get("storage")
-    if storage is not None:
-        if storage["status"] == "ok":
-            print(f"{'storage':18s} segmented: {storage['segments']} "
-                  f"segment(s), generation={storage['generation']}, "
-                  f"lsn={storage['lsn']}, dead={storage['dead_products']}p/"
-                  f"{storage['dead_weights']}w  [ok]")
-        else:
-            print(f"{'storage':18s} segmented: {storage['status']}")
     print(f"{'integrity':18s} {'ok' if report['ok'] else 'DAMAGED'}")
     return 0 if report["ok"] else 1
 
@@ -907,14 +899,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--snapshot-every", type=int, default=0,
                        help="auto-snapshot after this many mutations "
                             "(0 disables; --durable only)")
-    serve.add_argument("--storage", choices=("auto", "flat", "segmented"),
-                       default="auto",
-                       help="durable index backend: 'segmented' is the "
-                            "MVCC segment store, 'flat' the legacy "
-                            "single-index snapshot engine; 'auto' keeps "
-                            "an existing directory's backend and gives "
-                            "fresh directories the segment store "
-                            "(--durable only)")
+    serve.add_argument("--storage", choices=("segmented",),
+                       default="segmented",
+                       help="deprecated: 'segmented', the only durable "
+                            "backend, is the one value accepted (a flat "
+                            "directory is migrated when it is opened)")
     serve.add_argument("--chaos-latency-ms", type=float, default=0.0,
                        metavar="MS",
                        help="inject a fixed extra latency into every query "

@@ -111,9 +111,6 @@ LATENCY_WINDOW = 128
 #: Minimum other-shard samples before the p95 replaces the floor delay.
 _MIN_HEDGE_SAMPLES = 8
 
-#: Mutation ops applied on every shard (all workers hold the full ``P``).
-_BROADCAST_OPS = ("insert_product", "delete_product", "rebuild", "snapshot")
-
 
 class _FallbackStaleError(RuntimeError):
     """Internal: a fallback replay receipt disagreed with the cluster."""
@@ -329,7 +326,7 @@ class ClusterCoordinator:
         slice exactly — each replayed receipt is verified on the way.
         """
         from ..data.datasets import ProductSet, WeightSet
-        from ..ext.dynamic import DynamicRRQEngine
+        from ..storage import SegmentStore
 
         with self._lock:
             if shard_id in self._fallback_stale:
@@ -340,7 +337,7 @@ class ClusterCoordinator:
             engine = self._fallbacks.get(shard_id)
             if engine is None:
                 owned = self.topology.owned_globals(shard_id)
-                engine = DynamicRRQEngine.from_datasets(
+                engine = SegmentStore.from_datasets(
                     ProductSet(self.products.values,
                                value_range=self.products.value_range),
                     WeightSet(self.weights.values[owned]),
@@ -372,7 +369,7 @@ class ClusterCoordinator:
         """Record one routed mutation: journal, live replay, LSN receipts.
 
         ``entry`` is ``None`` for mutations that change no data
-        (rebuild/snapshot) — they still count and still advance the
+        (compact/snapshot) — they still count and still advance the
         expected LSNs.
         """
         with self._lock:
@@ -753,23 +750,17 @@ class ClusterCoordinator:
 
         Weight writes go to the owning shard's primary (the per-shard
         client rotates on 409 until it finds the primary — the PR-3
-        failover reused verbatim); product writes and
-        ``rebuild``/``snapshot`` broadcast to every shard; ``compact``
-        is refused (it renumbers shard-local indices; rebalance
-        instead); ``/promote`` targets one shard's named endpoint.
+        failover reused verbatim); product writes, ``compact`` and
+        ``snapshot`` broadcast to every shard (compaction is physical on
+        a worker's store — shard-local ids are stable — and logs
+        nothing); ``/promote`` targets one shard's named endpoint.
         """
         payload = payload or {}
         with span("cluster.mutate") as sp:
             sp.annotate("path", path)
             if path == "/promote":
                 return self._route_promote(payload)
-            if path == "/compact":
-                raise InvalidParameterError(
-                    "compact is not cluster-safe: it renumbers shard-local "
-                    "weight indices under the topology; run a rebalance "
-                    "instead (see docs/operations.md)"
-                )
-            if path in ("/rebuild", "/snapshot"):
+            if path in ("/compact", "/snapshot"):
                 op = path[1:]
                 receipts = self._broadcast(
                     op, lambda client: client._request(

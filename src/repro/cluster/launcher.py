@@ -71,7 +71,7 @@ class WorkerProcess:
         self.directory = Path(directory)
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve", str(directory),
-             "--durable", "--storage", "segmented",
+             "--durable",
              "--port", "0", "--batch-window-ms", "0",
              *extra_args],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
@@ -277,8 +277,7 @@ class LocalCluster:
         worker_dir = Path(worker_dir)
         if not (worker_dir / "engine.json").exists():
             seed = DurableDynamicRRQ.bootstrap(
-                worker_dir, products, slice_weights, fsync=self.fsync,
-                backend="segmented")
+                worker_dir, products, slice_weights, fsync=self.fsync)
             seed.close()
         proc = WorkerProcess(worker_dir, "--fsync", self.fsync, *extra_args,
                              start_timeout_s=self._start_timeout_s)

@@ -81,7 +81,7 @@ def _crc32(data: bytes) -> str:
 
 
 # ----------------------------------------------------------------------
-# generic manifest machinery (shared with repro.durability.snapshot)
+# generic manifest machinery (shared with segments and the kernel store)
 # ----------------------------------------------------------------------
 
 
@@ -89,8 +89,8 @@ def write_manifest_dir(directory: PathLike, payloads: Dict[str, bytes],
                        site_prefix: str = "storage.write") -> Dict[str, dict]:
     """Write ``payloads`` atomically into ``directory``, manifest last.
 
-    The generic commit protocol both the index store and the durability
-    snapshots use: each artifact lands via temp-file + fsync + rename
+    The generic commit protocol the index store, sealed segments and
+    the kernel store use: each artifact lands via temp-file + fsync + rename
     (fault site ``<site_prefix>.<name>``), and ``MANIFEST.json`` —
     per-file byte counts and CRC32 checksums — is written only after
     every artifact it describes is durably in place.  Returns the

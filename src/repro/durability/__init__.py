@@ -1,7 +1,7 @@
-"""repro.durability — durable mutations for the dynamic engine.
+"""repro.durability — durable mutations for the segment store.
 
 The paper's static ``P``/``W`` assumption is relaxed by
-:mod:`repro.ext.dynamic`; this package gives those mutations the same
+:mod:`repro.storage`; this package gives its mutations the same
 crash-safety story the static index store (:mod:`repro.core.storage`)
 already has, plus a warm standby:
 
@@ -9,14 +9,13 @@ already has, plus a warm standby:
   ``always|interval|never`` fsync policy.  Torn trailing records (an
   interrupted append) are detected and dropped; mid-log damage raises a
   structured :class:`~repro.errors.WalCorruptionError`.
-* :mod:`.snapshot` — full-state snapshots written through the same
-  atomic-manifest machinery as the index store, committed by an atomic
-  ``CURRENT`` pointer flip, after which the WAL is truncated at the
-  snapshot barrier.
 * :mod:`.engine` — :class:`DurableDynamicRRQ`, the log-before-apply
-  wrapper around :class:`~repro.ext.dynamic.DynamicRRQEngine` that
-  recovers on startup (latest valid snapshot + WAL tail replay, LSN
-  idempotent) and feeds log-shipping replication.
+  wrapper around :class:`~repro.storage.SegmentStore` that recovers on
+  startup (the store's committed manifest + WAL tail replay, LSN
+  idempotent), checkpoints by sealing the store and truncating the log
+  at the manifest barrier, and feeds log-shipping replication.
+* :mod:`.migrate` — the one-shot rewrite, on open, of a directory still
+  in the earlier flat snapshot format.
 * :mod:`.replica` — the standby tailer that follows a primary's
   ``GET /replicate`` feed, applies records through its own durable
   path, and reports replication lag until promoted.
@@ -28,14 +27,8 @@ mutation prefix — an acknowledged write is never lost, an
 unacknowledged write is atomically absent.
 """
 
-from .engine import BACKENDS, SEGMENTS_DIRNAME, DurableDynamicRRQ
+from .engine import SEGMENTS_DIRNAME, DurableDynamicRRQ, durability_report
 from .replica import ReplicaTailer
-from .snapshot import (
-    current_snapshot_lsn,
-    durability_report,
-    load_snapshot,
-    write_snapshot,
-)
 from .wal import (
     FSYNC_POLICIES,
     WalRecord,
@@ -45,8 +38,7 @@ from .wal import (
 )
 
 __all__ = [
-    "DurableDynamicRRQ", "ReplicaTailer", "BACKENDS", "SEGMENTS_DIRNAME",
+    "DurableDynamicRRQ", "ReplicaTailer", "SEGMENTS_DIRNAME",
     "WalRecord", "WalWriter", "read_wal", "wal_path", "FSYNC_POLICIES",
-    "write_snapshot", "load_snapshot", "current_snapshot_lsn",
     "durability_report",
 ]

@@ -1,5 +1,5 @@
 """``DurableDynamicRRQ``: the log-before-apply wrapper around the
-dynamic engine.
+segment store.
 
 Every mutation follows the same three-step dance, serialized under one
 reentrant lock shared with the query path::
@@ -9,10 +9,12 @@ reentrant lock shared with the query path::
 
 A mutation is acknowledged to the caller only after its record is in
 the log, so a crash at any instant loses *at most* unacknowledged work;
-recovery loads the latest committed snapshot, replays the WAL tail
-(records at or below the snapshot barrier are skipped — replay is
+recovery reopens the store at its committed manifest barrier, replays
+the WAL tail (records at or below the barrier are skipped — replay is
 idempotent by LSN), drops a torn trailing record, and refuses with
-:class:`~repro.errors.WalCorruptionError` on mid-log damage.
+:class:`~repro.errors.WalCorruptionError` on mid-log damage.  A
+directory still in the earlier flat format is migrated first, once
+(:mod:`.migrate`).
 
 Replication rides the same log: the engine retains recent records in
 memory and serves them through :meth:`replication_feed`; a standby that
@@ -35,33 +37,35 @@ from typing import Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..data.datasets import check_query_point
 from ..data.io import atomic_write_bytes
-from ..errors import DataValidationError, InvalidParameterError
-from ..ext.dynamic import DynamicRRQEngine
+from ..errors import (
+    DataValidationError,
+    IndexCorruptionError,
+    InvalidParameterError,
+    WalCorruptionError,
+)
 from ..obs.trace import span
 from ..resilience.faults import fire
-from ..storage import DEFAULT_SEAL_ROWS, SegmentStore
-from ..storage.manifest import CURRENT_NAME as _STORE_CURRENT_NAME
-from .snapshot import load_snapshot, sweep_orphans, write_snapshot
+from ..storage import (
+    CURRENT_NAME,
+    DEFAULT_SEAL_ROWS,
+    SegmentStore,
+    read_current_manifest,
+)
+from .migrate import migrate_flat_directory
 from .wal import WalRecord, WalWriter, read_wal, wal_path
 
 PathLike = Union[str, Path]
 
 _PARAMS_NAME = "engine.json"
 
-#: Subdirectory a segmented engine keeps its store in.
+#: Subdirectory the engine keeps its segment store in.
 SEGMENTS_DIRNAME = "segments"
 
-#: Storage backends: ``flat`` rebuilds kernel arrays on mutation (the
-#: original DynamicRRQEngine), ``segmented`` is the MVCC segment store,
-#: ``auto`` detects what the directory holds (fresh dirs become flat).
-BACKENDS = ("auto", "flat", "segmented")
-
 #: Every op the WAL may carry (``reset`` is the full-state transfer).
+#: Compaction is physical on the store and never logged.
 WAL_OPS = ("insert_product", "delete_product", "modify_product",
-           "insert_weight", "delete_weight", "modify_weight",
-           "compact", "rebuild", "reset")
+           "insert_weight", "delete_weight", "modify_weight", "reset")
 
 #: How many applied records are retained in memory for the feed.
 DEFAULT_FEED_RETAIN = 65536
@@ -76,14 +80,15 @@ def _vector_list(row: np.ndarray) -> List[float]:
 
 
 class DurableDynamicRRQ:
-    """A :class:`DynamicRRQEngine` whose mutations survive crashes.
+    """A :class:`~repro.storage.SegmentStore` whose mutations survive
+    crashes.
 
     Parameters
     ----------
     directory:
-        The durability directory (WAL + snapshots + params).  When it
-        already holds state, recovery runs and the constructor's engine
-        parameters are ignored in favor of the persisted ones.
+        The durability directory (WAL + ``segments/`` + params).  When
+        it already holds state, recovery runs and the constructor's
+        engine parameters are ignored in favor of the persisted ones.
     dim:
         Required when creating a fresh directory.
     fsync:
@@ -91,17 +96,17 @@ class DurableDynamicRRQ:
         loss), ``interval`` (survive process death; a machine crash may
         lose the last interval), ``never`` (flush to the OS only).
     snapshot_every:
-        Take a snapshot automatically after this many applied mutations
+        Checkpoint automatically after this many applied mutations
         (0 disables; :meth:`snapshot` is always available manually).
     backend:
-        ``flat`` | ``segmented`` | ``auto`` (detect from the directory;
-        fresh directories default to ``flat``).  The choice is recorded
-        in ``engine.json`` and enforced on reopen.
+        Deprecated: there is one backend.  ``"segmented"`` is still
+        accepted because the frozen end-to-end benchmark passes it;
+        anything else raises :class:`InvalidParameterError`.
     seal_every:
-        Segmented only: seal the delta into a new segment once it holds
-        this many buffered mutations (0 disables auto-seal).
+        Seal the delta into a new segment once it holds this many
+        buffered mutations (0 disables auto-seal).
     auto_compact:
-        Segmented only: run the background compactor thread.
+        Run the background compactor thread.
     """
 
     method = "durable-dynamic"
@@ -112,9 +117,14 @@ class DurableDynamicRRQ:
                  fsync_interval_s: float = 0.05,
                  snapshot_every: int = 0,
                  feed_retain: int = DEFAULT_FEED_RETAIN,
-                 backend: str = "auto",
+                 backend: str = "segmented",
                  seal_every: int = DEFAULT_SEAL_ROWS,
                  auto_compact: bool = True):
+        if backend != "segmented":
+            raise InvalidParameterError(
+                f"unknown storage backend {backend!r}: the segment store "
+                "is the only one (a flat directory migrates on open)"
+            )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.lock = threading.RLock()
@@ -130,9 +140,9 @@ class DurableDynamicRRQ:
         self._mutations_since_snapshot = 0
         self._feed: Deque[WalRecord] = deque(maxlen=max(1, int(feed_retain)))
 
-        self._stored_backend: Optional[str] = None
+        migrate_flat_directory(self.directory, self._params_path(),
+                               self.directory / SEGMENTS_DIRNAME)
         params = self._load_params()
-        self.backend = self._resolve_backend(backend)
         if params is None:
             if dim is None:
                 raise InvalidParameterError(
@@ -143,9 +153,9 @@ class DurableDynamicRRQ:
                       "partitions": int(partitions), "chunk": int(chunk)}
             self._write_params(params)
         self.params = params
-        self.engine = self._make_engine(params)
+        self.engine = self._open_store(params)
         self._recover()
-        if self.backend == "segmented" and self._auto_compact:
+        if self._auto_compact:
             self.engine.start_compactor()
 
     # ------------------------------------------------------------------
@@ -161,8 +171,6 @@ class DurableDynamicRRQ:
             return None
         try:
             params = json.loads(target.read_text())
-            if isinstance(params.get("backend"), str):
-                self._stored_backend = params["backend"]
             return {"dim": int(params["dim"]),
                     "value_range": float(params["value_range"]),
                     "partitions": int(params["partitions"]),
@@ -173,53 +181,17 @@ class DurableDynamicRRQ:
             ) from None
 
     def _write_params(self, params: dict) -> None:
-        body = dict(params)
-        body["backend"] = self.backend
+        # The key is what tells this directory from a flat one (.migrate).
+        body = dict(params, backend="segmented")
         atomic_write_bytes(
             self._params_path(),
             json.dumps(body, indent=2, sort_keys=True).encode(),
         )
 
-    def _resolve_backend(self, requested: str) -> str:
-        """Reconcile the requested backend with what the directory holds.
-
-        Priority: the backend recorded in ``engine.json``, then what
-        the on-disk layout implies (a store manifest vs. flat snapshot/
-        WAL state), then the request itself — ``auto`` resolving to
-        ``flat`` for a fresh directory.  An explicit request that
-        contradicts existing state is refused rather than silently
-        reinterpreting acknowledged data.
-        """
-        if requested not in BACKENDS:
-            raise InvalidParameterError(
-                f"unknown storage backend {requested!r}; "
-                f"expected one of {BACKENDS}"
-            )
-        persisted = self._stored_backend
-        if persisted is None:
-            seg_current = (self.directory / SEGMENTS_DIRNAME
-                           / _STORE_CURRENT_NAME)
-            if seg_current.exists():
-                persisted = "segmented"
-            elif (self.directory / "CURRENT").exists() or \
-                    any(self.directory.glob("snapshot-*")) or \
-                    wal_path(self.directory).exists():
-                persisted = "flat"
-        if persisted is not None:
-            if requested not in ("auto", persisted):
-                raise InvalidParameterError(
-                    f"{self.directory} holds {persisted!r} storage; "
-                    f"cannot open it with backend={requested!r}"
-                )
-            return persisted
-        return "flat" if requested == "auto" else requested
-
-    def _make_engine(self, params: dict):
-        """Construct (or reopen) the storage engine for ``self.backend``."""
-        if self.backend != "segmented":
-            return DynamicRRQEngine(**params)
+    def _open_store(self, params: dict) -> SegmentStore:
+        """Reopen the directory's store, or create it."""
         seg_dir = self.directory / SEGMENTS_DIRNAME
-        if (seg_dir / _STORE_CURRENT_NAME).exists():
+        if (seg_dir / CURRENT_NAME).exists():
             return SegmentStore.from_directory(seg_dir,
                                                chunk=params["chunk"])
         return SegmentStore(directory=seg_dir, **params)
@@ -227,32 +199,27 @@ class DurableDynamicRRQ:
     def _recover(self) -> None:
         """Committed state + WAL tail replay (LSN-idempotent).
 
-        Flat: load the latest snapshot, replay records past its barrier.
-        Segmented: the store already reopened at its manifest barrier
+        The store already reopened at its manifest barrier
         (``applied_lsn``); replay reconstructs the delta — the records
         past that barrier — with identical global ids every time.
         """
         started = time.perf_counter()
-        applied = 0
-        if self.backend == "segmented":
-            applied = self.snapshot_lsn = int(self.engine.applied_lsn)
-        else:
-            snap = load_snapshot(self.directory)
-            if snap is not None:
-                self.engine.load_state_arrays(
-                    snap["products"], snap["p_alive"],
-                    snap["weights"], snap["w_alive"],
-                )
-                applied = self.snapshot_lsn = snap["lsn"]
+        applied = self.snapshot_lsn = int(self.engine.applied_lsn)
         records, valid_bytes, _torn = read_wal(wal_path(self.directory))
         self._wal_records: List[WalRecord] = list(records)
         for record in records:
             if record.lsn <= applied:
-                continue  # at or below the snapshot barrier: already in
+                continue  # at or below the manifest barrier: already in
             self._apply(record)
             applied = record.lsn
             self.replayed_records += 1
-        self._feed.extend(records)
+        # A migrated directory's log may still hold flat-era records, and
+        # a ``compact`` among them renumbered every id after it: nothing
+        # up to it ships incrementally (a standby that far behind gets a
+        # ``reset``).
+        cut = max((i + 1 for i, record in enumerate(records)
+                   if record.op == "compact"), default=0)
+        self._feed.extend(records[cut:])
         last_lsn = max(applied,
                        records[-1].lsn if records else 0)
         self._wal = WalWriter(
@@ -263,7 +230,6 @@ class DurableDynamicRRQ:
             next_lsn=last_lsn + 1,
         )
         self.replay_time_s = time.perf_counter() - started
-        sweep_orphans(self.directory)
 
     @classmethod
     def open(cls, directory: PathLike, **kwargs) -> "DurableDynamicRRQ":
@@ -275,16 +241,13 @@ class DurableDynamicRRQ:
                   partitions: int = 32, chunk: int = 256,
                   fsync: str = "always",
                   snapshot_every: int = 0,
-                  backend: str = "auto") -> "DurableDynamicRRQ":
+                  backend: str = "segmented") -> "DurableDynamicRRQ":
         """Seed a fresh durability directory from static containers.
 
         The whole initial state is logged as one ``reset`` record (so a
-        standby tailing from LSN 0 receives it) and then captured in a
-        snapshot, leaving a truncated WAL.
+        standby tailing from LSN 0 receives it) and then sealed by a
+        checkpoint, leaving a truncated WAL.
         """
-        engine = DynamicRRQEngine.from_datasets(
-            products, weights, partitions=partitions, chunk=chunk
-        )
         durable = cls.open(directory, fsync=fsync,
                            snapshot_every=snapshot_every,
                            dim=products.dim,
@@ -293,13 +256,12 @@ class DurableDynamicRRQ:
                            backend=backend)
         if durable.last_lsn:
             return durable  # directory already had history: recover wins
-        state = engine.state_arrays()
         durable._log_and_apply("reset", {
             "params": durable.params,
-            "products": [_vector_list(r) for r in state["products"]],
-            "p_alive": [bool(x) for x in state["p_alive"]],
-            "weights": [_vector_list(r) for r in state["weights"]],
-            "w_alive": [bool(x) for x in state["w_alive"]],
+            "products": [_vector_list(r) for r in products.values],
+            "p_alive": [True] * products.size,
+            "weights": [_vector_list(r) for r in weights.values],
+            "w_alive": [True] * weights.size,
         })
         durable.snapshot()
         return durable
@@ -319,56 +281,26 @@ class DurableDynamicRRQ:
         """Reject a bad mutation *before* it reaches the log.
 
         Log-before-apply only works if apply cannot fail on anything a
-        caller can get wrong; everything the engine would reject is
-        checked here first, so a validation error leaves no record.
+        caller can get wrong; the store's own validators and liveness
+        check run here first, so a validation error leaves no record.
         """
-        dim = self.params["dim"]
-        if op == "insert_product":
-            row = check_query_point(data["vector"], dim)
-            if row.max(initial=0.0) >= self.params["value_range"]:
-                raise DataValidationError(
-                    "product values must lie in [0, value_range)"
-                )
-        elif op == "insert_weight":
-            row = check_query_point(data["vector"], dim)
-            total = float(row.sum())
-            if data.get("renormalize"):
-                if total <= 0:
-                    raise DataValidationError("weight vector sums to zero")
-            elif abs(total - 1.0) > 1e-6:
-                raise DataValidationError(
-                    f"weight vector sums to {total:.6f}, expected 1.0"
-                )
-        elif op == "modify_product":
-            row = check_query_point(data["vector"], dim)
-            if row.max(initial=0.0) >= self.params["value_range"]:
-                raise DataValidationError(
-                    "product values must lie in [0, value_range)"
-                )
-            self.engine.products[int(data["index"])]  # raises if not live
-        elif op == "modify_weight":
-            row = check_query_point(data["vector"], dim)
-            total = float(row.sum())
-            if data.get("renormalize"):
-                if total <= 0:
-                    raise DataValidationError("weight vector sums to zero")
-            elif abs(total - 1.0) > 1e-6:
-                raise DataValidationError(
-                    f"weight vector sums to {total:.6f}, expected 1.0"
-                )
-            self.engine.weights[int(data["index"])]
-        elif op == "delete_product":
-            self.engine.products[int(data["index"])]  # raises if not live
-        elif op == "delete_weight":
-            self.engine.weights[int(data["index"])]
-        elif op not in WAL_OPS:
+        if op not in WAL_OPS:
             raise InvalidParameterError(f"unknown WAL op {op!r}")
+        store = self.engine
+        if op in ("insert_product", "modify_product"):
+            store.validate_product(data["vector"])
+        elif op in ("insert_weight", "modify_weight"):
+            store.validate_weight(data["vector"],
+                                  bool(data.get("renormalize")))
+        if "index" in data:  # delete / modify: the target must be live
+            view = (store.products if op.endswith("product")
+                    else store.weights)
+            view[int(data["index"])]
 
     def _apply(self, record: WalRecord):
-        """Apply one (already validated/logged) record to the engine."""
+        """Apply one (already validated/logged) record to the store."""
         result = self._dispatch(record)
-        if self.backend == "segmented":
-            self.engine.note_lsn(record.lsn)
+        self.engine.note_lsn(record.lsn)
         return result
 
     def _dispatch(self, record: WalRecord):
@@ -393,12 +325,10 @@ class DurableDynamicRRQ:
                 int(data["index"]),
                 np.asarray(data["vector"], dtype=np.float64),
                 renormalize=bool(data.get("renormalize", False)))
-        if op == "compact":
-            return self.engine.compact()
-        if op == "rebuild":
-            return self.engine.rebuild()
         if op == "reset":
             return self._apply_reset(data)
+        if op == "rebuild":
+            return None  # older logs carry it; it never changed a store
         raise InvalidParameterError(f"unknown WAL op {op!r}")
 
     def _apply_reset(self, data: dict) -> None:
@@ -410,18 +340,15 @@ class DurableDynamicRRQ:
             listeners = self.engine._change_listeners
             self.params = params
             self._write_params(params)
-            if self.backend == "segmented":
-                # A reset replaces the lineage wholesale: drop the old
-                # store directory and start a fresh one (the caller
-                # checkpoints right after, recommitting the manifest).
-                self.engine.close()
-                seg_dir = self.directory / SEGMENTS_DIRNAME
-                shutil.rmtree(seg_dir, ignore_errors=True)
-                self.engine = SegmentStore(directory=seg_dir, **params)
-                if self._auto_compact:
-                    self.engine.start_compactor()
-            else:
-                self.engine = DynamicRRQEngine(**params)
+            # A reset replaces the lineage wholesale: drop the old
+            # store directory and start a fresh one (the caller
+            # checkpoints right after, recommitting the manifest).
+            self.engine.close()
+            seg_dir = self.directory / SEGMENTS_DIRNAME
+            shutil.rmtree(seg_dir, ignore_errors=True)
+            self.engine = SegmentStore(directory=seg_dir, **params)
+            if self._auto_compact:
+                self.engine.start_compactor()
             self.engine._change_listeners = listeners
         dim = params["dim"]
         products = np.asarray(data["products"],
@@ -445,7 +372,7 @@ class DurableDynamicRRQ:
             self._wal_records.append(record)
             self._feed.append(record)
             self._mutations_since_snapshot += 1
-            if self.backend == "segmented" and self.seal_every and \
+            if self.seal_every and \
                     self.engine.delta_rows() >= self.seal_every:
                 # Non-blocking: if the compactor holds the maintenance
                 # lock the seal simply waits for a later mutation.
@@ -514,54 +441,32 @@ class DurableDynamicRRQ:
     def compact(self):
         """Drop tombstones; returns ``(p_map, w_map, lsn)``.
 
-        The maps give, per old stable index, the new index or -1 — so
-        callers (and replicas, which replay the same op) keep stable
-        ids across the physical reshuffle.
-
-        Flat backend: logged, because compaction *renumbers* ids and a
-        replica must replay the identical reshuffle.  Segmented
-        backend: purely physical (ids are stable), so nothing is
-        logged — the store seals, merges every segment, and the maps
-        are identity for live ids.
+        Purely physical — ids are stable, so nothing is logged and a
+        replica compacts on its own schedule: the store seals, merges
+        every segment, and the maps give each id itself while live and
+        -1 once deleted.  ``lsn`` is the last acknowledged mutation's.
         """
-        if self.backend == "segmented":
-            with self.lock:
-                p_map, w_map = self.engine.compact()
-                return p_map, w_map, self.last_lsn
-        lsn, maps = self._log_and_apply("compact", {})
-        return maps[0], maps[1], lsn
-
-    def rebuild(self) -> int:
-        """Durably force a weight-axis rebuild; returns the LSN."""
-        lsn, _ = self._log_and_apply("rebuild", {})
-        return lsn
+        with self.lock:
+            p_map, w_map = self.engine.compact()
+            return p_map, w_map, self.last_lsn
 
     # ------------------------------------------------------------------
     # snapshots
     # ------------------------------------------------------------------
 
     def snapshot(self) -> int:
-        """Capture the current state, then truncate the WAL at its barrier.
+        """Checkpoint: seal the delta, advance the manifest barrier, then
+        truncate the WAL at it.
 
-        Returns the barrier LSN.  Crash-safe at every step: the
+        Returns the barrier LSN.  Crash-safe at every step: the store's
         ``CURRENT`` pointer flip is the commit point, and replay is
-        LSN-idempotent, so a WAL that outlives its snapshot is harmless.
+        LSN-idempotent, so a WAL that outlives its checkpoint is
+        harmless.
         """
         with self.lock:
             self._wal.sync()
             barrier = self.last_lsn
-            if self.backend == "segmented":
-                # Seal the delta and advance the manifest barrier: the
-                # store's CURRENT flip is the commit point here.
-                self.engine.checkpoint(barrier)
-            else:
-                state = self.engine.state_arrays()
-                write_snapshot(
-                    self.directory, lsn=barrier,
-                    products=state["products"], p_alive=state["p_alive"],
-                    weights=state["weights"], w_alive=state["w_alive"],
-                    meta=dict(self.params),
-                )
+            self.engine.checkpoint(barrier)
             self._wal.truncate_through(barrier, self._wal_records)
             self._wal_records = [r for r in self._wal_records
                                  if r.lsn > barrier]
@@ -675,31 +580,26 @@ class DurableDynamicRRQ:
             return self.engine.reverse_kranks(q, k, counter)
 
     def pin_snapshot(self):
-        """Pin an MVCC read snapshot (segmented only; ``None`` on flat).
+        """Pin an MVCC read snapshot.
 
         The caller owns the pin: queries against the returned
         :class:`~repro.storage.snapshot.StoreSnapshot` never take the
         engine lock and never observe later mutations.  Release it.
         """
-        if self.backend == "segmented":
-            return self.engine.pin()
-        return None
+        return self.engine.pin()
 
-    def storage_stats(self) -> Optional[dict]:
-        """The segment store's health dict (``None`` on the flat backend)."""
-        if self.backend == "segmented":
-            return self.engine.storage_stats()
-        return None
+    def storage_stats(self) -> dict:
+        """The segment store's health dict."""
+        return self.engine.storage_stats()
 
     # ------------------------------------------------------------------
     # introspection / lifecycle
     # ------------------------------------------------------------------
 
     def durability_stats(self) -> dict:
-        """JSON-ready WAL/snapshot/replay counters (``/metrics``, ``info``)."""
+        """JSON-ready WAL/checkpoint/replay counters (``/metrics``)."""
         with self.lock:
             return {
-                "backend": self.backend,
                 "wal": self._wal.stats(),
                 "last_lsn": self.last_lsn,
                 "snapshot_lsn": self.snapshot_lsn,
@@ -713,11 +613,63 @@ class DurableDynamicRRQ:
         """Flush and close the WAL; the engine stays queryable in memory."""
         with self.lock:
             self._wal.close()
-        if self.backend == "segmented":
-            self.engine.close()  # stops the compactor thread
+        self.engine.close()  # stops the compactor thread
 
     def __enter__(self) -> "DurableDynamicRRQ":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def durability_report(directory: PathLike) -> dict:
+    """Integrity report over a durability directory (CLI ``info`` body).
+
+    Reads the store manifest — the one checkpoint barrier — and decodes
+    the WAL, reporting torn-tail bytes and corruption without mutating
+    anything::
+
+        {"ok": bool,
+         "storage": {"status", "lsn", "generation", "segments",
+                     "dead_products", "dead_weights"},
+         "wal": {"records", "first_lsn", "last_lsn", "torn_bytes",
+                 "status", ["error"]}}
+
+    ``storage.status`` is ``none`` while nothing has been committed (a
+    flat-format directory no open has migrated yet).
+    """
+    base = Path(directory)
+    report: dict = {"ok": True}
+    try:
+        manifest = read_current_manifest(base / SEGMENTS_DIRNAME)
+    except IndexCorruptionError as exc:
+        report.update(ok=False, storage={"status": f"corrupt: {exc}"})
+    else:
+        if manifest is None:
+            report["storage"] = {"status": "none"}
+        else:
+            report["storage"] = {
+                "status": "ok",
+                "generation": int(manifest["generation"]),
+                "lsn": int(manifest["lsn"]),
+                "segments": len(manifest["segments"]),
+                "dead_products": len(manifest["dead_products"]),
+                "dead_weights": len(manifest["dead_weights"]),
+            }
+    try:
+        records, _, torn = read_wal(wal_path(base))
+    except WalCorruptionError as exc:
+        report["wal"] = {"status": "corrupt", "error": str(exc),
+                         "offset": exc.offset, "records": 0,
+                         "first_lsn": 0, "last_lsn": exc.lsn,
+                         "torn_bytes": 0}
+        report["ok"] = False
+    else:
+        report["wal"] = {
+            "status": "ok" if not torn else "torn-tail",
+            "records": len(records),
+            "first_lsn": records[0].lsn if records else 0,
+            "last_lsn": records[-1].lsn if records else 0,
+            "torn_bytes": int(torn),
+        }
+    return report

@@ -1,7 +1,6 @@
 """Paper Section 7 extensions: adaptive grid and sparse preferences."""
 
 from .adaptive_grid import AdaptiveGridIndexRRQ, build_adaptive_grid, quantile_boundaries
-from .dynamic import DynamicRRQEngine, LiveView
 from .aggregate import (
     AGGREGATIONS,
     AggregateGridIndexRKR,
@@ -13,5 +12,4 @@ __all__ = [
     "AdaptiveGridIndexRRQ", "build_adaptive_grid", "quantile_boundaries",
     "SparseGridIndexRRQ", "SparseWeightSet", "sparsify_weights",
     "AggregateGridIndexRKR", "aggregate_reverse_kranks_naive", "AGGREGATIONS",
-    "DynamicRRQEngine", "LiveView",
 ]

@@ -9,16 +9,17 @@ the library would provably return the same answer.
 
 Invalidation is explicit.  A static :class:`~repro.core.gir.GridIndexRRQ`
 never changes, so entries live until evicted; when the service fronts a
-:class:`~repro.ext.dynamic.DynamicRRQEngine`, :func:`bind_dynamic`
-subscribes the cache to the engine's mutation events so every insert,
-delete, or compaction flushes stale answers.
+mutable engine (:class:`~repro.storage.SegmentStore`, or the durable
+wrapper around it), :func:`bind_dynamic` subscribes the cache to the
+engine's mutation events so every insert, delete, or compaction flushes
+stale answers.
 
 Entries are additionally keyed by an **index generation**: every
 :meth:`ResultCache.invalidate` bumps a monotone counter, and a
 :meth:`ResultCache.put` stamped with an older generation is dropped
 instead of stored.  This closes the swap-vs-in-flight race: a query
 that started computing against the old index cannot re-poison the
-cache *after* a rebuild, promote, or tuner hot-swap cleared it —
+cache *after* a mutation, promote, or tuner hot-swap cleared it —
 without the writer holding any lock across the (slow) answer
 computation.
 """
@@ -151,10 +152,11 @@ class ResultCache:
 
 
 def bind_dynamic(cache: ResultCache, engine) -> None:
-    """Flush ``cache`` whenever ``engine`` (a DynamicRRQEngine) mutates.
+    """Flush ``cache`` whenever ``engine`` (a mutable one) mutates.
 
-    The dynamic engine exposes ``add_change_listener``; every insert,
-    remove, or compaction then invalidates the whole cache.  Whole-cache
+    The segment store and its durable wrapper expose
+    ``add_change_listener``; every insert, remove, modify, or compaction
+    then invalidates the whole cache.  Whole-cache
     invalidation is deliberately coarse: a single product insert can
     change *every* rank, so per-entry invalidation would be wrong.
     """

@@ -340,11 +340,12 @@ class ServiceClient:
         }, mutation=True)
 
     def compact(self) -> dict:
-        """``POST /compact``; returns the old→new index maps and LSN."""
+        """``POST /compact``; returns the per-id maps (an id maps to
+        itself while live, to -1 once deleted) and the last LSN."""
         return self._request("POST", "/compact", {}, mutation=True)
 
     def snapshot(self) -> dict:
-        """``POST /snapshot``; forces a snapshot + WAL truncation."""
+        """``POST /snapshot``; forces a checkpoint + WAL truncation."""
         return self._request("POST", "/snapshot", {}, mutation=True)
 
     def promote(self, endpoint: Optional[str] = None) -> dict:

@@ -20,10 +20,10 @@ There are two answer routes and no others:
   on the first read after the store generation moves;
 * **per query** — the engine's own ``reverse_topk`` / ``reverse_kranks``
   (the snapshot's merge route on MVCC engines).  It is the route of
-  ``use_kernel=False`` and of dynamic engines without snapshots, and the
-  *declared fallback* of the kernel route: a snapshot with an empty side
-  has nothing to densify, and a kernel that fails to build or to answer
-  hands its batch over.  Every fallback is counted
+  ``use_kernel=False`` and the *declared fallback* of the kernel route:
+  a snapshot with an empty side has nothing to densify, and a kernel
+  that fails to build or to answer hands its batch over.  Every fallback
+  is counted
   (``rrq_fallback_total{from,to,reason}``) and annotated on the request
   spans (``fallback_reason``) — a broken kernel never looks like a
   healthy slow service.
@@ -45,7 +45,7 @@ import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeoutError
-from contextlib import ExitStack, contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -127,10 +127,16 @@ class MicroBatchScheduler:
     Parameters
     ----------
     engine:
-        Any library engine/algorithm exposing ``reverse_topk``,
-        ``reverse_kranks``, ``products`` and ``weights`` (an
-        :class:`~repro.queries.engine.RRQEngine` in practice).  Its own
-        query methods are the per-query route.
+        One of two kinds.  A *static* engine exposes ``reverse_topk``,
+        ``reverse_kranks`` and ``products`` / ``weights`` with ``.values``
+        arrays (an :class:`~repro.queries.engine.RRQEngine` in
+        practice); its own query methods are the per-query route.  A
+        *mutable* engine exposes ``pin_snapshot()`` returning a
+        :class:`~repro.storage.StoreSnapshot`
+        (:class:`~repro.durability.DurableDynamicRRQ`, or a raw
+        :class:`~repro.storage.SegmentStore` with ``pin_snapshot =
+        store.pin``); every batch reads one pinned snapshot.  Anything
+        else is refused at construction.
     batch_window_s:
         How long the dispatcher waits for more requests after the first
         one arrives.  ``0`` disables coalescing entirely (every dispatch
@@ -148,8 +154,6 @@ class MicroBatchScheduler:
         and its per-stage timings / filter rates flow into ``/metrics``.
         ``False`` answers every request through the engine itself, one
         query at a time.  Answers are byte-identical either way.
-        Dynamic engines without MVCC snapshots always take the
-        per-query route (their arrays mutate under the scheduler).
     kernel_cache_dir:
         Directory for mmap kernel warm starts
         (:mod:`repro.vectorized.kernelstore`).  Static engines persist
@@ -175,32 +179,28 @@ class MicroBatchScheduler:
         self.limits = limits or ServiceLimits()
         self.metrics = metrics or ServiceMetrics()
         self._dim = engine.products.dim
-        # A dynamic engine's product/weight views expose no ``.values``
-        # (the arrays change under mutation); a kernel over them would
-        # capture stale state, so such engines take the per-query route
-        # — serialized against mutations by the engine's own lock —
-        # unless they can pin MVCC snapshots (below).
-        self._dynamic = not hasattr(engine.products, "values")
-        self._engine_lock = getattr(engine, "lock", None)
-        if self._dynamic:
+        # Mutable engines pin one immutable snapshot per batch: queries
+        # run against it without any engine lock and never observe
+        # mutations that land mid-batch.  The snapshot is densified into
+        # a blocked kernel, cached until the store generation moves.
+        self._pin_snapshot = getattr(engine, "pin_snapshot", None)
+        if self._pin_snapshot is not None:
             self._P = self._W = None
-        else:
+        elif hasattr(engine.products, "values"):
             self._P = engine.products.values
             self._W = engine.weights.values
-        self.use_kernel = bool(use_kernel) and not self._dynamic
+        else:
+            raise InvalidParameterError(
+                f"{type(engine).__name__} exposes neither static "
+                "products.values / weights.values arrays nor "
+                "pin_snapshot(); the scheduler cannot read it consistently"
+            )
+        self.use_kernel = bool(use_kernel)
         self.kernel_cache_dir = kernel_cache_dir
         self._kernel: Optional[GirKernelRRQ] = None
         #: ``(store generation or None, error)`` of the last failed kernel
         #: build; see :meth:`_sweep`.
         self._build_failure = None
-        # MVCC engines (the segmented store) pin one immutable snapshot
-        # per batch: queries run against it without the engine lock and
-        # never observe mutations that land mid-batch.  The snapshot is
-        # densified into a blocked kernel, cached until the store
-        # generation moves.
-        self._pin_snapshot = getattr(engine, "pin_snapshot", None)
-        self._use_snapshot_kernel = bool(use_kernel) and \
-            self._pin_snapshot is not None
         self._snap_kernel = None
         #: Tuned snapshot-kernel config (a CandidateConfig), set by the
         #: auto-tuner's hot-swap on MVCC engines; None = default build.
@@ -384,13 +384,11 @@ class MicroBatchScheduler:
     def _answer(self, live: List[_Pending], snap, counter: OpCounter) -> None:
         """Route one micro-batch: the kernel, else the per-query route.
 
-        ``snap`` is the batch's pinned MVCC snapshot (``None`` on engines
-        without one).  No engine lock is taken on the kernel route or on
-        a snapshot — writers proceed concurrently and the batch still
-        sees one consistent state.
+        ``snap`` is the batch's pinned MVCC snapshot (``None`` on static
+        engines).  No lock is taken on either route — writers proceed
+        concurrently and the batch still sees one consistent state.
         """
-        if not (self._use_snapshot_kernel if snap is not None
-                else self.use_kernel):
+        if not self.use_kernel:
             self._answer_per_query(live, snap, counter)
             return
         single = len(live) == 1
@@ -479,26 +477,23 @@ class MicroBatchScheduler:
     def _answer_per_query(self, live: List[_Pending], snap,
                           counter: OpCounter, fallback=None) -> None:
         """One engine call per request: the snapshot's merge route, or
-        the engine's own methods under its lock (if it has one).
+        the static engine's own methods.
 
         ``fallback`` is :meth:`_sweep`'s ``(reason, error)`` when the
         kernel route handed this batch over; the hand-over is counted
         once and named on every request's span.
         """
-        if snap is not None:
-            route, backend, lock = "snapshot", snap, None
-        else:
-            route, backend, lock = "engine", self.engine, self._engine_lock
+        route, backend = (("snapshot", snap) if snap is not None
+                          else ("engine", self.engine))
         if fallback is not None:
             self.metrics.record_fallback("kernel", route, fallback[0])
         for pending in live:
             with use_context(pending.ctx), span(f"{route}.query") as sp:
                 _describe(sp, pending, len(live), snap, fallback)
-                with lock if lock is not None else nullcontext():
-                    if pending.kind == "rtk":
-                        result = backend.reverse_topk(pending.q, pending.k)
-                    else:
-                        result = backend.reverse_kranks(pending.q, pending.k)
+                if pending.kind == "rtk":
+                    result = backend.reverse_topk(pending.q, pending.k)
+                else:
+                    result = backend.reverse_kranks(pending.q, pending.k)
             counter.merge(result.counter)
             pending.future.set_result(result)
 

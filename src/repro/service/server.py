@@ -402,7 +402,7 @@ class QueryService:
         """
         q_arr = self.resolve_query_point(vector, product)
         key = make_key(q_arr, kind, k, self.method)
-        # Capture the cache generation *before* computing: a rebuild,
+        # Capture the cache generation *before* computing: a mutation,
         # promote, or tuner swap that lands while the scheduler works
         # moves the generation and the put below is dropped, so an
         # answer from the old index can never re-poison a fresh cache.
@@ -556,16 +556,16 @@ class DurableQueryService(QueryService):
     * **replication feed** — :meth:`replication_feed` exposes the WAL
       tail for standbys (``GET /replicate``).
 
-    The naive fallback is force-disabled: the dynamic engine's views
-    expose no static arrays to build a fallback from, and a degraded
-    answer computed from stale state would violate the durability
-    invariant anyway.
+    The naive fallback is force-disabled: the store's views expose no
+    static arrays to build a fallback from, and a degraded answer
+    computed from stale state would violate the durability invariant
+    anyway.
     """
 
     #: Mutation operations accepted over HTTP, keyed by (path, type).
     MUTATION_OPS = ("insert_product", "insert_weight", "delete_product",
                     "delete_weight", "modify_product", "modify_weight",
-                    "compact", "rebuild", "snapshot")
+                    "compact", "snapshot")
 
     def __init__(self, engine, config: Optional[ServiceConfig] = None,
                  role: str = "primary", primary_url=None,
@@ -644,14 +644,12 @@ class DurableQueryService(QueryService):
                     "old_index": int(payload["index"]), "lsn": lsn}
         elif op == "compact":
             p_map, w_map, lsn = engine.compact()
-            # Per old stable index: the new index, or -1 if removed.
+            # Per stable index: itself while live, -1 once removed.
             body = {
                 "op": op, "lsn": lsn,
                 "product_map": [int(v) for v in p_map],
                 "weight_map": [int(v) for v in w_map],
             }
-        elif op == "rebuild":
-            body = {"op": op, "lsn": engine.rebuild()}
         else:  # snapshot
             body = {"op": op, "lsn": engine.snapshot()}
         self.metrics.record_mutation(op)
@@ -670,7 +668,7 @@ class DurableQueryService(QueryService):
                     "'type' must be 'product' or 'weight'"
                 )
             return self.mutate(f"{path[1:]}_{target}", payload)
-        if path in ("/compact", "/rebuild", "/snapshot"):
+        if path in ("/compact", "/snapshot"):
             return self.mutate(path[1:], payload)
         raise InvalidParameterError(f"unknown mutation route {path}")
 
@@ -725,11 +723,6 @@ class DurableQueryService(QueryService):
     # observability overrides
     # ------------------------------------------------------------------
 
-    def _storage_stats(self) -> Optional[dict]:
-        """The segment store's health dict (``None`` on the flat backend)."""
-        getter = getattr(self.engine, "storage_stats", None)
-        return getter() if getter is not None else None
-
     def info(self) -> dict:
         body = super().info()
         stats = self.engine.durability_stats()
@@ -737,15 +730,13 @@ class DurableQueryService(QueryService):
             role=self.role,
             durable=True,
             directory=str(self.engine.directory),
-            backend=stats.get("backend", "flat"),
             fsync=stats["wal"]["fsync_policy"],
             last_lsn=stats["last_lsn"],
             snapshot_lsn=stats["snapshot_lsn"],
         )
-        storage = self._storage_stats()
-        if storage is not None:
-            body["segments"] = storage["segments"]
-            body["delta_rows"] = storage["delta_rows"]
+        storage = self.engine.storage_stats()
+        body["segments"] = storage["segments"]
+        body["delta_rows"] = storage["delta_rows"]
         return body
 
     def metrics_snapshot(self) -> dict:
@@ -753,7 +744,7 @@ class DurableQueryService(QueryService):
             cache_stats=self.cache.stats(),
             durability=self.engine.durability_stats(),
             replication=self.replication_status(),
-            storage=self._storage_stats(),
+            storage=self.engine.storage_stats(),
         )
         snap["slowlog"] = self.slowlog.stats()
         snap["traces"] = self.tracer.stats()
@@ -766,7 +757,7 @@ class DurableQueryService(QueryService):
             replication=self.replication_status(),
             slowlog=self.slowlog.stats(),
             traces=self.tracer.stats(),
-            storage=self._storage_stats(),
+            storage=self.engine.storage_stats(),
         )
 
     def healthz(self) -> dict:
@@ -835,7 +826,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     _MUTATION_PATHS = ("/insert", "/delete", "/modify", "/compact",
-                       "/rebuild", "/snapshot", "/promote", "/retarget")
+                       "/snapshot", "/promote", "/retarget")
 
     def _not_found(self, path: str) -> None:
         self._send_json(404, {"error": "NotFound", "message": path,

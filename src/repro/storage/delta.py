@@ -9,13 +9,13 @@ by exact scan (the delta is small by construction — the store seals it
 into a segment once it crosses a threshold), which keeps the hot
 mutation path to an O(d) append.
 
-Concurrency follows the same copy-on-grow contract as
-``ext.dynamic._GrowableMatrix``: buffers are never resized in place and
+Concurrency is copy-on-grow: buffers are never resized in place and
 the ``(rows, ids, count)`` triple is published in one reference
-assignment, so :meth:`freeze` hands back arrays that stay byte-stable
-under any number of later appends.  Frozen views are cached per
-mutation generation — pinning a snapshot between mutations costs no
-copies at all.
+assignment, after the new row is fully written, so :meth:`freeze` hands
+back arrays that stay byte-stable under any number of later appends and
+a reader can never pair a new count with an old buffer.  Frozen views
+are cached per mutation generation — pinning a snapshot between
+mutations costs no copies at all.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 A manifest is one JSON document naming the complete store state as of a
 WAL barrier: the ordered segment list, the dead sets (every delete with
 ``lsn <= manifest.lsn`` whose target row still physically exists), the
-next free global ids, and the store parameters.  Commit protocol,
-reusing the machinery proven by ``repro.durability.snapshot``:
+next free global ids, and the store parameters.  Commit protocol:
 
 1. write ``MANIFEST-<generation>.json`` (self-checksummed: a CRC32 over
    its canonical body is embedded in the document) via temp + fsync +

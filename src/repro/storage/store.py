@@ -73,10 +73,12 @@ DEFAULT_COMPACT_SMALL_ROWS = 2048
 class _StoreView:
     """Dataset-like read view (stable global ids) for the serving stack.
 
-    Mirrors ``ext.dynamic.LiveView``: ``size`` spans every id ever
-    allocated, dead ids raise structured errors, and there is
-    deliberately no ``values`` attribute — the scheduler's signal that
-    the static coalesced path must not be used.
+    Shaped like a :class:`~repro.data.datasets.ProductSet` — ``dim``,
+    ``size``, ``value_range``, ``view[i]`` — over the *live* rows:
+    ``size`` spans every id ever allocated and a dead id raises a
+    structured error.  There is deliberately no ``values`` attribute:
+    the rows move under mutation, so the serving stack reads them
+    through a pinned snapshot, never as a static matrix.
     """
 
     def __init__(self, store: "SegmentStore", kind: str, value_range: float):
@@ -118,12 +120,17 @@ class _StoreView:
 
 
 class SegmentStore:
-    """Segmented MVCC index store (drop-in for ``DynamicRRQEngine``).
+    """Segmented MVCC index store — the repo's one mutable engine.
 
     Parameters
     ----------
-    dim, value_range, partitions, chunk:
-        Same contract as :class:`~repro.ext.dynamic.DynamicRRQEngine`.
+    dim:
+        Data dimensionality.
+    value_range:
+        Product attribute range ``[0, value_range)``; inserts outside it
+        are rejected.
+    partitions, chunk:
+        Grid resolution ``n`` and scan chunk of every sealed segment.
     directory:
         Segment/manifest home.  ``None`` keeps the store memory-only
         (unit tests, ephemeral engines); the commit protocol becomes a
@@ -276,7 +283,8 @@ class SegmentStore:
         return set(self._manifest_dead_w) | self._delta.dead_weights
 
     def _check_live(self, kind: str, gid: int) -> None:
-        """Structured liveness check mirroring ``_GrowableMatrix.kill``."""
+        """Structured liveness check: a stale id and a double delete
+        raise distinguishable errors, never a raw ``IndexError``."""
         upper = self._next_pid if kind == "products" else self._next_wid
         if not 0 <= gid < upper:
             raise InvalidParameterError(
@@ -310,7 +318,9 @@ class SegmentStore:
     # mutation (O(d) appends into the delta)
     # ------------------------------------------------------------------
 
-    def _validate_product(self, vector) -> np.ndarray:
+    def validate_product(self, vector) -> np.ndarray:
+        """The float64 row of a well-formed product, else a structured
+        error.  The durable engine runs this before its WAL append."""
         row = check_query_point(vector, self.dim)
         if row.max(initial=0.0) >= self.value_range:
             raise DataValidationError(
@@ -318,7 +328,8 @@ class SegmentStore:
             )
         return row
 
-    def _validate_weight(self, vector, renormalize: bool) -> np.ndarray:
+    def validate_weight(self, vector, renormalize: bool) -> np.ndarray:
+        """The (renormalized) float64 row of a well-formed preference."""
         row = check_query_point(vector, self.dim)
         total = float(row.sum())
         if renormalize:
@@ -333,7 +344,7 @@ class SegmentStore:
 
     def insert_product(self, vector) -> int:
         """Add a product; returns its stable global id."""
-        row = self._validate_product(vector)
+        row = self.validate_product(vector)
         with self._lock:
             gid = self._next_pid
             self._next_pid += 1
@@ -344,7 +355,7 @@ class SegmentStore:
 
     def insert_weight(self, vector, renormalize: bool = False) -> int:
         """Add a preference vector; returns its stable global id."""
-        row = self._validate_weight(vector, renormalize)
+        row = self.validate_weight(vector, renormalize)
         with self._lock:
             gid = self._next_wid
             self._next_wid += 1
@@ -378,7 +389,7 @@ class SegmentStore:
         in-between state where the old row is gone and the new one is
         not yet appended.  Returns the replacement's global id.
         """
-        row = self._validate_product(vector)
+        row = self.validate_product(vector)
         idx = int(idx)
         with self._lock:
             self._check_live("products", idx)
@@ -393,7 +404,7 @@ class SegmentStore:
     def modify_weight(self, idx: int, vector,
                       renormalize: bool = False) -> int:
         """Replace preference ``idx`` (same contract as modify_product)."""
-        row = self._validate_weight(vector, renormalize)
+        row = self.validate_weight(vector, renormalize)
         idx = int(idx)
         with self._lock:
             self._check_live("weights", idx)
@@ -412,15 +423,6 @@ class SegmentStore:
     def note_lsn(self, lsn: int) -> None:
         """Record the LSN just applied (the durable engine's bookkeeping)."""
         self.applied_lsn = max(self.applied_lsn, int(lsn))
-
-    def rebuild(self) -> None:
-        """No-op: per-segment grids are fixed at seal time.
-
-        Kept for WAL-vocabulary parity with the flat engine — replaying
-        a ``rebuild`` record against a segmented store changes nothing,
-        which is exactly what determinism requires.
-        """
-        self._notify_change()
 
     # ------------------------------------------------------------------
     # snapshots
@@ -695,11 +697,9 @@ class SegmentStore:
     def compact(self) -> Tuple[np.ndarray, np.ndarray]:
         """Merge **all** segments, dropping manifest-dead rows.
 
-        Physical only: ids are stable in the segmented store, so the
-        returned per-id maps are identity for live ids and ``-1`` for
-        deleted ones — the same receipt shape the flat engine's
-        ``compact`` produces.  Seals first, so delta tombstones are
-        dropped too.
+        Physical only: ids are stable, so the returned per-id maps are
+        identity for live ids and ``-1`` for deleted ones.  Seals
+        first, so delta tombstones are dropped too.
         """
         self.seal(force=True)
         with self._lock:
@@ -960,7 +960,7 @@ class SegmentStore:
             }
 
     # ------------------------------------------------------------------
-    # bulk state (replication reset / flat-snapshot interop)
+    # bulk state (replication reset, bulk construction, migration)
     # ------------------------------------------------------------------
 
     def state_arrays(self) -> dict:
@@ -1033,6 +1033,19 @@ class SegmentStore:
                 self._delta.kill_weight(int(idx))
             self._generation += 1
         self._notify_change()
+
+    @classmethod
+    def from_datasets(cls, products, weights, partitions: int = 32,
+                      chunk: int = 256) -> "SegmentStore":
+        """A memory-only store over static containers, sealed into one
+        segment (ids are the containers' row numbers)."""
+        store = cls(products.dim, products.value_range,
+                    partitions=partitions, chunk=chunk)
+        store.load_state_arrays(
+            products.values, np.ones(products.size, dtype=bool),
+            weights.values, np.ones(weights.size, dtype=bool))
+        store.seal(force=True)
+        return store
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"SegmentStore(dim={self.dim}, segments={len(self._segments)}, "

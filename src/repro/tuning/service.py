@@ -126,14 +126,13 @@ class ServiceTuner:
         MVCC engines are read through a pinned snapshot (released before
         returning — the tuner holds plain copies, never pins, so it can
         never stall compaction).  ``None`` when the engine exposes no
-        tunable dataset (flat dynamic backend, or an empty side).
+        tunable dataset (an empty side, or neither snapshots nor static
+        sets).
         """
         engine = self.service.engine
         pin = getattr(engine, "pin_snapshot", None)
         if pin is not None:
             snap = pin()
-            if snap is None:
-                return None
             try:
                 p_rows, _ = snap.live_products()
                 w_rows, _ = snap.live_weights()

@@ -1,24 +1,24 @@
 """Chaos tests for the durability layer.
 
 The contract under attack (ISSUE acceptance): after **any** injected
-crash — mid-append, torn WAL tail, snapshot interrupted between its
-temp-write and the commit — recovery must yield answers byte-identical
-to a fresh exact scan over exactly the acknowledged mutation prefix.
-Acknowledged writes are never lost; unacknowledged writes are atomically
-absent.  Mid-log damage to acknowledged history must refuse with a
-structured :class:`WalCorruptionError`, never serve silently wrong
-answers.
+crash — mid-append, torn WAL tail, checkpoint interrupted between its
+segment write and the manifest commit — recovery must yield answers
+byte-identical to a fresh exact scan over exactly the acknowledged
+mutation prefix.  Acknowledged writes are never lost; unacknowledged
+writes are atomically absent.  Mid-log damage to acknowledged history
+must refuse with a structured :class:`WalCorruptionError`, never serve
+silently wrong answers.
 """
 
 import numpy as np
 import pytest
 
-from repro.algorithms.naive import NaiveRRQ
-from repro.data.datasets import ProductSet, WeightSet
 from repro.durability import DurableDynamicRRQ, durability_report
 from repro.durability.wal import read_wal, wal_path
-from repro.errors import WalCorruptionError
+from repro.errors import IndexCorruptionError, WalCorruptionError
 from repro.resilience.faults import FaultPlan, InjectedCrashError, inject
+
+from ..model import LiveModel
 
 
 def _mutation_stream(rng, dim, count):
@@ -44,7 +44,8 @@ def _apply_stream(engine, stream):
     """Apply mutations until one crashes; returns the acked count.
 
     Deletions pick the lowest live product index at apply time so the
-    same prefix of the stream always produces the same state.
+    same prefix of the stream always produces the same state.  A
+    compaction is physical: it takes no LSN and is not counted.
     """
     acked = 0
     for op, payload in stream:
@@ -60,54 +61,48 @@ def _apply_stream(engine, stream):
                 engine.delete_product(int(live[0]))
             else:
                 engine.compact()
+                continue
         except (InjectedCrashError, OSError):
             return acked, (op, payload)
         acked += 1
     return acked, None
 
 
-def _replay_reference(dim, value_range, stream, acked):
-    """The acked prefix applied to a fresh in-memory dynamic engine."""
-    from repro.ext.dynamic import DynamicRRQEngine
-
-    reference = DynamicRRQEngine(dim=dim, value_range=value_range)
+def _replay_reference(stream, acked):
+    """The acked prefix applied to the rows + liveness model."""
+    reference = LiveModel()
     count = 0
     for op, payload in stream:
         if count >= acked:
             break
+        if op == "compact":
+            continue
         if op == "insert_product":
-            reference.insert_product(np.asarray(payload))
+            reference.insert_product(payload)
         elif op == "insert_weight":
-            reference.insert_weight(np.asarray(payload))
-        elif op == "delete_product":
-            live = reference.products.live_indices()
-            if len(live) == 0:
-                continue
-            reference.remove_product(int(live[0]))
+            reference.insert_weight(payload)
         else:
-            reference.compact()
+            live = reference.live_products()
+            if not live:
+                continue
+            reference.delete_product(live[0])
         count += 1
     return reference
 
 
 def assert_equals_naive_over_acked(recovered, reference, rng, k=5):
-    """Recovered answers == reference answers == exact scan, everywhere."""
-    assert recovered.num_products == reference.num_products
-    assert recovered.num_weights == reference.num_weights
-    pv, wv = recovered.products, recovered.weights
-    if pv.live_count == 0 or wv.live_count == 0:
+    """Recovered answers == exact scan over the model's live rows."""
+    assert recovered.num_products == len(reference.live_products())
+    assert recovered.num_weights == len(reference.live_weights())
+    assert list(recovered.products.live_indices()) == \
+        reference.live_products()
+    if not reference.live_products() or not reference.live_weights():
         return
-    naive = NaiveRRQ(
-        ProductSet(pv.live_values(), value_range=pv.value_range),
-        WeightSet(wv.live_values()),
-    )
-    w_map = list(wv.live_indices())
     for _ in range(3):
-        q = rng.random(pv.dim) * 0.95
-        expected = frozenset(int(w_map[j])
-                             for j in naive.reverse_topk(q, k).weights)
-        assert recovered.reverse_topk(q, k).weights == expected
-        assert reference.reverse_topk(q, k).weights == expected
+        q = rng.random(recovered.products.dim) * 0.95
+        rtk, rkr = reference.answers(q, k)
+        assert recovered.reverse_topk(q, k).weights == rtk
+        assert recovered.reverse_kranks(q, k).entries == rkr
 
 
 @pytest.fixture
@@ -143,7 +138,7 @@ class TestCrashMidAppend:
 
         recovered = DurableDynamicRRQ(tmp_path / "db", fsync="always")
         assert recovered.last_lsn == acked
-        reference = _replay_reference(3, 1.0, stream, acked)
+        reference = _replay_reference(stream, acked)
         assert_equals_naive_over_acked(
             recovered, reference, np.random.default_rng(chaos_seed + 1))
         recovered.close()
@@ -170,76 +165,87 @@ class TestCrashMidAppend:
 
 
 class TestCrashMidSnapshot:
+    """``snapshot()`` is a store checkpoint followed by a WAL truncation:
+    a checkpoint that dies must leave the log whole."""
+
     def _engine_with_history(self, tmp_path, stream):
-        engine = DurableDynamicRRQ(tmp_path / "db", dim=3, fsync="always")
+        engine = DurableDynamicRRQ(tmp_path / "db", dim=3, fsync="always",
+                                   auto_compact=False)
         acked, crashed = _apply_stream(engine, stream)
         assert crashed is None
         return engine, acked
 
-    @pytest.mark.parametrize("site", ["snapshot.rename", "snapshot.current"])
+    @pytest.mark.parametrize("site", ["storage.manifest.write",
+                                      "storage.manifest.current"])
     def test_crash_before_commit_keeps_the_old_lineage(
             self, tmp_path, chaos_seed, stream, site):
-        """Killed between the temp-write and the CURRENT flip: the WAL is
-        untruncated, recovery replays it, answers are exact."""
+        """Killed between the segment write and the CURRENT flip: the WAL
+        is untruncated, recovery replays it, answers are exact."""
         engine, acked = self._engine_with_history(tmp_path, stream)
+        barrier = engine.storage_stats()["manifest_lsn"]
         plan = FaultPlan(seed=chaos_seed).add(site, "io_error")
         with inject(plan) as injector:
             with pytest.raises(OSError):
                 engine.snapshot()
         assert injector.fired() == 1
+        engine.close()
 
         report = durability_report(tmp_path / "db")
-        assert report["snapshot"]["status"] == "none"  # commit never ran
+        assert report["storage"]["lsn"] == barrier  # commit never ran
         assert report["wal"]["records"] == acked  # nothing truncated
 
         recovered = DurableDynamicRRQ(tmp_path / "db", fsync="always")
         assert recovered.last_lsn == acked
-        assert recovered.snapshot_lsn == 0
-        reference = _replay_reference(3, 1.0, stream, acked)
+        assert recovered.snapshot_lsn == barrier
         assert_equals_naive_over_acked(
-            recovered, reference, np.random.default_rng(chaos_seed + 2))
-        # The interrupted snapshot's debris was swept on recovery.
-        leftovers = list((tmp_path / "db").glob("snapshot-*"))
-        assert leftovers == []
+            recovered, _replay_reference(stream, acked),
+            np.random.default_rng(chaos_seed + 2))
+        # The interrupted checkpoint's segment was swept on recovery.
+        seg_dirs = [d for d in (tmp_path / "db" / "segments").iterdir()
+                    if d.is_dir()]
+        assert len(seg_dirs) == recovered.storage_stats()["segments"]
         recovered.close()
 
     def test_crash_overwrites_nothing_when_a_snapshot_exists(
             self, tmp_path, chaos_seed, stream):
-        """A failed *second* snapshot must leave the committed first one
-        (and the WAL tail after it) fully usable."""
+        """A failed *second* checkpoint must leave the committed first
+        one (and the WAL tail after it) fully usable."""
         engine, _ = self._engine_with_history(tmp_path, stream[:20])
-        barrier = engine.snapshot()
+        first = engine.snapshot()
         acked_tail, crashed = _apply_stream(engine, stream[20:])
         assert crashed is None
-        acked = barrier + acked_tail
-        plan = FaultPlan(seed=chaos_seed).add("snapshot.rename", "io_error")
+        acked = first + acked_tail
+        barrier = engine.storage_stats()["manifest_lsn"]
+        assert barrier >= first
+        plan = FaultPlan(seed=chaos_seed).add("storage.manifest.write",
+                                              "io_error")
         with inject(plan) as injector:
             with pytest.raises(OSError):
                 engine.snapshot()
         assert injector.fired() == 1
+        engine.close()
 
         recovered = DurableDynamicRRQ(tmp_path / "db", fsync="always")
         assert recovered.snapshot_lsn == barrier
         assert recovered.last_lsn == acked
-        assert recovered.replayed_records == acked_tail
-        reference = _replay_reference(3, 1.0, stream, acked)
+        assert recovered.replayed_records == acked - barrier
         assert_equals_naive_over_acked(
-            recovered, reference, np.random.default_rng(chaos_seed + 3))
+            recovered, _replay_reference(stream, acked),
+            np.random.default_rng(chaos_seed + 3))
         recovered.close()
 
     def test_corrupt_snapshot_artifact_refuses_startup(
             self, tmp_path, chaos_seed, stream):
-        """Damage inside a *committed* snapshot is acknowledged state
+        """Damage inside a *committed* segment is acknowledged state
         gone — recovery must refuse, not improvise."""
-        from repro.errors import IndexCorruptionError
-
         engine, _ = self._engine_with_history(tmp_path, stream[:15])
         plan = FaultPlan(seed=chaos_seed).add(
-            "snapshot.write.products.mat", "corrupt", corrupt_bytes=12)
+            "storage.segment.products.mat", "corrupt", corrupt_bytes=12)
         with inject(plan) as injector:
             engine.snapshot()  # corruption is silent at write time
         assert injector.fired() == 1
-        with pytest.raises(IndexCorruptionError, match="snapshot"):
+        engine.close()
+        with pytest.raises(IndexCorruptionError, match="seg-"):
             DurableDynamicRRQ(tmp_path / "db", fsync="always")
 
 

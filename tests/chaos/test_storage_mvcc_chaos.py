@@ -16,12 +16,11 @@ forbidden outcome.
 import numpy as np
 import pytest
 
-from repro.algorithms.naive import NaiveRRQ
-from repro.data.datasets import ProductSet, WeightSet
 from repro.durability import DurableDynamicRRQ, durability_report
 from repro.errors import IndexCorruptionError
-from repro.ext.dynamic import DynamicRRQEngine
 from repro.resilience.faults import FaultPlan, InjectedCrashError, inject
+
+from ..model import LiveModel
 
 DIM = 3
 
@@ -37,7 +36,7 @@ MANIFEST_SITES = ("storage.manifest.write", "storage.manifest.current")
 
 
 def _stream(rng, count):
-    """Deterministic mixed mutations; ids align between both engines."""
+    """Deterministic mixed mutations; ids align between engine and model."""
     ops = []
     for i in range(count):
         roll = rng.random()
@@ -54,54 +53,48 @@ def _stream(rng, count):
 
 
 def _apply(engine, ops):
-    """Apply ops to a durable engine or a bare dynamic engine."""
+    """Apply ops to a durable engine or to the rows + liveness model."""
+    model = isinstance(engine, LiveModel)
     for op, payload in ops:
+        live = (engine.live_products() if model
+                else engine.products.live_indices())
         if op == "insert_product":
             engine.insert_product(payload)
         elif op == "insert_weight":
             engine.insert_weight(payload)
         elif op == "delete_product":
-            live = engine.products.live_indices()
             if len(live):
-                getattr(engine, "delete_product",
-                        getattr(engine, "remove_product", None))(int(live[0]))
+                engine.delete_product(int(live[0]))
             else:
                 engine.insert_product([0.5] * DIM)
+        elif len(live):
+            engine.modify_product(int(live[-1]), payload)
         else:
-            live = engine.products.live_indices()
-            if len(live):
-                engine.modify_product(int(live[-1]), payload)
-            else:
-                engine.insert_product(payload)
+            engine.insert_product(payload)
 
 
 def _reference(ops):
-    reference = DynamicRRQEngine(dim=DIM, value_range=1.0)
+    reference = LiveModel()
     _apply(reference, ops)
     return reference
 
 
 def assert_zero_acked_loss(recovered, reference, rng, k=5):
-    """Recovered segmented answers == reference == exact scan (gids align:
-    neither engine ever renumbered, so stable ids coincide)."""
-    assert recovered.num_products == reference.num_products
-    assert recovered.num_weights == reference.num_weights
-    pv, wv = reference.products, reference.weights
-    if pv.live_count == 0 or wv.live_count == 0:
+    """Recovered answers == exact scan over the model's live rows (ids
+    align: the store never renumbers)."""
+    assert recovered.num_products == len(reference.live_products())
+    assert recovered.num_weights == len(reference.live_weights())
+    if not reference.live_products() or not reference.live_weights():
         return
-    naive = NaiveRRQ(ProductSet(pv.live_values(), value_range=1.0),
-                     WeightSet(wv.live_values()))
-    w_map = list(wv.live_indices())
     for _ in range(4):
         q = rng.random(DIM) * 0.9
-        expected = frozenset(int(w_map[j])
-                             for j in naive.reverse_topk(q, k).weights)
-        assert recovered.reverse_topk(q, k).weights == expected
+        rtk, rkr = reference.answers(q, k)
+        assert recovered.reverse_topk(q, k).weights == rtk
+        assert recovered.reverse_kranks(q, k).entries == rkr
 
 
 def _segmented(path, **kwargs):
-    return DurableDynamicRRQ(path, dim=DIM, fsync="always",
-                             backend="segmented", seal_every=0,
+    return DurableDynamicRRQ(path, dim=DIM, fsync="always", seal_every=0,
                              auto_compact=False, **kwargs)
 
 
@@ -284,9 +277,9 @@ class TestKill9SegmentedServe:
     def test_sigkill_mid_traffic_recovers_the_segmented_store(
             self, tmp_path, chaos_seed):
         """End to end, no in-process shortcuts: a fresh ``serve
-        --durable`` directory comes up on the segmented backend, eats
-        acked traffic (including /modify and a /snapshot checkpoint),
-        dies by real SIGKILL, and recovers every acknowledged write."""
+        --durable`` directory eats acked traffic (including /modify and
+        a /snapshot checkpoint), dies by real SIGKILL, and recovers every
+        acknowledged write."""
         from .test_kill9_recovery import (
             ServeProcess,
             _get,
@@ -296,61 +289,48 @@ class TestKill9SegmentedServe:
 
         rng = np.random.default_rng(chaos_seed + 11)
         db = tmp_path / "db"
-        server = ServeProcess(db, "--dim", str(DIM), "--fsync", "always",
-                              "--storage", "segmented")
+        model = LiveModel()
+
+        def insert(kind, vector):
+            reply = _post(server.url + "/insert",
+                          {"type": kind, "vector": vector})
+            local = (model.insert_product if kind == "product"
+                     else model.insert_weight)(vector)
+            assert reply["index"] == local
+            return reply["lsn"]
+
+        server = ServeProcess(db, "--dim", str(DIM), "--fsync", "always")
         try:
             wait_healthy(server.url)
-            info = _get(server.url + "/info")
-            assert info["backend"] == "segmented"
-            acked = 0
-            first_product = None
             for i in range(30):
                 if i % 5 == 4:
                     w = rng.random(DIM) + 1e-3
-                    reply = _post(server.url + "/insert",
-                                  {"type": "weight",
-                                   "vector": list(w / w.sum())})
+                    insert("weight", list(w / w.sum()))
                 else:
-                    reply = _post(server.url + "/insert",
-                                  {"type": "product",
-                                   "vector": list(rng.random(DIM) * 0.9)})
-                    if first_product is None:
-                        first_product = reply["index"]
-                acked = reply["lsn"]
+                    insert("product", list(rng.random(DIM) * 0.9))
+            replacement = list(rng.random(DIM) * 0.9)
             reply = _post(server.url + "/modify",
-                          {"type": "product", "index": first_product,
-                           "vector": list(rng.random(DIM) * 0.9)})
-            acked = reply["lsn"]
+                          {"type": "product", "index": 0,
+                           "vector": replacement})
+            assert reply["index"] == model.modify_product(0, replacement)
             _post(server.url + "/snapshot", {})  # checkpoint mid-history
             for _ in range(5):
-                reply = _post(server.url + "/insert",
-                              {"type": "product",
-                               "vector": list(rng.random(DIM) * 0.9)})
-                acked = reply["lsn"]
+                acked = insert("product", list(rng.random(DIM) * 0.9))
             server.kill9()
         finally:
             server.terminate()
 
         recovered = DurableDynamicRRQ(db, fsync="always")
-        assert recovered.backend == "segmented"
         assert recovered.last_lsn == acked
         report = durability_report(db)
         assert report["ok"] and report["storage"]["status"] == "ok"
-        pv, wv = recovered.products, recovered.weights
-        naive = NaiveRRQ(ProductSet(pv.live_values(), value_range=1.0),
-                         WeightSet(wv.live_values()))
-        w_map = list(wv.live_indices())
-        for _ in range(3):
-            q = rng.random(DIM) * 0.9
-            expected = frozenset(int(w_map[j])
-                                 for j in naive.reverse_topk(q, 5).weights)
-            assert recovered.reverse_topk(q, 5).weights == expected
+        assert_zero_acked_loss(recovered, model, rng)
         recovered.close()
 
         reborn = ServeProcess(db, "--fsync", "always")
         try:
             health = wait_healthy(reborn.url)
             assert health["last_lsn"] == acked
-            assert _get(reborn.url + "/info")["backend"] == "segmented"
+            assert _get(reborn.url + "/info")["segments"] >= 1
         finally:
             reborn.terminate()

@@ -8,7 +8,6 @@ worker's ``/traces``.
 """
 
 import json
-import urllib.error
 import urllib.request
 
 import numpy as np
@@ -194,12 +193,26 @@ class TestClusterMutations:
         assert canonical_json(got) == canonical_json(
             expected(oracle, np.array(new_p), "rtk", 6))
 
-    def test_compact_is_refused_cluster_wide(self, fresh_cluster):
-        request = urllib.request.Request(
-            fresh_cluster.url + "/compact", data=b"{}", method="POST",
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
-        assert excinfo.value.code == 400
-        body = json.loads(excinfo.value.read())
-        assert "rebalance" in body["message"]
+    def test_compact_is_broadcast_cluster_wide(self, fresh_cluster, datasets):
+        """Compaction is physical on every worker's store: shard-local
+        ids survive it, nothing is logged, answers do not move."""
+        products, weights = datasets
+        client = fresh_cluster.client()
+        q = products[9]
+        dead, _ = _post(fresh_cluster.url + "/delete",
+                        {"type": "product", "index": 3})
+        receipt, _ = _post(fresh_cluster.url + "/compact", {})
+        assert receipt["op"] == "compact"
+        assert sorted(receipt["shards"]) == [
+            str(s) for s in range(NUM_WORKERS)]
+        for shard, got in receipt["shards"].items():
+            assert got["lsn"] == dead["shards"][shard]["lsn"]
+            assert got["product_map"][3] == -1
+            assert got["product_map"][4] == 4
+            assert got["weight_map"] == list(range(len(got["weight_map"])))
+        oracle = NaiveRRQ(
+            ProductSet(np.delete(products.values, 3, axis=0),
+                       value_range=products.value_range), weights)
+        after = client.query(list(q), kind="rkr", k=6)
+        assert canonical_json(after) == canonical_json(
+            expected(oracle, q, "rkr", 6))

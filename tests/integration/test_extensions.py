@@ -17,8 +17,8 @@ from repro.ext.aggregate import (
     AggregateGridIndexRKR,
     aggregate_reverse_kranks_naive,
 )
-from repro.ext.dynamic import DynamicRRQEngine
 from repro.ext.sparse import sparsify_weights
+from repro.storage import SegmentStore
 
 
 class TestAggregateAcrossDistributions:
@@ -72,8 +72,8 @@ class TestDynamicToStaticParity:
         """Building incrementally from empty equals a one-shot build."""
         P = clustered_products(90, 4, seed=707)
         W = uniform_weights(80, 4, seed=708)
-        dynamic = DynamicRRQEngine(dim=4, value_range=P.value_range,
-                                   partitions=16)
+        dynamic = SegmentStore(dim=4, value_range=P.value_range,
+                               partitions=16)
         for row in P.values:
             dynamic.insert_product(row)
         for row in W.values:
@@ -90,7 +90,7 @@ class TestDynamicToStaticParity:
         """Bounds from a rebuilt static GIR sandwich the dynamic truth."""
         P = clustered_products(100, 4, seed=709)
         W = uniform_weights(90, 4, seed=710)
-        dynamic = DynamicRRQEngine.from_datasets(P, W, partitions=16)
+        dynamic = SegmentStore.from_datasets(P, W, partitions=16)
         rng = np.random.default_rng(711)
         for _ in range(15):
             dynamic.insert_product(rng.random(4) * 0.999)
@@ -100,10 +100,8 @@ class TestDynamicToStaticParity:
         # Rebuild a static view of the live data for the envelope.
         from repro.data.datasets import ProductSet, WeightSet
 
-        live_P = ProductSet(
-            dynamic._products.view[dynamic._products.alive],
-            value_range=P.value_range,
-        )
+        live_P = ProductSet(dynamic.products.live_values(),
+                            value_range=P.value_range)
         gir = GridIndexRRQ(live_P, W, partitions=16)
         approx = reverse_topk_bounds(gir, q, 10)
         assert approx.certain <= exact <= approx.possible

@@ -1,5 +1,7 @@
-"""Property tests for the dynamic engine: random mutation sequences must
-never desynchronize it from a freshly built oracle over the live rows."""
+"""Property tests for the dynamic engine (the memory-only segment
+store): random mutation sequences, with a seal somewhere in between,
+must never desynchronize it from a freshly built oracle over the live
+rows."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from repro.algorithms.naive import NaiveRRQ
 from repro.data.datasets import ProductSet, WeightSet
-from repro.ext.dynamic import DynamicRRQEngine
+from repro.storage import SegmentStore
 
 OPS = st.lists(
-    st.tuples(st.sampled_from(["ip", "iw", "rp", "rw"]),
+    st.tuples(st.sampled_from(["ip", "iw", "rp", "rw", "seal"]),
               st.integers(0, 2**31 - 1)),
     min_size=0, max_size=25,
 )
@@ -24,22 +26,23 @@ def apply_ops(engine, ops, rng):
         elif op == "iw":
             engine.insert_weight(local.dirichlet(np.ones(engine.dim)))
         elif op == "rp":
-            live = np.flatnonzero(engine._products.alive)
+            live = engine.products.live_indices()
             if live.size > 3:  # keep enough rows to query
                 engine.remove_product(int(local.choice(live)))
         elif op == "rw":
-            live = np.flatnonzero(engine._weights.alive)
+            live = engine.weights.live_indices()
             if live.size > 3:
                 engine.remove_weight(int(local.choice(live)))
+        else:
+            engine.seal(force=True)
 
 
 def live_oracle(engine):
-    P = engine._products.view[engine._products.alive]
-    W = engine._weights.view[engine._weights.alive]
-    w_map = np.flatnonzero(engine._weights.alive)
     return NaiveRRQ(
-        ProductSet(P, value_range=engine.value_range), WeightSet(W)
-    ), w_map
+        ProductSet(engine.products.live_values(),
+                   value_range=engine.value_range),
+        WeightSet(engine.weights.live_values()),
+    ), engine.weights.live_indices()
 
 
 @given(OPS, st.integers(0, 2**31 - 1), st.integers(1, 12),
@@ -49,13 +52,11 @@ def test_mutations_preserve_agreement(ops, seed, k, compact):
     rng = np.random.default_rng(seed)
     base_P = ProductSet(rng.random((30, 3)) * 0.999, value_range=1.0)
     base_W = WeightSet(rng.dirichlet(np.ones(3), size=25))
-    engine = DynamicRRQEngine.from_datasets(base_P, base_W, partitions=8)
+    engine = SegmentStore.from_datasets(base_P, base_W, partitions=8)
     apply_ops(engine, ops, rng)
     if compact:
         engine.compact()
-    q = engine._products.view[int(
-        np.flatnonzero(engine._products.alive)[0]
-    )]
+    q = engine.products[int(engine.products.live_indices()[0])]
     naive, w_map = live_oracle(engine)
     expected_rtk = frozenset(
         int(w_map[j]) for j in naive.reverse_topk(q, k).weights

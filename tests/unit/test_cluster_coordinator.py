@@ -166,10 +166,15 @@ class TestPartialFailure:
 
 
 class TestMutationRouting:
-    def test_compact_is_rejected(self):
+    def test_compact_is_broadcast(self):
+        """Physical on a worker's store, so it goes to every shard like
+        /snapshot (these static workers have no such route and say so)."""
         with ExitStack() as stack:
             coordinator, _ = start_cluster(stack)
-            with pytest.raises(InvalidParameterError, match="rebalance"):
+            with pytest.raises(
+                    ServiceUnavailableError,
+                    match=r"broadcast compact failed on shard\(s\) 0 .*, "
+                          r"1 .*, 2 "):
                 coordinator.route_mutation("/compact", {})
 
     def test_unknown_route_is_rejected(self):

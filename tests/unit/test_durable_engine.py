@@ -1,6 +1,6 @@
 """Unit tests for DurableDynamicRRQ (repro.durability.engine) and the
-dynamic-engine satellites it leans on (structured delete errors, compact
-maps, LiveView).
+store satellites it leans on (structured delete errors, compact maps,
+the live view).
 """
 
 import numpy as np
@@ -11,17 +11,17 @@ from repro.data.datasets import ProductSet, WeightSet
 from repro.data.synthetic import uniform_products, uniform_weights
 from repro.durability import (
     DurableDynamicRRQ,
-    current_snapshot_lsn,
     durability_report,
     read_wal,
     wal_path,
 )
+from repro.durability.wal import WalRecord, WalWriter
 from repro.errors import (
     DataValidationError,
     DimensionMismatchError,
     InvalidParameterError,
 )
-from repro.ext.dynamic import DynamicRRQEngine
+from repro.storage import SegmentStore
 
 
 def oracle_answers(engine, q, k):
@@ -88,7 +88,8 @@ class TestRecovery:
             live = engine.reverse_topk(q, 5).weights
         records, _, _ = read_wal(wal_path(tmp_path / "db"))
         assert len(records) == tail_len  # prefix truncated at the barrier
-        assert current_snapshot_lsn(tmp_path / "db") == barrier
+        report = durability_report(tmp_path / "db")
+        assert report["storage"]["lsn"] == barrier
         with DurableDynamicRRQ(tmp_path / "db", fsync="never") as recovered:
             assert recovered.snapshot_lsn == barrier
             assert recovered.replayed_records == tail_len
@@ -119,13 +120,36 @@ class TestRecovery:
         with DurableDynamicRRQ(tmp_path / "db", dim=3,
                                fsync="never") as engine:
             mutate_a_bit(engine, rng, products=5, weights=3)
-            engine.snapshot()
+            barrier = engine.snapshot()
             engine.insert_product(rng.random(3) * 0.9)
         report = durability_report(tmp_path / "db")
         assert report["ok"]
-        assert report["snapshot"]["status"] == "ok"
+        assert "snapshot" not in report  # one barrier: the store manifest
+        assert report["storage"]["status"] == "ok"
+        assert report["storage"]["lsn"] == barrier
+        assert report["storage"]["segments"] == 1
         assert report["wal"]["status"] == "ok"
         assert report["wal"]["records"] == 1
+
+    def test_rebuild_record_in_an_old_log_is_skipped(self, tmp_path, rng):
+        """Logs written before the op was dropped still replay, on the
+        primary's recovery and on a standby's apply."""
+        q = rng.random(3) * 0.9
+        with DurableDynamicRRQ(tmp_path / "db", dim=3,
+                               fsync="never") as engine:
+            mutate_a_bit(engine, rng, products=5, weights=3)
+            before = engine.reverse_kranks(q, 3).entries
+            lsn = engine.last_lsn
+        with WalWriter(wal_path(tmp_path / "db"), fsync="never",
+                       next_lsn=lsn + 1) as wal:
+            wal.append("rebuild", {})
+        with DurableDynamicRRQ(tmp_path / "db", fsync="never") as recovered:
+            assert recovered.last_lsn == lsn + 1
+            assert recovered.reverse_kranks(q, 3).entries == before
+            assert recovered.apply_replicated(
+                WalRecord(lsn + 2, "rebuild", {}))
+            assert recovered.last_lsn == lsn + 2
+            assert recovered.reverse_kranks(q, 3).entries == before
 
 
 class TestValidation:
@@ -162,10 +186,10 @@ class TestValidation:
 
 
 class TestDynamicSatellites:
-    """The raw engine's new structured errors and compact maps."""
+    """The raw store's structured errors and compact maps."""
 
     def test_kill_distinguishes_out_of_range_from_tombstoned(self):
-        engine = DynamicRRQEngine(dim=2)
+        engine = SegmentStore(dim=2)
         engine.insert_product(np.array([0.1, 0.2]))
         with pytest.raises(InvalidParameterError, match="out of range"):
             engine.remove_product(3)
@@ -182,16 +206,19 @@ class TestDynamicSatellites:
         engine.insert_weight(w / w.sum())
         engine.delete_product(1)
         engine.delete_product(4)
+        before = engine.last_lsn
         p_map, w_map, lsn = engine.compact()
-        assert list(p_map) == [0, -1, 1, 2, -1, 3]
+        # Ids are stable: a live id maps to itself, a dead one to -1.
+        assert list(p_map) == [0, -1, 2, 3, -1, 5]
         assert list(w_map) == [0]
-        assert lsn == engine.last_lsn
+        assert lsn == engine.last_lsn == before  # physical: nothing logged
         assert engine.products.live_count == 4
+        assert engine.fragmentation() == 0.0
         engine.close()
 
     def test_live_view_has_no_static_values(self, tmp_path):
-        """The absence of ``.values`` is the scheduler's signal that the
-        arrays move underneath it."""
+        """No ``.values``: the rows move under mutation, so the serving
+        stack reads them through a pinned snapshot."""
         engine = DurableDynamicRRQ(tmp_path / "db", dim=2, fsync="never")
         engine.insert_product([0.1, 0.2])
         assert not hasattr(engine.products, "values")
@@ -215,8 +242,6 @@ class TestBootstrap:
         feed = engine.replication_feed(0)
         standby = DurableDynamicRRQ(tmp_path / "standby", dim=3,
                                     fsync="never")
-        from repro.durability.wal import WalRecord
-
         for raw in feed["records"]:
             standby.apply_replicated(WalRecord(raw["lsn"], raw["op"],
                                                raw["data"]))

@@ -1,4 +1,6 @@
-"""Unit tests for the dynamic (updatable) engine (repro.ext.dynamic)."""
+"""Unit tests for the dynamic (updatable) engine: the memory-only
+``SegmentStore`` — inserts, tombstones, modifies and compaction must
+never desynchronize it from an exact scan over the live rows."""
 
 import numpy as np
 import pytest
@@ -7,22 +9,20 @@ from repro.algorithms.naive import NaiveRRQ
 from repro.data.datasets import ProductSet, WeightSet
 from repro.data.synthetic import uniform_products, uniform_weights
 from repro.errors import DataValidationError, InvalidParameterError
-from repro.ext.dynamic import DynamicRRQEngine
+from repro.storage import MutableDelta, SegmentStore
+from repro.storage.delta import MIN_CAPACITY
 
 
 def oracle_for_live(engine):
     """A NaiveRRQ over the engine's live rows, with index translation."""
-    P_live = engine._products.view[engine._products.alive]
-    W_live = engine._weights.view[engine._weights.alive]
-    p_map = np.flatnonzero(engine._products.alive)
-    w_map = np.flatnonzero(engine._weights.alive)
-    products = ProductSet(P_live, value_range=engine.value_range)
-    weights = WeightSet(W_live)
-    return NaiveRRQ(products, weights), p_map, w_map
+    products = ProductSet(engine.products.live_values(),
+                          value_range=engine.value_range)
+    weights = WeightSet(engine.weights.live_values())
+    return NaiveRRQ(products, weights), engine.weights.live_indices()
 
 
 def assert_agrees(engine, q, k):
-    naive, _, w_map = oracle_for_live(engine)
+    naive, w_map = oracle_for_live(engine)
     expected_rtk = frozenset(int(w_map[j]) for j in naive.reverse_topk(q, k).weights)
     got_rtk = engine.reverse_topk(q, k).weights
     assert got_rtk == expected_rtk
@@ -38,7 +38,7 @@ def assert_agrees(engine, q, k):
 def seeded_engine():
     P = uniform_products(120, 4, value_range=1.0, seed=501)
     W = uniform_weights(100, 4, seed=502)
-    return DynamicRRQEngine.from_datasets(P, W, partitions=16), P, W
+    return SegmentStore.from_datasets(P, W, partitions=16), P, W
 
 
 class TestConstruction:
@@ -47,17 +47,23 @@ class TestConstruction:
         assert engine.num_products == 120
         assert engine.num_weights == 100
         assert engine.fragmentation() == 0.0
+        # One sealed segment, ids = the containers' row numbers.
+        stats = engine.storage_stats()
+        assert stats["segments"] == 1 and stats["delta_rows"] == 0
+        np.testing.assert_array_equal(engine.products[7], P.values[7])
+        np.testing.assert_array_equal(engine.weights[99], W.values[99])
+        assert_agrees(engine, P.values[0], 8)
 
     def test_empty_engine_rejects_queries(self):
-        engine = DynamicRRQEngine(dim=3)
+        engine = SegmentStore(dim=3)
         with pytest.raises(InvalidParameterError):
             engine.reverse_topk(np.zeros(3), 5)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
-            DynamicRRQEngine(dim=0)
+            SegmentStore(dim=0)
         with pytest.raises(InvalidParameterError):
-            DynamicRRQEngine(dim=3, value_range=-1)
+            SegmentStore(dim=3, value_range=-1)
 
 
 class TestInsert:
@@ -71,29 +77,14 @@ class TestInsert:
         assert_agrees(engine, P.values[0], 8)
 
     def test_growth_beyond_initial_capacity(self):
-        engine = DynamicRRQEngine(dim=2, value_range=1.0, partitions=8)
+        engine = SegmentStore(dim=2, value_range=1.0, partitions=8)
         rng = np.random.default_rng(504)
         for _ in range(100):  # > MIN_CAPACITY, forces several doublings
             engine.insert_product(rng.random(2) * 0.99)
         for _ in range(60):
             engine.insert_weight(rng.dirichlet(np.ones(2)))
         assert engine.num_products == 100
-        assert_agrees(engine, engine._products.view[0], 5)
-
-    def test_weight_axis_rebuild_on_outlier(self):
-        """A new weight above the observed range triggers re-quantization
-        without breaking answers."""
-        engine = DynamicRRQEngine(dim=3, value_range=1.0, partitions=8)
-        rng = np.random.default_rng(505)
-        for _ in range(30):
-            engine.insert_product(rng.random(3) * 0.99)
-        # Balanced weights first: small observed range.
-        for _ in range(20):
-            engine.insert_weight(np.full(3, 1 / 3))
-        old_range = engine._w_range
-        engine.insert_weight(np.array([0.9, 0.05, 0.05]))  # outlier
-        assert engine._w_range > old_range
-        assert_agrees(engine, engine._products.view[3], 4)
+        assert_agrees(engine, engine.products[0], 5)
 
     def test_insert_validation(self, seeded_engine):
         engine, _, _ = seeded_engine
@@ -141,11 +132,13 @@ class TestRemove:
             elif action == 1:
                 engine.insert_weight(rng.dirichlet(np.ones(4)))
             elif action == 2:
-                live = np.flatnonzero(engine._products.alive)
+                live = engine.products.live_indices()
                 engine.remove_product(int(rng.choice(live)))
             else:
-                live = np.flatnonzero(engine._weights.alive)
+                live = engine.weights.live_indices()
                 engine.remove_weight(int(rng.choice(live)))
+            if step == 12:
+                engine.seal(force=True)  # mutations span a seal boundary
         assert_agrees(engine, P.values[20], 7)
 
 
@@ -160,13 +153,10 @@ class TestCompact:
         before_rkr = engine.reverse_kranks(q, 6)
         frag = engine.fragmentation()
         assert frag > 0
-        p_map, w_map = engine.compact()
+        engine.compact()
         assert engine.fragmentation() == 0.0
-        after_rkr = engine.reverse_kranks(q, 6)
-        translated = tuple(
-            sorted((rank, int(w_map[j])) for rank, j in before_rkr.entries)
-        )
-        assert after_rkr.entries == translated
+        # Compaction is physical: ids, hence answers, do not move.
+        assert engine.reverse_kranks(q, 6).entries == before_rkr.entries
         assert_agrees(engine, q, 6)
 
     def test_compact_maps(self, seeded_engine):
@@ -174,7 +164,7 @@ class TestCompact:
         engine.remove_product(0)
         p_map, w_map = engine.compact()
         assert p_map[0] == -1
-        assert p_map[1] == 0  # shifted down
+        assert p_map[1] == 1  # ids are stable: nothing shifts down
         assert np.all(w_map == np.arange(len(w_map)))
 
 
@@ -210,18 +200,16 @@ class TestModify:
 
 class TestLiveViewConcurrency:
     def test_read_during_append_is_coherent(self):
-        """Regression: a reader racing appends (including buffer growth)
-        must never pair a new alive mask with an old data buffer, tear a
-        half-written row, or crash.  Rows are constant-valued so any torn
-        or misaligned read shows up as a non-constant row."""
+        """A reader racing appends (including delta buffer growth) must
+        never pair a new count with an old buffer, tear a half-written
+        row, or crash.  Rows are constant-valued so any torn or
+        misaligned read shows up as a non-constant row."""
         import threading
-
-        from repro.ext.dynamic import MIN_CAPACITY, _GrowableMatrix, LiveView
 
         dim = 4
         total = MIN_CAPACITY * 64  # force several copy-on-grow cycles
-        matrix = _GrowableMatrix(dim)
-        view = LiveView(matrix, value_range=1.0)
+        store = SegmentStore(dim=dim)
+        view = store.products
         errors = []
         done = threading.Event()
 
@@ -234,7 +222,7 @@ class TestLiveViewConcurrency:
                         if not np.all(rows == rows[:, :1]):
                             errors.append("torn row observed")
                             return
-                    idx = matrix.total_count - 1
+                    idx = view.size - 1
                     if idx >= 0:
                         row = view[idx]
                         if not np.all(row == row[0]):
@@ -249,24 +237,22 @@ class TestLiveViewConcurrency:
             t.start()
         try:
             for i in range(total):
-                matrix.append(np.full(dim, (i % 97) / 97.0))
+                store.insert_product(np.full(dim, (i % 97) / 97.0))
         finally:
             done.set()
             for t in threads:
                 t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors
-        assert matrix.generation >= 5  # growth actually happened
         assert view.live_count == total
 
     def test_old_views_frozen_after_growth(self):
-        from repro.ext.dynamic import MIN_CAPACITY, _GrowableMatrix
-
-        matrix = _GrowableMatrix(2)
+        delta = MutableDelta(2)
         for i in range(MIN_CAPACITY):
-            matrix.append(np.full(2, float(i)))
-        rows_before, alive_before, used = matrix.snapshot_state()
-        frozen = rows_before.copy()
+            delta.append_product(np.full(2, float(i)), i)
+        view = delta.freeze()
+        frozen = view["p_rows"].copy()
         for i in range(MIN_CAPACITY * 3):  # grows at least twice
-            matrix.append(np.full(2, -1.0))
-        np.testing.assert_array_equal(rows_before, frozen)
-        assert used == MIN_CAPACITY
+            delta.append_product(np.full(2, -1.0), MIN_CAPACITY + i)
+        np.testing.assert_array_equal(view["p_rows"], frozen)
+        assert view["p_ids"].shape[0] == MIN_CAPACITY

@@ -294,12 +294,17 @@ class TestDenseReaders:
 
 
 class TestDurableBackendResolution:
-    def test_fresh_auto_is_flat(self, tmp_path):
+    def test_fresh_directory_is_segmented(self, tmp_path):
+        import json
+
         from repro.durability import DurableDynamicRRQ
 
         engine = DurableDynamicRRQ(tmp_path / "d", dim=DIM)
         try:
-            assert engine.backend == "flat"
+            assert engine.storage_stats()["backend"] == "segmented"
+            assert (tmp_path / "d" / "segments" / "CURRENT").exists()
+            params = json.loads((tmp_path / "d" / "engine.json").read_text())
+            assert params["backend"] == "segmented"
         finally:
             engine.close()
 
@@ -313,12 +318,12 @@ class TestDurableBackendResolution:
         engine.insert_product(rng.uniform(0, 0.9, DIM))
         engine.close()
 
-        reopened = DurableDynamicRRQ(path)  # auto -> persisted backend
+        reopened = DurableDynamicRRQ(path)
         try:
-            assert reopened.backend == "segmented"
-            assert reopened.storage_stats() is not None
+            assert reopened.num_products == 1
         finally:
             reopened.close()
 
-        with pytest.raises(InvalidParameterError):
-            DurableDynamicRRQ(path, backend="flat")
+        for gone in ("flat", "auto"):
+            with pytest.raises(InvalidParameterError, match="backend"):
+                DurableDynamicRRQ(path, backend=gone)

@@ -11,7 +11,6 @@ from repro.errors import (
     InvalidParameterError,
     ServiceOverloadError,
 )
-from repro.ext.dynamic import DynamicRRQEngine
 from repro.service.cache import ResultCache, bind_dynamic, make_key
 from repro.service.limits import (
     Deadline,
@@ -19,6 +18,7 @@ from repro.service.limits import (
     http_status,
     rejection_body,
 )
+from repro.storage import SegmentStore
 
 
 class TestMakeKey:
@@ -97,7 +97,7 @@ class TestResultCache:
 
 class TestDynamicInvalidation:
     def test_every_mutation_flushes(self):
-        engine = DynamicRRQEngine(dim=2, value_range=1.0, partitions=8)
+        engine = SegmentStore(dim=2, value_range=1.0, partitions=8)
         cache = ResultCache(capacity=8)
         bind_dynamic(cache, engine)
         key = make_key(np.array([0.5, 0.5]), "rtk", 1, "gir")
@@ -120,6 +120,10 @@ class TestDynamicInvalidation:
 
         reprime()
         engine.remove_weight(wid)
+        assert key not in cache
+
+        reprime()
+        engine.modify_product(engine.insert_product([0.1, 0.2]), [0.2, 0.1])
         assert key not in cache
 
         reprime()
@@ -210,9 +214,10 @@ class TestGenerationKeying:
         assert gens == sorted(set(gens))
 
     def test_mutate_rebuild_serves_fresh_answer(self, tmp_path):
-        """Regression: mutate -> rebuild used to leave a pre-rebuild
+        """Regression: a mutation followed by a checkpoint (a new store
+        generation, so a kernel rebuild) used to leave a pre-rebuild
         answer in the cache; a repeated query then returned ranks that
-        ignored the new weight entirely."""
+        ignored the mutation entirely."""
         import numpy as np
 
         from repro.durability import DurableDynamicRRQ
@@ -220,7 +225,7 @@ class TestGenerationKeying:
 
         rng = np.random.default_rng(13)
         engine = DurableDynamicRRQ(tmp_path / "db", dim=3,
-                                   backend="segmented", seal_every=8,
+                                   seal_every=8,
                                    auto_compact=False, fsync="never")
         for _ in range(20):
             engine.insert_product(rng.uniform(0, 0.9, 3))
@@ -238,7 +243,7 @@ class TestGenerationKeying:
             # cached entry is now provably wrong.
             victim = primed["weights"][0]
             service.mutate("delete_weight", {"index": victim})
-            service.mutate("rebuild")
+            service.mutate("snapshot")
             fresh = service.query(q, kind="rtk", k=5)
             assert victim not in fresh["weights"]
             assert fresh["weights"] == sorted(

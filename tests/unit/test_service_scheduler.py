@@ -494,6 +494,16 @@ class TestValidation:
             MicroBatchScheduler(engine, batch_window_s=-1.0, auto_start=False)
         scheduler.close()
 
+    def test_engine_of_neither_kind_is_refused_at_construction(self):
+        """Static arrays or pinned snapshots — a bare store offers
+        neither, and must fail here, not at the first dispatch."""
+        from repro.storage import SegmentStore
+
+        store = SegmentStore(dim=3)
+        store.insert_product([0.1, 0.2, 0.3])
+        with pytest.raises(InvalidParameterError, match="pin_snapshot"):
+            make_scheduler(store)
+
     def test_concurrent_submitters_all_answered(self, engine):
         scheduler = make_scheduler(engine, batch_window_s=0.02)
         scheduler.start()
@@ -542,7 +552,7 @@ class TestSnapshotBatchPath:
             durable, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
-        assert scheduler._use_snapshot_kernel
+        assert scheduler.use_kernel
         queries = [durable.products[i] for i in (0, 7, 23, 41)]
         futures = [scheduler.submit(q, "rtk", 8) for q in queries[:2]]
         futures += [scheduler.submit(q, "rkr", 5) for q in queries[2:]]
@@ -663,6 +673,52 @@ class TestSnapshotBatchPath:
         assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
             {"from": "kernel", "to": "snapshot",
              "reason": "empty_snapshot", "count": 1}]
+
+
+class TestRawStoreServing:
+    def test_memory_only_store_is_served_on_the_kernel_route(self):
+        """The documented "serve a dynamic engine + bind_dynamic" use: a
+        raw memory-only store needs one alias, ``pin_snapshot = pin``,
+        and answers byte-identical to ``NaiveRRQ`` before and after a
+        mutation, with no fallback."""
+        from repro.algorithms.naive import NaiveRRQ
+        from repro.data.datasets import ProductSet
+        from repro.data.synthetic import uniform_products, uniform_weights
+        from repro.service.cache import bind_dynamic
+        from repro.service.server import (
+            QueryService,
+            ServiceConfig,
+            canonical_json,
+            encode_result,
+        )
+        from repro.storage import SegmentStore
+
+        P = uniform_products(60, 3, seed=931)
+        W = uniform_weights(40, 3, seed=932)
+        store = SegmentStore.from_datasets(P, W, partitions=8)
+        store.pin_snapshot = store.pin
+        service = QueryService(store, config=ServiceConfig(
+            batch_window_s=0.0, fallback=False))
+        bind_dynamic(service.cache, store)
+        try:
+            q = [float(x) for x in P.values[5]]
+            for products in (P, None):
+                if products is None:  # after a mutation: cache flushed
+                    new = [0.01, 0.01, 0.01]
+                    assert store.insert_product(new) == P.size
+                    products = ProductSet(
+                        list(P.values) + [new], value_range=P.value_range)
+                naive = NaiveRRQ(products, W)
+                for kind, run in (("rtk", naive.reverse_topk),
+                                  ("rkr", naive.reverse_kranks)):
+                    got = service.query(q, kind=kind, k=6)
+                    assert canonical_json(got) == canonical_json(
+                        encode_result(run(q, 6), kind))
+            snap = service.metrics_snapshot()
+            assert snap["kernel"]["queries"] == 4
+            assert snap["fallbacks"]["total"] == 0
+        finally:
+            service.close()
 
 
 class TestKernelHotSwap:

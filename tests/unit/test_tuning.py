@@ -330,10 +330,10 @@ class TestDatasetExtraction:
         finally:
             service.close()
 
-    def test_flat_dynamic_engine_has_no_datasets(self):
-        from repro.ext.dynamic import DynamicRRQEngine
+    def test_unreadable_engine_or_empty_side_has_no_datasets(self):
+        from repro.storage import SegmentStore
 
-        engine = DynamicRRQEngine(dim=2, value_range=1.0, partitions=4)
+        engine = SegmentStore(dim=2, value_range=1.0, partitions=4)
         engine.insert_product([0.5, 0.5])
 
         class FakeService:
@@ -343,4 +343,10 @@ class TestDatasetExtraction:
         service.engine = engine
         tuner = ServiceTuner.__new__(ServiceTuner)
         tuner.service = service
+        # Neither static sets nor snapshots: nothing to read.
         assert tuner._datasets() is None
+        engine.pin_snapshot = engine.pin
+        assert tuner._datasets() is None  # a snapshot with an empty side
+        engine.insert_weight([0.5, 0.5])
+        products, weights = tuner._datasets()
+        assert products.size == 1 and weights.size == 1
