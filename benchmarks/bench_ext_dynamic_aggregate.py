@@ -38,8 +38,9 @@ def workload():
 
 
 def test_dynamic_engine_overhead(benchmark, workload):
-    """Static GIR vs the updatable store's per-query merge route on
-    identical data (served reads ride the kernel sweep, not this)."""
+    """Static GIR (the scalar engine, one query at a time) vs a read of
+    the updatable store — a batch of one through its kernel, the first
+    one paying for the build — on identical data."""
     P, W, queries = workload
     static = GridIndexRRQ(P, W)
     dynamic = SegmentStore.from_datasets(P, W)

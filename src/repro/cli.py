@@ -285,7 +285,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
         ),
         fallback=not args.no_fallback,
-        use_kernel=not args.no_kernel,
         slow_query_threshold_s=(args.slow_ms / 1000.0
                                 if args.slow_ms > 0 else None),
         trace_export_path=args.trace_export,
@@ -452,8 +451,8 @@ def _kernel_store_info(path: Path) -> None:
     """Report packed kernel stores (mmap warm start) under ``path``.
 
     A store lives either directly in the directory or in the cache
-    layout ``serve --kernel-cache`` maintains (``static``/``gen-<N>``/
-    tuner ``cfg-<digest>`` subdirectories); each one is a single mmap
+    layout ``serve --kernel-cache`` maintains (``static`` and the
+    tuner's ``cfg-<digest>`` subdirectories); each one is a single mmap
     away from a warm kernel.  A ``tuned.json`` pointer means the
     auto-tuner pinned a config — the serve path loads that store first.
     """
@@ -462,7 +461,6 @@ def _kernel_store_info(path: Path) -> None:
     candidates = [path] + sorted(
         child for child in path.iterdir()
         if child.is_dir() and (child.name == "static"
-                               or child.name.startswith("gen-")
                                or child.name.startswith("cfg-")))
     stores = [c for c in candidates
               if (c / "kernel.bin").exists() and (c / "kernel.meta").exists()]
@@ -868,10 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-fallback", action="store_true",
                        help="disable degraded-mode fallback to the exact "
                             "naive scan on engine failure")
-    serve.add_argument("--no-kernel", action="store_true",
-                       help="answer every request through the per-query "
-                            "engine instead of the blocked GIR kernel "
-                            "(slower; for debugging and differential checks)")
     serve.add_argument("--no-recover", action="store_true",
                        help="fail instead of rebuilding damaged derived "
                             "index artifacts at startup")
@@ -880,8 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-export", default=None, metavar="FILE",
                        help="append finished traces to this JSON-lines file")
     serve.add_argument("--kernel-cache", default=None, metavar="DIR",
-                       help="persist built kernels as packed mmap stores "
-                            "under this directory for O(1) warm starts")
+                       help="persist the static index's kernel (and tuned "
+                            "cfg-<digest> stores) as packed mmap stores "
+                            "under this directory for O(1) warm starts; "
+                            "unused with --durable")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request")
     serve.add_argument("--durable", action="store_true",

@@ -313,9 +313,6 @@ class LocalCluster:
         """The coordinator front door's base URL."""
         return self._server.url
 
-    def worker_url(self, shard_id: int) -> str:
-        return self.workers[shard_id].url
-
     def client(self, **kwargs) -> ServiceClient:
         """A client pointed at the coordinator."""
         return ServiceClient(self.url, **kwargs)

@@ -215,11 +215,6 @@ class FailureDetector:
         return {shard_id: self.probe(shard_id)
                 for shard_id in range(self.coordinator.topology.num_shards)}
 
-    def shard_state(self, shard_id: int) -> str:
-        with self._lock:
-            state = self._states.get(shard_id)
-            return state.state if state is not None else "alive"
-
     def snapshot(self) -> Dict[str, dict]:
         with self._lock:
             return {str(shard_id): state.snapshot()

@@ -74,6 +74,14 @@ DEFAULT_FEED_RETAIN = 65536
 DEFAULT_FEED_BATCH = 512
 
 
+def _engine_params(body: dict) -> dict:
+    """The store parameters out of an ``engine.json`` body or a ``reset``
+    record; whatever else an older writer put there is ignored."""
+    return {"dim": int(body["dim"]),
+            "value_range": float(body["value_range"]),
+            "partitions": int(body["partitions"])}
+
+
 def _vector_list(row: np.ndarray) -> List[float]:
     """Exact JSON encoding of one vector (Python float repr round-trips)."""
     return [float(x) for x in row]
@@ -113,8 +121,7 @@ class DurableDynamicRRQ:
 
     def __init__(self, directory: PathLike, dim: Optional[int] = None,
                  value_range: float = 1.0, partitions: int = 32,
-                 chunk: int = 256, fsync: str = "always",
-                 fsync_interval_s: float = 0.05,
+                 fsync: str = "always", fsync_interval_s: float = 0.05,
                  snapshot_every: int = 0,
                  feed_retain: int = DEFAULT_FEED_RETAIN,
                  backend: str = "segmented",
@@ -149,8 +156,8 @@ class DurableDynamicRRQ:
                     f"{self.directory} holds no engine state and no 'dim' "
                     "was given to create one"
                 )
-            params = {"dim": int(dim), "value_range": float(value_range),
-                      "partitions": int(partitions), "chunk": int(chunk)}
+            params = _engine_params({"dim": dim, "value_range": value_range,
+                                     "partitions": partitions})
             self._write_params(params)
         self.params = params
         self.engine = self._open_store(params)
@@ -170,15 +177,15 @@ class DurableDynamicRRQ:
         if not target.exists():
             return None
         try:
-            params = json.loads(target.read_text())
-            return {"dim": int(params["dim"]),
-                    "value_range": float(params["value_range"]),
-                    "partitions": int(params["partitions"]),
-                    "chunk": int(params["chunk"])}
+            body = json.loads(target.read_text())
+            params = _engine_params(body)
         except (ValueError, KeyError, TypeError):
             raise DataValidationError(
                 f"{target}: malformed engine parameter file"
             ) from None
+        if "chunk" in body:  # a scan knob of older files: ignored, dropped
+            self._write_params(params)
+        return params
 
     def _write_params(self, params: dict) -> None:
         # The key is what tells this directory from a flat one (.migrate).
@@ -192,8 +199,7 @@ class DurableDynamicRRQ:
         """Reopen the directory's store, or create it."""
         seg_dir = self.directory / SEGMENTS_DIRNAME
         if (seg_dir / CURRENT_NAME).exists():
-            return SegmentStore.from_directory(seg_dir,
-                                               chunk=params["chunk"])
+            return SegmentStore.from_directory(seg_dir)
         return SegmentStore(directory=seg_dir, **params)
 
     def _recover(self) -> None:
@@ -238,8 +244,7 @@ class DurableDynamicRRQ:
 
     @classmethod
     def bootstrap(cls, directory: PathLike, products, weights,
-                  partitions: int = 32, chunk: int = 256,
-                  fsync: str = "always",
+                  partitions: int = 32, fsync: str = "always",
                   snapshot_every: int = 0,
                   backend: str = "segmented") -> "DurableDynamicRRQ":
         """Seed a fresh durability directory from static containers.
@@ -252,8 +257,7 @@ class DurableDynamicRRQ:
                            snapshot_every=snapshot_every,
                            dim=products.dim,
                            value_range=products.value_range,
-                           partitions=partitions, chunk=chunk,
-                           backend=backend)
+                           partitions=partitions, backend=backend)
         if durable.last_lsn:
             return durable  # directory already had history: recover wins
         durable._log_and_apply("reset", {
@@ -332,10 +336,7 @@ class DurableDynamicRRQ:
         raise InvalidParameterError(f"unknown WAL op {op!r}")
 
     def _apply_reset(self, data: dict) -> None:
-        params = {"dim": int(data["params"]["dim"]),
-                  "value_range": float(data["params"]["value_range"]),
-                  "partitions": int(data["params"]["partitions"]),
-                  "chunk": int(data["params"]["chunk"])}
+        params = _engine_params(data["params"])
         if params != self.params:
             listeners = self.engine._change_listeners
             self.params = params
@@ -571,13 +572,13 @@ class DurableDynamicRRQ:
     def add_change_listener(self, callback) -> None:
         self.engine.add_change_listener(callback)
 
-    def reverse_topk(self, q, k: int, counter=None):
+    def reverse_topk(self, q, k: int):
         with self.lock:
-            return self.engine.reverse_topk(q, k, counter)
+            return self.engine.reverse_topk(q, k)
 
-    def reverse_kranks(self, q, k: int, counter=None):
+    def reverse_kranks(self, q, k: int):
         with self.lock:
-            return self.engine.reverse_kranks(q, k, counter)
+            return self.engine.reverse_kranks(q, k)
 
     def pin_snapshot(self):
         """Pin an MVCC read snapshot.

@@ -31,7 +31,7 @@ from ..storage import CURRENT_NAME, SegmentStore
 from .wal import read_wal, wal_path
 
 _SNAPSHOT_GLOB = "snapshot-*"
-_PARAM_KEYS = ("dim", "value_range", "partitions", "chunk")
+_PARAM_KEYS = ("dim", "value_range", "partitions")
 _SIDES = ("product", "weight")
 
 
@@ -145,6 +145,7 @@ def migrate_flat_directory(base: Path, params_file: Path,
     store.load_state_arrays(*state["product"], *state["weight"])
     store.checkpoint(lsn)
     body.update(state["params"], backend="segmented")
+    body.pop("chunk", None)  # the flat engine's scan knob: never rewritten
     _write_json(params_file, body, site="migrate.commit")
     _drop_flat_files(base)
     return True

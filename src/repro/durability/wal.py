@@ -48,7 +48,7 @@ import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from ..errors import InvalidParameterError, WalCorruptionError
 from ..resilience.faults import InjectedCrashError, active_injector, fire
@@ -216,12 +216,6 @@ def read_wal(path: PathLike, chunk_size: int = _READ_CHUNK,
             del buffer[:frame_end]
             offset += frame_end
     return records, offset, file_size - offset
-
-
-def iter_wal(path: PathLike) -> Iterator[WalRecord]:
-    """Iterate a WAL's intact records (torn tail silently dropped)."""
-    records, _, _ = read_wal(path)
-    return iter(records)
 
 
 class WalWriter:

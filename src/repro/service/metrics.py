@@ -141,7 +141,7 @@ class ServiceMetrics:
             self._errors += 1
 
     def record_mutation(self, op: str, rejected: bool = False) -> None:
-        """One mutation request (insert/delete/compact/rebuild/snapshot).
+        """One mutation request (insert/delete/modify/compact/snapshot).
 
         ``rejected`` counts mutations refused by role checks (a write
         sent to a standby, HTTP 409) — they never reach the WAL.

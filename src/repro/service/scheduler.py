@@ -14,19 +14,17 @@ times faster there than through the scalar per-query engine
 
 There are two answer routes and no others:
 
-* **kernel** (default) — the static engine's
+* **kernel** — the static engine's
   :class:`~repro.vectorized.girkernel.GirKernelRRQ`, or on MVCC engines
-  the pinned snapshot's :class:`~repro.storage.SnapshotKernel`, rebuilt
-  on the first read after the store generation moves;
-* **per query** — the engine's own ``reverse_topk`` / ``reverse_kranks``
-  (the snapshot's merge route on MVCC engines).  It is the route of
-  ``use_kernel=False`` and the *declared fallback* of the kernel route:
-  a snapshot with an empty side has nothing to densify, and a kernel
-  that fails to build or to answer hands its batch over.  Every fallback
-  is counted
-  (``rrq_fallback_total{from,to,reason}``) and annotated on the request
-  spans (``fallback_reason``) — a broken kernel never looks like a
-  healthy slow service.
+  the pinned snapshot's :class:`~repro.storage.SnapshotKernel`, which
+  the store rebuilds on the first read after its generation moves;
+* **per query** — the *declared fallback* of the kernel route, taken
+  only when a kernel fails to build or to answer: the static engine's
+  own ``reverse_topk`` / ``reverse_kranks``, or on MVCC engines the
+  exact reference scan (``NaiveRRQ``) over the pinned live rows.  Every
+  fallback is counted (``rrq_fallback_total{from,to,reason}``) and
+  annotated on the request spans (``fallback_reason``) — a broken
+  kernel never looks like a healthy slow service.
 
 Both routes are byte-identical to
 :class:`~repro.algorithms.naive.NaiveRRQ` (the property and integration
@@ -51,7 +49,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..data.datasets import check_query_point
+from ..algorithms.naive import NaiveRRQ
+from ..data.datasets import ProductSet, WeightSet, check_query_point
 from ..errors import (
     DeadlineExceededError,
     InvalidParameterError,
@@ -108,6 +107,18 @@ def _request_spans(live: List[_Pending], name: str):
         yield spans
 
 
+def _reference_scan(snap):
+    """``NaiveRRQ`` over the pinned live rows, behind the same id remap
+    as the kernel it stands in for."""
+    from ..storage import SnapshotKernel
+
+    p_rows, _ = snap.live_products()
+    w_rows, w_gids = snap.live_weights()
+    naive = NaiveRRQ(ProductSet(p_rows, value_range=snap.value_range),
+                     WeightSet(w_rows))
+    return SnapshotKernel(naive, w_gids, snap.generation)
+
+
 def _describe(sp, pending: _Pending, batch_size: int, snap, fallback) -> None:
     """The annotations every dispatch span carries, whichever the route."""
     sp.annotate("kind", pending.kind)
@@ -130,7 +141,7 @@ class MicroBatchScheduler:
         One of two kinds.  A *static* engine exposes ``reverse_topk``,
         ``reverse_kranks`` and ``products`` / ``weights`` with ``.values``
         arrays (an :class:`~repro.queries.engine.RRQEngine` in
-        practice); its own query methods are the per-query route.  A
+        practice); its own query methods are the fallback route.  A
         *mutable* engine exposes ``pin_snapshot()`` returning a
         :class:`~repro.storage.StoreSnapshot`
         (:class:`~repro.durability.DurableDynamicRRQ`, or a raw
@@ -146,21 +157,14 @@ class MicroBatchScheduler:
     metrics:
         Destination for batch/rejection tallies; a private instance is
         created when omitted.
-    use_kernel:
-        Answer every dispatch with the weight-blocked GIR kernel
-        (:class:`~repro.vectorized.girkernel.GirKernelRRQ`).  The kernel
-        is built lazily on the first dispatch — wrapping the engine's
-        own grid when it is a :class:`~repro.core.gir.GridIndexRRQ` —
-        and its per-stage timings / filter rates flow into ``/metrics``.
-        ``False`` answers every request through the engine itself, one
-        query at a time.  Answers are byte-identical either way.
     kernel_cache_dir:
         Directory for mmap kernel warm starts
         (:mod:`repro.vectorized.kernelstore`).  Static engines persist
         their lazily built kernel under ``<dir>/static`` and reload it
         zero-copy on the next process start (validated against the
-        engine's arrays); MVCC engines key snapshot kernels by store
-        generation under ``<dir>/gen-<N>``.  ``None`` disables caching.
+        engine's arrays).  A mutable engine puts nothing there: its
+        kernel is rebuilt in RAM per store generation.  ``None``
+        disables caching.
     auto_start:
         Start the dispatcher thread immediately (tests pass ``False`` to
         stage requests deterministically before opening the tap).
@@ -169,7 +173,6 @@ class MicroBatchScheduler:
     def __init__(self, engine, batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
                  limits: Optional[ServiceLimits] = None,
                  metrics: Optional[ServiceMetrics] = None,
-                 use_kernel: bool = True,
                  kernel_cache_dir: Optional[str] = None,
                  auto_start: bool = True):
         if batch_window_s < 0:
@@ -181,8 +184,8 @@ class MicroBatchScheduler:
         self._dim = engine.products.dim
         # Mutable engines pin one immutable snapshot per batch: queries
         # run against it without any engine lock and never observe
-        # mutations that land mid-batch.  The snapshot is densified into
-        # a blocked kernel, cached until the store generation moves.
+        # mutations that land mid-batch.  The store densifies it into a
+        # blocked kernel, kept until the store generation moves.
         self._pin_snapshot = getattr(engine, "pin_snapshot", None)
         if self._pin_snapshot is not None:
             self._P = self._W = None
@@ -195,13 +198,11 @@ class MicroBatchScheduler:
                 "products.values / weights.values arrays nor "
                 "pin_snapshot(); the scheduler cannot read it consistently"
             )
-        self.use_kernel = bool(use_kernel)
         self.kernel_cache_dir = kernel_cache_dir
         self._kernel: Optional[GirKernelRRQ] = None
         #: ``(store generation or None, error)`` of the last failed kernel
         #: build; see :meth:`_sweep`.
         self._build_failure = None
-        self._snap_kernel = None
         #: Tuned snapshot-kernel config (a CandidateConfig), set by the
         #: auto-tuner's hot-swap on MVCC engines; None = default build.
         self._snapshot_tuning = None
@@ -388,9 +389,6 @@ class MicroBatchScheduler:
         engines).  No lock is taken on either route — writers proceed
         concurrently and the batch still sees one consistent state.
         """
-        if not self.use_kernel:
-            self._answer_per_query(live, snap, counter)
-            return
         single = len(live) == 1
         # Every request's ``kernel.batch`` span encloses the shared sweep
         # (and the kernel build, when this batch pays for one).  The spans
@@ -426,11 +424,12 @@ class MicroBatchScheduler:
 
         Returns ``((results, sweep_stats), None)``, or
         ``(None, (reason, error))`` when the batch must fall back to the
-        per-query route: the snapshot has an empty side and nothing to
-        densify (``empty_snapshot``), or the kernel could not be built
+        per-query route: the kernel could not be built
         (``kernel_build_error``) or raised while answering
         (``kernel_error``).  No future is touched here, so a failure
-        leaves the whole batch for the fallback to answer exactly.
+        leaves the whole batch for the fallback to answer exactly.  A
+        snapshot with an empty side is neither: it has nothing to rank,
+        and its :class:`InvalidParameterError` is the batch's answer.
 
         A failed build is not attempted again until something it
         depends on has changed — the store generation, or the kernel or
@@ -447,13 +446,13 @@ class MicroBatchScheduler:
                 self._build_failure[0] == state:
             return None, ("kernel_build_error", self._build_failure[1])
         try:
-            kernel = (self._get_snapshot_kernel(snap) if snap is not None
+            kernel = (snap.kernel(self._snapshot_tuning) if snap is not None
                       else self._get_kernel())
+        except InvalidParameterError:
+            raise  # an empty side: no route has anything to rank
         except Exception as exc:
             self._build_failure = (state, f"{type(exc).__name__}: {exc}")
             return None, ("kernel_build_error", self._build_failure[1])
-        if kernel is None:
-            return None, ("empty_snapshot", None)
         try:
             fire("scheduler.kernel")
             groups: dict = {}
@@ -475,18 +474,16 @@ class MicroBatchScheduler:
             return None, ("kernel_error", f"{type(exc).__name__}: {exc}")
 
     def _answer_per_query(self, live: List[_Pending], snap,
-                          counter: OpCounter, fallback=None) -> None:
-        """One engine call per request: the snapshot's merge route, or
-        the static engine's own methods.
+                          counter: OpCounter, fallback) -> None:
+        """The fallback, one call per request: the reference scan over
+        the pinned snapshot, or the static engine's own methods.
 
-        ``fallback`` is :meth:`_sweep`'s ``(reason, error)`` when the
-        kernel route handed this batch over; the hand-over is counted
-        once and named on every request's span.
+        ``fallback`` is :meth:`_sweep`'s ``(reason, error)``; the
+        hand-over is counted once and named on every request's span.
         """
-        route, backend = (("snapshot", snap) if snap is not None
-                          else ("engine", self.engine))
-        if fallback is not None:
-            self.metrics.record_fallback("kernel", route, fallback[0])
+        route, backend = (("snapshot", _reference_scan(snap))
+                          if snap is not None else ("engine", self.engine))
+        self.metrics.record_fallback("kernel", route, fallback[0])
         for pending in live:
             with use_context(pending.ctx), span(f"{route}.query") as sp:
                 _describe(sp, pending, len(live), snap, fallback)
@@ -497,25 +494,6 @@ class MicroBatchScheduler:
             counter.merge(result.counter)
             pending.future.set_result(result)
 
-    def _get_snapshot_kernel(self, snap):
-        """Densified kernel for ``snap``, cached across batches.
-
-        Rebuilt only when the store generation (or the tuned config)
-        moved.  ``None`` means the snapshot has an empty side.
-        """
-        cached = self._snap_kernel
-        tuning = self._snapshot_tuning
-        variant = tuning.short() if tuning is not None else None
-        if cached is not None and cached.matches(snap) and \
-                getattr(cached, "variant", None) == variant:
-            return cached
-        from ..storage import SnapshotKernel
-
-        self._snap_kernel = SnapshotKernel.build(
-            snap, cache_dir=self.kernel_cache_dir, tuning=tuning,
-        )
-        return self._snap_kernel
-
     def _get_kernel(self) -> GirKernelRRQ:
         """The static engine's kernel, built lazily on first use.
 
@@ -524,7 +502,7 @@ class MicroBatchScheduler:
         otherwise quantizes fresh from the static arrays.
         """
         if self._kernel is None:
-            kernel = self._load_cached_static_kernel()
+            kernel = self._load_static_kernel()
             if kernel is None:
                 from ..core.gir import GridIndexRRQ
 
@@ -577,7 +555,7 @@ class MicroBatchScheduler:
         except Exception:
             return None
 
-    def _load_cached_static_kernel(self) -> Optional[GirKernelRRQ]:
+    def _load_static_kernel(self) -> Optional[GirKernelRRQ]:
         """mmap warm start for the static-engine kernel, if cached.
 
         A tuned cache (``tuned.json`` pointer) resolves to its
@@ -671,11 +649,9 @@ class MicroBatchScheduler:
     def set_snapshot_tuning(self, config) -> None:
         """Adopt a tuned config for snapshot kernels (MVCC engines).
 
-        The next ``_get_snapshot_kernel`` miss rebuilds under
-        ``config`` (a :class:`~repro.tuning.tuner.CandidateConfig`);
-        callers pair this with an engine checkpoint so a fresh
-        generation exists to densify.
+        The next batch asks its snapshot for the kernel under ``config``
+        (a :class:`~repro.tuning.tuner.CandidateConfig`), which the
+        store builds in place of the one it holds.
         """
         self._snapshot_tuning = config
-        self._snap_kernel = None
         self._build_failure = None

@@ -95,10 +95,6 @@ class ServiceConfig:
     failures open the circuit; after ``breaker_reset_s`` one probe
     request tries the primary again (self-healing).
 
-    ``use_kernel`` routes coalesced micro-batches through the
-    weight-blocked GIR kernel (answers are byte-identical either way;
-    see :class:`~repro.service.scheduler.MicroBatchScheduler`).
-
     The observability knobs: ``trace_capacity`` bounds the in-memory
     ring behind ``GET /traces`` (``trace_export_path`` additionally
     appends finished traces as JSON lines); requests at or above
@@ -113,7 +109,6 @@ class ServiceConfig:
     fallback: bool = True
     breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD
     breaker_reset_s: float = DEFAULT_RESET_AFTER_S
-    use_kernel: bool = True
     kernel_cache_dir: Optional[str] = None
     trace_capacity: int = DEFAULT_TRACE_CAPACITY
     trace_export_path: Optional[str] = None
@@ -196,7 +191,6 @@ class QueryService:
             batch_window_s=self.config.batch_window_s,
             limits=self.config.limits,
             metrics=self.metrics,
-            use_kernel=self.config.use_kernel,
             kernel_cache_dir=self.config.kernel_cache_dir,
         )
         self.breaker = CircuitBreaker(
@@ -468,7 +462,6 @@ class QueryService:
             "max_batch": self.config.limits.max_batch,
             "default_deadline_s": self.config.limits.default_deadline_s,
             "fallback": self.config.fallback,
-            "use_kernel": self.config.use_kernel,
             "kernel_cache_dir": self.config.kernel_cache_dir,
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_reset_s": self.config.breaker_reset_s,

@@ -1,8 +1,10 @@
 """repro.storage — segmented MVCC index storage.
 
-Immutable grid-indexed segments + a small mutable delta, sealed and
-compacted behind an atomic CRC32 manifest flip, with snapshot-isolated
-readers pinned via refcounts.  See :mod:`repro.storage.store` for the
+Immutable segments (rows + stable ids) and a small mutable delta, sealed
+and compacted behind an atomic CRC32 manifest flip, with
+snapshot-isolated readers pinned via refcounts; every read is one tile
+sweep through the in-RAM kernel the store keeps for its current
+generation.  See :mod:`repro.storage.store` for the
 architecture and the crash contract.
 """
 

@@ -4,10 +4,9 @@ One :class:`MutableDelta` buffers everything that happened since the
 last seal: appended product/weight rows (with their pre-assigned global
 ids) and the ids deleted since the barrier — whether those ids live in
 the delta itself or in an already-sealed segment.  It is deliberately
-tiny and dumb: no grid, no codes, no bounds.  Queries handle delta rows
-by exact scan (the delta is small by construction — the store seals it
-into a segment once it crosses a threshold), which keeps the hot
-mutation path to an O(d) append.
+tiny and dumb: no grid, no codes, no bounds.  A snapshot gathers the
+delta's live rows after the segments' when its kernel is densified,
+which keeps the hot mutation path to an O(d) append.
 
 Concurrency is copy-on-grow: buffers are never resized in place and
 the ``(rows, ids, count)`` triple is published in one reference

@@ -1,15 +1,11 @@
-"""Immutable index segments — the sealed unit of the MVCC store.
+"""Immutable segments — the sealed unit of the MVCC store.
 
 A :class:`Segment` is a frozen slice of the catalogue: product and
-weight rows together with their **stable global ids**, plus everything
-the Grid-index scan needs prebuilt — the per-segment
-:class:`~repro.core.grid.GridIndex`, the quantized product codes
-``P^(A)``, and the pre-gathered boundary matrices ``alpha_p[PA]`` /
-``alpha_p[PA+1]`` that turn the Equation 3/4 bound sums into BLAS inner
-products.  Once built, nothing in a segment ever changes; deletes are
-recorded *outside* it (in the store's dead sets) and applied at query
-time through the ``skip`` mask, so an arbitrary number of readers can
-scan one segment concurrently with zero coordination.
+weight rows together with their **stable global ids**, and nothing
+else.  Once built, nothing in a segment ever changes; deletes are
+recorded *outside* it (in the store's dead sets) and masked out when a
+snapshot gathers its live rows, so an arbitrary number of readers can
+hold one segment concurrently with zero coordination.
 
 On disk a segment is a directory committed through the generic CRC32
 manifest machinery (:func:`repro.core.storage.write_manifest_dir`):
@@ -18,16 +14,10 @@ every artifact lands via temp-file + fsync + rename and
 directory that either verifies completely or is provably damaged —
 :func:`load_segment` refuses the latter with a structured
 :class:`~repro.errors.IndexCorruptionError`.  Derived state (grid,
-codes, gathered boundaries) is *recomputed* on load rather than stored:
-the rebuild is deterministic, and not persisting it keeps the checksum
-surface to the raw rows and ids.
-
-Weight-axis note: each segment's ``alpha_w`` spans
-``[0, max(1, observed w max)]`` at seal time.  A query-time weight from
-*another* segment can exceed that span (renormalization tolerance, a
-later re-span); :meth:`Segment.weight_codes` then returns ``None`` and
-the caller falls back to an exact scan of the segment — slower, never
-wrong.
+codes, gathered boundaries) belongs to the snapshot's kernel
+(:mod:`repro.storage.kernel`), never to a segment: the rebuild is
+deterministic and cheap (paper §3.2), and not persisting it keeps the
+checksum surface to the raw rows and ids.
 """
 
 from __future__ import annotations
@@ -35,14 +25,10 @@ from __future__ import annotations
 import json
 import struct
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..algorithms.base import duplicate_mask
-from ..core.approx import Quantizer
-from ..core.gin import DEFAULT_CHUNK, GinContext
-from ..core.grid import GridIndex
 from ..core.storage import verify_manifest_dir, write_manifest_dir
 from ..data.io import load_matrix, matrix_to_bytes
 from ..errors import IndexCorruptionError, InvalidParameterError
@@ -79,7 +65,7 @@ def _ids_from_bytes(data: bytes, path: Path) -> np.ndarray:
 
 
 class Segment:
-    """One immutable (products, weights, grid) slice with stable ids.
+    """One immutable (products, weights) slice with stable ids.
 
     Parameters
     ----------
@@ -89,19 +75,10 @@ class Segment:
         Product rows ``(m, d)`` and their ascending global ids ``(m,)``.
     w_rows, w_ids:
         Weight rows and ids, same shape contract.
-    value_range:
-        Product attribute range (fixes ``alpha_p``, shared store-wide).
-    partitions, chunk:
-        Grid resolution and scan block size.
-    w_range:
-        Weight-axis span; defaults to ``max(1, observed max)`` so most
-        normalized weights from other segments still quantize here.
     """
 
     def __init__(self, name: str, p_rows: np.ndarray, p_ids: np.ndarray,
-                 w_rows: np.ndarray, w_ids: np.ndarray, value_range: float,
-                 partitions: int, chunk: int = DEFAULT_CHUNK,
-                 w_range: Optional[float] = None,
+                 w_rows: np.ndarray, w_ids: np.ndarray,
                  directory: Optional[Path] = None):
         self.name = str(name)
         self.p_rows = np.ascontiguousarray(p_rows, dtype=np.float64)
@@ -118,24 +95,7 @@ class Segment:
                 raise InvalidParameterError(
                     f"{kind} ids must be strictly ascending in segment {name}"
                 )
-        self.value_range = float(value_range)
-        self.partitions = int(partitions)
-        self.chunk = int(chunk)
-        if w_range is None:
-            observed = float(self.w_rows.max()) if self.w_rows.size else 0.0
-            w_range = max(1.0, observed)
-        self.w_range = float(w_range)
-
-        alpha_p = np.linspace(0.0, self.value_range, self.partitions + 1)
-        alpha_w = np.linspace(0.0, self.w_range, self.partitions + 1)
-        self.grid = GridIndex(alpha_p, alpha_w)
-        self.w_quantizer = Quantizer(self.grid.alpha_w)
-        p_quantizer = Quantizer(self.grid.alpha_p)
-        self.pa = p_quantizer.quantize(self.p_rows).astype(np.int64)
-        self.pa_low = self.grid.alpha_p[self.pa]
-        self.pa_high = self.grid.alpha_p[self.pa + 1]
-        for arr in (self.p_rows, self.p_ids, self.w_rows, self.w_ids,
-                    self.pa, self.pa_low, self.pa_high):
+        for arr in (self.p_rows, self.p_ids, self.w_rows, self.w_ids):
             arr.setflags(write=False)
 
         #: Refcount of live snapshots holding this segment; guarded by
@@ -163,37 +123,7 @@ class Segment:
 
     def nbytes(self) -> int:
         """In-memory footprint of the raw rows (stats only)."""
-        return int(self.p_rows.nbytes + self.w_rows.nbytes
-                   + self.pa_low.nbytes + self.pa_high.nbytes)
-
-    # ------------------------------------------------------------------
-    # query-side helpers
-    # ------------------------------------------------------------------
-
-    def make_context(self, q: np.ndarray, dead_mask: np.ndarray) -> GinContext:
-        """Fresh per-query GInTop-k context over this segment's products.
-
-        ``dead_mask`` is the snapshot's view of which of this segment's
-        rows are deleted; it joins the duplicate mask in ``skip`` so the
-        scan never counts (or Domin-collects) a dead row.
-        """
-        return GinContext(
-            P=self.p_rows, PA=self.pa, grid=self.grid, q=q,
-            domin=np.zeros(self.n_products, dtype=bool),
-            skip=duplicate_mask(self.p_rows, q) | dead_mask,
-            chunk=self.chunk,
-            pa_low=self.pa_low, pa_high=self.pa_high,
-        )
-
-    def weight_codes(self, w: np.ndarray) -> Optional[np.ndarray]:
-        """``w``'s approximate vector under this segment's weight axis.
-
-        Returns ``None`` when ``w`` falls outside the axis span — the
-        caller must then use the exact-scan fallback for this segment.
-        """
-        if w.size and float(w.max()) > self.w_range + 1e-12:
-            return None
-        return self.w_quantizer.quantize(w).astype(np.int64)
+        return int(self.p_rows.nbytes + self.w_rows.nbytes)
 
     # ------------------------------------------------------------------
     # persistence
@@ -205,10 +135,6 @@ class Segment:
             "format": SEGMENT_FORMAT,
             "name": self.name,
             "dim": self.dim,
-            "value_range": self.value_range,
-            "partitions": self.partitions,
-            "chunk": self.chunk,
-            "w_range": self.w_range,
             "n_products": self.n_products,
             "n_weights": self.n_weights,
         }
@@ -230,7 +156,6 @@ class Segment:
             "weights": self.n_weights,
             "dead_products": int(dead_products),
             "dead_weights": int(dead_weights),
-            "w_range": self.w_range,
             "bytes": self.nbytes(),
             "pins": self.pins,
             "retired": self.retired,
@@ -241,7 +166,7 @@ class Segment:
                 f"w={self.n_weights}, pins={self.pins})")
 
 
-def load_segment(directory, chunk: int = DEFAULT_CHUNK) -> Segment:
+def load_segment(directory) -> Segment:
     """Load and verify one segment directory; raise on any corruption.
 
     Every artifact is checksum-verified against the segment's
@@ -275,9 +200,7 @@ def load_segment(directory, chunk: int = DEFAULT_CHUNK) -> Segment:
         raise IndexCorruptionError(
             f"segment {path.name}: row counts disagree with metadata"
         )
-    return Segment(
-        meta["name"], p_rows, p_ids, w_rows, w_ids,
-        value_range=meta["value_range"], partitions=meta["partitions"],
-        chunk=int(meta.get("chunk", chunk)), w_range=meta["w_range"],
-        directory=path,
-    )
+    # Older files also carry the grid parameters of a per-segment index
+    # (value_range / partitions / chunk / w_range): read and ignored.
+    return Segment(meta["name"], p_rows, p_ids, w_rows, w_ids,
+                   directory=path)

@@ -3,8 +3,8 @@
 Write path: every mutation appends to the :class:`MutableDelta` in
 O(d) — no cache invalidation storm, no kernel-array rebuild.  Once the
 delta crosses a threshold (or on an explicit checkpoint) it is
-**sealed**: its live rows become a new immutable :class:`Segment` with
-prebuilt grid/codes/boundary arrays, committed to disk through the
+**sealed**: its live rows become a new immutable :class:`Segment` —
+rows and stable ids, nothing derived — committed to disk through the
 CRC32 manifest protocol and a ``CURRENT`` pointer flip
 (:mod:`repro.storage.manifest`).  A background (or on-demand)
 **compactor** merges adjacent runs of small segments and physically
@@ -16,7 +16,10 @@ delta, dead-set union)`` atomically under the store lock and returns a
 :class:`~repro.storage.snapshot.StoreSnapshot` — after that the reader
 never synchronizes with writers again.  ``reverse_topk`` /
 ``reverse_kranks`` are pin-query-release wrappers, so even the
-single-query path is snapshot-isolated.
+single-query path is snapshot-isolated.  Every read is a tile sweep
+through the snapshot's :class:`~repro.storage.kernel.SnapshotKernel`;
+the store keeps exactly one in RAM, rebuilt on the first read after the
+generation (or the tuned grid) moves.
 
 Crash contract (the WAL barrier invariant, enforced by the chaos
 suite):
@@ -48,8 +51,9 @@ from ..data.datasets import check_query_point
 from ..errors import DataValidationError, InvalidParameterError
 from ..obs.trace import span
 from ..queries.types import RKRResult, RTKResult
-from ..stats.counters import OpCounter
+from ..vectorized.blasthreads import single_threaded
 from .delta import MutableDelta
+from .kernel import SnapshotKernel
 from .manifest import (
     manifest_name,
     read_current_manifest,
@@ -129,8 +133,8 @@ class SegmentStore:
     value_range:
         Product attribute range ``[0, value_range)``; inserts outside it
         are rejected.
-    partitions, chunk:
-        Grid resolution ``n`` and scan chunk of every sealed segment.
+    partitions:
+        Grid resolution ``n`` of the kernel every read sweeps.
     directory:
         Segment/manifest home.  ``None`` keeps the store memory-only
         (unit tests, ephemeral engines); the commit protocol becomes a
@@ -143,8 +147,7 @@ class SegmentStore:
     method = "segmented"
 
     def __init__(self, dim: int, value_range: float = 1.0,
-                 partitions: int = 32, chunk: int = 256,
-                 directory=None,
+                 partitions: int = 32, directory=None,
                  compact_max_segments: int = DEFAULT_COMPACT_MAX_SEGMENTS,
                  compact_dead_fraction: float = DEFAULT_COMPACT_DEAD_FRACTION,
                  compact_small_rows: int = DEFAULT_COMPACT_SMALL_ROWS):
@@ -155,7 +158,6 @@ class SegmentStore:
         self.dim = int(dim)
         self.value_range = float(value_range)
         self.partitions = int(partitions)
-        self.chunk = int(chunk)
         self.directory = Path(directory) if directory is not None else None
         self.compact_max_segments = int(compact_max_segments)
         self.compact_dead_fraction = float(compact_dead_fraction)
@@ -172,8 +174,11 @@ class SegmentStore:
         self._manifest_lsn = 0
         #: Highest LSN applied to the in-memory state (durable engine).
         self.applied_lsn = 0
-        #: Monotone mutation/flip counter — snapshot & kernel cache key.
+        #: Monotone mutation/flip counter — snapshot & kernel memo key.
         self._generation = 0
+        #: The one in-RAM kernel (see :meth:`_kernel_for`).
+        self._kernel: Optional[SnapshotKernel] = None
+        self._kernel_lock = threading.Lock()
 
         self._lock = threading.RLock()
         #: Serializes seal vs compaction (never held during queries).
@@ -204,8 +209,7 @@ class SegmentStore:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_directory(cls, directory, chunk: Optional[int] = None,
-                       **knobs) -> "SegmentStore":
+    def from_directory(cls, directory, **knobs) -> "SegmentStore":
         """Reopen a store: verified manifest, segments, orphan sweep.
 
         The WAL tail (records after ``manifest.lsn``) is the durable
@@ -221,19 +225,16 @@ class SegmentStore:
                 f"{directory} has no store manifest; "
                 "construct SegmentStore(...) to create one"
             )
-        params = manifest["params"]
+        params = manifest["params"]  # an older one's "chunk" is ignored
         store = cls(
             dim=int(params["dim"]),
             value_range=float(params["value_range"]),
             partitions=int(params["partitions"]),
-            chunk=int(chunk if chunk is not None else params["chunk"]),
             **knobs,
         )
         store.directory = directory
-        segments = []
-        for name in manifest["segments"]:
-            seg = load_segment(directory / name, chunk=store.chunk)
-            segments.append(seg)
+        segments = [load_segment(directory / name)
+                    for name in manifest["segments"]]
         store._segments = tuple(segments)
         store._manifest_dead_p = frozenset(manifest["dead_products"])
         store._manifest_dead_w = frozenset(manifest["dead_weights"])
@@ -442,7 +443,8 @@ class SegmentStore:
                 self, segments, view, frozenset(dead_p), frozenset(dead_w),
                 next_pid=self._next_pid, next_wid=self._next_wid,
                 generation=self._generation, lsn=self._manifest_lsn,
-                dim=self.dim, value_range=self.value_range, chunk=self.chunk,
+                dim=self.dim, value_range=self.value_range,
+                partitions=self.partitions,
             )
 
     def _release_pins(self, segments: Tuple[Segment, ...]) -> None:
@@ -463,23 +465,35 @@ class SegmentStore:
     # queries (pin-query-release)
     # ------------------------------------------------------------------
 
-    def reverse_topk(self, q, k: int,
-                     counter: Optional[OpCounter] = None) -> RTKResult:
+    def reverse_topk(self, q, k: int) -> RTKResult:
         """Snapshot-isolated reverse top-k (stable global ids)."""
-        snap = self.pin()
-        try:
-            return snap.reverse_topk(q, k, counter)
-        finally:
-            snap.release()
+        with self.pin() as snap:
+            return snap.reverse_topk(q, k)
 
-    def reverse_kranks(self, q, k: int,
-                       counter: Optional[OpCounter] = None) -> RKRResult:
+    def reverse_kranks(self, q, k: int) -> RKRResult:
         """Snapshot-isolated reverse k-ranks (stable global ids)."""
-        snap = self.pin()
-        try:
-            return snap.reverse_kranks(q, k, counter)
-        finally:
-            snap.release()
+        with self.pin() as snap:
+            return snap.reverse_kranks(q, k)
+
+    def _kernel_for(self, snapshot: StoreSnapshot, tuning=None
+                    ) -> SnapshotKernel:
+        """The kernel over ``snapshot``'s live rows (``snapshot.kernel``).
+
+        One memo, one builder: the last kernel built is kept, keyed on
+        (generation, tuned variant), and a read that finds the key moved
+        rebuilds under the memo lock — concurrent readers of one
+        generation wait for one build instead of each paying for it.  A
+        failed build leaves the memo as it was.
+        """
+        variant = tuning.short() if tuning is not None else None
+        with self._kernel_lock:
+            kernel = self._kernel
+            if kernel is None or not kernel.matches(snapshot) \
+                    or kernel.variant != variant:
+                with single_threaded():
+                    kernel = SnapshotKernel.build(snapshot, tuning=tuning)
+                self._kernel = kernel
+            return kernel
 
     # ------------------------------------------------------------------
     # seal / checkpoint
@@ -514,7 +528,7 @@ class SegmentStore:
             next_pid=self._next_pid, next_wid=self._next_wid,
             params={
                 "dim": self.dim, "value_range": self.value_range,
-                "partitions": self.partitions, "chunk": self.chunk,
+                "partitions": self.partitions,
                 "next_segment": (self._next_segment if next_segment is None
                                  else next_segment),
             },
@@ -578,8 +592,6 @@ class SegmentStore:
                     name,
                     sealed_p.reshape(-1, self.dim), sealed_pids,
                     sealed_w.reshape(-1, self.dim), sealed_wids,
-                    value_range=self.value_range,
-                    partitions=self.partitions, chunk=self.chunk,
                 )
             new_segments = (self._segments + (segment,) if segment is not None
                             else self._segments)
@@ -777,8 +789,6 @@ class SegmentStore:
         name = f"seg-{next_segment:08d}"
         merged = Segment(
             name, p_rows[keep_p], p_ids[keep_p], w_rows[keep_w], w_ids[keep_w],
-            value_range=self.value_range, partitions=self.partitions,
-            chunk=self.chunk,
         )
         if merged.n_products == 0 and merged.n_weights == 0:
             merged = None
@@ -870,31 +880,30 @@ class SegmentStore:
     def weights(self) -> _StoreView:
         return _StoreView(self, "weights", 1.0)
 
+    def _segment_dead(self, kind: str) -> Tuple[int, List[int]]:
+        """``(size of the dead union, dead rows in each segment)`` for
+        one side, the union built once.  Caller holds the lock."""
+        dead = self._dead_union(kind)
+        if not dead:
+            return 0, [0] * len(self._segments)
+        ids = np.fromiter(dead, np.int64, len(dead))
+        attr = "p_ids" if kind == "products" else "w_ids"
+        return len(dead), [int(np.isin(getattr(seg, attr), ids).sum())
+                           for seg in self._segments]
+
     @property
     def num_products(self) -> int:
         with self._lock:
-            dead = self._dead_union("products")
-            seg = sum(s.n_products for s in self._segments)
-            seg_dead = sum(
-                int(np.isin(s.p_ids,
-                            np.fromiter(dead, np.int64, len(dead))).sum())
-                for s in self._segments
-            ) if dead else 0
-            live_delta, _ = self._delta.live_counts()
-            return seg - seg_dead + live_delta
+            return (sum(s.n_products for s in self._segments)
+                    - sum(self._segment_dead("products")[1])
+                    + self._delta.live_counts()[0])
 
     @property
     def num_weights(self) -> int:
         with self._lock:
-            dead = self._dead_union("weights")
-            seg = sum(s.n_weights for s in self._segments)
-            seg_dead = sum(
-                int(np.isin(s.w_ids,
-                            np.fromiter(dead, np.int64, len(dead))).sum())
-                for s in self._segments
-            ) if dead else 0
-            _, live_delta = self._delta.live_counts()
-            return seg - seg_dead + live_delta
+            return (sum(s.n_weights for s in self._segments)
+                    - sum(self._segment_dead("weights")[1])
+                    + self._delta.live_counts()[1])
 
     def fragmentation(self) -> float:
         """Fraction of physically stored rows that are dead."""
@@ -911,25 +920,22 @@ class SegmentStore:
         return self._delta.mutation_rows
 
     def storage_stats(self) -> dict:
-        """JSON-ready storage health (``/metrics`` storage section)."""
+        """JSON-ready storage health (``/metrics`` storage section).
+
+        Runs under the lock ``pin()`` and every write need, so each
+        dead-set union is built once per call.
+        """
         with self._lock:
             seg_p = sum(s.n_products for s in self._segments)
             seg_w = sum(s.n_weights for s in self._segments)
-            live_p, live_w = self.num_products, self.num_weights
+            dead_p, seg_dead_p = self._segment_dead("products")
+            dead_w, seg_dead_w = self._segment_dead("weights")
+            delta_p, delta_w = self._delta.live_counts()
+            live_p = seg_p - sum(seg_dead_p) + delta_p
+            live_w = seg_w - sum(seg_dead_w) + delta_w
             total = (seg_p + seg_w + self._delta.products.count
                      + self._delta.weights.count)
-            per_segment = []
-            for i, seg in enumerate(self._segments):
-                dp = self._dead_union("products")
-                dw = self._dead_union("weights")
-                per_segment.append(seg.stats(
-                    dead_products=int(np.isin(
-                        seg.p_ids, np.fromiter(dp, np.int64, len(dp))
-                    ).sum()) if dp else 0,
-                    dead_weights=int(np.isin(
-                        seg.w_ids, np.fromiter(dw, np.int64, len(dw))
-                    ).sum()) if dw else 0,
-                ))
+            live_fraction = (live_p + live_w) / total if total else 1.0
             return {
                 "backend": self.method,
                 "segments": len(self._segments),
@@ -940,10 +946,10 @@ class SegmentStore:
                 "delta_rows": self._delta.mutation_rows,
                 "live_products": live_p,
                 "live_weights": live_w,
-                "dead_products": len(self._dead_union("products")),
-                "dead_weights": len(self._dead_union("weights")),
-                "live_fraction": (live_p + live_w) / total if total else 1.0,
-                "dead_fraction": self.fragmentation(),
+                "dead_products": dead_p,
+                "dead_weights": dead_w,
+                "live_fraction": live_fraction,
+                "dead_fraction": 1.0 - live_fraction,
                 "generation": self._generation,
                 "manifest_generation": self._manifest_generation,
                 "manifest_lsn": self._manifest_lsn,
@@ -956,7 +962,11 @@ class SegmentStore:
                 "last_compaction_s": self.last_compaction_s,
                 "segments_retired_total": self.segments_retired_total,
                 "orphans_swept_total": self.orphans_swept_total,
-                "per_segment": per_segment,
+                "per_segment": [
+                    seg.stats(dead_products=n_p, dead_weights=n_w)
+                    for seg, n_p, n_w in zip(self._segments, seg_dead_p,
+                                             seg_dead_w)
+                ],
             }
 
     # ------------------------------------------------------------------
@@ -1035,12 +1045,12 @@ class SegmentStore:
         self._notify_change()
 
     @classmethod
-    def from_datasets(cls, products, weights, partitions: int = 32,
-                      chunk: int = 256) -> "SegmentStore":
+    def from_datasets(cls, products, weights,
+                      partitions: int = 32) -> "SegmentStore":
         """A memory-only store over static containers, sealed into one
         segment (ids are the containers' row numbers)."""
         store = cls(products.dim, products.value_range,
-                    partitions=partitions, chunk=chunk)
+                    partitions=partitions)
         store.load_state_arrays(
             products.values, np.ones(products.size, dtype=bool),
             weights.values, np.ones(weights.size, dtype=bool))

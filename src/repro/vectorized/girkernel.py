@@ -213,15 +213,15 @@ def _check_block(value: int, name: str) -> int:
     return int(value)
 
 
-def _count_sorted(S: np.ndarray, G: np.ndarray, strict: bool) -> np.ndarray:
+def _count_sorted(S: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Per-row gate counts off row-sorted scores, all queries at once.
 
     ``S`` is ``(cols, rows)`` with each row ascending; ``G`` is
     ``(cols, nq)`` gates.  Returns the exact ``(cols, nq)`` tally of
-    entries ``< G`` (``strict``) or ``<= G`` — identical to a dense
-    compare-and-count, via a vectorized binary lift: ``log2(rows)``
-    rounds of one gather + one compare over ``cols * nq`` cells,
-    instead of ``nq`` sweeps over ``cols * rows``.
+    entries ``< G`` — identical to a dense compare-and-count, via a
+    vectorized binary lift: ``log2(rows)`` rounds of one gather + one
+    compare over ``cols * nq`` cells, instead of ``nq`` sweeps over
+    ``cols * rows``.
     """
     n_cols, n = S.shape
     flat = S.ravel()
@@ -233,7 +233,7 @@ def _count_sorted(S: np.ndarray, G: np.ndarray, strict: bool) -> np.ndarray:
     while step:
         cand = pos + step
         vals = np.take(flat, base + np.minimum(cand, n) - 1)
-        hit = (vals < G) if strict else (vals <= G)
+        hit = vals < G
         hit &= cand <= n
         pos = np.where(hit, cand, pos)
         step >>= 1
@@ -268,7 +268,7 @@ def _gate_tallies(uT: np.ndarray, lT: np.ndarray, g_hi: np.ndarray,
     stacked = np.concatenate((uT, lT), axis=0)
     stacked.sort(axis=1)
     gates = np.concatenate((g_hi, np.nextafter(g_lo, np.inf)))
-    tallies = _count_sorted(stacked, gates, strict=True)
+    tallies = _count_sorted(stacked, gates)
     return tallies[:uT.shape[0]], tallies[uT.shape[0]:]
 
 

@@ -3,8 +3,10 @@
 Building a :class:`~repro.vectorized.girkernel.GirKernelRRQ` from raw
 data costs a full validation + quantization + bound-gather sweep over
 ``P`` and ``W`` — cheap next to a query sweep, but it is pure overhead
-on every cold start, worker spawn, and snapshot densification, and it
-scales linearly with ``|W|``.  This module persists everything the
+on every cold start of a static server, and it scales linearly with
+``|W|``.  (A mutable store's kernel is not worth a disk round trip: it
+is rebuilt in RAM per generation, see :mod:`repro.storage.kernel`.)
+This module persists everything the
 kernel needs — the six bound/data arrays, the approximate codes, and
 (on the float32 filter path) the single-precision bound copies — as a
 single packed blob (``kernel.bin``: raw C-contiguous array bytes at
@@ -22,8 +24,7 @@ reassembled around those views *without* re-validating or re-deriving
 anything (construction is bypassed — the arrays were validated before
 the save and are checksum-guarded after it), and first-touch I/O is
 deferred to the page cache.  Cold start is O(mmap), not O(rebuild); a
-warm page cache makes repeat loads nearly free, and worker processes
-mapping the same blob share the physical pages.
+warm page cache makes repeat loads nearly free.
 
 Integrity: :func:`load_kernel` always checks the manifest and per-file
 byte counts (missing / truncated files are caught without reading
@@ -192,20 +193,14 @@ def _corrupt(directory, msg: str, artifacts=()) -> IndexCorruptionError:
     )
 
 
-def save_kernel(directory, kernel: GirKernelRRQ,
-                extras: Optional[Dict[str, np.ndarray]] = None) -> dict:
+def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
     """Persist a built kernel for O(mmap) reload; returns a size report.
-
-    ``extras`` are additional named arrays stored (and mmap-reloaded)
-    alongside the kernel — e.g. a :class:`SnapshotKernel`'s global-id
-    maps.  Names must not collide with the kernel's own artifacts.
 
     The write is crash-safe with the same contract as the index store:
     artifacts land atomically and the checksum manifest is written
     last, so a reader at any instant sees a consistent or *provably*
     inconsistent directory, never a torn one.
     """
-    extras = dict(extras or {})
     core = kernel.core
     arrays: Dict[str, np.ndarray] = {
         "P": core.P, "W": core.W,
@@ -220,13 +215,6 @@ def save_kernel(directory, kernel: GirKernelRRQ,
             "pa_lo32": core.pa_lo32, "pa_hi32": core.pa_hi32,
             "wb_lo32": core.wb_lo32, "wb_hi32": core.wb_hi32,
         })
-    for name in extras:
-        if name in arrays or name in (_META_NAME, _BLOB_NAME,
-                                      _MANIFEST_NAME):
-            raise DataValidationError(
-                f"extra array name {name!r} collides with a kernel artifact"
-            )
-        arrays[name] = np.asarray(extras[name])
     blob, layout = _pack_blob(arrays)
     meta = {
         "version": _FORMAT_VERSION,
@@ -241,7 +229,6 @@ def save_kernel(directory, kernel: GirKernelRRQ,
         "use_domin": core.use_domin,
         "filter_dtype": core.filter_dtype,
         "config_digest": config_digest_of(kernel),
-        "extras": sorted(extras),
         "arrays": layout,
     }
     payloads: Dict[str, bytes] = {
@@ -401,14 +388,6 @@ def load_kernel(directory, mmap: bool = True, verify: str = "size",
     ``config_digest`` is missing or different (a kernel built under a
     different grid config; callers refuse it and rebuild).
     """
-    kernel, _ = load_kernel_bundle(directory, mmap=mmap, verify=verify,
-                                   expected_digest=expected_digest)
-    return kernel
-
-
-def load_kernel_bundle(directory, mmap: bool = True, verify: str = "size",
-                       expected_digest: Optional[str] = None):
-    """Like :func:`load_kernel` but also returns the saved extras dict."""
     path = Path(directory)
     meta = _check_store(path, verify)
     if expected_digest is not None:
@@ -430,8 +409,6 @@ def load_kernel_bundle(directory, mmap: bool = True, verify: str = "size",
         raise _corrupt(path, "arrays missing from blob layout: "
                        + ", ".join(missing), [_META_NAME])
     arrays = {name: views[name] for name in names}
-    extras = {name: views[name] for name in meta.get("extras", ())
-              if name in views}
 
     products, weights = _dataset_views(arrays["P"], arrays["W"],
                                        meta["value_range"])
@@ -449,4 +426,4 @@ def load_kernel_bundle(directory, mmap: bool = True, verify: str = "size",
     kernel.WA = arrays["wa"]
     kernel.core = _core_from_views(arrays, meta)
     kernel.last_stats = None
-    return kernel, extras
+    return kernel

@@ -117,17 +117,6 @@ def _init_shard_worker(specs: Dict[str, ArraySpec], params: dict) -> None:
     _WORKER_CORE = KernelCore(**arrays, **params)
 
 
-def _init_mmap_worker(directory: str, verify: str) -> None:
-    """Pool initializer for store-fed workers: each worker memory-maps
-    the on-disk kernel store directly (``np.load(mmap_mode='r')``), so
-    spawn cost is O(mmap) and all workers share the page-cache copy —
-    no shared-memory segments, no per-worker array materialization."""
-    global _WORKER_CORE
-    from .kernelstore import load_kernel
-
-    _WORKER_CORE = load_kernel(directory, verify=verify).core
-
-
 def _run_shard(task) -> Tuple[list, dict, dict]:
     kind, q, k, lo, hi = task
     counter = OpCounter()
@@ -228,7 +217,7 @@ class ShardedGirRRQ(RRQAlgorithm):
         back to the snapshot's stable global ids.  The id map is
         monotone, so the kernel's lexicographic ``(rank, index)``
         tie-break commutes with it — answers stay byte-identical to the
-        snapshot's own merge path.  The caller keeps the snapshot
+        snapshot's own kernel.  The caller keeps the snapshot
         pinned for as long as it wants the ids to stay meaningful; the
         engine itself copies everything it needs at build time.
         """
@@ -239,8 +228,8 @@ class ShardedGirRRQ(RRQAlgorithm):
                 "cannot build a sharded engine over an empty snapshot "
                 f"({p_rows.shape[0]} products, {w_rows.shape[0]} weights)"
             )
-        if partitions is None and snapshot.segments:
-            partitions = snapshot.segments[0].partitions
+        if partitions is None:
+            partitions = snapshot.partitions
         engine = cls(
             ProductSet(p_rows, value_range=snapshot.value_range),
             WeightSet(w_rows), shards=shards, partitions=partitions,
@@ -248,45 +237,6 @@ class ShardedGirRRQ(RRQAlgorithm):
         )
         engine._w_gids = np.asarray(w_gids, dtype=np.int64)
         return engine
-
-    @classmethod
-    def from_store(cls, directory, shards: Optional[int] = None,
-                   verify: str = "size") -> "ShardedGirRRQ":
-        """Build a sharded engine over an on-disk kernel store.
-
-        The parent and every worker memory-map the store written by
-        :func:`repro.vectorized.kernelstore.save_kernel` instead of
-        copying arrays into shared-memory segments: worker spawn cost
-        drops to O(mmap), physical pages are shared through the page
-        cache, and answers stay byte-identical (same arrays, same
-        kernel).  The store must outlive the engine.
-        """
-        from .kernelstore import load_kernel
-
-        kernel = load_kernel(directory, verify=verify)
-        self = cls.__new__(cls)
-        RRQAlgorithm.__init__(self, kernel.products, kernel.weights)
-        if shards is None:
-            shards = os.cpu_count() or 1
-        if shards < 1:
-            raise InvalidParameterError(
-                f"shards must be positive, got {shards}"
-            )
-        self.kernel = kernel
-        self._w_gids = None
-        self.shards = int(min(shards, self.W.shape[0]) or 1)
-        self.last_stats = None
-        self._segments = []
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.shards,
-            initializer=_init_mmap_worker,
-            initargs=(str(directory), verify),
-        )
-        bounds = np.linspace(0, self.W.shape[0], self.shards + 1).astype(int)
-        self._ranges = [(int(lo), int(hi))
-                        for lo, hi in zip(bounds[:-1], bounds[1:])
-                        if hi > lo]
-        return self
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -28,6 +28,9 @@ class LiveModel:
     def delete_product(self, index):
         self.products[index] = None
 
+    def delete_weight(self, index):
+        self.weights[index] = None
+
     def modify_product(self, index, vector):
         self.delete_product(index)
         return self.insert_product(vector)

@@ -184,12 +184,6 @@ class TestBench:
 
 
 class TestServeFlags:
-    def test_no_kernel_flag_parses(self):
-        args = build_parser().parse_args(["serve", "idx/", "--no-kernel"])
-        assert args.no_kernel
-        args = build_parser().parse_args(["serve", "idx/"])
-        assert not args.no_kernel
-
     def test_kernel_cache_flag_parses(self):
         args = build_parser().parse_args(
             ["serve", "idx/", "--kernel-cache", "cache/"])

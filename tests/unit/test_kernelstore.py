@@ -2,8 +2,7 @@
 
 The contract under test: ``save_kernel`` → ``load_kernel`` yields a
 kernel whose arrays and *answers* are identical to the one that was
-saved (both the mmap and the in-RAM load path), extras round-trip, and
-every flavor of on-disk damage surfaces as a structured
+saved (both the mmap and the in-RAM load path), and every flavor of on-disk damage surfaces as a structured
 :class:`IndexCorruptionError` naming the damaged artifacts — never a
 wrong answer, never a raw OS error.
 """
@@ -21,7 +20,6 @@ from repro.vectorized.kernelstore import (
     F32_ARRAYS,
     kernel_store_size,
     load_kernel,
-    load_kernel_bundle,
     save_kernel,
 )
 
@@ -69,24 +67,6 @@ class TestRoundTrip:
         assert loaded.core.pa_lo32 is None
         q = kernel.products[3]
         assert loaded.reverse_topk(q, 5) == kernel.reverse_topk(q, 5)
-
-    def test_extras_round_trip(self, tmp_path, kernel):
-        extras = {"gids": np.arange(120, dtype=np.int64),
-                  "flags": np.zeros(7, dtype=bool)}
-        save_kernel(tmp_path, kernel, extras=extras)
-        _, loaded_extras = load_kernel_bundle(tmp_path)
-        assert set(loaded_extras) == {"gids", "flags"}
-        np.testing.assert_array_equal(loaded_extras["gids"], extras["gids"])
-        np.testing.assert_array_equal(loaded_extras["flags"],
-                                      extras["flags"])
-
-    def test_extra_name_collision_rejected(self, tmp_path, kernel):
-        with pytest.raises(DataValidationError):
-            save_kernel(tmp_path, kernel,
-                        extras={"pa_lo": np.zeros(3)})
-        with pytest.raises(DataValidationError):
-            save_kernel(tmp_path, kernel,
-                        extras={"kernel.bin": np.zeros(3)})
 
     def test_store_size_reported(self, store):
         size = kernel_store_size(store)

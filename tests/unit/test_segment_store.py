@@ -1,7 +1,8 @@
 """Unit tests for the MVCC segment store (``repro.storage``).
 
-Contract under test: every query answer — merge path, cached kernel,
-or snapshot-fed sharded engine — is **byte-identical** to ``NaiveRRQ``
+Contract under test: every query answer — the store's own reads, a
+directly built kernel, or a snapshot-fed sharded engine — is
+**byte-identical** to ``NaiveRRQ``
 over the same live rows, across seals, compactions, and concurrent
 mutations; pinned snapshots are immune to everything that happens after
 the pin; retired segment files survive exactly as long as a pin holds
@@ -259,6 +260,35 @@ class TestPersistence:
             assert key in stats, key
         assert stats["backend"] == "segmented"
 
+    def test_storage_stats_count_the_dead_where_they_lie(self, tmp_path):
+        """Tombstones over two segments and the delta: the per-segment
+        counts, the totals and the fractions all come from one pass over
+        each dead-set union and agree with the store's own accessors."""
+        rng = _rng(103)
+        store = SegmentStore(DIM, partitions=8, directory=tmp_path)
+        first_p, first_w = fill(store, rng, n_products=8, n_weights=5)
+        store.seal(force=True)
+        second_p, _ = fill(store, rng, n_products=6, n_weights=4)
+        store.seal(force=True)
+        store.remove_product(first_p[0])       # folded into the manifest
+        store.seal(force=True)
+        store.remove_product(first_p[1])       # still in the delta's set
+        store.remove_product(second_p[2])
+        store.remove_weight(first_w[3])
+        store.remove_product(store.insert_product(rng.uniform(0, 0.9, DIM)))
+        stats = store.storage_stats()
+        assert [(s["dead_products"], s["dead_weights"])
+                for s in stats["per_segment"]] == [(2, 1), (1, 0)]
+        seg = store._segments[0]
+        assert stats["per_segment"][0]["bytes"] == (seg.p_rows.nbytes
+                                                    + seg.w_rows.nbytes)
+        assert "w_range" not in stats["per_segment"][0]
+        assert (stats["dead_products"], stats["dead_weights"]) == (4, 1)
+        assert stats["live_products"] == store.num_products == 14 - 3
+        assert stats["live_weights"] == store.num_weights == 9 - 1
+        assert stats["dead_fraction"] == pytest.approx(store.fragmentation())
+        assert stats["live_fraction"] == pytest.approx(19 / 24)
+
 
 class TestDenseReaders:
     def test_snapshot_kernel_matches_merge_path(self, tmp_path):
@@ -291,6 +321,75 @@ class TestDenseReaders:
                 assert_parity(sharded, store, rng)
             finally:
                 sharded.close()
+
+
+class TestKernelMemo:
+    """One memo, one builder: the store holds the kernel of the last
+    (generation, variant) a read saw and builds each exactly once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        real = SnapshotKernel.build.__func__
+        seen = []
+
+        def counting(cls, snap, **kwargs):
+            seen.append(snap.generation)
+            return real(cls, snap, **kwargs)
+
+        monkeypatch.setattr(SnapshotKernel, "build", classmethod(counting))
+        return seen
+
+    def test_kernel_grid_is_the_stores_even_without_a_segment(self):
+        store = SegmentStore(DIM, partitions=8)
+        fill(store, _rng(130), n_products=6, n_weights=4)  # delta only
+        with store.pin() as snap:
+            assert snap.segments == ()
+            assert snap.kernel().kernel.partitions == 8
+
+    def test_concurrent_reads_of_one_generation_share_one_build(
+            self, builds):
+        import sys
+        import threading
+
+        rng = _rng(131)
+        store = SegmentStore(DIM, partitions=8)
+        fill(store, rng, n_products=40, n_weights=30)
+        store.seal(force=True)
+        fill(store, rng, n_products=5, n_weights=5)
+        queries = [rng.uniform(0, 0.95, DIM) for _ in range(8)]
+        answers = [None] * 8
+        barrier = threading.Barrier(8)
+
+        def read(i):
+            barrier.wait(timeout=10)
+            answers[i] = [store.reverse_kranks(queries[i], 5).entries
+                          for _ in range(5)]
+
+        threads = [threading.Thread(target=read, args=(i,))
+                   for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(builds) == 1
+        naive, w_gids = naive_reference(store)
+        for q, got in zip(queries, answers):
+            want = tuple((rank, int(w_gids[j]))
+                         for rank, j in naive.reverse_kranks(q, 5).entries)
+            assert got == [want] * 5
+
+        store.insert_weight(np.full(DIM, 1.0 / DIM))
+        for q in queries[:3]:  # a write between reads: one more build
+            store.reverse_kranks(q, 5)
+        assert len(builds) == 2 and builds[1] != builds[0]
+        assert_parity(store, store, rng)
+        assert len(builds) == 2
 
 
 class TestDurableBackendResolution:

@@ -20,6 +20,9 @@ from repro.queries.engine import RRQEngine
 from repro.service.limits import ServiceLimits
 from repro.service.scheduler import MicroBatchScheduler
 
+from ..model import LiveModel
+from .test_segment_store import naive_reference
+
 
 @pytest.fixture(scope="module")
 def engine():
@@ -33,6 +36,33 @@ def engine():
 def make_scheduler(engine, **kwargs):
     kwargs.setdefault("auto_start", False)
     return MicroBatchScheduler(engine, **kwargs)
+
+
+def broken_kernel():
+    """A fault plan under which every kernel sweep raises: the one way
+    to put a batch on the per-query route."""
+    from repro.resilience.faults import FaultPlan
+
+    return FaultPlan(seed=7).add(
+        "scheduler.kernel", "raise", times=None,
+        exception=lambda: RuntimeError("tile sweep exploded"))
+
+
+def pinned_naive(durable):
+    """``(rtk, rkr)`` answering from ``NaiveRRQ`` over the engine's live
+    rows as pinned now, dense weight indices mapped to ids: the expected
+    side of every MVCC assertion, sharing nothing with the kernel."""
+    naive, w_gids = naive_reference(durable.engine)
+
+    def rtk(q, k):
+        return frozenset(int(w_gids[j])
+                         for j in naive.reverse_topk(q, k).weights)
+
+    def rkr(q, k):
+        return tuple((rank, int(w_gids[j]))
+                     for rank, j in naive.reverse_kranks(q, k).entries)
+
+    return rtk, rkr
 
 
 class TestCoalescing:
@@ -112,7 +142,6 @@ class TestKernelPath:
             engine, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
-        assert scheduler.use_kernel
         queries = [engine.products[i] for i in (0, 7, 23, 41)]
         futures = [scheduler.submit(q, "rtk", 8) for q in queries[:2]]
         futures += [scheduler.submit(q, "rkr", 5) for q in queries[2:]]
@@ -237,49 +266,63 @@ class TestKernelPath:
         assert blasthreads.thread_counts() == [2]
 
     def test_use_kernel_false_answers_per_query(self, engine):
+        """No knob selects the per-query route any more: a coalesced
+        batch lands there when its sweep raises, as one counted
+        hand-over, answered by the engine itself."""
+        from repro.resilience.faults import inject
+
         scheduler = make_scheduler(
-            engine, batch_window_s=0.1, use_kernel=False,
+            engine, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
         futures = [scheduler.submit(engine.products[i], "rtk", 6)
                    for i in (1, 2, 3)]
-        scheduler.start()
-        try:
-            results = [f.result(timeout=10) for f in futures]
-        finally:
-            scheduler.close()
+        with inject(broken_kernel()):
+            scheduler.start()
+            try:
+                results = [f.result(timeout=10) for f in futures]
+            finally:
+                scheduler.close()
         for i, result in zip((1, 2, 3), results):
             assert result.weights == engine.reverse_topk(
                 engine.products[i], 6).weights
         snap = scheduler.metrics.snapshot()
         assert snap["kernel"]["queries"] == 0
-        # The configured route, not a fallback from a broken kernel.
-        assert snap["fallbacks"]["total"] == 0
+        assert snap["fallbacks"]["routes"] == [
+            {"from": "kernel", "to": "engine", "reason": "kernel_error",
+             "count": 1}]
 
     def test_kernel_and_per_query_payloads_identical(self, engine):
-        """The acceptance bar: flipping the answer route never changes
-        an HTTP response payload."""
+        """The acceptance bar: which route answered never changes an
+        HTTP response payload."""
+        from contextlib import nullcontext
+
+        from repro.resilience.faults import inject
         from repro.service.server import encode_result
 
         queries = [engine.products[i] for i in (5, 31, 77)]
         payloads = {}
-        for use_kernel in (True, False):
+        for route in ("kernel", "per_query"):
             scheduler = make_scheduler(
-                engine, batch_window_s=0.1, use_kernel=use_kernel,
+                engine, batch_window_s=0.1,
                 limits=ServiceLimits(max_batch=16),
             )
             futures = [scheduler.submit(q, "rtk", 7) for q in queries]
             futures += [scheduler.submit(q, "rkr", 4) for q in queries]
-            scheduler.start()
-            try:
-                answers = [f.result(timeout=10) for f in futures]
-            finally:
-                scheduler.close()
-            payloads[use_kernel] = (
+            with (inject(broken_kernel()) if route == "per_query"
+                  else nullcontext()):
+                scheduler.start()
+                try:
+                    answers = [f.result(timeout=10) for f in futures]
+                finally:
+                    scheduler.close()
+            served = scheduler.metrics.snapshot()
+            assert (served["kernel"]["queries"] == 0) == (route == "per_query")
+            payloads[route] = (
                 [encode_result(a, "rtk") for a in answers[:3]]
                 + [encode_result(a, "rkr") for a in answers[3:]]
             )
-        assert payloads[True] == payloads[False]
+        assert payloads["kernel"] == payloads["per_query"]
 
     def test_single_request_is_a_batch_of_one_through_the_kernel(
             self, engine):
@@ -320,18 +363,15 @@ class TestDeclaredFallback:
     def test_kernel_raising_on_every_batch_is_exact_and_counted(
             self, engine):
         from repro.obs.trace import Tracer
-        from repro.resilience.faults import FaultPlan, inject
+        from repro.resilience.faults import inject
         from repro.service.server import canonical_json, encode_result
 
         requests = [(engine.products[i], kind, 6)
                     for i in (4, 19, 63) for kind in ("rtk", "rkr")]
-        plan = FaultPlan(seed=7).add(
-            "scheduler.kernel", "raise", times=None,
-            exception=lambda: RuntimeError("tile sweep exploded"))
         scheduler = make_scheduler(engine, batch_window_s=0.0)
         tracer = Tracer()
         payloads = []
-        with inject(plan) as injector:
+        with inject(broken_kernel()) as injector:
             scheduler.start()
             try:
                 for q, kind, k in requests:
@@ -552,7 +592,6 @@ class TestSnapshotBatchPath:
             durable, batch_window_s=0.1,
             limits=ServiceLimits(max_batch=16),
         )
-        assert scheduler.use_kernel
         queries = [durable.products[i] for i in (0, 7, 23, 41)]
         futures = [scheduler.submit(q, "rtk", 8) for q in queries[:2]]
         futures += [scheduler.submit(q, "rkr", 5) for q in queries[2:]]
@@ -561,13 +600,14 @@ class TestSnapshotBatchPath:
             results = [f.result(timeout=10) for f in futures]
         finally:
             scheduler.close()
+        rtk, rkr = pinned_naive(durable)
         for q, result in zip(queries[:2], results[:2]):
-            assert result.weights == durable.reverse_topk(q, 8).weights
+            assert result.weights == rtk(q, 8)
         for q, result in zip(queries[2:], results[2:]):
-            assert result.entries == durable.reverse_kranks(q, 5).entries
-        # The densified snapshot kernel answered the batch.
+            assert result.entries == rkr(q, 5)
+        # The store's densified kernel answered the batch.
         assert scheduler.metrics.snapshot()["kernel"]["queries"] == 4
-        assert scheduler._snap_kernel is not None
+        assert durable.engine._kernel is not None
 
     def test_kernel_cache_rebuilds_only_when_the_store_moves(self, durable):
         import numpy as np
@@ -584,20 +624,21 @@ class TestSnapshotBatchPath:
             return [f.result(timeout=10) for f in futures]
 
         run_batch()
-        first = scheduler._snap_kernel
+        first = durable.engine._kernel
         assert first is not None
-        # Same store generation -> the cached kernel is reused.
+        # Same store generation -> the kernel the store holds is reused.
         futures = [scheduler.submit(q, "rkr", 4) for q in queries]
         [f.result(timeout=10) for f in futures]
-        assert scheduler._snap_kernel is first
+        assert durable.engine._kernel is first
 
         durable.insert_product(np.full(4, 0.42))  # writer never blocked
         futures = [scheduler.submit(q, "rtk", 6) for q in queries]
         results = [f.result(timeout=10) for f in futures]
         scheduler.close()
-        assert scheduler._snap_kernel is not first  # generation moved
+        assert durable.engine._kernel is not first  # generation moved
+        rtk, _ = pinned_naive(durable)
         for q, result in zip(queries, results):
-            assert result.weights == durable.reverse_topk(q, 6).weights
+            assert result.weights == rtk(q, 6)
 
     def test_single_request_builds_and_uses_the_snapshot_kernel(
             self, durable):
@@ -607,10 +648,10 @@ class TestSnapshotBatchPath:
             got = scheduler.answer(durable.products[3], "rtk", 5)
         finally:
             scheduler.close()
-        assert got.weights == durable.reverse_topk(
-            durable.products[3], 5).weights
+        assert got.weights == pinned_naive(durable)[0](
+            durable.products[3], 5)
         snap = scheduler.metrics.snapshot()
-        assert scheduler._snap_kernel is not None
+        assert durable.engine._kernel is not None
         assert snap["kernel"]["queries"] == 1
         assert snap["kernel"]["fused"]["queries"] == 0
         assert snap["fallbacks"]["total"] == 0
@@ -635,15 +676,16 @@ class TestSnapshotBatchPath:
         q = durable.products[3]
         scheduler.start()
         try:
-            merged = [scheduler.answer(q, "rkr", 4) for _ in range(2)]
+            scanned = [scheduler.answer(q, "rkr", 4) for _ in range(2)]
             assert len(attempts) == 1  # same generation: not attempted again
+            before = pinned_naive(durable)[1](q, 4)
             durable.insert_product(np.full(4, 0.42))
             swept = scheduler.answer(q, "rkr", 4)
         finally:
             scheduler.close()
         assert len(attempts) == 2 and attempts[1] != attempts[0]
-        assert merged[0].entries == merged[1].entries
-        assert swept.entries == durable.reverse_kranks(q, 4).entries
+        assert [answer.entries for answer in scanned] == [before, before]
+        assert swept.entries == pinned_naive(durable)[1](q, 4)
         snap = scheduler.metrics.snapshot()
         assert snap["fallbacks"]["routes"] == [
             {"from": "kernel", "to": "snapshot",
@@ -651,9 +693,13 @@ class TestSnapshotBatchPath:
         assert snap["kernel"]["queries"] == 1
 
     def test_empty_snapshot_side_is_a_counted_fallback(self, tmp_path):
+        """The id predates the behaviour: an empty side used to be
+        booked as a fallback to a route that could only raise.  It is
+        the request's error (HTTP 400) and no fallback is counted."""
         import numpy as np
 
         from repro.durability import DurableDynamicRRQ
+        from repro.service.limits import http_status
 
         engine = DurableDynamicRRQ(tmp_path / "empty", dim=3,
                                    backend="segmented", fsync="never")
@@ -662,17 +708,111 @@ class TestSnapshotBatchPath:
             scheduler = make_scheduler(engine, batch_window_s=0.0)
             scheduler.start()
             try:
-                # Nothing to densify, so the merge route answers — with
-                # its structured refusal (there are no weights to rank).
-                with pytest.raises(InvalidParameterError):
-                    scheduler.answer(np.array([0.3, 0.3, 0.3]), "rtk", 2)
+                # There are no weights to rank.
+                for kind in ("rtk", "rkr"):
+                    with pytest.raises(InvalidParameterError) as refused:
+                        scheduler.answer(np.array([0.3, 0.3, 0.3]), kind, 2)
+                    assert http_status(refused.value) == 400
             finally:
                 scheduler.close()
         finally:
             engine.close()
-        assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
-            {"from": "kernel", "to": "snapshot",
-             "reason": "empty_snapshot", "count": 1}]
+        assert scheduler.metrics.snapshot()["fallbacks"]["total"] == 0
+
+
+class TestSnapshotFallback:
+    """The kernel route's declared fallback on a mutable engine is the
+    reference scan over the pinned rows: whatever the store has been
+    through, the bytes are the model's and each batch is counted once."""
+
+    def test_broken_kernel_after_writes_seal_and_compact_matches_model(
+            self, tmp_path):
+        import numpy as np
+
+        from repro.durability import DurableDynamicRRQ
+        from repro.obs.trace import Tracer
+        from repro.resilience.faults import inject
+        from repro.service.server import canonical_json, encode_result
+
+        rng = np.random.default_rng(933)
+        model = LiveModel()
+        durable = DurableDynamicRRQ(tmp_path / "db", dim=4, seal_every=0,
+                                    auto_compact=False, fsync="never")
+
+        def write(op, *args):
+            got = getattr(durable, op)(*args)
+            want = getattr(model, op)(*args)
+            if want is not None:  # inserts and modifies hand out an id
+                assert got[0] == want
+
+        def grow(products, weights):
+            for _ in range(products):
+                write("insert_product", rng.uniform(0, 0.9, 4))
+            for _ in range(weights):
+                w = rng.uniform(0.1, 1.0, 4)
+                write("insert_weight", w / w.sum())
+
+        try:
+            grow(30, 20)
+            durable.engine.seal(force=True)
+            write("delete_product", 4)       # tombstones over a segment
+            write("delete_weight", 7)
+            write("modify_product", 11, rng.uniform(0, 0.9, 4))
+            grow(10, 8)
+            durable.compact()                # one segment, tombstones gone
+            grow(6, 5)                       # and an unsealed delta on top
+            write("delete_product", 41)
+            write("delete_weight", 22)
+
+            queries = [rng.uniform(0, 0.9, 4) for _ in range(4)]
+            expected = {}
+            for i, q in enumerate(queries):
+                rtk, rkr = model.answers(q, 5)
+                expected[i, "rtk"] = canonical_json(
+                    {"kind": "rtk", "k": 5, "size": len(rtk),
+                     "weights": sorted(rtk)})
+                expected[i, "rkr"] = canonical_json(
+                    {"kind": "rkr", "k": 5,
+                     "entries": [list(pair) for pair in rkr]})
+
+            scheduler = make_scheduler(
+                durable, batch_window_s=0.1,
+                limits=ServiceLimits(max_batch=16))
+            tracer = Tracer()
+            with inject(broken_kernel()):
+                # Coalesced: both kinds in one staged batch.
+                staged = [(i, kind) for kind in ("rtk", "rkr")
+                          for i in (0, 1)]
+                futures = [scheduler.submit(queries[i], kind, 5)
+                           for i, kind in staged]
+                scheduler.start()
+                try:
+                    served = {key: canonical_json(encode_result(
+                        future.result(timeout=10), key[1]))
+                        for key, future in zip(staged, futures)}
+                    # Alone: a batch of one per kind.
+                    for key in ((2, "rtk"), (3, "rkr")):
+                        with tracer.trace("test.request") as root:
+                            result = scheduler.answer(queries[key[0]],
+                                                      key[1], 5)
+                        served[key] = canonical_json(
+                            encode_result(result, key[1]))
+                        (span,) = tracer.get(
+                            root.trace_id)["spans"][0]["children"][1:]
+                        assert span["name"] == "snapshot.query"
+                        assert (span["annotations"]["fallback_reason"]
+                                == "kernel_error")
+                finally:
+                    scheduler.close()
+        finally:
+            durable.close()
+        assert served == {key: expected[key] for key in served}
+        snap = scheduler.metrics.snapshot()
+        assert snap["batches"]["total"] == 3
+        assert snap["fallbacks"]["routes"] == [
+            {"from": "kernel", "to": "snapshot", "reason": "kernel_error",
+             "count": 3}]
+        assert snap["kernel"]["queries"] == 0
 
 
 class TestRawStoreServing:
@@ -797,7 +937,7 @@ class TestKernelHotSwap:
         fine = RRQEngine(P, W, method="gir", partitions=32)
         scheduler = make_scheduler(fine, batch_window_s=0.0,
                                    kernel_cache_dir=str(tmp_path))
-        assert scheduler._load_cached_static_kernel() is None  # refused
+        assert scheduler._load_static_kernel() is None  # refused
         kernel = scheduler._get_kernel()                       # rebuilt
         scheduler.close()
         assert kernel.partitions == 32
@@ -807,7 +947,7 @@ class TestKernelHotSwap:
         same = RRQEngine(P, W, method="gir", partitions=32)
         scheduler = make_scheduler(same, batch_window_s=0.0,
                                    kernel_cache_dir=str(tmp_path))
-        assert scheduler._load_cached_static_kernel() is not None
+        assert scheduler._load_static_kernel() is not None
         scheduler.close()
 
 
@@ -827,7 +967,7 @@ class TestSnapshotTuning:
         futures = [scheduler.submit(q, "rtk", 6) for q in queries]
         scheduler.start()
         [f.result(timeout=10) for f in futures]
-        default_kernel = scheduler._snap_kernel
+        default_kernel = durable.engine._kernel
         assert default_kernel is not None
         assert default_kernel.variant is None
 
@@ -836,8 +976,9 @@ class TestSnapshotTuning:
         futures = [scheduler.submit(q, "rtk", 6) for q in queries]
         results = [f.result(timeout=10) for f in futures]
         scheduler.close()
-        tuned_kernel = scheduler._snap_kernel
+        tuned_kernel = durable.engine._kernel
         assert tuned_kernel is not default_kernel
         assert tuned_kernel.variant == config.short()
+        rtk, _ = pinned_naive(durable)
         for q, result in zip(queries, results):
-            assert result.weights == durable.reverse_topk(q, 6).weights
+            assert result.weights == rtk(q, 6)
