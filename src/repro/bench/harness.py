@@ -41,6 +41,7 @@ from ..data.synthetic import generate_products, generate_weights
 from ..errors import DataValidationError, InvalidParameterError
 from ..service.metrics import percentile
 from ..vectorized.batch import BatchOracle
+from ..vectorized.blasthreads import single_threaded, thread_counts
 from ..vectorized.girkernel import GirKernelRRQ, KernelStats
 from ..vectorized.parallel import answer_batch_stats
 from ..vectorized.shard import ShardedGirRRQ
@@ -80,12 +81,17 @@ SMOKE_CONFIGS: Tuple[dict, ...] = (
 
 def machine_info() -> dict:
     """Where the numbers came from — required context for comparing runs."""
+    # What a sweep's gemms see: the kernel pins its own (empty when
+    # numpy's BLAS is not one ``blasthreads`` can control).
+    with single_threaded():
+        blas_threads = thread_counts()
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
+        "blas_threads": blas_threads,
         "repro_version": __version__,
     }
 

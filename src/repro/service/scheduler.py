@@ -60,7 +60,6 @@ from ..errors import (
 from ..obs.trace import NULL_SPAN, current, detached, span, use_context
 from ..resilience.faults import fire
 from ..stats.counters import OpCounter
-from ..vectorized.blasthreads import single_threaded
 from ..vectorized.girkernel import GirKernelRRQ
 from .limits import Deadline, ServiceLimits
 from .metrics import ServiceMetrics
@@ -395,10 +394,7 @@ class MicroBatchScheduler:
         # close before the futures resolve, so a submitting thread never
         # reads a trace whose dispatch span is still open.
         with _request_spans(live, "kernel.batch") as spans:
-            # One BLAS thread: a sweep that has to wake a sleeping second
-            # one took 27 or 120 ms depending on the requests before it.
-            with single_threaded():
-                swept, fallback = self._sweep(live, snap)
+            swept, fallback = self._sweep(live, snap)
             for sp, pending in zip(spans, live):
                 _describe(sp, pending, len(live), snap, fallback)
                 sp.annotate("fused", not single)

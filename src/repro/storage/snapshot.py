@@ -28,7 +28,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..queries.types import RKRResult, RTKResult
-from ..vectorized.blasthreads import single_threaded
 from .segment import Segment
 
 
@@ -135,13 +134,11 @@ class StoreSnapshot:
     def reverse_topk_batch(self, queries, k) -> List[RTKResult]:
         """Reverse top-k of every query in one tile sweep (global ids;
         ``k`` scalar or per query)."""
-        with single_threaded():
-            return self.kernel().reverse_topk_batch(queries, k)
+        return self.kernel().reverse_topk_batch(queries, k)
 
     def reverse_kranks_batch(self, queries, k) -> List[RKRResult]:
         """Reverse k-ranks of every query in one tile sweep."""
-        with single_threaded():
-            return self.kernel().reverse_kranks_batch(queries, k)
+        return self.kernel().reverse_kranks_batch(queries, k)
 
     def reverse_topk(self, q, k: int) -> RTKResult:
         """Reverse top-k over the pinned live rows (global ids)."""

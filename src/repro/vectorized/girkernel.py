@@ -38,7 +38,9 @@ The compute core is array-only (:class:`KernelCore`) so that
 from __future__ import annotations
 
 import heapq
+import threading
 from dataclasses import dataclass, fields
+from math import prod
 from time import perf_counter
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -52,10 +54,11 @@ from ..data.datasets import ProductSet, WeightSet
 from ..errors import InvalidParameterError
 from ..queries.types import RKRResult, RTKResult, make_rkr_result
 from ..stats.counters import OpCounter
+from .blasthreads import single_threaded
 
-#: Weights classified per tile.  1024 weights x 2048 products of float64
-#: bounds is a 16 MB working set — big enough to amortize BLAS dispatch,
-#: small enough to stay cache/RAM friendly.
+#: Weights classified per tile.  1024 weights x 2048 products is two
+#: float32 bound matrices of 8 MB — big enough to amortize BLAS
+#: dispatch, small enough to stay cache/RAM friendly.
 DEFAULT_W_BLOCK = 1024
 
 #: Products per tile (rows of the bound matrices), the cap of the
@@ -213,6 +216,48 @@ def _check_block(value: int, name: str) -> int:
     return int(value)
 
 
+#: Size of a sweeping thread's workspace: both float64 bound sides of
+#: one ``DEFAULT_W_BLOCK x DEFAULT_P_BLOCK`` tile.
+_WORKSPACE_BYTES = 2 * 8 * DEFAULT_W_BLOCK * DEFAULT_P_BLOCK
+
+
+class _Workspace(threading.local):
+    """The memory a thread's sweeps write their tiles and tallies into.
+
+    A block's tiles are freed together at block end; allocated fresh,
+    glibc hands their pages back and the next sweep faults every one in
+    again (3,100 faults and 4.4 of the 12.4 ms of a warm RKR batch of
+    one, ``docs/performance.md`` section 12).  So each sweeping thread
+    keeps one byte buffer and :meth:`take` carves arrays out of it from
+    ``used`` upwards.  It is mapped whole on the thread's first sweep
+    and costs memory page by page as sweeps first touch it: a thread
+    retains the high-water mark of the blocks it classified, at most
+    ``_WORKSPACE_BYTES``.  Thread-local because library reads sweep one
+    kernel from many threads; module-level so it outlives the kernels
+    (a store rebuilds its kernel after every write).
+    """
+
+    buf: Optional[np.ndarray] = None
+    used = 0
+
+    def take(self, shape: Tuple[int, ...], dtype) -> np.ndarray:
+        """An uninitialised C-contiguous array, valid until ``used`` is
+        set back below it: a view of the buffer, or a plain array when
+        what is left of the buffer cannot hold it."""
+        if self.buf is None:
+            self.buf = np.empty(_WORKSPACE_BYTES, dtype=np.uint8)
+        dtype = np.dtype(dtype)
+        end = self.used + prod(shape) * dtype.itemsize
+        if end > self.buf.size:
+            return np.empty(shape, dtype=dtype)
+        out = self.buf[self.used:end].view(dtype).reshape(shape)
+        self.used = -(-end // 64) * 64    # keeps every dtype aligned
+        return out
+
+
+_workspace = _Workspace()
+
+
 def _count_sorted(S: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Per-row gate counts off row-sorted scores, all queries at once.
 
@@ -250,13 +295,21 @@ def _gate_tallies(uT: np.ndarray, lT: np.ndarray, g_hi: np.ndarray,
     ``(cols, nq)`` tallies of ``uT < g_hi`` and ``lT <= g_lo``.
     """
     nq = g_hi.shape[1]
+    cols = uT.shape[0]
+    # Scratch of this call only: given back on the way out.
+    mark = _workspace.used
     if nq <= DIRECT_COUNT_MAX_Q:
-        # int32 tallies: the narrow reduction is a third faster and a
-        # tile never has 2**31 rows.
-        case1 = [(uT < g_hi[:, qi, None]).sum(axis=1, dtype=np.int32)
-                 for qi in range(nq)]
-        lowhit = [(lT <= g_lo[:, qi, None]).sum(axis=1, dtype=np.int32)
-                  for qi in range(nq)]
+        # One compare mask for both sides and every query.  int32
+        # tallies: the narrow reduction is a third faster and a tile
+        # never has 2**31 rows.
+        mask = _workspace.take(uT.shape, np.bool_)
+        case1, lowhit = [], []
+        for qi in range(nq):
+            np.less(uT, g_hi[:, qi, None], out=mask)
+            case1.append(mask.sum(axis=1, dtype=np.int32))
+            np.less_equal(lT, g_lo[:, qi, None], out=mask)
+            lowhit.append(mask.sum(axis=1, dtype=np.int32))
+        _workspace.used = mark
         return np.stack(case1, axis=1), np.stack(lowhit, axis=1)
     # The tile's scores are query-independent, so sort them once and
     # answer *all* queries' gate counts by binary search: O(rows log
@@ -265,11 +318,14 @@ def _gate_tallies(uT: np.ndarray, lT: np.ndarray, g_hi: np.ndarray,
     # becomes a strict ``<`` against ``nextafter(gate)`` — exact for
     # floats (``-inf`` steps to the most negative finite value, which
     # no finite score is below either).
-    stacked = np.concatenate((uT, lT), axis=0)
+    stacked = np.concatenate(
+        (uT, lT), axis=0, out=_workspace.take((2 * cols, uT.shape[1]),
+                                              uT.dtype))
     stacked.sort(axis=1)
     gates = np.concatenate((g_hi, np.nextafter(g_lo, np.inf)))
     tallies = _count_sorted(stacked, gates)
-    return tallies[:uT.shape[0]], tallies[uT.shape[0]:]
+    _workspace.used = mark
+    return tallies[:cols], tallies[cols:]
 
 
 @dataclass
@@ -301,7 +357,12 @@ class _BatchState:
 @dataclass
 class _BlockState:
     """One W-block's bound classification, held until its survivors are
-    refined.  Per-query arrays are ``(nq, B)``, per-weight ``(B, nq)``."""
+    refined.  Per-query arrays are ``(nq, B)``, per-weight ``(B, nq)``.
+
+    Dead once the block's :meth:`KernelCore._exact_counts` calls have
+    run: ``tiles`` are views of the thread's :class:`_Workspace`, which
+    the next :meth:`KernelCore.classify_batch` on the thread overwrites.
+    """
 
     #: Certain-better counts (Domin floor included) and undecided-pair
     #: counts: ``[counts, counts + gap]`` brackets the exact rank of
@@ -499,6 +560,9 @@ class KernelCore:
         equivalent of gin_topk's early return.
         """
         t0 = perf_counter()
+        # The block before this one is dead; its tiles' memory is ours.
+        work = _workspace
+        work.used = 0
         B = we - ws
         nq = batch.QM.shape[0]
         d = self.P.shape[1]
@@ -535,9 +599,13 @@ class KernelCore:
             wb_lo_sel = wb_lo_all if full else wb_lo_all[live_cols]
             # The amortized work, transposed so each weight column is a
             # contiguous row: one gemm pair per tile feeds every query
-            # (sgemm on the float32 prefilter path, dgemm otherwise).
-            uT = wb_hi_sel @ pa_hi_f[ps:pe].T          # (U, rows)
-            lT = wb_lo_sel @ pa_lo_f[ps:pe].T
+            # (sgemm on the float32 prefilter path, dgemm otherwise),
+            # written straight into the workspace.
+            shape = (live_cols.size, pe - ps)                  # (U, rows)
+            uT = np.matmul(wb_hi_sel, pa_hi_f[ps:pe].T,
+                           out=work.take(shape, pa_hi_f.dtype))
+            lT = np.matmul(wb_lo_sel, pa_lo_f[ps:pe].T,
+                           out=work.take(shape, pa_lo_f.dtype))
             tiles.append((ps, live_cols, uT, lT))
             # Gates over the union slice, one (U, nq) matrix per side;
             # a column another query keeps live but this one has pruned
@@ -648,6 +716,11 @@ class KernelCore:
     # query kinds (range-restricted so shards can reuse them)
     # ------------------------------------------------------------------
 
+    # Both sweeps run at one BLAS thread, here where the gemms are, so
+    # every caller gets it: the scheduler, a store read, a shard worker,
+    # the harness (``blasthreads``: a second thread buys a tenth and
+    # costs up to 5x when it has to be woken).
+    @single_threaded()
     def rtk_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
                   counters: List[OpCounter],
                   stats: KernelStats) -> List[List[int]]:
@@ -688,6 +761,7 @@ class KernelCore:
                 stats.merge_s += perf_counter() - t0
         return results
 
+    @single_threaded()
     def rkr_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
                   counters: List[OpCounter],
                   stats: KernelStats) -> List[List[Tuple[int, int]]]:

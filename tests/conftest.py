@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import uniform_products, uniform_weights
+from repro.vectorized import blasthreads
 
 
 @pytest.fixture
@@ -46,3 +47,17 @@ def figure1_data():
         [0.9, 0.1],   # Spike
     ])
     return P, W
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """A fake BLAS at two threads, so the test needs no particular build."""
+    state = {"threads": 2, "sets": []}
+
+    def put(count):
+        state["threads"] = count
+        state["sets"].append(count)
+
+    monkeypatch.setattr(blasthreads, "_controls",
+                        [(lambda: state["threads"], put)])
+    return state

@@ -90,6 +90,15 @@ class TestRunHarness:
         with pytest.raises(DataValidationError):
             run_harness([MICRO], out=tmp_path / "no" / "dir.json")
 
+    def test_machine_stamp_says_what_a_sweep_sees(self, two_threads,
+                                                  monkeypatch):
+        from repro.vectorized import blasthreads
+
+        assert machine_info()["blas_threads"] == [1]
+        assert two_threads["threads"] == 2
+        monkeypatch.setattr(blasthreads, "_controls", [])   # not OpenBLAS
+        assert machine_info()["blas_threads"] == []
+
 
 def _report(name="micro", rtk_p50=1.0, rkr_p50=2.0):
     return {"configs": [{"name": name,

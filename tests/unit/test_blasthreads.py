@@ -15,20 +15,6 @@ def test_without_a_controllable_blas_it_is_a_no_op(monkeypatch):
         assert (np.eye(3) @ np.eye(3)).trace() == 3.0
 
 
-@pytest.fixture
-def two_threads(monkeypatch):
-    """A fake BLAS at two threads, so the test needs no particular build."""
-    state = {"threads": 2, "sets": []}
-
-    def put(count):
-        state["threads"] = count
-        state["sets"].append(count)
-
-    monkeypatch.setattr(blasthreads, "_controls",
-                        [(lambda: state["threads"], put)])
-    return state
-
-
 def test_block_runs_at_one_thread_and_restores(two_threads):
     with blasthreads.single_threaded():
         assert blasthreads.thread_counts() == [1]

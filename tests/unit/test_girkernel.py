@@ -267,3 +267,166 @@ class TestDominEmptiedQuery:
         assert empty.counter.pairwise == 0
         assert mixed.counter.pairwise == alone.counter.pairwise
         assert stats.pairs_total == alone_total
+
+
+def _answers(engine, kind, queries, k):
+    """RTK weight sets / RKR entries of ``queries``, one call each."""
+    if kind == "rtk":
+        return [engine.reverse_topk(q, k).weights for q in queries]
+    return [engine.reverse_kranks(q, k).entries for q in queries]
+
+
+def _batch_answers(kernel, kind, queries, k):
+    if kind == "rtk":
+        return [r.weights for r in kernel.reverse_topk_batch(queries, k)]
+    return [r.entries for r in kernel.reverse_kranks_batch(queries, k)]
+
+
+class TestWorkspace:
+    """Tiles, tally masks and the stacked sort live in one reused
+    per-thread buffer; the answers cannot tell."""
+
+    @pytest.mark.parametrize("products", [(532,), (532, 100)])
+    def test_warm_sweep_allocates_nothing_tile_sized(self, products):
+        """The benchmark's shape: a sweep that allocated its tiles
+        fresh peaked at 13.4 MB (15.3 MB for the pair)."""
+        import tracemalloc
+
+        P = uniform_products(1000, 4, seed=7)
+        W = uniform_weights(2000, 4, seed=8)
+        kernel = GirKernelRRQ(P, W, partitions=32)
+        queries = [P[i] for i in products]
+        kernel.reverse_kranks_batch(queries, 10)
+        kernel.reverse_kranks_batch(queries, 10)
+        tracemalloc.start()
+        try:
+            results = kernel.reverse_kranks_batch(queries, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
+        assert [r.entries for r in results] == _answers(
+            NaiveRRQ(P, W), "rkr", queries, 10)
+
+    @pytest.mark.parametrize("filter_dtype", girkernel.FILTER_DTYPES)
+    def test_eight_threads_sweep_one_kernel(self, filter_dtype):
+        """Two sweeps in flight never share a workspace: eight threads
+        (the box has two cores), each with its own queries, on one
+        kernel whose |W| spans several blocks."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        P = uniform_products(300, 4, seed=41)
+        W = uniform_weights(700, 4, seed=42)
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=256,
+                              filter_dtype=filter_dtype)
+        naive = NaiveRRQ(P, W)
+        pool = [P[i] for i in range(0, 300, 13)]
+        expected = {kind: _answers(naive, kind, pool, 5)
+                    for kind in ("rtk", "rkr")}
+
+        def sweep(t):
+            for turn in range(4):
+                for nq in (1, 2, 5):
+                    idx = [(3 * t + turn + j) % len(pool) for j in range(nq)]
+                    for kind in ("rtk", "rkr"):
+                        got = _batch_answers(kernel, kind,
+                                             [pool[i] for i in idx], 5)
+                        assert got == [expected[kind][i] for i in idx], (
+                            t, turn, nq, kind)
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as threads:
+                futures = [threads.submit(sweep, t) for t in range(8)]
+                assert all(f.result(timeout=120) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_tile_past_the_bound_is_a_plain_array(self, data, monkeypatch):
+        """With room for 16k bytes every tile (64 x 180 cells a side)
+        and stacked sort overflows while a tally mask still fits: the
+        same ``take`` hands out plain arrays and nothing more is kept."""
+        P, W = data
+        monkeypatch.setattr(girkernel, "_workspace", girkernel._Workspace())
+        monkeypatch.setattr(girkernel, "_WORKSPACE_BYTES", 16 * 1024)
+        naive = NaiveRRQ(P, W)
+        for filter_dtype in girkernel.FILTER_DTYPES:
+            kernel = GirKernelRRQ(P, W, partitions=16, w_block=64,
+                                  filter_dtype=filter_dtype)
+            for kind in ("rtk", "rkr"):
+                for queries in ([P[3]], [P[i] for i in (3, 50, 99, 120, 177)]):
+                    assert (_batch_answers(kernel, kind, queries, 7)
+                            == _answers(naive, kind, queries, 7))
+        assert girkernel._workspace.buf.size == 16 * 1024
+
+    def test_a_sweep_that_raises_leaves_the_next_one_correct(self, data,
+                                                             monkeypatch):
+        P, W = data
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=64)
+        refine = girkernel.KernelCore._refine
+        calls = []
+
+        def failing(core, *args):
+            calls.append(1)
+            if len(calls) == 2:          # the second W-block, tiles stored
+                raise RuntimeError("mid-block")
+            return refine(core, *args)
+
+        monkeypatch.setattr(girkernel.KernelCore, "_refine", failing)
+        with pytest.raises(RuntimeError, match="mid-block"):
+            kernel.reverse_kranks_batch([P[3]], 7)
+        monkeypatch.setattr(girkernel.KernelCore, "_refine", refine)
+        naive = NaiveRRQ(P, W)
+        for kind in ("rkr", "rtk"):
+            assert (_batch_answers(kernel, kind, [P[3], P[99]], 7)
+                    == _answers(naive, kind, [P[3], P[99]], 7))
+
+    @pytest.mark.parametrize("n_weights", [63, 65])
+    def test_ragged_last_block(self, n_weights):
+        """|W| one off the block size, and a ``[lo, hi)`` range that
+        ends inside a block: the per-block reset at a short block."""
+        from repro.data.datasets import WeightSet
+        from repro.stats.counters import OpCounter
+
+        P = uniform_products(120, 4, seed=51)
+        W = uniform_weights(n_weights, 4, seed=52)
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=64, p_block=32)
+        naive = NaiveRRQ(P, W)
+        queries = [P[5], P[60]]
+        for kind in ("rtk", "rkr"):
+            assert (_batch_answers(kernel, kind, queries, 4)
+                    == _answers(naive, kind, queries, 4))
+        lo, hi = 7, n_weights - 9
+        part = NaiveRRQ(P, WeightSet(W.values[lo:hi]))
+        small = GirKernelRRQ(P, W, partitions=16, w_block=20, p_block=32)
+        for q in queries:
+            pairs = small.core.rkr_pairs(q, 4, lo, hi, OpCounter(),
+                                         KernelStats())
+            assert tuple(sorted(pairs)) == tuple(
+                (rank, j + lo) for rank, j in part.reverse_kranks(q, 4).entries)
+            hits = small.core.rtk_indices(q, 4, lo, hi, OpCounter(),
+                                          KernelStats())
+            assert frozenset(hits) == frozenset(
+                j + lo for j in part.reverse_topk(q, 4).weights)
+
+    def test_plain_batch_call_sweeps_at_one_blas_thread(self, data,
+                                                        two_threads):
+        """No caller above the kernel has to remember the guard."""
+        from repro.vectorized import blasthreads
+
+        P, W = data
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=64)
+        classify = kernel.core.classify_batch
+        seen = []
+
+        def recording(*args):
+            seen.append(blasthreads.thread_counts())
+            return classify(*args)
+
+        kernel.core.classify_batch = recording
+        kernel.reverse_kranks_batch([P[3]], 7)
+        assert seen == [[1]] * 3                 # 150 weights, three blocks
+        assert blasthreads.thread_counts() == [2]

@@ -248,20 +248,21 @@ class TestKernelPath:
             (lambda: state["threads"],
              lambda count: state.update(threads=count))])
         scheduler = make_scheduler(engine, batch_window_s=0.0)
-        kernel = scheduler._get_kernel()
+        core = scheduler._get_kernel().core
         seen = []
 
-        def recording(queries, ks):
+        # The guard sits inside ``core.rtk_batch``: probe from within it.
+        def recording(QM):
             seen.append(blasthreads.thread_counts())
-            return type(kernel).reverse_topk_batch(kernel, queries, ks)
+            return type(core).prepare_batch(core, QM)
 
-        kernel.reverse_topk_batch = recording
+        core.prepare_batch = recording
         scheduler.start()
         try:
             scheduler.answer(engine.products[9], "rtk", 5)
         finally:
             scheduler.close()
-            del kernel.reverse_topk_batch
+            del core.prepare_batch
         assert seen == [[1]]
         assert blasthreads.thread_counts() == [2]
 
