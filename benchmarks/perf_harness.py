@@ -175,6 +175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         import json
 
         from repro.bench.harness import (
+            COUNT_MAX_REGRESS_PCT,
             DEFAULT_MAX_REGRESS_PCT,
             FUSED_GATED_METRICS,
             TUNER_GATED_METRICS,
@@ -209,13 +210,22 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"gate {check['config']}/{check['kind']} "
                   f"{check['metric']}: {values} "
                   f"({check['regress_pct']:+.1f}%) {marker}")
+        for check in verdict["count_checks"]:
+            marker = "ok" if check["ok"] else "REGRESSED"
+            print(f"gate {check['config']}/{check['kind']} "
+                  f"{check['metric']}: {check['baseline']:,} -> "
+                  f"{check['current']:,} "
+                  f"({check['regress_pct']:+.2f}%, budget "
+                  f"{COUNT_MAX_REGRESS_PCT:g}%) {marker}")
         if not verdict["ok"]:
             if verdict["compared"] == 0:
                 print("error: regression gate compared nothing — config "
                       "names do not overlap the baseline", file=sys.stderr)
             else:
                 print(f"error: gated metrics regressed more than "
-                      f"{budget:.0f}% vs {args.baseline}", file=sys.stderr)
+                      f"{budget:.0f}% (pair counts: "
+                      f"{COUNT_MAX_REGRESS_PCT:g}%) vs {args.baseline}",
+                      file=sys.stderr)
             return 1
         print(f"gate ok ({verdict['compared']} metrics within "
               f"{budget:.0f}% of {args.baseline})")

@@ -261,6 +261,21 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _blas_guard_note(blas_threads: list) -> str:
+    """``info`` / ``serve`` wording for what a sweep's gemms run at."""
+    if blas_threads:
+        return f"{blas_threads} (sweeps pinned to one BLAS thread)"
+    return ("[] — no controllable OpenBLAS found: the one-thread guard "
+            "does nothing, sweep latency follows the BLAS's own threads")
+
+
+def _warn_unguarded_blas(info: dict) -> None:
+    if not info["blas_threads"]:
+        print(f"WARNING: blas_threads "
+              f"{_blas_guard_note(info['blas_threads'])}",
+              file=sys.stderr, flush=True)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceConfig, ServiceLimits
     from .service.server import QueryService, make_server
@@ -310,6 +325,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"fsync={info['fsync']}, lsn={info['last_lsn']}) over "
               f"{info['products']}x{info['weights']} (d={info['dim']}) "
               f"at {server.url}", flush=True)
+        _warn_unguarded_blas(info)
         print("endpoints: POST /query /insert /delete /modify /compact "
               "/snapshot /promote /tuner, GET /healthz /metrics /info "
               "/replicate /traces /slowlog /tuner", flush=True)
@@ -339,6 +355,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if service.degraded_reason:
         print(f"WARNING: degraded mode — {service.degraded_reason}",
               file=sys.stderr)
+    _warn_unguarded_blas(info)
     print("endpoints: POST /query /tuner, GET /healthz /metrics /info "
           "/traces /slowlog /tuner")
     try:
@@ -421,10 +438,13 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 def _cmd_info(args: argparse.Namespace) -> int:
     from .core.storage import index_size_report, verify_index
     from .errors import DataValidationError
+    from .vectorized.blasthreads import guarded_thread_counts
 
     path = Path(args.index)
     if not path.is_dir():
         raise DataValidationError(f"{args.index}: not a directory")
+    print(f"{'blas_threads':18s} "
+          f"{_blas_guard_note(guarded_thread_counts())}")
     if any((path / name).exists()
            for name in ("wal.log", "CURRENT", "engine.json")):
         return _durability_info(path)

@@ -446,12 +446,15 @@ class QueryService:
     def info(self) -> dict:
         """Static facts about the served engine (the ``/info`` body)."""
         from .. import __version__
+        from ..vectorized.blasthreads import guarded_thread_counts
 
         products, weights = self.engine.products, self.engine.weights
         return {
             "service": "repro-rrq",
             "version": __version__,
             "method": self.method,
+            # [] means the sweeps' one-thread BLAS guard guards nothing.
+            "blas_threads": guarded_thread_counts(),
             "products": int(products.size),
             "weights": int(weights.size),
             "dim": int(products.dim),

@@ -69,6 +69,13 @@ def thread_counts() -> List[int]:
     return [get() for get, _ in _loaded()]
 
 
+def guarded_thread_counts() -> List[int]:
+    """What a sweep's gemms see: ``[1]`` per controllable BLAS, and
+    ``[]`` when :func:`single_threaded` guards nothing."""
+    with single_threaded():
+        return thread_counts()
+
+
 @contextmanager
 def single_threaded() -> Iterator[None]:
     """Run the block with every controllable BLAS at one thread.

@@ -26,7 +26,13 @@ feedback (a weight is pruned when its certain-better count already
 reaches the current k-th best rank, or exceeds the k-th smallest rank
 upper bound of its own block) are preserved, and every comparison
 that could be perturbed by BLAS rounding goes through the near-tie band
-of :mod:`repro.core.ties`.  Only the *work* differs, and
+of :mod:`repro.core.ties`.  minRank is known before the first block: a
+sweep *seeds* it with the exact rank upper bounds of the few weights
+that score ``q`` lowest (:meth:`KernelCore._seed_limits`), and the
+product rows arrive in ascending coordinate-sum order
+(:meth:`GirKernelRRQ._build_core`), the rows most weights rank ahead of
+``q`` first, so the limit bites in the first tile.  Only the *work*
+differs, and
 :class:`KernelStats` reports exactly where it went (filter / refine /
 merge stage seconds, pair classification counts).
 
@@ -80,6 +86,12 @@ FIRST_P_TILE = 256
 #: there: the cut is the last size at which it won every measured cell.
 DIRECT_COUNT_MAX_Q = 2
 
+#: An RKR sweep seeds minRank from the ``SEED_CANDIDATES * k`` weights
+#: of its first block that score ``q`` lowest.  Pairs classified per
+#: query on the benchmark's shape at 1 / 4 / 8: 1.49 M / 1.37 M /
+#: 1.36 M (``docs/performance.md`` section 13).
+SEED_CANDIDATES = 4
+
 #: Filter dtypes the kernel accepts.  ``float32`` halves the memory
 #: traffic of the bound matmuls (the ~85% filter stage) and is proven
 #: safe by widening the classification gates by :func:`f32_gamma` — any
@@ -132,7 +144,8 @@ class KernelStats:
         the query (counted straight into every weight's rank floor).
     weights_pruned:
         Weight vectors dropped without refinement: their certain-better
-        count already met the k / minRank abort threshold, or (RKR) it
+        count already met the k / minRank abort threshold (for RKR the
+        sweep's seed, then the k-th best rank held), or (RKR) it
         exceeds the block's rank-interval cap.
     pairs_f32:
         Pairs whose bound classification ran through the float32
@@ -390,7 +403,9 @@ class KernelCore:
     as-is (float64, C-contiguous preferred); ``pa_lo``/``pa_hi`` are the
     pre-gathered product-side boundary matrices ``alpha_p[PA]`` /
     ``alpha_p[PA + 1]``, and ``wb_lo``/``wb_hi`` the weight-side
-    ``alpha_w[WA]`` / ``alpha_w[WA + 1]``.
+    ``alpha_w[WA]`` / ``alpha_w[WA + 1]``.  Product rows may come in any
+    order (``P``, ``pa_lo``, ``pa_hi`` row-aligned): answers are weight
+    indices and ranks, counts over ``P``.
     """
 
     def __init__(self, P: np.ndarray, W: np.ndarray,
@@ -712,6 +727,55 @@ class KernelCore:
             batch.QM[qi], block.FQ[:, qi], block.TOL[:, qi], ws, rows, cols,
             counter, stats)
 
+    def _seed_limits(self, batch: _BatchState, ks: Sequence[int], lo: int,
+                     hi: int, counters: List[OpCounter],
+                     stats: KernelStats) -> np.ndarray:
+        """Per-query limit an RKR sweep of ``[lo, hi)`` can start from.
+
+        Under each of the ``SEED_CANDIDATES * k`` weights of the first
+        block that score ``q`` lowest, count the products scoring at or
+        below ``f_w(q) + tol``.  Near-ties, duplicates of ``q`` and
+        dominators all count as better, so the count is an upper bound
+        on that weight's exact rank: looser, never wrong, and no
+        rational arithmetic.  The k-th smallest has k witnesses at or
+        below it, so a column whose certain-better count exceeds it is
+        out; ``+ 1`` because a column stays while ``counts < limit``
+        and an equal rank can still win on the smaller index.  ``inf``
+        where the block holds fewer than ``k`` weights.  Nothing outside
+        ``[lo, hi)`` is read: a shard's answer is the k best of its own
+        range.
+        """
+        t0 = perf_counter()
+        work = _workspace
+        we = min(lo + self.w_block, hi)
+        n = self.P.shape[0]
+        seeds = np.full(len(ks), np.inf)
+        FQ = self.W[lo:we] @ batch.QM.T
+        for qi, k in enumerate(ks):
+            if we - lo < k:
+                continue
+            c = min(SEED_CANDIDATES * k, we - lo)
+            cand = np.argpartition(FQ[:, qi], c - 1)[:c]
+            fq = FQ[cand, qi]
+            gate = (fq + TIE_REL_TOL * (1.0 + np.abs(fq)))[:, None]
+            w_rows = self.W[lo + cand]
+            upper = np.zeros(c, dtype=np.int64)
+            for ps in range(0, n, self.p_block):
+                pe = min(ps + self.p_block, n)
+                # Any earlier sweep's block is dead, and the first
+                # classify_batch takes the buffer back.
+                work.used = 0
+                scores = np.matmul(w_rows, self.P[ps:pe].T,
+                                   out=work.take((c, pe - ps), np.float64))
+                mask = np.less_equal(scores, gate,
+                                     out=work.take(scores.shape, np.bool_))
+                upper += mask.sum(axis=1, dtype=np.int64)
+            seeds[qi] = np.partition(upper, k - 1)[k - 1] + 1
+            counters[qi].pairwise += c * n
+            counters[qi].points_accessed += c * n
+        stats.filter_s += perf_counter() - t0
+        return seeds
+
     # ------------------------------------------------------------------
     # query kinds (range-restricted so shards can reuse them)
     # ------------------------------------------------------------------
@@ -770,10 +834,12 @@ class KernelCore:
         Tie-break matches the library contract: among equal ranks the
         smaller index wins (blocks are scanned in index order and the
         heap replacement test is strict, like Algorithm 3).  minRank
-        feedback is per query and per block: the limit entering a block
-        is the k-th best rank of the blocks before it — minRank only
-        shrinks, so the stale value prunes less than Algorithm 3's
-        per-weight update, never wrongly.
+        feedback is per query: the limit entering a block is the
+        smaller of the sweep's seed (:meth:`_seed_limits`, known before
+        the first block) and the k-th best rank of the blocks before it
+        — both only ever upper bounds of the final k-th best rank, so a
+        stale value prunes less than Algorithm 3's per-weight update,
+        never wrongly.
         """
         nq = QM.shape[0]
         stats.record_sweep(nq)
@@ -781,6 +847,7 @@ class KernelCore:
         for qi in range(nq):
             stats.pairs_domin_skipped += batch.n_dom[qi] * (hi - lo)
             counters[qi].dominated_skips += batch.n_dom[qi] * (hi - lo)
+        seeds = self._seed_limits(batch, ks, lo, hi, counters, stats)
         # Max-heaps of the current k best: entries (-rank, -index).
         heaps: List[List[Tuple[int, int]]] = [[] for _ in range(nq)]
         limits = np.empty(nq, dtype=np.float64)
@@ -788,8 +855,8 @@ class KernelCore:
             we = min(ws + self.w_block, hi)
             for qi in range(nq):
                 heap = heaps[qi]
-                limits[qi] = (float("inf") if len(heap) < ks[qi]
-                              else float(-heap[0][0]))
+                limits[qi] = (seeds[qi] if len(heap) < ks[qi]
+                              else min(seeds[qi], float(-heap[0][0])))
             block = self.classify_batch(batch, ws, we, limits, counters,
                                         stats)
             for qi in range(nq):
@@ -876,10 +943,17 @@ class GirKernelRRQ(RRQAlgorithm):
 
     def _build_core(self, w_block: int, p_block: int, use_domin: bool,
                     filter_dtype: str = "float32") -> KernelCore:
-        pa = self.PA.astype(np.intp, copy=False)
+        # The core sweeps product rows in ascending coordinate-sum order
+        # (stable): the products most weights rank ahead of q come
+        # first, so a column reaches its limit in the first tile.  A
+        # rank is a count over P, answers carry weight indices only:
+        # nothing outside the core can tell, and ``self.P`` / ``self.PA``
+        # stay in dataset order.
+        order = np.argsort(self.P.sum(axis=1), kind="stable")
+        pa = self.PA.astype(np.intp, copy=False)[order]
         wa = self.WA.astype(np.intp, copy=False)
         return KernelCore(
-            P=self.P, W=self.W,
+            P=self.P[order], W=self.W,
             pa_lo=self.grid.alpha_p[pa],
             pa_hi=self.grid.alpha_p[pa + 1],
             wb_lo=self.grid.alpha_w[wa],

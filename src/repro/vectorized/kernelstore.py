@@ -7,9 +7,12 @@ on every cold start of a static server, and it scales linearly with
 ``|W|``.  (A mutable store's kernel is not worth a disk round trip: it
 is rebuilt in RAM per generation, see :mod:`repro.storage.kernel`.)
 This module persists everything the
-kernel needs — the six bound/data arrays, the approximate codes, and
-(on the float32 filter path) the single-precision bound copies — as a
-single packed blob (``kernel.bin``: raw C-contiguous array bytes at
+kernel needs — the six bound/data arrays, the product rows a second
+time in the order the core sweeps them (``P_swept``; ``P`` and the codes
+stay in dataset order, which is what a caller compares with its own
+data), the approximate codes, and (on the float32 filter path) the
+single-precision bound copies — as a single packed blob
+(``kernel.bin``: raw C-contiguous array bytes at
 64-byte-aligned offsets) plus a JSON ``kernel.meta`` that records each
 array's dtype, shape and offset, committed through the same
 checksummed-manifest protocol as the index store
@@ -55,11 +58,12 @@ from .girkernel import GirKernelRRQ, KernelCore, f32_gamma
 _META_NAME = "kernel.meta"
 _BLOB_NAME = "kernel.bin"
 _MANIFEST_NAME = "MANIFEST.json"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _ALIGN = 64  # cache-line alignment for every packed array
 
 #: Core array artifacts every kernel store carries, in write order.
-CORE_ARRAYS = ("P", "W", "pa_lo", "pa_hi", "wb_lo", "wb_hi", "pa", "wa")
+CORE_ARRAYS = ("P", "W", "P_swept", "pa_lo", "pa_hi", "wb_lo", "wb_hi",
+               "pa", "wa")
 
 #: float32 bound copies, present only when saved with filter_dtype=float32.
 F32_ARRAYS = ("pa_lo32", "pa_hi32", "wb_lo32", "wb_hi32")
@@ -203,7 +207,11 @@ def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
     """
     core = kernel.core
     arrays: Dict[str, np.ndarray] = {
-        "P": core.P, "W": core.W,
+        "P": kernel.P, "W": core.W,
+        # The core's rows (P_swept, pa_lo, pa_hi) are in its sweep
+        # order; packing them as swept keeps the load free of any sort
+        # or gather.
+        "P_swept": core.P,
         "pa_lo": core.pa_lo, "pa_hi": core.pa_hi,
         "wb_lo": core.wb_lo, "wb_hi": core.wb_hi,
         "pa": np.asarray(kernel.PA, dtype=np.int64),
@@ -351,7 +359,7 @@ def _core_from_views(arrays: Dict[str, np.ndarray], meta: dict) -> KernelCore:
     copies/scans (``astype`` of the f32 bounds, the non-negativity
     probe) — the saved store already carries their results."""
     core = KernelCore.__new__(KernelCore)
-    core.P = arrays["P"]
+    core.P = arrays["P_swept"]
     core.W = arrays["W"]
     core.pa_lo = arrays["pa_lo"]
     core.pa_hi = arrays["pa_hi"]

@@ -165,6 +165,113 @@ class TestCheckRegression:
         assert verdict["compared"] == 2 * len(baseline["configs"])
 
 
+class TestWarmTiming:
+    """The kernel and sharded columns are best-of-warm; a cold single
+    call swung 128 <-> 225 ms between runs of one build."""
+
+    def test_best_of_repeats_after_one_untimed_call(self, monkeypatch):
+        from repro.bench import harness
+
+        # Start/stop readings of the timed calls; the untimed one reads
+        # no clock.
+        clock = iter([10.0, 10.5, 20.0, 20.2, 30.0, 30.9])
+        calls = []
+
+        def answer(q, k):
+            calls.append((q, k))
+            return len(calls)
+
+        monkeypatch.setattr(harness, "perf_counter", lambda: next(clock))
+        times, answers = harness._timed_queries(answer, ["q"], 3, warm=True)
+        assert calls == [("q", 3)] * (1 + harness._FUSED_REPEATS)
+        assert times == [pytest.approx(0.2)]
+        assert answers == [len(calls)]
+
+    def test_the_scalar_column_stays_one_call(self):
+        from repro.bench import harness
+
+        calls = []
+        times, answers = harness._timed_queries(
+            lambda q, k: calls.append(q) or "a", ["q1", "q2"], 3)
+        assert calls == ["q1", "q2"] and answers == ["a", "a"]
+        assert len(times) == 2
+
+    def test_run_config_warms_kernel_and_sharded_columns_only(
+            self, monkeypatch):
+        from repro.bench import harness
+
+        seen = []
+        timed = harness._timed_queries
+
+        def recording(answer, queries, k, warm=False):
+            seen.append((type(answer.__self__).__name__, warm))
+            return timed(answer, queries, k, warm)
+
+        monkeypatch.setattr(harness, "_timed_queries", recording)
+        run_config(MICRO, seed=11, shards=2, verify=False)
+        assert seen == [("GridIndexRRQ", False), ("GirKernelRRQ", True),
+                        ("ShardedGirRRQ", True)] * 2
+
+
+def _counted(report, rtk_pairs, rkr_pairs):
+    report["configs"][0]["kernel_stats"] = {
+        "rtk": {"pairs": {"total": rtk_pairs}},
+        "rkr": {"pairs": {"total": rkr_pairs}}}
+    return report
+
+
+class TestPairCountGate:
+    """``kernel_stats.<kind>.pairs.total`` repeats exactly, so it is
+    gated at 1 % where a p50 gets 25 %."""
+
+    def test_counts_within_one_percent_pass_and_are_listed_apart(self):
+        from repro.bench.harness import check_regression
+
+        verdict = check_regression(_counted(_report(), 1_005_000, 400_000),
+                                   _counted(_report(), 1_000_000, 500_000))
+        assert verdict["ok"] and verdict["compared"] == 2
+        assert [(c["kind"], c["baseline"], c["current"], c["ok"])
+                for c in verdict["count_checks"]] == [
+            ("rtk", 1_000_000, 1_005_000, True),
+            ("rkr", 500_000, 400_000, True)]
+
+    def test_a_frugality_regression_fails_with_level_timings(self):
+        from repro.bench.harness import check_regression
+
+        verdict = check_regression(_counted(_report(), 1_000_000, 510_000),
+                                   _counted(_report(), 1_000_000, 500_000))
+        assert not verdict["ok"]
+        assert all(c["ok"] for c in verdict["checks"])
+        failed = [c for c in verdict["count_checks"] if not c["ok"]]
+        assert [(c["kind"], c["metric"]) for c in failed] == [
+            ("rkr", "kernel_stats.pairs.total")]
+        assert failed[0]["regress_pct"] == pytest.approx(2.0)
+
+    def test_a_side_without_counts_gates_timings_only(self):
+        from repro.bench.harness import check_regression
+
+        verdict = check_regression(_counted(_report(), 9, 9), _report())
+        assert verdict["ok"] and verdict["count_checks"] == []
+
+    def test_committed_baseline_carries_the_counts(self):
+        from pathlib import Path
+
+        from repro.bench.harness import check_regression
+
+        baseline = json.loads(
+            Path(__file__).resolve().parents[2].joinpath(
+                "BENCH_kernel.json").read_text())
+        verdict = check_regression(baseline, baseline)
+        # A kind whose every query the Domin pre-pass emptied classified
+        # nothing: zero has no percentage and is not compared.
+        swept = [(cfg["name"], kind) for cfg in baseline["configs"]
+                 for kind in ("rtk", "rkr")
+                 if cfg["kernel_stats"][kind]["pairs"]["total"]]
+        assert [(c["config"], c["kind"])
+                for c in verdict["count_checks"]] == swept
+        assert len(swept) >= len(baseline["configs"])
+
+
 class TestPerKindKernelStats:
     def test_queries_not_double_counted(self):
         # Regression: the merged stats object used to report the RTK and

@@ -297,3 +297,60 @@ class TestTune:
         assert args.auto_tune_every == 12
         assert build_parser().parse_args(
             ["cluster", "data"]).auto_tune_every == 0
+
+
+class TestBlasGuardIsVisible:
+    """``blas_threads`` is what a sweep's gemms run at: ``[1]`` under
+    the kernel's guard, ``[]`` when numpy's BLAS is not one the guard
+    can control, and then ``serve`` says so once at start."""
+
+    @pytest.fixture
+    def served(self, monkeypatch):
+        """``serve`` up to ``serve_forever``, which returns at once;
+        yields the ``/info`` bodies the servers were made with."""
+        from repro.service import server as server_module
+
+        infos = []
+
+        class Stub:
+            url = "http://127.0.0.1:0"
+
+            def serve_forever(self):
+                raise KeyboardInterrupt
+
+            def server_close(self):
+                pass
+
+        def make_server(service, **kwargs):
+            infos.append(service.info())
+            return Stub()
+
+        monkeypatch.setattr(server_module, "make_server", make_server)
+        return infos
+
+    def test_no_controllable_blas(self, data_dir, tmp_path, served,
+                                  monkeypatch, capsys):
+        from repro.vectorized import blasthreads
+
+        monkeypatch.setattr(blasthreads, "_controls", [])
+        assert main(["serve", str(data_dir)]) == 0
+        assert main(["serve", str(tmp_path / "wal"), "--durable",
+                     "--dim", "4"]) == 0
+        assert [info["blas_threads"] for info in served] == [[], []]
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if "blas_threads" in line]
+        assert len(warnings) == 2 and all(
+            line.startswith("WARNING: blas_threads []") for line in warnings)
+        assert main(["info", str(tmp_path / "wal")]) == 0
+        assert "blas_threads       []" in capsys.readouterr().out
+
+    def test_guarded_blas(self, data_dir, tmp_path, served, two_threads,
+                          capsys):
+        assert main(["serve", str(data_dir)]) == 0
+        assert served[0]["blas_threads"] == [1]
+        assert two_threads["threads"] == 2           # restored after
+        captured = capsys.readouterr()
+        assert "blas_threads" not in captured.err
+        main(["build", str(data_dir), "--index", str(tmp_path / "idx")])
+        assert main(["info", str(tmp_path / "idx")]) == 0
+        assert "blas_threads       [1]" in capsys.readouterr().out

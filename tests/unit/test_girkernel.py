@@ -8,6 +8,7 @@ from repro.core.gir import GridIndexRRQ
 from repro.data.synthetic import uniform_products, uniform_weights
 from repro.errors import InvalidParameterError
 from repro.queries.engine import RRQEngine
+from repro.stats.counters import OpCounter
 from repro.vectorized import girkernel
 from repro.vectorized.girkernel import GirKernelRRQ, KernelStats
 
@@ -212,9 +213,10 @@ class TestRankIntervalCap:
         assert result.entries == NaiveRRQ(P, W).reverse_kranks(
             P[532], 10).entries
         stats = kernel.last_stats
-        # The cap acts after classification: it classifies no fewer
-        # pairs, it refines fewer.
-        assert stats.pairs_total == self.PARENT_PAIRS_TOTAL
+        # The cap acts after classification: it refines fewer pairs.
+        # What classifies fewer is the seeded limit over sum-ordered
+        # product rows (TestSeededLimit).
+        assert stats.pairs_total * 2 < self.PARENT_PAIRS_TOTAL
         assert 0 < stats.pairs_refined * 4 < self.PARENT_PAIRS_REFINED
         assert stats.weights_pruned > 1500
 
@@ -245,7 +247,7 @@ class TestRankIntervalCap:
         assert pairs["refined"] == gaps["kept"] > 0
         assert pairs["undecided"] == gaps["dropped"] > 3 * gaps["kept"]
         assert report["weights_pruned"] == gaps["columns_dropped"]
-        assert report["pairs_total"] == self.PARENT_PAIRS_TOTAL
+        assert report["pairs_total"] * 2 < self.PARENT_PAIRS_TOTAL
         assert (pairs["case1"] + pairs["case2"] + gaps["dropped"]
                 + gaps["kept"]) == report["pairs_total"]
 
@@ -430,3 +432,129 @@ class TestWorkspace:
         kernel.reverse_kranks_batch([P[3]], 7)
         assert seen == [[1]] * 3                 # 150 weights, three blocks
         assert blasthreads.thread_counts() == [2]
+
+
+def _bench_shape():
+    """The end-to-end benchmark's data: UNxUN, d=4, 1000 x 2000."""
+    return (uniform_products(1000, 4, seed=7),
+            uniform_weights(2000, 4, seed=8))
+
+
+class TestSeededLimit:
+    """An RKR sweep starts from ``k-th smallest rank upper bound + 1`` of
+    the weights that score q lowest in its own first block."""
+
+    @pytest.mark.parametrize("filter_dtype", girkernel.FILTER_DTYPES)
+    def test_tie_at_the_seed_rank_below_every_candidate(self, filter_dtype):
+        """Every weight ranks q exactly ``R``: the seed's witnesses are
+        the high indices (they score q lowest), the answer is the k
+        lowest.  A limit of ``R`` instead of ``R + 1`` prunes them all."""
+        from repro.data.datasets import ProductSet, WeightSet
+
+        k, R, n_weights = 3, 6, 40
+        rng = np.random.default_rng(5)
+        P = ProductSet(np.vstack([rng.uniform(0.05, 0.15, size=(R, 2)),
+                                  rng.uniform(0.85, 0.95, size=(30, 2))]))
+        # f_w(q) = 0.6 - 0.2 a falls with a.  The first k rows are one
+        # duplicated vector with the smallest a, so they are no seed
+        # candidates (4k = 12 of 40) and sit below every one of them.
+        a = np.concatenate([np.full(k, 0.05),
+                            np.linspace(0.1, 0.9, n_weights - k)])
+        W = WeightSet(np.column_stack([a, 1.0 - a]))
+        q = np.array([0.4, 0.6])
+        kernel = GirKernelRRQ(P, W, partitions=16, filter_dtype=filter_dtype)
+        result = kernel.reverse_kranks(q, k)
+        assert result.entries == tuple((R, j) for j in range(k))
+        assert result.entries == NaiveRRQ(P, W).reverse_kranks(q, k).entries
+        # The seed was as tight as a seed gets, and pruned nobody wrongly.
+        seeds = kernel.core._seed_limits(
+            kernel.core.prepare_batch(q[None, :]), [k], 0, n_weights,
+            [OpCounter()], KernelStats())
+        assert seeds.tolist() == [R + 1]
+
+    @pytest.mark.parametrize("lo,hi", [
+        (50, 52),        # shorter than k: no seed
+        (50, 61),        # shorter than SEED_CANDIDATES * k
+        (50, 70),        # one whole block
+        (43, 117),       # several blocks, ragged both ends
+    ])
+    def test_a_range_is_seeded_from_its_own_weights(self, lo, hi):
+        """The best-ranked weights sit *before* ``lo``: a seed that
+        looked at them would prune the whole range.  ``ShardedGirRRQ``'s
+        merge needs the k best of exactly ``[lo, hi)``."""
+        from repro.data.datasets import WeightSet
+
+        k = 4
+        assert 52 - 50 < k <= 61 - 50 < girkernel.SEED_CANDIDATES * k
+        P = uniform_products(150, 4, seed=61)
+        W = uniform_weights(120, 4, seed=62)
+        q = P[70]
+        ranks = [rank for rank, _ in sorted(
+            NaiveRRQ(P, W).reverse_kranks(q, W.size).entries,
+            key=lambda entry: entry[1])]
+        W = WeightSet(W.values[np.argsort(ranks, kind="stable")])
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=20, p_block=32)
+        part = NaiveRRQ(P, WeightSet(W.values[lo:hi]))
+        pairs = kernel.core.rkr_pairs(q, k, lo, hi, OpCounter(),
+                                      KernelStats())
+        assert tuple(sorted(pairs)) == tuple(
+            (rank, j + lo) for rank, j in part.reverse_kranks(q, k).entries)
+
+    @pytest.mark.parametrize("use_domin", [True, False])
+    @pytest.mark.parametrize("filter_dtype", girkernel.FILTER_DTYPES)
+    def test_fused_batch_with_its_own_k_per_query(self, data, filter_dtype,
+                                                  use_domin):
+        """k = 1 and k = 50 beside a query nearly everything dominates:
+        one seed per query, each from its own k."""
+        P, W = data
+        kernel = GirKernelRRQ(P, W, partitions=16, w_block=64,
+                              filter_dtype=filter_dtype, use_domin=use_domin)
+        naive = NaiveRRQ(P, W)
+        queries = [P[3], P[99], P.values.max(axis=0) * 0.999]
+        ks = [1, 50, 7]
+        results = kernel.reverse_kranks_batch(queries, ks)
+        assert [r.entries for r in results] == [
+            naive.reverse_kranks(q, k).entries for q, k in zip(queries, ks)]
+
+    def test_seed_scores_are_counted_as_exact_scores_not_as_pairs(self):
+        """``SEED_CANDIDATES * k`` weights x |P| exact scores go to the
+        operation counter; ``pairs_total`` stays what bound
+        classification saw, and a seed-pruned column is a pruned weight
+        like any other."""
+        P, W = _bench_shape()
+        kernel = GirKernelRRQ(P, W, partitions=32)
+        result, = kernel.reverse_kranks_batch([P[532]], 10)
+        stats, counter = kernel.last_stats, result.counter
+        seed_scores = girkernel.SEED_CANDIDATES * 10 * P.size
+        assert counter.points_accessed == stats.pairs_refined + seed_scores
+        # One f_w(q) per weight, one dot per refined pair, and the seed.
+        assert counter.pairwise == (W.size + stats.pairs_refined
+                                    + seed_scores)
+        assert counter.refined == stats.pairs_refined
+        assert counter.early_terminations == stats.weights_pruned
+        # Every classified pair took the float32 prefilter; the seed's
+        # float64 scores are no classified pairs.
+        assert stats.pairs_f32 == stats.pairs_total
+        # A first block shorter than k has no seed and pays for none.
+        unseeded = OpCounter()
+        short = kernel.core.rkr_pairs(P[532], 10, 0, 9, unseeded,
+                                      KernelStats())
+        assert len(short) == 9
+        assert unseeded.pairwise == 9 + unseeded.refined
+
+    def test_frugality_pin_on_the_benchmark_shape(self):
+        """The 20 strata-centre products of ``benchmarks/e2e`` as batches
+        of one.  Counts repeat exactly, so this catches a frugality
+        regression no timing gate on a shared box can: 33,448,464 pairs
+        before the seed and the row order, 19,351,896 with them."""
+        P, W = _bench_shape()
+        kernel = GirKernelRRQ(P, W, partitions=32)
+        order = np.argsort(P.values.sum(axis=1), kind="stable")
+        pool = [int(order[int((j + 0.5) * P.size / 20)]) for j in range(20)]
+        total = refined = 0
+        for p in pool:
+            kernel.reverse_kranks_batch([P[p]], 10)
+            total += kernel.last_stats.pairs_total
+            refined += kernel.last_stats.pairs_refined
+        assert total <= 20_500_000
+        assert refined <= 399_795            # what the parent refined

@@ -262,3 +262,74 @@ class TestTunedPointer:
         assert read_tuned_pointer(tmp_path) is None
         target.write_text(json.dumps({"digest": 7}))
         assert read_tuned_pointer(tmp_path) is None
+
+
+class TestSweepOrder:
+    """Format 2: the core's product rows are stored as swept (ascending
+    coordinate sum), ``P`` and the codes as the dataset has them."""
+
+    def test_dataset_rows_and_swept_rows_both_round_trip(self, store,
+                                                         kernel):
+        loaded = load_kernel(store, mmap=True)
+        rows = kernel.products.values
+        assert loaded.P.tobytes() == rows.tobytes()
+        assert loaded.products.values is loaded.P
+        order = np.argsort(rows.sum(axis=1), kind="stable")
+        assert (order != np.arange(rows.shape[0])).any()
+        assert loaded.core.P.tobytes() == rows[order].tobytes()
+        np.testing.assert_array_equal(loaded.PA, kernel.PA)
+        np.testing.assert_array_equal(
+            loaded.core.pa_lo, kernel.grid.alpha_p[kernel.PA[order]])
+        # No sort or gather at load: every array is a window of the blob.
+        for arr in (loaded.P, loaded.core.P, loaded.core.pa_lo,
+                    loaded.core.pa_hi32):
+            assert not arr.flags.owndata and not arr.flags.writeable
+        queries = [kernel.products[i] for i in (0, 17, 60)]
+        built = kernel.reverse_kranks_batch(queries, 7)
+        built_pairs = kernel.last_stats.pairs_total
+        mapped = loaded.reverse_kranks_batch(queries, 7)
+        assert [r.entries for r in mapped] == [r.entries for r in built]
+        assert loaded.last_stats.pairs_total == built_pairs
+        assert ([r.weights for r in loaded.reverse_topk_batch(queries, 7)]
+                == [r.weights for r in kernel.reverse_topk_batch(queries, 7)])
+
+    def test_version_1_cache_is_refused_rebuilt_and_resaved(self, tmp_path,
+                                                            monkeypatch):
+        """A store written before the swept rows existed carries the
+        same array names in dataset order: served as it is, it would
+        sweep unordered rows against nothing that says so.  The version
+        check refuses it and the scheduler rebuilds over it."""
+        from repro.queries.engine import RRQEngine
+        from repro.service.scheduler import MicroBatchScheduler
+        from repro.vectorized import kernelstore
+
+        P = uniform_products(60, 3, seed=921)
+        W = uniform_weights(40, 3, seed=922)
+        engine = RRQEngine(P, W, method="gir", partitions=8)
+        old = GirKernelRRQ.from_gir(engine.algorithm)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernelstore, "_FORMAT_VERSION", 1)
+            save_kernel(tmp_path / "static", old)
+        meta = json.loads((tmp_path / "static" / "kernel.meta").read_text())
+        assert meta["version"] == 1
+        with pytest.raises(DataValidationError, match="version 1"):
+            load_kernel(tmp_path / "static")
+
+        scheduler = MicroBatchScheduler(engine, auto_start=False,
+                                        batch_window_s=0.0,
+                                        kernel_cache_dir=str(tmp_path))
+        try:
+            assert scheduler._load_static_kernel() is None
+            rebuilt = scheduler._get_kernel()
+            assert rebuilt is not None
+            meta = json.loads(
+                (tmp_path / "static" / "kernel.meta").read_text())
+            assert meta["version"] == 2 and "P_swept" in meta["arrays"]
+            warm = scheduler._load_static_kernel()
+        finally:
+            scheduler.close()
+        assert warm is not None
+        q = P[7]
+        assert (warm.reverse_kranks(q, 5).entries
+                == rebuilt.reverse_kranks(q, 5).entries
+                == engine.reverse_kranks(q, 5).entries)
