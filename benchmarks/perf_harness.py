@@ -2,7 +2,7 @@
 """Run the kernel perf-regression harness and write ``BENCH_*.json``.
 
 Thin script wrapper over :mod:`repro.bench.harness` (the CLI equivalent
-is ``repro-rrq bench``).  Two modes:
+is ``repro-rrq bench``).  Three modes:
 
 * default — the committed trajectory configs (|W| = 100k), writes
   ``BENCH_kernel.json`` next to the repo root;
@@ -12,12 +12,6 @@ is ``repro-rrq bench``).  Two modes:
   instead (writes ``BENCH_fused.json``, or ``BENCH_fused_smoke.json``
   with ``--smoke``); ``--baseline`` then gates the fused wall times and
   the mmap cold-start load time.
-* ``--tuner`` — the auto-tuner harness: tune the clustered acceptance
-  workload, record default-vs-tuned filter effectiveness (writes
-  ``BENCH_tuner.json``, or ``BENCH_tuner_smoke.json`` with
-  ``--smoke``); ``ok`` additionally requires the tuned config to
-  measurably improve the undecided+refined fraction, and ``--baseline``
-  gates that fraction plus the tuned filter-stage seconds.
 
 Exit codes: 0 on success, **1 when any kernel answer diverged from the
 per-weight GIR loop or the oracle**, 2 on bad paths/config files.
@@ -66,10 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--fused", action="store_true",
                         help="run the fused multi-query batch + mmap "
                              "cold-start harness instead")
-    parser.add_argument("--tuner", action="store_true",
-                        help="run the auto-tuner harness instead "
-                             "(default-vs-tuned filter effectiveness on "
-                             "the clustered workload)")
     parser.add_argument("--baseline", default=None, metavar="FILE",
                         help="committed BENCH_*.json to gate against: "
                              "exit 1 when any kernel p50 regresses past "
@@ -85,25 +75,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         DEFAULT_SEED,
         FUSED_SMOKE_CONFIGS,
         SMOKE_CONFIGS,
-        TUNER_SMOKE_CONFIGS,
         load_configs,
         run_fused_harness,
         run_harness,
-        run_tuner_harness,
     )
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
-    if args.fused and args.tuner:
-        print("error: --fused and --tuner are mutually exclusive",
-              file=sys.stderr)
-        return 2
     if args.fused:
         out = args.out or ("BENCH_fused_smoke.json" if args.smoke
                            else "BENCH_fused.json")
-    elif args.tuner:
-        out = args.out or ("BENCH_tuner_smoke.json" if args.smoke
-                           else "BENCH_tuner.json")
     else:
         out = args.out or ("BENCH_smoke.json" if args.smoke
                            else "BENCH_kernel.json")
@@ -113,17 +94,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             configs = load_configs(args.configs)
         elif args.smoke:
             configs = list(FUSED_SMOKE_CONFIGS if args.fused
-                           else TUNER_SMOKE_CONFIGS if args.tuner
                            else SMOKE_CONFIGS)
         seed = args.seed if args.seed is not None else DEFAULT_SEED
         if args.fused:
             report = run_fused_harness(
-                configs=configs, seed=seed, verify=not args.no_verify,
-                out=out,
-                progress=lambda message: print(message, flush=True),
-            )
-        elif args.tuner:
-            report = run_tuner_harness(
                 configs=configs, seed=seed, verify=not args.no_verify,
                 out=out,
                 progress=lambda message: print(message, flush=True),
@@ -145,16 +119,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"rkr wall x{record['fused_rkr']['wall_speedup']:.2f} "
                   f"cold-start x{cold['speedup']:.1f} "
                   f"verified={record['verified']}")
-        elif args.tuner:
-            default, tuned = record["default"], record["tuned"]
-            print(f"{record['name']}: "
-                  f"undec+ref {default['undecided_refined_fraction']:.3f}"
-                  f" -> {tuned['undecided_refined_fraction']:.3f} "
-                  f"({record['improvement']:+.3f}, "
-                  f"winner {tuned['label']}) "
-                  f"filter {default['filter_s']*1000:.1f}ms -> "
-                  f"{tuned['filter_s']*1000:.1f}ms "
-                  f"verified={record['verified']}")
         else:
             rtk, rkr = record["rtk"], record["rkr"]
             print(f"{record['name']}: rtk x{rtk['kernel_speedup']:.1f} "
@@ -164,12 +128,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"verified={record['verified']}")
     print(f"wrote {out} (ok={report['ok']})")
     if not report["ok"]:
-        if args.tuner:
-            print("error: a tuned config failed verification or did not "
-                  "improve the filter fraction", file=sys.stderr)
-        else:
-            print("error: kernel answers diverged from the oracle",
-                  file=sys.stderr)
+        print("error: kernel answers diverged from the oracle",
+              file=sys.stderr)
         return 1
     if args.baseline is not None:
         import json
@@ -178,7 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             COUNT_MAX_REGRESS_PCT,
             DEFAULT_MAX_REGRESS_PCT,
             FUSED_GATED_METRICS,
-            TUNER_GATED_METRICS,
             check_regression,
         )
 
@@ -193,22 +152,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.fused:
             verdict = check_regression(report, baseline, budget,
                                        metrics=FUSED_GATED_METRICS)
-        elif args.tuner:
-            verdict = check_regression(report, baseline, budget,
-                                       metrics=TUNER_GATED_METRICS)
         else:
             verdict = check_regression(report, baseline, budget)
         for check in verdict["checks"]:
             marker = "ok" if check["ok"] else "REGRESSED"
-            if check["metric"].endswith("_s"):
-                values = (f"{check['baseline_s']*1000:.2f}ms -> "
-                          f"{check['current_s']*1000:.2f}ms")
-            else:
-                # Dimensionless metrics (filter fractions) gate as-is.
-                values = (f"{check['baseline_s']:.4f} -> "
-                          f"{check['current_s']:.4f}")
             print(f"gate {check['config']}/{check['kind']} "
-                  f"{check['metric']}: {values} "
+                  f"{check['metric']}: {check['baseline_s']*1000:.2f}ms -> "
+                  f"{check['current_s']*1000:.2f}ms "
                   f"({check['regress_pct']:+.1f}%) {marker}")
         for check in verdict["count_checks"]:
             marker = "ok" if check["ok"] else "REGRESSED"

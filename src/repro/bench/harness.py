@@ -511,7 +511,7 @@ def run_fused_harness(configs: Optional[Sequence[dict]] = None,
 
 
 # ----------------------------------------------------------------------
-# the auto-tuner harness (BENCH_tuner.json)
+# the auto-tuner's scoring probe
 # ----------------------------------------------------------------------
 
 def probe_filter_profile(kernel: GirKernelRRQ,
@@ -522,7 +522,8 @@ def probe_filter_profile(kernel: GirKernelRRQ,
     The tuner's scoring primitive — a thin projection of
     :func:`repro.obs.profile.profile_workload` down to the quantities
     candidate ranking needs: the undecided+refined fraction (what the
-    grid failed to settle from bounds) and the filter-stage seconds.
+    filter dtype's score bracket failed to settle — no grid setting
+    moves it) and the filter-stage seconds.
     """
     from ..obs.profile import profile_workload
 
@@ -541,120 +542,6 @@ def probe_filter_profile(kernel: GirKernelRRQ,
     }
 
 
-#: The committed tuning trajectory: the clustered |W| = 100k acceptance
-#: config, where the equal-width grid is at its worst.
-TUNER_CONFIGS: Tuple[dict, ...] = (
-    {"name": "tuned-clustered-d4-w100k", "p_dist": "CL", "w_dist": "CL",
-     "n_products": 1500, "n_weights": 100_000, "dim": 4, "k": 10,
-     "queries": 8, "partitions": 32},
-)
-
-#: Tiny pinned-seed tuning config for CI (seconds, oracle-verified).
-TUNER_SMOKE_CONFIGS: Tuple[dict, ...] = (
-    {"name": "tuned-smoke-clustered-d4", "p_dist": "CL", "w_dist": "CL",
-     "n_products": 250, "n_weights": 2000, "dim": 4, "k": 5,
-     "queries": 4, "partitions": 32},
-)
-
-
-def run_tuner_config(cfg: dict, seed: int = DEFAULT_SEED,
-                     verify: bool = True) -> dict:
-    """Tune one config and record default-vs-tuned filter effectiveness.
-
-    The record carries the default (equal-width, config ``partitions``)
-    and auto-tuned profiles side by side; ``improved`` asserts the tuned
-    fraction is strictly lower — the measurable win the tuner exists
-    for — and ``verified`` the winner's byte-identity to the naive
-    oracle over the probe workload.
-    """
-    from ..tuning.tuner import AutoTuner, CandidateConfig
-
-    name = cfg["name"]
-    queries_n = int(cfg["queries"])
-    k = int(cfg["k"])
-    if min(queries_n, k, cfg["n_products"], cfg["n_weights"],
-           cfg["dim"]) < 1:
-        raise InvalidParameterError(
-            f"config {name!r}: sizes, dim, k and queries must be positive"
-        )
-    products = generate_products(cfg.get("p_dist", "UN"),
-                                 int(cfg["n_products"]), int(cfg["dim"]),
-                                 seed=seed)
-    weights = generate_weights(cfg.get("w_dist", "UN"),
-                               int(cfg["n_weights"]), int(cfg["dim"]),
-                               seed=seed + 1)
-    partitions = int(cfg.get("partitions", 32))
-    tuner = AutoTuner(
-        products, weights, k=k, probe_queries=queries_n, seed=seed + 2,
-        current=CandidateConfig(partitions=partitions),
-    )
-    report = tuner.tune()
-
-    def _profile(entry: dict) -> dict:
-        measured = entry["measured"]
-        return {
-            "label": entry["label"],
-            "config": dict(entry["config"]),
-            "undecided_refined_fraction":
-                measured["undecided_refined_fraction"],
-            "filter_rate": measured["filter_rate"],
-            "filter_s": measured["filter_s"],
-            "predicted_worst_case_filtering":
-                entry["predicted_worst_case_filtering"],
-        }
-
-    improved = report["improvement"] > 0.0
-    return {
-        "name": name,
-        "params": dict(cfg),
-        "seed": seed,
-        "probe_queries": queries_n,
-        "default": _profile(report["baseline"]),
-        "tuned": _profile(report["winner"]),
-        "improvement": report["improvement"],
-        "improved": bool(improved),
-        "candidates": len(report["candidates"]),
-        "verified": bool(report["verified"]) if verify else True,
-        "oracle": "naive" if verify else "none",
-    }
-
-
-def run_tuner_harness(configs: Optional[Sequence[dict]] = None,
-                      seed: int = DEFAULT_SEED, verify: bool = True,
-                      out=None, progress=None) -> dict:
-    """Run the tuning configs; optionally write BENCH_tuner.json.
-
-    ``report["ok"]`` requires *both* invariants per config: the tuned
-    winner answered byte-identically to the oracle, and it measurably
-    improved the undecided+refined fraction over the default grid.
-    """
-    configs = (list(configs) if configs is not None
-               else list(TUNER_CONFIGS))
-    if out is not None:
-        out = Path(out)
-        if not out.parent.is_dir():
-            raise DataValidationError(
-                f"{out}: parent directory does not exist"
-            )
-    records = []
-    for cfg in configs:
-        if progress is not None:
-            progress(f"config {cfg['name']} ...")
-        records.append(run_tuner_config(cfg, seed=seed, verify=verify))
-    report = {
-        "schema": 1,
-        "benchmark": "girkernel-tuner",
-        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "seed": seed,
-        "machine": machine_info(),
-        "configs": records,
-        "ok": all(record["verified"] and record["improved"]
-                  for record in records),
-    }
-    if out is not None:
-        out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return report
-
 
 #: (kind, metric) pairs the regression gate compares, config by config.
 GATED_METRICS: Tuple[Tuple[str, str], ...] = (
@@ -668,14 +555,6 @@ FUSED_GATED_METRICS: Tuple[Tuple[str, str], ...] = (
     ("fused_rtk", "fused_wall_s"),
     ("fused_rkr", "fused_wall_s"),
     ("cold_start", "mmap_load_s"),
-)
-
-#: The tuner report's gated metrics: the tuned filter fraction (lower is
-#: better — a rising fraction means tuning stopped winning) and the
-#: tuned filter-stage seconds.
-TUNER_GATED_METRICS: Tuple[Tuple[str, str], ...] = (
-    ("tuned", "undecided_refined_fraction"),
-    ("tuned", "filter_s"),
 )
 
 #: Default regression budget: fail CI past this p50 slowdown.

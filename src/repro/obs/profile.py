@@ -1,13 +1,16 @@
 """Filter-effectiveness profiling: the paper's Table 4, on your workload.
 
-The Grid-index's value proposition is the fraction of ``(p, w)`` pairs it
-settles from cell bounds alone — Case 1 (``p`` certainly out-ranks
-``q``), Case 2 (``q`` certainly out-ranks ``p``) — leaving only a thin
-undecided band for exact inner products.  The paper measures this
+A filter's value proposition is the fraction of ``(p, w)`` pairs it
+settles without an exact inner product — Case 1 (``p`` certainly
+out-ranks ``q``), Case 2 (``q`` certainly out-ranks ``p``) — leaving
+only a thin undecided band.  The paper measures this for the Grid-index
 offline over synthetic workloads (Table 4, Figs. 13-15);
 :func:`profile_workload` measures it for *your* data and *your* queries,
 by replaying them through the blocked kernel and accumulating its
-:class:`~repro.vectorized.girkernel.KernelStats`.
+:class:`~repro.vectorized.girkernel.KernelStats`.  The kernel's filter
+is a tile of float32 scores bracketed by their rounding error, so its
+undecided band is the *float32 rounding band*: the pairs within
+``f32_gamma(d)`` (about 1e-6 relative) of ``f_w(q)``.
 
 The four reported classes partition the classified pairs exactly::
 
@@ -150,7 +153,7 @@ def format_report(report: dict) -> str:
     lines.append(f"{'total':<12s} {report['pairs_total']:>14,} "
                  f"{sum(report['fractions'].values()):>9.2%}")
     lines.append("")
-    lines.append(f"filter rate (bounds-decided): "
+    lines.append(f"filter rate (tile-decided): "
                  f"{report['filter_rate']:.2%}")
     lines.append(f"domin-skipped pairs: {report['pairs_domin_skipped']:,}  "
                  f"weights pruned early: {report['weights_pruned']:,}")

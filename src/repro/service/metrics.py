@@ -436,13 +436,13 @@ class ServiceMetrics:
         for klass in ("total", "case1", "case2", "refined",
                       "domin_skipped", "f32"):
             exp.counter("rrq_kernel_pairs_total",
-                        "(p, w) pairs by grid-bound classification "
+                        "(p, w) pairs by score-bracket classification "
                         "outcome (the paper's Table-4 accounting; 'f32' "
                         "counts pairs classified by the float32 prefilter).",
                         kernel_pairs[klass], labels={"class": klass})
         exp.counter("rrq_kernel_fused_batches_total",
                     "Fused multi-query kernel passes (one shared "
-                    "gather/matmul pipeline per coalesced batch).",
+                    "tile gemm per coalesced batch).",
                     kernel_fused["batches"])
         exp.counter("rrq_kernel_fused_queries_total",
                     "Queries answered inside a fused multi-query pass.",

@@ -400,7 +400,9 @@ class MicroBatchScheduler:
                 sp.annotate("fused", not single)
             # A batch of one is the request operators look up: its
             # sweep's stats ride on its span (the slow log's Table-4
-            # profile) and its trace id becomes the filter-rate exemplar.
+            # profile: "refined" there is the float32 rounding band of
+            # the columns kept) and its trace id becomes the filter-rate
+            # exemplar.
             if swept is not None and single and swept[1]:
                 spans[0].annotate("kernel_stats", swept[1][0])
         if swept is None:

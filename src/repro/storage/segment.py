@@ -14,8 +14,8 @@ every artifact lands via temp-file + fsync + rename and
 directory that either verifies completely or is provably damaged —
 :func:`load_segment` refuses the latter with a structured
 :class:`~repro.errors.IndexCorruptionError`.  Derived state (grid,
-codes, gathered boundaries) belongs to the snapshot's kernel
-(:mod:`repro.storage.kernel`), never to a segment: the rebuild is
+codes, the swept row order, float32 copies) belongs to the snapshot's
+kernel (:mod:`repro.storage.kernel`), never to a segment: the rebuild is
 deterministic and cheap (paper §3.2), and not persisting it keeps the
 checksum surface to the raw rows and ids.
 """

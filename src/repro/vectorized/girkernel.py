@@ -1,23 +1,27 @@
-"""The weight-blocked GIR kernel: grid-bound filtering without a weight loop.
+"""The weight-blocked GIR kernel: score tiles, bracketed, no weight loop.
 
 :class:`~repro.core.gir.GridIndexRRQ` drives Algorithm 1 through a Python
 loop over ``W`` — one :func:`~repro.core.gin.gin_topk` call per weight
 vector.  The per-call interpreter overhead is tiny next to ``|P|`` bound
 checks, but multiplied by millions of weights it dwarfs the arithmetic the
-Grid-index was built to avoid.  This module evaluates the same bounds for
-an entire *block* of weights at once:
+Grid-index was built to avoid.  This module classifies an entire *block*
+of weights at once, and it classifies them by their scores:
 
-* the pre-gathered boundary matrices ``alpha_p[PA]`` / ``alpha_p[PA + 1]``
-  (products) and ``alpha_w[WA]`` / ``alpha_w[WA + 1]`` (weights) turn the
-  Equation 3/4 bound sums of every ``(p, w)`` pair in a
-  ``(P-block, W-block)`` tile into one BLAS matrix product — bit-for-bit
-  the same Grid-index cells as the per-pair gathers, assembled wholesale;
+* a ``(P-block, W-block)`` tile is **one** BLAS matrix product
+  ``W[ws:we] @ P[ps:pe].T`` in the filter dtype.  A float32 score is a
+  bound pair of its own: ``s32 * (1 -/+ gamma)`` brackets the true score
+  (:func:`f32_gamma`) the way the Grid-index's ``L`` / ``U`` do, with
+  ``2**24`` cells per axis instead of ``n`` and from one gemm instead of
+  the two a boundary-value product costs (``docs/performance.md``
+  section 14: a bound computed by gemm cannot beat a score computed by
+  gemm);
 * whole tiles are classified in bulk into definitely-better (Case 1),
-  definitely-worse (Case 2) and undecided pairs with two vectorized
-  comparisons;
-* only the undecided band is refined with exact dot products (one
-  ``einsum`` over the COO pair list), with near-ties re-decided in exact
-  rational arithmetic exactly like every other engine in the library.
+  definitely-worse (Case 2) and undecided pairs by two vectorized
+  comparisons of that one tile against gates widened by ``gamma``;
+* the undecided band — the pairs float32 cannot separate from
+  ``f_w(q)`` — is refined with exact dot products (one ``einsum`` over
+  the COO pair list), with near-ties re-decided in exact rational
+  arithmetic exactly like every other engine in the library.
 
 Answers are **byte-identical** to :class:`GridIndexRRQ` and
 :class:`~repro.algorithms.naive.NaiveRRQ`: the Domin semantics (k
@@ -38,7 +42,7 @@ merge stage seconds, pair classification counts).
 
 The compute core is array-only (:class:`KernelCore`) so that
 :mod:`repro.vectorized.shard` can run it inside worker processes over
-``multiprocessing.shared_memory`` views without re-quantizing anything.
+``multiprocessing.shared_memory`` views without copying anything.
 """
 
 from __future__ import annotations
@@ -62,12 +66,12 @@ from ..queries.types import RKRResult, RTKResult, make_rkr_result
 from ..stats.counters import OpCounter
 from .blasthreads import single_threaded
 
-#: Weights classified per tile.  1024 weights x 2048 products is two
-#: float32 bound matrices of 8 MB — big enough to amortize BLAS
+#: Weights classified per tile.  1024 weights x 2048 products is one
+#: float32 score matrix of 8 MB — big enough to amortize BLAS
 #: dispatch, small enough to stay cache/RAM friendly.
 DEFAULT_W_BLOCK = 1024
 
-#: Products per tile (rows of the bound matrices), the cap of the
+#: Products per tile (rows of the score matrix), the cap of the
 #: escalating tile schedule.
 DEFAULT_P_BLOCK = 2048
 
@@ -77,13 +81,24 @@ DEFAULT_P_BLOCK = 2048
 #: survivor set is thin.
 FIRST_P_TILE = 256
 
-#: Widest batch whose gate hits are tallied by direct comparison.  One
-#: dense compare per query and tile side costs 0.5 ms per million-cell
-#: side against 4 ms for the shared sort, which a pair of queries never
-#: earns back.  At three and four queries direct counting is still
-#: ahead on RTK but between level and 5 % behind on RKR, where the time
-#: is (``docs/performance.md`` section 10), and no gated workload runs
-#: there: the cut is the last size at which it won every measured cell.
+#: Widest batch whose gate hits are tallied by direct comparison: two
+#: dense compares per query and tile against one shared sort of the
+#: tile.  Direct / sorted, ms per batch, in-process alternation (best of
+#: 9-15 over 10-20 batches on the benchmark's shape, best of 3 over 2
+#: batches at |W| = 100k; ``docs/performance.md`` section 14):
+#:
+#:   nq   UN d=4 1000 x 2000          fused-uniform-d6-w100k
+#:        RTK          RKR            RTK          RKR
+#:   2    1.33 / 1.48  5.30 / 6.21    108 / 130    127 / 161
+#:   3    1.90 / 2.09  8.49 / 8.40    153 / 164    165 / 181
+#:   4    2.48 / 2.67  11.9 / 10.5    194 / 185    221 / 212
+#:   6    3.65 / 3.83  19.5 / 14.5    295 / 254    305 / 274
+#:   8    4.87 / 4.76  26.4 / 18.0    366 / 298    395 / 318
+#:
+#: The cut is the last size at which direct counting won every measured
+#: cell: at three it is 5-9 % ahead in three cells and 1 % behind, in
+#: every repeat, on the small RKR; from four on the sort wins all but
+#: the small RTK.
 DIRECT_COUNT_MAX_Q = 2
 
 #: An RKR sweep seeds minRank from the ``SEED_CANDIDATES * k`` weights
@@ -93,26 +108,28 @@ DIRECT_COUNT_MAX_Q = 2
 SEED_CANDIDATES = 4
 
 #: Filter dtypes the kernel accepts.  ``float32`` halves the memory
-#: traffic of the bound matmuls (the ~85% filter stage) and is proven
+#: traffic of the tile gemm (the ~85% filter stage) and is proven
 #: safe by widening the classification gates by :func:`f32_gamma` — any
-#: pair the widened float32 bounds cannot decide falls through to the
+#: pair the widened float32 scores cannot decide falls through to the
 #: float64/rational refinement path, so answers stay byte-identical.
 FILTER_DTYPES = ("float64", "float32")
 
 
 def f32_gamma(dim: int) -> float:
-    """Relative error bound of a float32 bound product over ``dim`` terms.
+    """Relative error bound of a float32 score over ``dim`` terms.
 
-    The six kernel arrays are non-negative, so a single-precision
-    evaluation of the Eq. 3/4 boundary products ``sum_i a_i * b_i``
-    carries a pure *relative* error: casting each f64 operand to f32
-    contributes one ulp per operand (``(1+u)^2`` per term) and the
-    accumulation another ``dim`` ulps, for a standard forward bound of
+    ``P`` and ``W`` are non-negative, so a single-precision evaluation
+    of ``sum_i w_i * p_i`` carries a pure *relative* error: casting
+    each f64 operand to f32 contributes one ulp per operand
+    (``(1+u)^2`` per term) and the accumulation another ``dim`` ulps,
+    for a standard forward bound of
     ``gamma_{dim+2} = (dim+2)u / (1 - (dim+2)u)`` with ``u = 2^-24``.
     We return four times that (safety margin for non-sequential BLAS
     accumulation orders, FMA contraction, and the f32 gate cast), which
-    is still ~1e-5 at d=32 — four orders of magnitude below the
-    near-tie band no genuine score gap lives in.
+    is still ~1e-5 at d=32: a float32 score is a bound pair
+    ``s32 * (1 -/+ gamma)`` five orders of magnitude tighter than a
+    32-cell grid's.  Underflow (a product below ``2**-126``) adds an
+    absolute error the near-tie half-width ``tol >= 1e-9`` absorbs.
     """
     u = 2.0 ** -24
     n = dim + 2
@@ -128,17 +145,20 @@ class KernelStats:
     queries:
         Queries accumulated into this stats object.
     filter_s, refine_s, merge_s:
-        Seconds spent assembling/classifying grid bounds, refining the
+        Seconds spent forming/classifying score tiles, refining the
         undecided band with exact dot products, and merging per-block
         (or per-shard) partial answers.
     pairs_total:
-        Live ``(p, w)`` pairs that entered bound classification.
+        Live ``(p, w)`` pairs that entered classification.
     pairs_case1:
-        Pairs decided "p definitely out-ranks q" by the upper bound.
+        Pairs decided "p definitely out-ranks q": the score's upper
+        bracket clears ``f_w(q) - tol``.
     pairs_case2:
-        Pairs decided "q definitely out-ranks p" by the lower bound.
+        Pairs decided "q definitely out-ranks p": the score's lower
+        bracket clears ``f_w(q) + tol``.
     pairs_refined:
-        Undecided pairs that needed an exact dot product.
+        Undecided pairs — those the filter dtype cannot separate from
+        ``f_w(q)`` — that needed an exact dot product.
     pairs_domin_skipped:
         Pairs never classified because the product strictly dominates
         the query (counted straight into every weight's rank floor).
@@ -148,7 +168,7 @@ class KernelStats:
         sweep's seed, then the k-th best rank held), or (RKR) it
         exceeds the block's rank-interval cap.
     pairs_f32:
-        Pairs whose bound classification ran through the float32
+        Pairs whose classification ran through the float32
         prefilter (a subset of ``pairs_total``).
     fused_batches:
         Fused multi-query passes executed (one per coalesced batch and
@@ -156,7 +176,7 @@ class KernelStats:
         tiles with nobody and is not counted here.
     fused_queries:
         Queries answered inside a fused pass (each shares its batch's
-        gather/matmul work instead of paying for its own).
+        tile gemms instead of paying for its own).
     """
 
     queries: int = 0
@@ -188,7 +208,7 @@ class KernelStats:
 
     @property
     def pairs_decided(self) -> int:
-        """Pairs settled by bounds alone (no exact dot product)."""
+        """Pairs settled by the tile alone (no exact dot product)."""
         return self.pairs_case1 + self.pairs_case2
 
     def filter_rate(self) -> float:
@@ -223,15 +243,21 @@ class KernelStats:
         }
 
 
+def _f32_bracketable(a: np.ndarray) -> bool:
+    """Whether every entry is non-negative and finite in float32."""
+    return bool(a.size == 0
+                or (a.min() >= 0.0 and a.max() <= np.finfo(np.float32).max))
+
+
 def _check_block(value: int, name: str) -> int:
     if int(value) < 1:
         raise InvalidParameterError(f"{name} must be positive, got {value}")
     return int(value)
 
 
-#: Size of a sweeping thread's workspace: both float64 bound sides of
-#: one ``DEFAULT_W_BLOCK x DEFAULT_P_BLOCK`` tile.
-_WORKSPACE_BYTES = 2 * 8 * DEFAULT_W_BLOCK * DEFAULT_P_BLOCK
+#: Size of a sweeping thread's workspace: one float64
+#: ``DEFAULT_W_BLOCK x DEFAULT_P_BLOCK`` score tile.
+_WORKSPACE_BYTES = 8 * DEFAULT_W_BLOCK * DEFAULT_P_BLOCK
 
 
 class _Workspace(threading.local):
@@ -298,47 +324,45 @@ def _count_sorted(S: np.ndarray, G: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _gate_tallies(uT: np.ndarray, lT: np.ndarray, g_hi: np.ndarray,
+def _gate_tallies(S: np.ndarray, g_hi: np.ndarray,
                   g_lo: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Case-1 and low-side hit counts of one tile, per column and query.
 
-    ``uT`` / ``lT`` are the tile's upper / lower bound scores, shape
-    ``(cols, rows)``; ``g_hi`` / ``g_lo`` the ``(cols, nq)`` gates
-    (``-inf`` where a query has pruned the column).  Returns the
-    ``(cols, nq)`` tallies of ``uT < g_hi`` and ``lT <= g_lo``.
+    ``S`` is the tile's scores, shape ``(cols, rows)``; ``g_hi`` /
+    ``g_lo`` the ``(cols, nq)`` gates (``-inf`` where a query has pruned
+    the column).  Returns the ``(cols, nq)`` tallies of ``S < g_hi`` and
+    ``S <= g_lo``.
     """
     nq = g_hi.shape[1]
-    cols = uT.shape[0]
     # Scratch of this call only: given back on the way out.
     mark = _workspace.used
     if nq <= DIRECT_COUNT_MAX_Q:
         # One compare mask for both sides and every query.  int32
         # tallies: the narrow reduction is a third faster and a tile
         # never has 2**31 rows.
-        mask = _workspace.take(uT.shape, np.bool_)
+        mask = _workspace.take(S.shape, np.bool_)
         case1, lowhit = [], []
         for qi in range(nq):
-            np.less(uT, g_hi[:, qi, None], out=mask)
+            np.less(S, g_hi[:, qi, None], out=mask)
             case1.append(mask.sum(axis=1, dtype=np.int32))
-            np.less_equal(lT, g_lo[:, qi, None], out=mask)
+            np.less_equal(S, g_lo[:, qi, None], out=mask)
             lowhit.append(mask.sum(axis=1, dtype=np.int32))
         _workspace.used = mark
         return np.stack(case1, axis=1), np.stack(lowhit, axis=1)
-    # The tile's scores are query-independent, so sort them once and
-    # answer *all* queries' gate counts by binary search: O(rows log
-    # rows) shared, O(nq log rows) per column.  Both sides share one
-    # stacked sort + one count pass; the low side's non-strict ``<=``
-    # becomes a strict ``<`` against ``nextafter(gate)`` — exact for
-    # floats (``-inf`` steps to the most negative finite value, which
-    # no finite score is below either).
-    stacked = np.concatenate(
-        (uT, lT), axis=0, out=_workspace.take((2 * cols, uT.shape[1]),
-                                              uT.dtype))
-    stacked.sort(axis=1)
-    gates = np.concatenate((g_hi, np.nextafter(g_lo, np.inf)))
-    tallies = _count_sorted(stacked, gates)
+    # The tile's scores are query-independent, so sort a copy once (the
+    # tile itself keeps its row positions for the ``_undecided`` replay)
+    # and answer *all* queries' gate counts on both sides by binary
+    # search: O(rows log rows) shared, O(nq log rows) per column.  The
+    # low side's non-strict ``<=`` becomes a strict ``<`` against
+    # ``nextafter(gate)`` — exact for floats (``-inf`` steps to the most
+    # negative finite value, which no finite score is below either).
+    ranked = _workspace.take(S.shape, S.dtype)
+    np.copyto(ranked, S)
+    ranked.sort(axis=1)
+    gates = np.concatenate((g_hi, np.nextafter(g_lo, np.inf)), axis=1)
+    tallies = _count_sorted(ranked, gates)
     _workspace.used = mark
-    return tallies[:cols], tallies[cols:]
+    return tallies[:, :nq], tallies[:, nq:]
 
 
 @dataclass
@@ -346,11 +370,11 @@ class _BatchState:
     """Per-batch prep for one tile sweep.
 
     The sweep never compacts product rows per query — the whole point is
-    that every query shares one gather/matmul per (P-block, W-block)
-    tile — so each query instead carries the *sorted global indices* of
-    its excluded rows (duplicates of q plus, with ``use_domin``, its
+    that every query shares one gemm per (P-block, W-block) tile — so
+    each query instead carries the *sorted global indices* of its
+    excluded rows (duplicates of q plus, with ``use_domin``, its
     dominators), masked out of that query's classification after the
-    shared tile products are formed.
+    shared tile is formed.
     """
 
     #: Stacked query matrix, shape ``(nq, d)``.
@@ -369,7 +393,7 @@ class _BatchState:
 
 @dataclass
 class _BlockState:
-    """One W-block's bound classification, held until its survivors are
+    """One W-block's classification, held until its survivors are
     refined.  Per-query arrays are ``(nq, B)``, per-weight ``(B, nq)``.
 
     Dead once the block's :meth:`KernelCore._exact_counts` calls have
@@ -390,37 +414,33 @@ class _BlockState:
     #: The gates the tiles were compared against (filter dtype).
     hi_cmp: np.ndarray
     lo_cmp: np.ndarray
-    #: ``(first P row, live columns, upper, lower)`` per tile, scores
+    #: ``(first P row, live columns, scores)`` per tile, scores
     #: transposed to ``(columns, rows)``.
-    tiles: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    tiles: List[Tuple[int, np.ndarray, np.ndarray]]
 
 
 class KernelCore:
     """Array-only compute core of the blocked kernel.
 
     Deliberately free of dataset/quantizer objects so shard workers can
-    build one directly over shared-memory views.  All arrays are taken
-    as-is (float64, C-contiguous preferred); ``pa_lo``/``pa_hi`` are the
-    pre-gathered product-side boundary matrices ``alpha_p[PA]`` /
-    ``alpha_p[PA + 1]``, and ``wb_lo``/``wb_hi`` the weight-side
-    ``alpha_w[WA]`` / ``alpha_w[WA + 1]``.  Product rows may come in any
-    order (``P``, ``pa_lo``, ``pa_hi`` row-aligned): answers are weight
-    indices and ranks, counts over ``P``.
+    build one directly over shared-memory views.  ``P`` and ``W`` are
+    taken as-is (float64, C-contiguous preferred); on the float32 filter
+    path the core also holds their single-precision copies ``P32`` /
+    ``W32`` — cast here, or handed in by a caller that already has them
+    (a mapped kernel store, a shard worker's shared segments), in which
+    case nothing is scanned or copied.  Product rows may come in any
+    order: answers are weight indices and ranks, counts over ``P``.
     """
 
     def __init__(self, P: np.ndarray, W: np.ndarray,
-                 pa_lo: np.ndarray, pa_hi: np.ndarray,
-                 wb_lo: np.ndarray, wb_hi: np.ndarray,
                  w_block: int = DEFAULT_W_BLOCK,
                  p_block: int = DEFAULT_P_BLOCK,
                  use_domin: bool = True,
-                 filter_dtype: str = "float32"):
+                 filter_dtype: str = "float32",
+                 P32: Optional[np.ndarray] = None,
+                 W32: Optional[np.ndarray] = None):
         self.P = np.asarray(P, dtype=np.float64)
         self.W = np.asarray(W, dtype=np.float64)
-        self.pa_lo = np.asarray(pa_lo, dtype=np.float64)
-        self.pa_hi = np.asarray(pa_hi, dtype=np.float64)
-        self.wb_lo = np.asarray(wb_lo, dtype=np.float64)
-        self.wb_hi = np.asarray(wb_hi, dtype=np.float64)
         self.w_block = _check_block(w_block, "w_block")
         self.p_block = _check_block(p_block, "p_block")
         self.use_domin = bool(use_domin)
@@ -430,25 +450,23 @@ class KernelCore:
                 f"got {filter_dtype!r}"
             )
         # The float32 safety argument (see f32_gamma) requires purely
-        # non-negative operands; the library's data model guarantees it,
-        # but a hand-built core with exotic bounds silently falls back
-        # to the always-safe float64 filter instead of mis-filtering.
-        if filter_dtype == "float32" and (
-                float(self.pa_lo.min(initial=0.0)) < 0.0
-                or float(self.wb_lo.min(initial=0.0)) < 0.0):
+        # non-negative operands float32 can hold (an ``inf * 0`` would
+        # be a NaN no gate decides); the library's data model guarantees
+        # it, but a hand-built core with a negative or overflowing
+        # entry silently falls back to the always-safe float64 filter
+        # instead of mis-filtering.
+        if filter_dtype == "float32" and P32 is None and not (
+                _f32_bracketable(self.P) and _f32_bracketable(self.W)):
             filter_dtype = "float64"
         self.filter_dtype = filter_dtype
         self._f32 = filter_dtype == "float32"
         if self._f32:
             self._gamma = f32_gamma(self.P.shape[1])
-            self.pa_lo32 = self.pa_lo.astype(np.float32)
-            self.pa_hi32 = self.pa_hi.astype(np.float32)
-            self.wb_lo32 = self.wb_lo.astype(np.float32)
-            self.wb_hi32 = self.wb_hi.astype(np.float32)
+            self.P32 = self.P.astype(np.float32) if P32 is None else P32
+            self.W32 = self.W.astype(np.float32) if W32 is None else W32
         else:
             self._gamma = 0.0
-            self.pa_lo32 = self.pa_hi32 = None
-            self.wb_lo32 = self.wb_hi32 = None
+            self.P32 = self.W32 = None
 
     # ------------------------------------------------------------------
     # gates, tiles, exact refinement
@@ -457,15 +475,16 @@ class KernelCore:
     def _f32_gates(self, hi_gate: np.ndarray, lo_gate: np.ndarray):
         """Widen the classification gates for the float32 prefilter.
 
-        A float32 bound product carries at most ``gamma`` relative error
-        (:func:`f32_gamma`) and is non-negative, so
+        A float32 score ``s32`` carries at most ``gamma`` relative error
+        (:func:`f32_gamma`) and is non-negative, so the true score lies
+        in ``[s32 / (1 + gamma), s32 / (1 - gamma)]`` and
 
-        * ``upper32 < hi_gate * (1 - gamma)`` implies the true upper
-          bound clears ``hi_gate`` (Case 1 is safe: if ``hi_gate`` is
+        * ``s32 < hi_gate * (1 - gamma)`` implies the true score
+          clears ``hi_gate`` (Case 1 is safe: if ``hi_gate`` is
           negative the scaled gate stays negative and no non-negative
-          ``upper32`` passes it);
-        * ``lower32 > lo_gate * (1 + gamma)`` implies the true lower
-          bound clears ``lo_gate`` (Case 2 is safe; ``lo_gate =
+          ``s32`` passes it);
+        * ``s32 > lo_gate * (1 + gamma)`` implies the true score
+          clears ``lo_gate`` (Case 2 is safe; ``lo_gate =
           f_w(q) + tol`` is always non-negative).
 
         The f64→f32 cast of the gates themselves is made conservative
@@ -531,10 +550,10 @@ class KernelCore:
         """Per-query skip masks and Domin floors for one tile sweep.
 
         ``QM`` stacks the batch's query points as rows.  The §5.3 cost
-        model observation behind the shared sweep: the Eq. 3/4 boundary
-        products per (P-block, W-block) tile are *query independent*, so
-        one gather + one matmul can serve every query of the batch; only
-        the per-query gates, exclusions and refinement bands differ.
+        model observation behind the shared sweep: the scores of a
+        (P-block, W-block) tile are *query independent*, so one matmul
+        can serve every query of the batch; only the per-query gates,
+        exclusions and refinement bands differ.
         """
         QM = np.asarray(QM, dtype=np.float64)
         excl: List[Optional[np.ndarray]] = []
@@ -558,9 +577,9 @@ class KernelCore:
     def classify_batch(self, batch: _BatchState, ws: int, we: int,
                        limits: np.ndarray, counters: List[OpCounter],
                        stats: KernelStats) -> _BlockState:
-        """Bound-classify one W-block for *all* queries off shared tiles.
+        """Classify one W-block for *all* queries off shared tiles.
 
-        One ``(P-tile × W-block)`` gemm pair per tile is shared by every
+        One ``(P-tile × W-block)`` gemm per tile is shared by every
         query; per-query work is reduced to the gate tallies and
         exclusion masking.  The shared gemm is compacted to the
         **union** of the queries' still-active columns, and each
@@ -580,19 +599,16 @@ class KernelCore:
         work.used = 0
         B = we - ws
         nq = batch.QM.shape[0]
-        d = self.P.shape[1]
         FQ = self.W[ws:we] @ batch.QM.T
         TOL = TIE_REL_TOL * (1.0 + np.abs(FQ))
         hi_cmp = FQ - TOL
         lo_cmp = FQ + TOL
         if self._f32:
             hi_cmp, lo_cmp = self._f32_gates(hi_cmp, lo_cmp)
-            pa_hi_f, pa_lo_f = self.pa_hi32, self.pa_lo32
-            wb_hi_all, wb_lo_all = self.wb_hi32[ws:we], self.wb_lo32[ws:we]
+            P_f, W_all = self.P32, self.W32[ws:we]
             neg_inf = np.float32(-np.inf)
         else:
-            pa_hi_f, pa_lo_f = self.pa_hi, self.pa_lo
-            wb_hi_all, wb_lo_all = self.wb_hi[ws:we], self.wb_lo[ws:we]
+            P_f, W_all = self.P, self.W[ws:we]
             neg_inf = -np.inf
         for counter in counters:
             counter.pairwise += B
@@ -602,7 +618,7 @@ class KernelCore:
         # undecided pairs, and with ``counts`` the rank interval.
         gap = np.zeros((nq, B), dtype=np.int64)
         active = counts < limits[:, None]
-        tiles: List[Tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        tiles: List[Tuple[int, np.ndarray, np.ndarray]] = []
         for ps, pe in self._tiles():
             # Union compaction: a column enters the shared gemm while
             # *any* query still needs it (block-local sorted indices).
@@ -610,18 +626,14 @@ class KernelCore:
             if live_cols.size == 0:
                 break
             full = live_cols.size == B
-            wb_hi_sel = wb_hi_all if full else wb_hi_all[live_cols]
-            wb_lo_sel = wb_lo_all if full else wb_lo_all[live_cols]
             # The amortized work, transposed so each weight column is a
-            # contiguous row: one gemm pair per tile feeds every query
-            # (sgemm on the float32 prefilter path, dgemm otherwise),
-            # written straight into the workspace.
+            # contiguous row: one gemm per tile feeds both gates of
+            # every query (sgemm on the float32 prefilter path, dgemm
+            # otherwise), written straight into the workspace.
             shape = (live_cols.size, pe - ps)                  # (U, rows)
-            uT = np.matmul(wb_hi_sel, pa_hi_f[ps:pe].T,
-                           out=work.take(shape, pa_hi_f.dtype))
-            lT = np.matmul(wb_lo_sel, pa_lo_f[ps:pe].T,
-                           out=work.take(shape, pa_lo_f.dtype))
-            tiles.append((ps, live_cols, uT, lT))
+            S = np.matmul(W_all if full else W_all[live_cols], P_f[ps:pe].T,
+                          out=work.take(shape, P_f.dtype))
+            tiles.append((ps, live_cols, S))
             # Gates over the union slice, one (U, nq) matrix per side;
             # a column another query keeps live but this one has pruned
             # gets a -inf gate, so it can produce neither case-1 nor
@@ -629,7 +641,7 @@ class KernelCore:
             act_u = active.T if full else active.T[live_cols]
             g_hi = np.where(act_u, hi_cmp[live_cols], neg_inf)
             g_lo = np.where(act_u, lo_cmp[live_cols], neg_inf)
-            case1_per_col, lowhit_per_col = _gate_tallies(uT, lT, g_hi, g_lo)
+            case1_per_col, lowhit_per_col = _gate_tallies(S, g_hi, g_lo)
             for qi in range(nq):
                 excl = batch.excl[qi]
                 if excl is None:
@@ -641,13 +653,14 @@ class KernelCore:
                 # rows' contributions directly (|excl| is tiny:
                 # dominators and duplicates of one query).
                 local = excl[lo_i:hi_i] - ps
+                excluded = S[:, local]
                 case1_per_col[:, qi] -= np.count_nonzero(
-                    uT[:, local] < g_hi[:, qi, None], axis=1)
+                    excluded < g_hi[:, qi, None], axis=1)
                 lowhit_per_col[:, qi] -= np.count_nonzero(
-                    lT[:, local] <= g_lo[:, qi, None], axis=1)
+                    excluded <= g_lo[:, qi, None], axis=1)
             counts[:, live_cols] += case1_per_col.T
-            # Bounds give lower <= upper, so case-1 implies the
-            # low-side hit: the tally gap *is* the undecided count.
+            # The high gate sits below the low gate, so case-1 implies
+            # the low-side hit: the tally gap *is* the undecided count.
             diff = lowhit_per_col - case1_per_col
             gap[:, live_cols] += diff.T
             n_act_q = np.count_nonzero(act_u, axis=0)          # (nq,)
@@ -661,9 +674,9 @@ class KernelCore:
                 n_case1 = int(n_case1_q[qi])
                 n_und = int(n_und_q[qi])
                 counter = counters[qi]
-                counter.approx_accessed += pe - ps
-                counter.grid_lookups += n_pairs * d + (n_pairs - n_case1) * d
-                counter.additions += n_pairs * d + (n_pairs - n_case1) * d
+                # A classified pair is a scored pair.
+                counter.pairwise += n_pairs
+                counter.points_accessed += n_pairs
                 counter.filtered_case1 += n_case1
                 counter.filtered_case2 += n_pairs - n_case1 - n_und
                 stats.pairs_total += n_pairs
@@ -695,12 +708,12 @@ class KernelCore:
         if cand.size:
             g_hi = block.hi_cmp[cand, qi][:, None]
             g_lo = block.lo_cmp[cand, qi][:, None]
-            for ps, live_cols, uT, lT in block.tiles:
-                pos = np.searchsorted(live_cols, cand)
-                und = lT[pos] <= g_lo
-                und &= ~(uT[pos] < g_hi)
+            for ps, live_cols, S in block.tiles:
+                scores = S[np.searchsorted(live_cols, cand)]
+                und = scores <= g_lo
+                und &= ~(scores < g_hi)
                 if excl is not None:
-                    lo_i, hi_i = np.searchsorted(excl, (ps, ps + uT.shape[1]))
+                    lo_i, hi_i = np.searchsorted(excl, (ps, ps + S.shape[1]))
                     if hi_i > lo_i:
                         und[:, excl[lo_i:hi_i] - ps] = False
                 cc, rr = np.nonzero(und)
@@ -907,7 +920,9 @@ class GirKernelRRQ(RRQAlgorithm):
     Drop-in replacement for :class:`~repro.core.gir.GridIndexRRQ` with
     identical answers and the same construction surface (``partitions``,
     ``grid``, quantizer overrides, ``use_domin``), plus the blocking
-    knobs ``w_block`` / ``p_block``.  After every query
+    knobs ``w_block`` / ``p_block``.  The grid and the codes are built
+    and kept for that surface; the sweep itself reads only ``P`` and
+    ``W`` (module docstring).  After every query
     :attr:`last_stats` holds that query's :class:`KernelStats` (the
     scheduler feeds these into ``/metrics``).
     """
@@ -950,17 +965,9 @@ class GirKernelRRQ(RRQAlgorithm):
         # nothing outside the core can tell, and ``self.P`` / ``self.PA``
         # stay in dataset order.
         order = np.argsort(self.P.sum(axis=1), kind="stable")
-        pa = self.PA.astype(np.intp, copy=False)[order]
-        wa = self.WA.astype(np.intp, copy=False)
-        return KernelCore(
-            P=self.P[order], W=self.W,
-            pa_lo=self.grid.alpha_p[pa],
-            pa_hi=self.grid.alpha_p[pa + 1],
-            wb_lo=self.grid.alpha_w[wa],
-            wb_hi=self.grid.alpha_w[wa + 1],
-            w_block=w_block, p_block=p_block, use_domin=use_domin,
-            filter_dtype=filter_dtype,
-        )
+        return KernelCore(self.P[order], self.W, w_block=w_block,
+                          p_block=p_block, use_domin=use_domin,
+                          filter_dtype=filter_dtype)
 
     # ------------------------------------------------------------------
 
@@ -994,19 +1001,18 @@ class GirKernelRRQ(RRQAlgorithm):
 
     @property
     def filter_dtype(self) -> str:
-        """Dtype of the bound-classification matmuls (filter stage)."""
+        """Dtype of the score tiles (filter stage)."""
         return self.core.filter_dtype
 
     def memory_report(self) -> dict:
-        """Bytes held by the grid, codes, and pre-gathered bound matrices."""
+        """Bytes held by the grid, codes, data and float32 filter copies."""
+        core = self.core
         return {
             "grid_bytes": self.grid.memory_bytes,
             "pa_bytes": self.PA.nbytes,
             "wa_bytes": self.WA.nbytes,
-            "bound_matrix_bytes": (self.core.pa_lo.nbytes
-                                   + self.core.pa_hi.nbytes
-                                   + self.core.wb_lo.nbytes
-                                   + self.core.wb_hi.nbytes),
+            "f32_copy_bytes": (core.P32.nbytes + core.W32.nbytes
+                               if core.P32 is not None else 0),
             "original_bytes": self.P.nbytes + self.W.nbytes,
         }
 
@@ -1054,8 +1060,8 @@ class GirKernelRRQ(RRQAlgorithm):
         """Answer a whole micro-batch of RTK queries in one fused pass.
 
         Byte-identical to calling :meth:`reverse_topk` per query; the
-        (P-block × W-block) boundary matmuls are computed once per tile
-        and shared by every query (``k`` may be a scalar or per-query).
+        (P-block × W-block) score tiles are computed once and shared by
+        every query (``k`` may be a scalar or per-query).
         After the call :attr:`last_stats` holds the batch's accumulated
         :class:`KernelStats` (with ``fused_*`` tallies).
         """

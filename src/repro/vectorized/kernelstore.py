@@ -1,17 +1,18 @@
 """Zero-copy persistence for a built blocked kernel (mmap warm start).
 
 Building a :class:`~repro.vectorized.girkernel.GirKernelRRQ` from raw
-data costs a full validation + quantization + bound-gather sweep over
+data costs a full validation + quantization + sort + cast sweep over
 ``P`` and ``W`` — cheap next to a query sweep, but it is pure overhead
 on every cold start of a static server, and it scales linearly with
 ``|W|``.  (A mutable store's kernel is not worth a disk round trip: it
 is rebuilt in RAM per generation, see :mod:`repro.storage.kernel`.)
 This module persists everything the
-kernel needs — the six bound/data arrays, the product rows a second
+kernel needs — ``P`` and ``W``, the product rows a second
 time in the order the core sweeps them (``P_swept``; ``P`` and the codes
 stay in dataset order, which is what a caller compares with its own
 data), the approximate codes, and (on the float32 filter path) the
-single-precision bound copies — as a single packed blob
+single-precision copies the tiles are formed from (``P_swept32``,
+``W32``) — as a single packed blob
 (``kernel.bin``: raw C-contiguous array bytes at
 64-byte-aligned offsets) plus a JSON ``kernel.meta`` that records each
 array's dtype, shape and offset, committed through the same
@@ -53,20 +54,20 @@ from ..core.grid import GridIndex
 from ..core.storage import verify_manifest_dir, write_manifest_dir
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import DataValidationError, IndexCorruptionError
-from .girkernel import GirKernelRRQ, KernelCore, f32_gamma
+from .girkernel import GirKernelRRQ, KernelCore
 
 _META_NAME = "kernel.meta"
 _BLOB_NAME = "kernel.bin"
 _MANIFEST_NAME = "MANIFEST.json"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 _ALIGN = 64  # cache-line alignment for every packed array
 
 #: Core array artifacts every kernel store carries, in write order.
-CORE_ARRAYS = ("P", "W", "P_swept", "pa_lo", "pa_hi", "wb_lo", "wb_hi",
-               "pa", "wa")
+CORE_ARRAYS = ("P", "W", "P_swept", "pa", "wa")
 
-#: float32 bound copies, present only when saved with filter_dtype=float32.
-F32_ARRAYS = ("pa_lo32", "pa_hi32", "wb_lo32", "wb_hi32")
+#: float32 copies of ``P_swept`` and ``W``, present only when saved with
+#: filter_dtype=float32.
+F32_ARRAYS = ("P_swept32", "W32")
 
 
 def _pack_blob(arrays: Dict[str, np.ndarray]):
@@ -208,21 +209,15 @@ def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
     core = kernel.core
     arrays: Dict[str, np.ndarray] = {
         "P": kernel.P, "W": core.W,
-        # The core's rows (P_swept, pa_lo, pa_hi) are in its sweep
-        # order; packing them as swept keeps the load free of any sort
-        # or gather.
+        # The core's rows are in its sweep order; packing them as
+        # swept, and the float32 copies as cast, keeps the load free
+        # of any sort, gather or ``astype``.
         "P_swept": core.P,
-        "pa_lo": core.pa_lo, "pa_hi": core.pa_hi,
-        "wb_lo": core.wb_lo, "wb_hi": core.wb_hi,
         "pa": np.asarray(kernel.PA, dtype=np.int64),
         "wa": np.asarray(kernel.WA, dtype=np.int64),
     }
-    f32 = core.filter_dtype == "float32"
-    if f32:
-        arrays.update({
-            "pa_lo32": core.pa_lo32, "pa_hi32": core.pa_hi32,
-            "wb_lo32": core.wb_lo32, "wb_hi32": core.wb_hi32,
-        })
+    if core.filter_dtype == "float32":
+        arrays.update({"P_swept32": core.P32, "W32": core.W32})
     blob, layout = _pack_blob(arrays)
     meta = {
         "version": _FORMAT_VERSION,
@@ -354,35 +349,6 @@ def _dataset_views(P: np.ndarray, W: np.ndarray, value_range: float):
     return products, weights
 
 
-def _core_from_views(arrays: Dict[str, np.ndarray], meta: dict) -> KernelCore:
-    """Reassemble a KernelCore around mmap views without the __init__
-    copies/scans (``astype`` of the f32 bounds, the non-negativity
-    probe) — the saved store already carries their results."""
-    core = KernelCore.__new__(KernelCore)
-    core.P = arrays["P_swept"]
-    core.W = arrays["W"]
-    core.pa_lo = arrays["pa_lo"]
-    core.pa_hi = arrays["pa_hi"]
-    core.wb_lo = arrays["wb_lo"]
-    core.wb_hi = arrays["wb_hi"]
-    core.w_block = int(meta["w_block"])
-    core.p_block = int(meta["p_block"])
-    core.use_domin = bool(meta["use_domin"])
-    core.filter_dtype = meta["filter_dtype"]
-    core._f32 = core.filter_dtype == "float32"
-    if core._f32:
-        core._gamma = f32_gamma(core.P.shape[1])
-        core.pa_lo32 = arrays["pa_lo32"]
-        core.pa_hi32 = arrays["pa_hi32"]
-        core.wb_lo32 = arrays["wb_lo32"]
-        core.wb_hi32 = arrays["wb_hi32"]
-    else:
-        core._gamma = 0.0
-        core.pa_lo32 = core.pa_hi32 = None
-        core.wb_lo32 = core.wb_hi32 = None
-    return core
-
-
 def load_kernel(directory, mmap: bool = True, verify: str = "size",
                 expected_digest: Optional[str] = None) -> GirKernelRRQ:
     """Load a kernel saved by :func:`save_kernel` as zero-copy mmap views.
@@ -432,6 +398,14 @@ def load_kernel(directory, mmap: bool = True, verify: str = "size",
     kernel.w_quantizer = Quantizer(grid.alpha_w)
     kernel.PA = arrays["pa"]
     kernel.WA = arrays["wa"]
-    kernel.core = _core_from_views(arrays, meta)
+    # Handed its float32 copies, the constructor neither casts nor
+    # probes: the saved store carries the results of both.
+    kernel.core = KernelCore(
+        arrays["P_swept"], arrays["W"],
+        w_block=int(meta["w_block"]), p_block=int(meta["p_block"]),
+        use_domin=bool(meta["use_domin"]),
+        filter_dtype=meta["filter_dtype"],
+        P32=arrays.get("P_swept32"), W32=arrays.get("W32"),
+    )
     kernel.last_stats = None
     return kernel

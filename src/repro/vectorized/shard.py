@@ -5,11 +5,11 @@ when one user asks one enormous query.  This module splits a single
 query's weight scan into contiguous shards of ``W`` and fans the shards
 across worker processes, each running the blocked kernel
 (:class:`~repro.vectorized.girkernel.KernelCore`) over **zero-copy**
-``multiprocessing.shared_memory`` views of the six kernel arrays
-(``P``, ``W`` and the four pre-gathered boundary matrices).  The
-segments are created once per engine; per query only the tiny
-``(kind, q, k, lo, hi)`` task tuples and the per-shard partial answers
-cross the process boundary.
+``multiprocessing.shared_memory`` views of the kernel's arrays
+(``P``, ``W`` and, on the float32 filter path, their single-precision
+copies).  The segments are created once per engine; per query only the
+tiny ``(kind, q, k, lo, hi)`` task tuples and the per-shard partial
+answers cross the process boundary.
 
 Shard merging is deterministic and exact:
 
@@ -104,14 +104,15 @@ def _attach_array(spec: ArraySpec) -> Tuple[np.ndarray,
 _WORKER_CORE: Optional[KernelCore] = None
 _WORKER_SEGMENTS: List[shared_memory.SharedMemory] = []
 
-_ARRAY_KEYS = ("P", "W", "pa_lo", "pa_hi", "wb_lo", "wb_hi")
+#: A float64 core has no ``P32`` / ``W32`` and gets no segment for them.
+_ARRAY_KEYS = ("P", "W", "P32", "W32")
 
 
 def _init_shard_worker(specs: Dict[str, ArraySpec], params: dict) -> None:
     global _WORKER_CORE
     arrays = {}
-    for key in _ARRAY_KEYS:
-        arr, shm = _attach_array(specs[key])
+    for key, spec in specs.items():
+        arr, shm = _attach_array(spec)
         arrays[key] = arr
         _WORKER_SEGMENTS.append(shm)  # keep mapped for the worker's lifetime
     _WORKER_CORE = KernelCore(**arrays, **params)
@@ -148,9 +149,9 @@ class ShardedGirRRQ(RRQAlgorithm):
     partitions, w_block, p_block, use_domin:
         Forwarded to the kernel (see :class:`GirKernelRRQ`).
 
-    Everything is built once: the kernel arrays are quantized in the
-    parent, published to shared memory, and the pool initializer maps
-    them into each worker exactly once.  Answers are byte-identical to
+    Everything is built once: the kernel arrays are ordered and cast in
+    the parent, published to shared memory, and the pool initializer
+    maps them into each worker exactly once.  Answers are byte-identical to
     the serial kernel and to :class:`~repro.core.gir.GridIndexRRQ` (the
     tests enforce it).
     """
@@ -188,7 +189,10 @@ class ShardedGirRRQ(RRQAlgorithm):
         self._segments: List[shared_memory.SharedMemory] = []
         specs: Dict[str, ArraySpec] = {}
         for key in _ARRAY_KEYS:
-            shm, spec = _share_array(getattr(core, key))
+            arr = getattr(core, key)
+            if arr is None:
+                continue
+            shm, spec = _share_array(arr)
             self._segments.append(shm)
             specs[key] = spec
         params = {"w_block": core.w_block, "p_block": core.p_block,

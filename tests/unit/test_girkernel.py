@@ -52,11 +52,14 @@ class TestConstruction:
         P, W = data
         kernel = GirKernelRRQ(P, W, partitions=16)
         report = kernel.memory_report()
-        # Two pre-gathered float64 bound matrices per side, same shapes
-        # as P and W.
-        assert report["bound_matrix_bytes"] == (2 * P.values.nbytes
-                                                + 2 * W.values.nbytes)
+        # One float32 copy per side, same shapes as P and W; a float64
+        # core holds none.
+        assert report["f32_copy_bytes"] == (P.values.nbytes
+                                            + W.values.nbytes) // 2
+        assert report["original_bytes"] == P.values.nbytes + W.values.nbytes
         assert report["grid_bytes"] > 0
+        assert GirKernelRRQ(P, W, filter_dtype="float64").memory_report()[
+            "f32_copy_bytes"] == 0
 
     def test_registered_engine_method(self, data):
         P, W = data
@@ -178,21 +181,23 @@ class TestGateTallies:
         # Few distinct values, so gates land *on* scores: the strict
         # high side and the non-strict (nextafter) low side must differ
         # exactly there.
-        lT = (rng.integers(0, 6, size=(cols, rows)) / 8.0).astype(dtype)
-        uT = lT + (rng.integers(0, 3, size=(cols, rows)) / 8.0).astype(dtype)
+        S = (rng.integers(0, 8, size=(cols, rows)) / 8.0).astype(dtype)
         g_hi = (rng.integers(0, 8, size=(cols, nq)) / 8.0).astype(dtype)
         g_lo = g_hi + dtype(0.125)
         pruned = rng.random((cols, nq)) < 0.3
         g_hi[pruned] = -np.inf
         g_lo[pruned] = -np.inf
-        dense = ((uT[:, :, None] < g_hi[:, None, :]).sum(axis=1),
-                 (lT[:, :, None] <= g_lo[:, None, :]).sum(axis=1))
+        dense = ((S[:, :, None] < g_hi[:, None, :]).sum(axis=1),
+                 (S[:, :, None] <= g_lo[:, None, :]).sum(axis=1))
         assert (dense[1] > dense[0]).any() and not dense[0][pruned].any()
+        kept = S.copy()
         for cut in (nq, nq - 1):            # direct side, sorted side
             monkeypatch.setattr(girkernel, "DIRECT_COUNT_MAX_Q", cut)
-            case1, lowhit = girkernel._gate_tallies(uT, lT, g_hi, g_lo)
+            case1, lowhit = girkernel._gate_tallies(S, g_hi, g_lo)
             np.testing.assert_array_equal(case1, dense[0])
             np.testing.assert_array_equal(lowhit, dense[1])
+            # The replay reads the tile by row position afterwards.
+            np.testing.assert_array_equal(S, kept)
 
 
 class TestRankIntervalCap:
@@ -200,10 +205,9 @@ class TestRankIntervalCap:
     7/8), product 532 from the middle of the coordinate-sum ranking."""
 
     #: Measured at the commit before the cap: the sweep classified this
-    #: many pairs and refined every undecided pair of the columns alive
-    #: at block end.
+    #: many pairs (and refined 181,652: every undecided pair of the
+    #: columns alive at block end, when a tile held grid bounds).
     PARENT_PAIRS_TOTAL = 1_601_960
-    PARENT_PAIRS_REFINED = 181_652
 
     def test_batch_of_one_rkr_refines_a_fraction(self):
         P = uniform_products(1000, 4, seed=7)
@@ -217,7 +221,9 @@ class TestRankIntervalCap:
         # What classifies fewer is the seeded limit over sum-ordered
         # product rows (TestSeededLimit).
         assert stats.pairs_total * 2 < self.PARENT_PAIRS_TOTAL
-        assert 0 < stats.pairs_refined * 4 < self.PARENT_PAIRS_REFINED
+        # A tile of scores leaves only float32's rounding band undecided
+        # (11,008 pairs when it held 32-cell grid bounds).
+        assert stats.pairs_refined <= 8
         assert stats.weights_pruned > 1500
 
     def test_capped_pairs_land_in_the_never_refined_bucket(self, monkeypatch):
@@ -244,7 +250,7 @@ class TestRankIntervalCap:
         monkeypatch.setattr(girkernel.KernelCore, "_exact_counts", tally)
         report = profile_workload(kernel, [P[532]], k=10, kinds=("rkr",))
         pairs = report["pairs"]
-        assert pairs["refined"] == gaps["kept"] > 0
+        assert pairs["refined"] == gaps["kept"] <= 8
         assert pairs["undecided"] == gaps["dropped"] > 3 * gaps["kept"]
         assert report["weights_pruned"] == gaps["columns_dropped"]
         assert report["pairs_total"] * 2 < self.PARENT_PAIRS_TOTAL
@@ -518,20 +524,28 @@ class TestSeededLimit:
 
     def test_seed_scores_are_counted_as_exact_scores_not_as_pairs(self):
         """``SEED_CANDIDATES * k`` weights x |P| exact scores go to the
-        operation counter; ``pairs_total`` stays what bound
-        classification saw, and a seed-pruned column is a pruned weight
-        like any other."""
+        operation counter; ``pairs_total`` stays what classification
+        saw, and a seed-pruned column is a pruned weight like any
+        other."""
         P, W = _bench_shape()
         kernel = GirKernelRRQ(P, W, partitions=32)
         result, = kernel.reverse_kranks_batch([P[532]], 10)
         stats, counter = kernel.last_stats, result.counter
         seed_scores = girkernel.SEED_CANDIDATES * 10 * P.size
-        assert counter.points_accessed == stats.pairs_refined + seed_scores
-        # One f_w(q) per weight, one dot per refined pair, and the seed.
-        assert counter.pairwise == (W.size + stats.pairs_refined
-                                    + seed_scores)
+        # A classified pair is a scored pair (its tile cell), a refined
+        # pair is scored a second time, exactly.
+        assert counter.points_accessed == (stats.pairs_total
+                                           + stats.pairs_refined
+                                           + seed_scores)
+        # One f_w(q) per weight on top of those.
+        assert counter.pairwise == W.size + counter.points_accessed
         assert counter.refined == stats.pairs_refined
         assert counter.early_terminations == stats.weights_pruned
+        # No table is read and no boundary sum formed.
+        assert (counter.grid_lookups, counter.additions,
+                counter.approx_accessed) == (0, 0, 0)
+        assert (counter.filtered_case1, counter.filtered_case2) == (
+            stats.pairs_case1, stats.pairs_case2)
         # Every classified pair took the float32 prefilter; the seed's
         # float64 scores are no classified pairs.
         assert stats.pairs_f32 == stats.pairs_total
@@ -540,13 +554,16 @@ class TestSeededLimit:
         short = kernel.core.rkr_pairs(P[532], 10, 0, 9, unseeded,
                                       KernelStats())
         assert len(short) == 9
-        assert unseeded.pairwise == 9 + unseeded.refined
+        assert unseeded.points_accessed == 9 * P.size + unseeded.refined
+        assert unseeded.pairwise == 9 + unseeded.points_accessed
 
     def test_frugality_pin_on_the_benchmark_shape(self):
         """The 20 strata-centre products of ``benchmarks/e2e`` as batches
         of one.  Counts repeat exactly, so this catches a frugality
         regression no timing gate on a shared box can: 33,448,464 pairs
-        before the seed and the row order, 19,351,896 with them."""
+        before the seed and the row order, 19,351,896 with them and
+        262,595 of those refined; 17,612,424 and none since a tile
+        holds scores."""
         P, W = _bench_shape()
         kernel = GirKernelRRQ(P, W, partitions=32)
         order = np.argsort(P.values.sum(axis=1), kind="stable")
@@ -556,5 +573,5 @@ class TestSeededLimit:
             kernel.reverse_kranks_batch([P[p]], 10)
             total += kernel.last_stats.pairs_total
             refined += kernel.last_stats.pairs_refined
-        assert total <= 20_500_000
-        assert refined <= 399_795            # what the parent refined
+        assert total <= 18_000_000
+        assert refined <= 40

@@ -42,15 +42,13 @@ class TestRoundTrip:
     def test_arrays_and_answers_identical(self, store, kernel, mmap):
         loaded = load_kernel(store, mmap=mmap)
         core, lcore = kernel.core, loaded.core
-        for name in ("P", "W", "pa_lo", "pa_hi", "wb_lo", "wb_hi"):
+        assert core.filter_dtype == lcore.filter_dtype == "float32"
+        for name in ("P", "W", "P32", "W32"):
             np.testing.assert_array_equal(getattr(core, name),
                                           getattr(lcore, name))
+            assert getattr(core, name).dtype == getattr(lcore, name).dtype
         np.testing.assert_array_equal(kernel.PA, loaded.PA)
         np.testing.assert_array_equal(kernel.WA, loaded.WA)
-        if core.filter_dtype == "float32":
-            for name in F32_ARRAYS:
-                np.testing.assert_array_equal(getattr(core, name),
-                                              getattr(lcore, name))
         for qi in (0, 17, 60):
             q = kernel.products[qi]
             assert loaded.reverse_topk(q, 7) == kernel.reverse_topk(q, 7)
@@ -64,7 +62,9 @@ class TestRoundTrip:
         save_kernel(tmp_path, kernel)
         loaded = load_kernel(tmp_path)
         assert loaded.core.filter_dtype == "float64"
-        assert loaded.core.pa_lo32 is None
+        assert loaded.core.P32 is None and loaded.core.W32 is None
+        meta = json.loads((tmp_path / "kernel.meta").read_text())
+        assert not set(F32_ARRAYS) & set(meta["arrays"])
         q = kernel.products[3]
         assert loaded.reverse_topk(q, 5) == kernel.reverse_topk(q, 5)
 
@@ -81,7 +81,9 @@ class TestRoundTrip:
     def test_loaded_views_are_readonly(self, store):
         loaded = load_kernel(store)
         with pytest.raises(ValueError):
-            loaded.core.pa_lo[0, 0] = 1.0
+            loaded.core.P[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            loaded.core.W32[0, 0] = 1.0
 
 
 class TestCorruption:
@@ -125,7 +127,7 @@ class TestCorruption:
         # manifest must be regenerated for sizes to match.
         meta_path = store / "kernel.meta"
         meta = json.loads(meta_path.read_text())
-        del meta["arrays"]["wb_hi"]
+        del meta["arrays"]["W32"]
         from repro.core.storage import write_manifest_dir
         write_manifest_dir(store, {
             "kernel.bin": (store / "kernel.bin").read_bytes(),
@@ -133,7 +135,7 @@ class TestCorruption:
         })
         with pytest.raises(IndexCorruptionError) as exc:
             load_kernel(store)
-        assert "wb_hi" in str(exc.value)
+        assert "W32" in str(exc.value)
 
     def test_unsupported_version_rejected(self, store):
         meta_path = store / "kernel.meta"
@@ -157,7 +159,15 @@ class TestLayout:
         meta = json.loads((store / "kernel.meta").read_text())
         for name, spec in meta["arrays"].items():
             assert spec["offset"] % 64 == 0, name
-        assert set(CORE_ARRAYS) <= set(meta["arrays"])
+        assert set(CORE_ARRAYS + F32_ARRAYS) == set(meta["arrays"])
+
+    def test_store_bytes_at_the_benchmark_shape(self, tmp_path):
+        """Format 2 packed four float64 boundary matrices and their four
+        float32 copies where format 3 packs two float32 copies: 515,018
+        bytes for UNxUN d=4, 1000 x 2000."""
+        kernel = GirKernelRRQ(uniform_products(1000, 4, seed=7),
+                              uniform_weights(2000, 4, seed=8), partitions=32)
+        assert save_kernel(tmp_path, kernel)["bytes"] < 300_000
 
     def test_store_is_two_artifacts_plus_manifest(self, store):
         names = sorted(f.name for f in store.iterdir())
@@ -265,8 +275,9 @@ class TestTunedPointer:
 
 
 class TestSweepOrder:
-    """Format 2: the core's product rows are stored as swept (ascending
-    coordinate sum), ``P`` and the codes as the dataset has them."""
+    """The core's product rows are stored as swept (ascending coordinate
+    sum, format 2) beside their float32 copies as cast (format 3), ``P``
+    and the codes as the dataset has them."""
 
     def test_dataset_rows_and_swept_rows_both_round_trip(self, store,
                                                          kernel):
@@ -278,12 +289,18 @@ class TestSweepOrder:
         assert (order != np.arange(rows.shape[0])).any()
         assert loaded.core.P.tobytes() == rows[order].tobytes()
         np.testing.assert_array_equal(loaded.PA, kernel.PA)
-        np.testing.assert_array_equal(
-            loaded.core.pa_lo, kernel.grid.alpha_p[kernel.PA[order]])
-        # No sort or gather at load: every array is a window of the blob.
-        for arr in (loaded.P, loaded.core.P, loaded.core.pa_lo,
-                    loaded.core.pa_hi32):
+        assert (loaded.core.P32.tobytes()
+                == rows[order].astype(np.float32).tobytes())
+        # No sort, gather or cast at load: every array the sweep reads
+        # is a window of the one mapped blob, not a copy.
+        blob = loaded.P.base
+        while not isinstance(blob, np.memmap):
+            blob = blob.base
+        for arr in (loaded.P, loaded.core.P, loaded.core.W,
+                    loaded.core.P32, loaded.core.W32):
             assert not arr.flags.owndata and not arr.flags.writeable
+            assert np.shares_memory(arr, blob)
+        assert loaded.core.P32.dtype == loaded.core.W32.dtype == np.float32
         queries = [kernel.products[i] for i in (0, 17, 60)]
         built = kernel.reverse_kranks_batch(queries, 7)
         built_pairs = kernel.last_stats.pairs_total
@@ -299,6 +316,15 @@ class TestSweepOrder:
         same array names in dataset order: served as it is, it would
         sweep unordered rows against nothing that says so.  The version
         check refuses it and the scheduler rebuilds over it."""
+        self._refused_rebuilt_resaved(tmp_path, monkeypatch, 1)
+
+    def test_version_2_cache_is_refused_rebuilt_and_resaved(self, tmp_path,
+                                                            monkeypatch):
+        """A format-2 store holds boundary matrices and no ``W32``."""
+        self._refused_rebuilt_resaved(tmp_path, monkeypatch, 2)
+
+    @staticmethod
+    def _refused_rebuilt_resaved(tmp_path, monkeypatch, version):
         from repro.queries.engine import RRQEngine
         from repro.service.scheduler import MicroBatchScheduler
         from repro.vectorized import kernelstore
@@ -308,11 +334,11 @@ class TestSweepOrder:
         engine = RRQEngine(P, W, method="gir", partitions=8)
         old = GirKernelRRQ.from_gir(engine.algorithm)
         with monkeypatch.context() as patch:
-            patch.setattr(kernelstore, "_FORMAT_VERSION", 1)
+            patch.setattr(kernelstore, "_FORMAT_VERSION", version)
             save_kernel(tmp_path / "static", old)
         meta = json.loads((tmp_path / "static" / "kernel.meta").read_text())
-        assert meta["version"] == 1
-        with pytest.raises(DataValidationError, match="version 1"):
+        assert meta["version"] == version
+        with pytest.raises(DataValidationError, match=f"version {version}"):
             load_kernel(tmp_path / "static")
 
         scheduler = MicroBatchScheduler(engine, auto_start=False,
@@ -324,7 +350,8 @@ class TestSweepOrder:
             assert rebuilt is not None
             meta = json.loads(
                 (tmp_path / "static" / "kernel.meta").read_text())
-            assert meta["version"] == 2 and "P_swept" in meta["arrays"]
+            assert meta["version"] == 3
+            assert {"P_swept", "P_swept32", "W32"} <= set(meta["arrays"])
             warm = scheduler._load_static_kernel()
         finally:
             scheduler.close()

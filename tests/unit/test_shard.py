@@ -68,6 +68,28 @@ class TestEquivalence:
                     == naive.reverse_topk(P[5], 9).weights)
 
 
+class TestSegments:
+    """One shared-memory segment per array the core holds: ``P``, ``W``
+    and, on the float32 filter path, their two float32 copies."""
+
+    def test_float32_core_shares_four_arrays(self, sharded):
+        core = sharded.kernel.core
+        assert core.filter_dtype == "float32"
+        assert sorted(shm.size for shm in sharded._segments) == sorted(
+            arr.nbytes for arr in (core.P, core.W, core.P32, core.W32))
+
+    def test_float64_core_shares_two_and_workers_stay_float64(self, data):
+        P, W = data
+        kernel = GirKernelRRQ(P, W, partitions=8, filter_dtype="float64")
+        naive = NaiveRRQ(P, W)
+        with ShardedGirRRQ(P, W, shards=2, kernel=kernel) as engine:
+            assert len(engine._segments) == 2
+            assert (engine.reverse_kranks(P[5], 9).entries
+                    == naive.reverse_kranks(P[5], 9).entries)
+            assert engine.last_stats.pairs_total > 0
+            assert engine.last_stats.pairs_f32 == 0
+
+
 class TestLifecycle:
     def test_rejects_bad_shards(self, data):
         P, W = data
