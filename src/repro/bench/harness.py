@@ -329,17 +329,17 @@ def run_harness(configs: Optional[Sequence[dict]] = None,
 FUSED_CONFIGS: Tuple[dict, ...] = (
     {"name": "fused-uniform-d6-w100k", "p_dist": "UN", "w_dist": "UN",
      "n_products": 1500, "n_weights": 100_000, "dim": 6, "k": 10,
-     "queries": 8, "partitions": 32},
+     "queries": 8},
     {"name": "fused-clustered-d6-w100k", "p_dist": "CL", "w_dist": "CL",
      "n_products": 1500, "n_weights": 100_000, "dim": 6, "k": 10,
-     "queries": 8, "partitions": 32},
+     "queries": 8},
 )
 
 #: Tiny fused configs for CI smoke (seconds, oracle-verified).
 FUSED_SMOKE_CONFIGS: Tuple[dict, ...] = (
     {"name": "fused-smoke-uniform-d3", "p_dist": "UN", "w_dist": "UN",
      "n_products": 300, "n_weights": 2500, "dim": 3, "k": 8,
-     "queries": 8, "partitions": 32},
+     "queries": 8},
 )
 
 #: Timing repeats per measurement; the minimum is recorded (standard
@@ -414,8 +414,7 @@ def run_fused_config(cfg: dict, seed: int = DEFAULT_SEED,
     weights = generate_weights(cfg.get("w_dist", "UN"),
                                int(cfg["n_weights"]), int(cfg["dim"]),
                                seed=seed + 1)
-    partitions = int(cfg.get("partitions", 32))
-    kernel = GirKernelRRQ(products, weights, partitions=partitions)
+    kernel = GirKernelRRQ(products, weights)
     rng = np.random.default_rng(seed + 2)
     idx = _pick_query_indices(products.values, queries_n, k, rng)
     queries = [products.values[i] for i in idx]
@@ -467,7 +466,7 @@ def run_fused_config(cfg: dict, seed: int = DEFAULT_SEED,
 
     with tempfile.TemporaryDirectory() as store_dir:
         record["cold_start"], cold_ok = probe_cold_start(
-            products, weights, partitions, kernel, store_dir,
+            products, weights, kernel, store_dir,
             query=queries[0], k=k, repeats=_FUSED_REPEATS,
         )
         identical &= cold_ok
@@ -508,39 +507,6 @@ def run_fused_harness(configs: Optional[Sequence[dict]] = None,
     if out is not None:
         out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
-
-
-# ----------------------------------------------------------------------
-# the auto-tuner's scoring probe
-# ----------------------------------------------------------------------
-
-def probe_filter_profile(kernel: GirKernelRRQ,
-                         queries: Sequence[np.ndarray], k: int = 10,
-                         kinds: Sequence[str] = ("rtk",)) -> dict:
-    """One short measured probe: the compact filter profile of ``kernel``.
-
-    The tuner's scoring primitive — a thin projection of
-    :func:`repro.obs.profile.profile_workload` down to the quantities
-    candidate ranking needs: the undecided+refined fraction (what the
-    filter dtype's score bracket failed to settle — no grid setting
-    moves it) and the filter-stage seconds.
-    """
-    from ..obs.profile import profile_workload
-
-    report = profile_workload(kernel, queries, k=int(k),
-                              kinds=tuple(kinds))
-    fractions = report["fractions"]
-    return {
-        "queries": report["queries"],
-        "pairs_total": report["pairs_total"],
-        "fractions": dict(fractions),
-        "undecided_refined_fraction": (fractions["undecided"]
-                                       + fractions["refined"]),
-        "filter_rate": report["filter_rate"],
-        "filter_s": report["stage_s"]["filter"],
-        "elapsed_s": report["elapsed_s"],
-    }
-
 
 
 #: (kind, metric) pairs the regression gate compares, config by config.

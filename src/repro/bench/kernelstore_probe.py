@@ -3,7 +3,7 @@
 One measured fact for ``BENCH_fused.json``: how long acquiring a ready
 :class:`~repro.vectorized.girkernel.GirKernelRRQ` takes from raw
 arrays — the genuine cold-start path: dataset container construction
-with its validation scans, then quantization + bound gathers + f32
+with its validation scans, then the sweep-order sort and the f32
 copies — versus from an on-disk kernel store
 (:func:`~repro.vectorized.kernelstore.load_kernel`, one ``mmap(2)`` of
 the packed blob sliced into zero-copy views).  The loaded kernel also
@@ -38,8 +38,8 @@ def _best_of(fn, repeats: int) -> Tuple[float, object]:
     return best, value
 
 
-def probe_cold_start(products, weights, partitions: int,
-                     kernel: GirKernelRRQ, store_dir, query, k: int,
+def probe_cold_start(products, weights, kernel: GirKernelRRQ,
+                     store_dir, query, k: int,
                      repeats: int = 3) -> Tuple[dict, bool]:
     """Time rebuild vs mmap load of ``kernel``; returns (record, ok).
 
@@ -56,8 +56,7 @@ def probe_cold_start(products, weights, partitions: int,
     p_raw = np.array(products.values)
     w_raw = np.array(weights.values)
     rebuild_s, _ = _best_of(
-        lambda: GirKernelRRQ(ProductSet(p_raw), WeightSet(w_raw),
-                             partitions=partitions),
+        lambda: GirKernelRRQ(ProductSet(p_raw), WeightSet(w_raw)),
         repeats,
     )
     mmap_load_s, loaded = _best_of(lambda: load_kernel(store_dir), repeats)

@@ -215,52 +215,6 @@ def _cmd_model(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    """Offline auto-tuning: enumerate, score, verify, optionally persist.
-
-    Exit 0 on a verified run, 1 when the winner failed the byte-identity
-    check against the naive oracle (nothing is persisted in that case).
-    """
-    import json as _json
-
-    from .core.grid import DEFAULT_PARTITIONS
-    from .tuning import AutoTuner, CandidateConfig, format_tune_report
-
-    products, weights = _load_data(args.data)
-    current = CandidateConfig(
-        partitions=(args.partitions if args.partitions
-                    else DEFAULT_PARTITIONS))
-    tuner = AutoTuner(products, weights, k=args.k,
-                      probe_queries=args.queries, seed=args.seed,
-                      current=current)
-    report = tuner.tune()
-    if args.json:
-        print(_json.dumps(report, sort_keys=True, indent=2,
-                          default=float))
-    else:
-        print(format_tune_report(report))
-    if not report["verified"]:
-        print("error: winner failed byte-identity verification; "
-              "refusing to persist", file=sys.stderr)
-        return 1
-    if args.kernel_cache:
-        from .vectorized.kernelstore import (config_digest_of,
-                                             config_store_dir,
-                                             save_kernel,
-                                             write_tuned_pointer)
-
-        winner = CandidateConfig.from_dict(report["winner"]["config"])
-        kernel = tuner.build_winner(report)
-        digest = config_digest_of(kernel)
-        save_kernel(config_store_dir(args.kernel_cache, digest), kernel)
-        write_tuned_pointer(args.kernel_cache, digest, winner.as_dict())
-        if not args.json:
-            print(f"persisted winner to {args.kernel_cache}/"
-                  f"cfg-{digest[:12]} (tuned.json flipped; "
-                  f"serve --kernel-cache starts tuned)")
-    return 0
-
-
 def _blas_guard_note(blas_threads: list) -> str:
     """``info`` / ``serve`` wording for what a sweep's gemms run at."""
     if blas_threads:
@@ -304,8 +258,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 if args.slow_ms > 0 else None),
         trace_export_path=args.trace_export,
         kernel_cache_dir=args.kernel_cache,
-        auto_tune=args.auto_tune,
-        tune_interval_s=(args.tune_interval if args.auto_tune else 0.0),
     )
     if args.durable:
         from .durability import DurableDynamicRRQ
@@ -327,8 +279,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"at {server.url}", flush=True)
         _warn_unguarded_blas(info)
         print("endpoints: POST /query /insert /delete /modify /compact "
-              "/snapshot /promote /tuner, GET /healthz /metrics /info "
-              "/replicate /traces /slowlog /tuner", flush=True)
+              "/snapshot /promote, GET /healthz /metrics /info "
+              "/replicate /traces /slowlog", flush=True)
         try:
             server.serve_forever()
         except KeyboardInterrupt:
@@ -356,8 +308,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"WARNING: degraded mode — {service.degraded_reason}",
               file=sys.stderr)
     _warn_unguarded_blas(info)
-    print("endpoints: POST /query /tuner, GET /healthz /metrics /info "
-          "/traces /slowlog /tuner")
+    print("endpoints: POST /query, GET /healthz /metrics /info "
+          "/traces /slowlog")
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -399,7 +351,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         replicas=args.replicas,
         supervise=args.supervise,
         hedge=args.hedge,
-        tune_every=args.auto_tune_every,
     )
     try:
         print(f"cluster: {args.workers} workers ({args.partitioner} "
@@ -470,19 +421,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
 def _kernel_store_info(path: Path) -> None:
     """Report packed kernel stores (mmap warm start) under ``path``.
 
-    A store lives either directly in the directory or in the cache
-    layout ``serve --kernel-cache`` maintains (``static`` and the
-    tuner's ``cfg-<digest>`` subdirectories); each one is a single mmap
-    away from a warm kernel.  A ``tuned.json`` pointer means the
-    auto-tuner pinned a config — the serve path loads that store first.
+    A store lives either directly in the directory or in the
+    ``static`` subdirectory ``serve --kernel-cache`` maintains; each
+    one is a single mmap away from a warm kernel.
     """
-    from .vectorized.kernelstore import kernel_store_size, read_tuned_pointer
+    from .vectorized.kernelstore import kernel_store_size
 
-    candidates = [path] + sorted(
-        child for child in path.iterdir()
-        if child.is_dir() and (child.name == "static"
-                               or child.name.startswith("cfg-")))
-    stores = [c for c in candidates
+    stores = [c for c in (path, path / "static")
               if (c / "kernel.bin").exists() and (c / "kernel.meta").exists()]
     if not stores:
         return
@@ -491,13 +436,6 @@ def _kernel_store_info(path: Path) -> None:
     print(f"{'kernel store':18s} {total:>12,} bytes "
           f"({len(stores)} store(s): {where})")
     print(f"{'warm start':18s} mmap (zero-copy, O(1) load)")
-    pointer = read_tuned_pointer(path)
-    if pointer is not None:
-        config = pointer.get("config") or {}
-        label = (f"n{config.get('partitions')}-{config.get('boundaries')}"
-                 if config else pointer["digest"][:12])
-        print(f"{'tuned config':18s} {label} "
-              f"(cfg-{pointer['digest'][:12]})")
 
 
 def _durability_info(path: Path) -> int:
@@ -623,9 +561,9 @@ def _bench_fused(args: argparse.Namespace, configs) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Replay a workload through the kernel; print the Table-4 breakdown.
 
-    Loads a persisted Grid-index (wrapping its grid, no re-quantization)
-    or raw data (quantizing fresh), samples query points from the
-    product set under a pinned seed, and reports how the grid bounds
+    Loads a persisted Grid-index or raw data, builds the kernel over
+    its products and weights, samples query points from the product set
+    under a pinned seed, and reports how the bracketed float32 scores
     classified every ``(p, w)`` pair — the live analogue of the paper's
     Table 4 filter-effectiveness measurements.
     """
@@ -643,8 +581,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         products = gir.products
     else:
         products, weights = _load_data(args.index)
-        kernel = GirKernelRRQ(products, weights,
-                              partitions=args.partitions)
+        kernel = GirKernelRRQ(products, weights)
     kinds = ("rtk", "rkr") if args.kind == "both" else (args.kind,)
     queries = sample_queries(products, args.queries, seed=args.seed)
     report = profile_workload(kernel, queries, k=args.k, kinds=kinds)
@@ -785,27 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     model_p.add_argument("--epsilon", type=float, default=0.01)
     model_p.set_defaults(func=_cmd_model)
 
-    tune = sub.add_parser(
-        "tune",
-        help="score grid configs on a measured probe; print the winner",
-    )
-    tune.add_argument("data", help="data directory from 'generate'")
-    tune.add_argument("-k", type=int, default=10)
-    tune.add_argument("--queries", type=int, default=16,
-                      help="probe queries sampled from the product set")
-    tune.add_argument("--seed", type=int, default=7,
-                      help="probe-sampling seed")
-    tune.add_argument("--partitions", type=int, default=None,
-                      help="current grid resolution (the baseline; "
-                           "default: the library default)")
-    tune.add_argument("--json", action="store_true",
-                      help="print the full report as JSON")
-    tune.add_argument("--kernel-cache", default=None, metavar="DIR",
-                      help="persist the verified winner as a per-config "
-                           "kernel store and flip the tuned.json pointer "
-                           "(serve --kernel-cache DIR starts tuned)")
-    tune.set_defaults(func=_cmd_tune)
-
     info = sub.add_parser("info", help="index size / durability report")
     info.add_argument("index")
     info.set_defaults(func=_cmd_info)
@@ -845,8 +761,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("-k", type=int, default=10)
     profile.add_argument("--seed", type=int, default=7,
                          help="query-sampling seed")
-    profile.add_argument("--partitions", type=int, default=32,
-                         help="grid resolution when profiling raw data")
     profile.add_argument("--json", action="store_true",
                          help="print the full report as JSON")
     profile.set_defaults(func=_cmd_profile)
@@ -894,10 +808,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--trace-export", default=None, metavar="FILE",
                        help="append finished traces to this JSON-lines file")
     serve.add_argument("--kernel-cache", default=None, metavar="DIR",
-                       help="persist the static index's kernel (and tuned "
-                            "cfg-<digest> stores) as packed mmap stores "
-                            "under this directory for O(1) warm starts; "
-                            "unused with --durable")
+                       help="persist the static index's kernel as a "
+                            "packed mmap store under this directory for "
+                            "O(1) warm starts; unused with --durable")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request")
     serve.add_argument("--durable", action="store_true",
@@ -928,15 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--standby-of", default=None, metavar="URL",
                        help="run as a hot standby tailing this primary's "
                             "/replicate feed (reads OK, writes 409)")
-    serve.add_argument("--auto-tune", action="store_true",
-                       help="run the workload-adaptive auto-tuner in the "
-                            "background: when live filtering is poor, "
-                            "rebuild under a better grid config and "
-                            "hot-swap it (POST /tuner forces a pass)")
-    serve.add_argument("--tune-interval", type=float, default=60.0,
-                       metavar="S",
-                       help="seconds between auto-tune passes "
-                            "(--auto-tune only)")
     serve.set_defaults(func=_cmd_serve)
 
     cluster = sub.add_parser(
@@ -977,12 +881,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--hedge", action="store_true",
                          help="hedged reads: probe a standby when the "
                               "primary is slower than the cluster p95")
-    cluster.add_argument("--auto-tune-every", type=int, default=0,
-                         metavar="N",
-                         help="per-shard auto-tuning sweep every N "
-                              "supervisor ticks (0 disables; needs "
-                              "--supervise); grids diverge per local "
-                              "weight partition")
     cluster.set_defaults(func=_cmd_cluster)
     return parser
 

@@ -155,11 +155,6 @@ class LocalCluster:
         (``probe_timeout_s``, ``suspect_after``, ``dead_after``, ...).
     hedge:
         Enable coordinator hedged reads against the standbys.
-    tune_every:
-        Have the supervisor run a per-shard auto-tuning sweep every
-        ``tune_every`` ticks (0 disables; needs ``supervise=True``).
-        Each shard primary tunes against its own weight partition, so
-        grids diverge per local workload.
     worker_extra_args:
         Per-shard extra CLI args for that shard's *primary* worker
         (e.g. ``{0: ["--chaos-latency-ms", "200"]}`` to make shard 0 a
@@ -178,19 +173,13 @@ class LocalCluster:
                  detector_kwargs: Optional[dict] = None,
                  hedge: bool = False,
                  max_inflight: Optional[int] = None,
-                 worker_extra_args: Optional[Dict[int, Sequence[str]]] = None,
-                 tune_every: int = 0):
+                 worker_extra_args: Optional[Dict[int, Sequence[str]]] = None):
         if replicas < 0:
             raise InvalidParameterError("replicas must be >= 0")
         if supervise and replicas < 1:
             raise InvalidParameterError(
                 "supervise=True needs replicas >= 1: failover promotes a "
                 "standby, and a shard without one has nothing to promote"
-            )
-        if tune_every > 0 and not supervise:
-            raise InvalidParameterError(
-                "tune_every needs supervise=True: the supervisor's tick "
-                "loop is what drives the per-shard tuning sweeps"
             )
         self.base_dir = Path(base_dir) if base_dir is not None else \
             Path(tempfile.mkdtemp(prefix="rrq-cluster-"))
@@ -253,7 +242,6 @@ class LocalCluster:
                     self.coordinator,
                     restart_worker=self._restart_worker,
                     detector=detector,
-                    tune_every=tune_every,
                 )
                 if supervisor_autostart:
                     self.supervisor.start()

@@ -246,28 +246,18 @@ class ClusterSupervisor:
         Restart attempts per shard before the supervisor declares a
         crash loop and stops restarting (promotion/re-routing still
         run; the shard just stays without its replaced standby).
-    tune_every:
-        Run a per-shard auto-tuning sweep every ``tune_every`` ticks
-        (0 disables).  Each sweep posts ``/tuner`` (``force=False``) to
-        every shard *primary* individually: a shard tunes only when its
-        own live filtering is poor, so grids diverge per local ``W``
-        partition — exactly what a skewed cluster workload wants.
     """
 
     def __init__(self, coordinator: ClusterCoordinator,
                  restart_worker: Optional[Callable] = None,
                  detector: Optional[FailureDetector] = None,
                  tick_interval_s: float = DEFAULT_TICK_INTERVAL_S,
-                 max_restarts: int = DEFAULT_MAX_RESTARTS,
-                 tune_every: int = 0,
-                 tune_timeout_s: float = 120.0):
+                 max_restarts: int = DEFAULT_MAX_RESTARTS):
         self.coordinator = coordinator
         self.restart_worker = restart_worker
         self.detector = detector or FailureDetector(coordinator)
         self.tick_interval_s = float(tick_interval_s)
         self.max_restarts = int(max_restarts)
-        self.tune_every = int(tune_every)
-        self.tune_timeout_s = float(tune_timeout_s)
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -278,9 +268,6 @@ class ClusterSupervisor:
         self.failed_failovers = 0
         self.restarts = 0
         self.failed_restarts = 0
-        self.tuner_sweeps = 0
-        self.tuner_swaps = 0
-        self.tuner_errors = 0
 
     # ------------------------------------------------------------------
     # one repair round
@@ -302,47 +289,7 @@ class ClusterSupervisor:
                 actions.append(self._fail_over(shard_id))
             with self._lock:
                 self.ticks += 1
-                ticks = self.ticks
-            if self.tune_every > 0 and ticks % self.tune_every == 0:
-                actions.extend(self._tune_shards(states))
             return {"states": states, "actions": actions}
-
-    def _tune_shards(self, states: Dict[int, str]) -> List[dict]:
-        """One per-shard tuning sweep (``force=False``: trigger decides).
-
-        Each shard primary tunes against its *own* live workload; a
-        shard whose filtering is healthy answers ``skipped`` and keeps
-        its grid.  Dead shards are left alone — failover first.
-        """
-        actions: List[dict] = []
-        with self._lock:
-            self.tuner_sweeps += 1
-        for shard_id, state in states.items():
-            if state == "dead":
-                continue
-            primary = self.coordinator.topology.shard(shard_id).primary
-            try:
-                outcome = self.coordinator.clients[shard_id].tune(
-                    force=False, endpoint=primary,
-                    timeout_s=self.tune_timeout_s,
-                )
-            except Exception as exc:
-                with self._lock:
-                    self.tuner_errors += 1
-                actions.append(self._event(
-                    kind="tune_failed", shard=shard_id, primary=primary,
-                    reason=f"{type(exc).__name__}: {exc}",
-                ))
-                continue
-            if outcome.get("status") == "swapped":
-                with self._lock:
-                    self.tuner_swaps += 1
-                actions.append(self._event(
-                    kind="tune_swapped", shard=shard_id, primary=primary,
-                    winner=outcome.get("winner_label"),
-                    improvement=outcome.get("improvement"),
-                ))
-        return actions
 
     def _event(self, **fields) -> dict:
         fields.setdefault("at", time.time())  # wall-clock: display only
@@ -512,10 +459,6 @@ class ClusterSupervisor:
                 "failed_failovers": self.failed_failovers,
                 "restarts": self.restarts,
                 "failed_restarts": self.failed_restarts,
-                "tune_every": self.tune_every,
-                "tuner_sweeps": self.tuner_sweeps,
-                "tuner_swaps": self.tuner_swaps,
-                "tuner_errors": self.tuner_errors,
                 "restart_attempts": {str(sid): n for sid, n
                                      in sorted(self._restarts.items())},
                 "detector": self.detector.snapshot(),

@@ -10,7 +10,7 @@ registry, which is what the examples and most downstream users want::
 Methods: ``gir`` (the paper's contribution, default), ``sim``, ``bbr``
 (RTK only), ``mpa`` (RKR only), ``rta`` (RTK only), ``naive``,
 ``gir-adaptive`` and ``gir-sparse`` (the Section 7 extensions),
-``gir-kernel`` (the weight-blocked vectorized grid filter, see
+``gir-kernel`` (the weight-blocked float32 score-tile kernel, see
 :mod:`repro.vectorized.girkernel`), and ``auto`` (heuristic planner,
 see :mod:`repro.queries.planner`).
 """

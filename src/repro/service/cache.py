@@ -19,9 +19,8 @@ Entries are additionally keyed by an **index generation**: every
 :meth:`ResultCache.put` stamped with an older generation is dropped
 instead of stored.  This closes the swap-vs-in-flight race: a query
 that started computing against the old index cannot re-poison the
-cache *after* a mutation, promote, or tuner hot-swap cleared it —
-without the writer holding any lock across the (slow) answer
-computation.
+cache *after* a mutation or promote cleared it — without the writer
+holding any lock across the (slow) answer computation.
 """
 
 from __future__ import annotations
@@ -115,8 +114,7 @@ class ResultCache:
         """Drop every entry and bump the generation.
 
         The hook every index-changing path calls: dynamic mutations
-        (via :func:`bind_dynamic`), standby promotion, and the tuner's
-        hot-swap critical section.
+        (via :func:`bind_dynamic`) and standby promotion.
         """
         with self._lock:
             self._entries.clear()

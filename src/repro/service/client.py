@@ -376,27 +376,6 @@ class ServiceClient:
                              {"primary_url": str(primary_url)},
                              endpoint=target)
 
-    def tune(self, force: bool = True, endpoint: Optional[str] = None,
-             timeout_s: Optional[float] = None) -> dict:
-        """``POST /tuner`` — run one auto-tuning pass on the server.
-
-        ``force=False`` respects the server's trigger (the pass is
-        skipped unless its live filtering is poor).  Like
-        :meth:`promote` this targets one *specific* node (``endpoint``,
-        default the active one): each replica owns its own grid, so
-        "tune whichever node answers" would tune the wrong one.
-        Tuning builds and scores several candidate indexes, so pass a
-        generous ``timeout_s``.
-        """
-        target = (endpoint or self.base_url).rstrip("/")
-        return self._request("POST", "/tuner", {"force": bool(force)},
-                             endpoint=target, timeout_s=timeout_s)
-
-    def tuner_status(self, endpoint: Optional[str] = None) -> dict:
-        """``GET /tuner`` — trigger verdict, run counters, last report."""
-        target = (endpoint or self.base_url).rstrip("/")
-        return self._request("GET", "/tuner", endpoint=target)
-
     def replicate(self, since: int = 0, limit: Optional[int] = None) -> dict:
         """``GET /replicate?since=N`` — the primary's WAL feed."""
         path = f"/replicate?since={int(since)}"

@@ -87,11 +87,6 @@ class ServiceMetrics:
         self._mutations_total = 0
         self._mutations_by_op: Dict[str, int] = {}
         self._mutations_rejected = 0
-        self._tuner_runs = 0
-        self._tuner_swaps = 0
-        self._tuner_rejected = 0
-        self._tuner_last_improvement = 0.0
-        self._tuner_last_fraction = -1.0  # -1 = no tuner run yet
         self._latency_hist = Histogram(LATENCY_BUCKETS_S)
         self._filter_rate_hist = Histogram(FILTER_RATE_BUCKETS)
 
@@ -152,29 +147,6 @@ class ServiceMetrics:
                 return
             self._mutations_total += 1
             self._mutations_by_op[op] = self._mutations_by_op.get(op, 0) + 1
-
-    def record_tuner(self, status: str, improvement: Optional[float] = None,
-                     fraction: Optional[float] = None) -> None:
-        """One auto-tuner run.
-
-        ``status`` is ``"swapped"`` (a new config was flipped in),
-        ``"rejected"`` (a run completed but kept the current config —
-        insufficient improvement, or verification refused the swap) or
-        ``"skipped"`` (the trigger didn't fire / nothing to tune).
-        ``improvement`` is the measured drop in the undecided+refined
-        fraction; ``fraction`` the serving config's fraction after the
-        run.
-        """
-        with self._lock:
-            self._tuner_runs += 1
-            if status == "swapped":
-                self._tuner_swaps += 1
-            elif status == "rejected":
-                self._tuner_rejected += 1
-            if improvement is not None:
-                self._tuner_last_improvement = float(improvement)
-            if fraction is not None:
-                self._tuner_last_fraction = float(fraction)
 
     def record_kernel(self, stats: dict,
                       trace_id: Optional[str] = None) -> None:
@@ -315,14 +287,6 @@ class ServiceMetrics:
                     "by_op": dict(self._mutations_by_op),
                     "rejected_not_primary": self._mutations_rejected,
                 },
-                "tuner": {
-                    "runs": self._tuner_runs,
-                    "swaps": self._tuner_swaps,
-                    "rejected": self._tuner_rejected,
-                    "last_improvement": self._tuner_last_improvement,
-                    "last_undecided_refined_fraction":
-                        self._tuner_last_fraction,
-                },
             }
         if cache_stats is not None:
             snap["cache"] = cache_stats
@@ -376,11 +340,6 @@ class ServiceMetrics:
             )
             mutations_by_op = dict(self._mutations_by_op)
             mutations_rejected = self._mutations_rejected
-            tuner_runs = self._tuner_runs
-            tuner_swaps = self._tuner_swaps
-            tuner_rejected = self._tuner_rejected
-            tuner_last_improvement = self._tuner_last_improvement
-            tuner_last_fraction = self._tuner_last_fraction
             latency_hist = self._latency_hist.snapshot()
             rate_hist = self._filter_rate_hist.snapshot()
 
@@ -459,7 +418,8 @@ class ServiceMetrics:
         for (source, target, reason), count in sorted(fallbacks.items()):
             exp.counter("rrq_fallback_total",
                         "Micro-batches a failed or inapplicable fast route "
-                        "handed to a slower exact one, by reason.",
+                        "handed to a slower exact one, and kernel caches "
+                        "refused or unwritable at a build, by reason.",
                         count, labels={"from": source, "to": target,
                                        "reason": reason})
         for op in sorted(mutations_by_op):
@@ -469,23 +429,6 @@ class ServiceMetrics:
         exp.counter("rrq_mutations_rejected_total",
                     "Mutations refused by role checks (sent to a standby).",
                     mutations_rejected)
-        exp.counter("rrq_tuner_runs_total",
-                    "Auto-tuner runs (including skipped/rejected ones).",
-                    tuner_runs)
-        exp.counter("rrq_tuner_swaps_total",
-                    "Auto-tuner runs that hot-swapped a new grid config.",
-                    tuner_swaps)
-        exp.counter("rrq_tuner_rejected_total",
-                    "Auto-tuner runs that kept the current config "
-                    "(insufficient improvement or verification refusal).",
-                    tuner_rejected)
-        exp.gauge("rrq_tuner_last_improvement",
-                  "Undecided+refined fraction drop measured by the last "
-                  "completed tuner run.", tuner_last_improvement)
-        exp.gauge("rrq_tuner_last_undecided_refined_fraction",
-                  "Serving config's undecided+refined fraction after the "
-                  "last tuner run (-1 before the first).",
-                  tuner_last_fraction)
         if cache_stats is not None:
             exp.gauge("rrq_cache_entries", "Entries in the result cache.",
                       cache_stats.get("entries", 0))

@@ -3,13 +3,13 @@
 Requests are admitted into a bounded queue; a dispatcher thread collects
 everything that arrives within a configurable *batch window* and answers
 the micro-batch — **whatever its size** — with one call per query kind
-into the blocked Grid-index kernel
+into the blocked kernel
 (:meth:`~repro.vectorized.girkernel.GirKernelRRQ.reverse_topk_batch` /
-``reverse_kranks_batch``): the pre-multiplied boundary products of each
-(P-block × W-block) tile decide most ``(p, w)`` pairs without a dot
-product, and every query of the batch rides the same tiles.  A lone
-request is simply a batch of one through the same sweep; it is several
-times faster there than through the scalar per-query engine
+``reverse_kranks_batch``): each (P-block × W-block) tile is one float32
+score gemm whose rounding bracket decides all but the near-tied
+``(p, w)`` pairs, and every query of the batch rides the same tiles.
+A lone request is simply a batch of one through the same sweep; it is
+several times faster there than through the scalar per-query engine
 (``docs/performance.md`` §9).
 
 There are two answer routes and no others:
@@ -38,6 +38,7 @@ dispatch time and reports every batch to
 
 from __future__ import annotations
 
+import os
 import queue
 import threading
 import time
@@ -52,7 +53,9 @@ import numpy as np
 from ..algorithms.naive import NaiveRRQ
 from ..data.datasets import ProductSet, WeightSet, check_query_point
 from ..errors import (
+    DataValidationError,
     DeadlineExceededError,
+    IndexCorruptionError,
     InvalidParameterError,
     ServiceOverloadError,
     ServiceUnavailableError,
@@ -161,9 +164,10 @@ class MicroBatchScheduler:
         (:mod:`repro.vectorized.kernelstore`).  Static engines persist
         their lazily built kernel under ``<dir>/static`` and reload it
         zero-copy on the next process start (validated against the
-        engine's arrays).  A mutable engine puts nothing there: its
-        kernel is rebuilt in RAM per store generation.  ``None``
-        disables caching.
+        engine's arrays and ``use_domin``; a refused or unwritable
+        cache is a counted ``kernel_cache`` fallback).  A mutable
+        engine puts nothing there: its kernel is rebuilt in RAM per
+        store generation.  ``None`` disables caching.
     auto_start:
         Start the dispatcher thread immediately (tests pass ``False`` to
         stage requests deterministically before opening the tap).
@@ -202,9 +206,6 @@ class MicroBatchScheduler:
         #: ``(store generation or None, error)`` of the last failed kernel
         #: build; see :meth:`_sweep`.
         self._build_failure = None
-        #: Tuned snapshot-kernel config (a CandidateConfig), set by the
-        #: auto-tuner's hot-swap on MVCC engines; None = default build.
-        self._snapshot_tuning = None
         self._queue: "queue.Queue[_Pending]" = queue.Queue(
             maxsize=self.limits.max_queue_depth
         )
@@ -429,22 +430,21 @@ class MicroBatchScheduler:
         snapshot with an empty side is neither: it has nothing to rank,
         and its :class:`InvalidParameterError` is the batch's answer.
 
-        A failed build is not attempted again until something it
-        depends on has changed — the store generation, or the kernel or
-        tuning through :meth:`swap_kernel` / :meth:`set_snapshot_tuning`
-        — but every batch it turns away is still a counted fallback.
+        A failed build is not attempted again until the store
+        generation moves (a static engine's never does), but every
+        batch it turns away is still a counted fallback.
 
         Requests are grouped by kind and each group runs as *one*
         ``reverse_topk_batch`` / ``reverse_kranks_batch`` call, sharing
-        the (P-block × W-block) boundary matmuls across every query of
-        the group.
+        the (P-block × W-block) score tiles across every query of the
+        group.
         """
         state = snap.generation if snap is not None else None
         if self._build_failure is not None and \
                 self._build_failure[0] == state:
             return None, ("kernel_build_error", self._build_failure[1])
         try:
-            kernel = (snap.kernel(self._snapshot_tuning) if snap is not None
+            kernel = (snap.kernel() if snap is not None
                       else self._get_kernel())
         except InvalidParameterError:
             raise  # an empty side: no route has anything to rank
@@ -493,12 +493,10 @@ class MicroBatchScheduler:
             pending.future.set_result(result)
 
     def _get_kernel(self) -> GirKernelRRQ:
-        """The static engine's kernel, built lazily on first use.
-
-        Wraps the engine's own grid when the engine is (or fronts) a
-        :class:`~repro.core.gir.GridIndexRRQ` — no re-quantization —
-        otherwise quantizes fresh from the static arrays.
-        """
+        """The static engine's kernel, built lazily on first use: mapped
+        from the cache when that holds this engine's, else the engine's
+        own algorithm when it is a kernel, else built over the engine's
+        products and weights (with a GIR engine's ``use_domin``)."""
         if self._kernel is None:
             kernel = self._load_static_kernel()
             if kernel is None:
@@ -516,140 +514,46 @@ class MicroBatchScheduler:
             self._kernel = kernel
         return self._kernel
 
-    def _expected_static_digest(self) -> Optional[str]:
-        """The config digest the static-path kernel build *would* produce.
-
-        Mirrors :meth:`_get_kernel`'s construction recipe without doing
-        any of its work: the engine's own grid when it fronts a
-        GIR/kernel algorithm, otherwise the default equal-width recipe.
-        ``None`` means the recipe cannot be predicted cheaply — callers
-        then refuse the cache rather than trust an unverifiable entry.
-        """
-        try:
-            from ..core.gir import GridIndexRRQ
-            from ..core.grid import DEFAULT_PARTITIONS
-            from ..vectorized.girkernel import (DEFAULT_P_BLOCK,
-                                                DEFAULT_W_BLOCK)
-            from ..vectorized.kernelstore import (config_digest_of,
-                                                  kernel_config_digest)
-
-            algorithm = getattr(self.engine, "algorithm", self.engine)
-            if isinstance(algorithm, GirKernelRRQ):
-                return config_digest_of(algorithm)
-            if isinstance(algorithm, GridIndexRRQ):
-                return kernel_config_digest(
-                    algorithm.grid.alpha_p, algorithm.grid.alpha_w,
-                    DEFAULT_W_BLOCK, DEFAULT_P_BLOCK,
-                    algorithm.use_domin, "float32",
-                )
-            # GirKernelRRQ(products, weights) default construction.
-            w_range = float(self._W.max())
-            alpha_p = np.linspace(0.0, self.engine.products.value_range,
-                                  DEFAULT_PARTITIONS + 1)
-            alpha_w = np.linspace(0.0, w_range, DEFAULT_PARTITIONS + 1)
-            return kernel_config_digest(alpha_p, alpha_w,
-                                        DEFAULT_W_BLOCK, DEFAULT_P_BLOCK,
-                                        True, "float32")
-        except Exception:
-            return None
-
     def _load_static_kernel(self) -> Optional[GirKernelRRQ]:
         """mmap warm start for the static-engine kernel, if cached.
 
-        A tuned cache (``tuned.json`` pointer) resolves to its
-        ``cfg-<digest>`` per-config store, loaded only when the store's
-        recorded config digest matches the pointer.  The default
-        ``static/`` entry is loaded only when its recorded digest
-        matches the config this scheduler would build — ``kernel.meta``
-        used to record layout but not boundaries/partitions/f32
-        settings, silently reusing a kernel built under an older grid
-        after a config change.  Either way the mapped ``P``/``W``
-        arrays must still compare equal to the engine's own (a
-        memcmp-speed scan); any mismatch refuses the cache and rebuilds.
+        ``<cache>/static`` is accepted on what determines its answers
+        and its work: the store's format version (``load_kernel``),
+        ``P`` / ``W`` equal to the engine's own (a memcmp-speed scan)
+        and the ``use_domin`` :meth:`_get_kernel` would build with.
+        Anything else in the directory is ignored; a store that is
+        there and refused is a counted ``kernel_cache`` fallback.
         """
         if self.kernel_cache_dir is None:
             return None
+        from ..vectorized.kernelstore import load_kernel
+
+        directory = os.path.join(self.kernel_cache_dir, "static")
+        if not os.path.isdir(directory):
+            return None  # a cold start, not a refusal
         try:
-            import os
-
-            from ..vectorized.kernelstore import (config_store_dir,
-                                                  load_kernel,
-                                                  read_tuned_pointer)
-
-            pointer = read_tuned_pointer(self.kernel_cache_dir)
-            if pointer is not None:
-                kernel = load_kernel(
-                    config_store_dir(self.kernel_cache_dir,
-                                     pointer["digest"]),
-                    expected_digest=pointer["digest"],
-                )
-            else:
-                expected = self._expected_static_digest()
-                if expected is None:
-                    return None
-                kernel = load_kernel(
-                    os.path.join(self.kernel_cache_dir, "static"),
-                    expected_digest=expected,
-                )
-            if kernel.P.shape == self._P.shape and \
-                    kernel.W.shape == self._W.shape and \
-                    np.array_equal(kernel.P, self._P) and \
-                    np.array_equal(kernel.W, self._W):
-                return kernel
-        except Exception:
-            pass
+            kernel = load_kernel(directory)
+        except (IndexCorruptionError, DataValidationError, OSError):
+            self.metrics.record_fallback("kernel_cache", "rebuild",
+                                         "unreadable")
+            return None
+        algorithm = getattr(self.engine, "algorithm", self.engine)
+        if kernel.use_domin == getattr(algorithm, "use_domin", True) and \
+                np.array_equal(kernel.P, self._P) and \
+                np.array_equal(kernel.W, self._W):
+            return kernel
+        self.metrics.record_fallback("kernel_cache", "rebuild", "stale")
         return None
 
-    def _save_static_kernel(self, kernel: Optional[GirKernelRRQ]) -> None:
-        if self.kernel_cache_dir is None or kernel is None:
+    def _save_static_kernel(self, kernel: GirKernelRRQ) -> None:
+        """Persist the kernel just built; serving never depends on it."""
+        if self.kernel_cache_dir is None:
             return
+        from ..vectorized.kernelstore import save_kernel
+
         try:
-            import os
-
-            from ..vectorized.kernelstore import save_kernel
-
             save_kernel(os.path.join(self.kernel_cache_dir, "static"),
                         kernel)
-        except Exception:
-            # Cache persistence is best-effort; serving never depends on it.
-            pass
-
-    def swap_kernel(self, kernel: GirKernelRRQ, config=None) -> None:
-        """Hot-swap the static batch-path kernel (auto-tuner flip).
-
-        The dispatcher reads ``self._kernel`` once per batch, so a
-        single reference assignment is the whole flip: in-flight
-        batches finish on the old kernel, the next batch sees the new
-        one.  When a kernel cache is configured the tuned kernel is
-        persisted to its own ``cfg-<digest>`` store and ``tuned.json``
-        is flipped to it, so restarts come back up already tuned
-        (persistence is best-effort, the in-memory swap is not).
-        """
-        if self.kernel_cache_dir is not None:
-            try:
-                from ..vectorized.kernelstore import (config_digest_of,
-                                                      config_store_dir,
-                                                      save_kernel,
-                                                      write_tuned_pointer)
-
-                digest = config_digest_of(kernel)
-                save_kernel(config_store_dir(self.kernel_cache_dir, digest),
-                            kernel)
-                write_tuned_pointer(
-                    self.kernel_cache_dir, digest,
-                    config.as_dict() if config is not None else None,
-                )
-            except Exception:
-                pass
-        self._kernel = kernel
-        self._build_failure = None
-
-    def set_snapshot_tuning(self, config) -> None:
-        """Adopt a tuned config for snapshot kernels (MVCC engines).
-
-        The next batch asks its snapshot for the kernel under ``config``
-        (a :class:`~repro.tuning.tuner.CandidateConfig`), which the
-        store builds in place of the one it holds.
-        """
-        self._snapshot_tuning = config
-        self._build_failure = None
+        except OSError:
+            self.metrics.record_fallback("kernel_cache", "rebuild",
+                                         "unwritable")

@@ -19,7 +19,7 @@ Two layers, deliberately separable:
   GET        /metrics    qps, latency percentiles, batch + cache stats
                          (``?format=prometheus`` for text exposition
                          with trace-id exemplars)
-  GET        /info       data set sizes, method, tuning parameters
+  GET        /info       data set sizes, method, serving limits
   GET        /traces     recent request traces (``?id=`` one trace,
                          ``?limit=`` cap the listing)
   GET        /slowlog    slow-query log entries (``?limit=``)
@@ -115,17 +115,6 @@ class ServiceConfig:
     slow_query_threshold_s: Optional[float] = DEFAULT_SLOW_THRESHOLD_S
     slowlog_capacity: int = DEFAULT_SLOWLOG_CAPACITY
     slowlog_path: Optional[str] = None
-    #: Auto-tuning: ``auto_tune`` starts a background
-    #: :class:`~repro.tuning.service.ServiceTuner` (``tune_interval_s``
-    #: between passes; 0 keeps it manual via ``POST /tuner``).  A swap
-    #: needs the serving undecided+refined fraction above
-    #: ``tune_threshold`` (unless forced) and a verified measured win of
-    #: at least ``tune_min_improvement``.
-    auto_tune: bool = False
-    tune_interval_s: float = 0.0
-    tune_threshold: float = 0.35
-    tune_min_improvement: float = 0.01
-    tune_probe_queries: int = 16
 
 
 def encode_result(result: Union[RTKResult, RKRResult], kind: str) -> dict:
@@ -203,42 +192,6 @@ class QueryService:
         #: checksums and the service is running on the naive scan).
         self.degraded_reason = degraded_reason
         self._dim = engine.products.dim
-        self.tuner = None
-        self._tuner_lock = threading.Lock()
-        if self.config.auto_tune:
-            self.tuner = self._make_tuner(
-                interval_s=self.config.tune_interval_s
-            ).start()
-
-    def _make_tuner(self, interval_s: float = 0.0):
-        from ..tuning.service import ServiceTuner
-
-        return ServiceTuner(
-            self,
-            threshold=self.config.tune_threshold,
-            min_improvement=self.config.tune_min_improvement,
-            probe_queries=self.config.tune_probe_queries,
-            interval_s=interval_s,
-        )
-
-    def tuner_status(self) -> dict:
-        """The ``GET /tuner`` body (cheap when tuning is off)."""
-        tuner = self.tuner
-        if tuner is None:
-            return {"enabled": False}
-        return tuner.status()
-
-    def handle_tuner_request(self, payload: dict) -> dict:
-        """``POST /tuner``: run one tuning pass (forced by default).
-
-        A service without a background tuner gets a one-shot
-        :class:`~repro.tuning.service.ServiceTuner` on first use, so
-        operators can tune any live service without restarting it.
-        """
-        with self._tuner_lock:
-            if self.tuner is None:
-                self.tuner = self._make_tuner()
-        return self.tuner.run_once(force=bool(payload.get("force", True)))
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -396,10 +349,10 @@ class QueryService:
         """
         q_arr = self.resolve_query_point(vector, product)
         key = make_key(q_arr, kind, k, self.method)
-        # Capture the cache generation *before* computing: a mutation,
-        # promote, or tuner swap that lands while the scheduler works
-        # moves the generation and the put below is dropped, so an
-        # answer from the old index can never re-poison a fresh cache.
+        # Capture the cache generation *before* computing: a mutation
+        # or promote that lands while the scheduler works moves the
+        # generation and the put below is dropped, so an answer from
+        # the old index can never re-poison a fresh cache.
         generation = self.cache.generation()
         cached = self.cache.get(key)
         if cached is not None:
@@ -468,7 +421,6 @@ class QueryService:
             "kernel_cache_dir": self.config.kernel_cache_dir,
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_reset_s": self.config.breaker_reset_s,
-            "auto_tune": self.config.auto_tune,
         }
 
     def metrics_snapshot(self) -> dict:
@@ -523,8 +475,6 @@ class QueryService:
         With ``drain`` (default) already-admitted requests are answered
         first and anything shed on the way down gets a structured 503.
         """
-        if self.tuner is not None:
-            self.tuner.stop()
         self.scheduler.close(drain=drain)
 
     def __enter__(self) -> "QueryService":
@@ -866,8 +816,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
             self._send_json(200, body)
         elif parsed.path == "/info":
             self._send_json(200, self.service.info())
-        elif parsed.path == "/tuner":
-            self._send_json(200, self.service.tuner_status())
         elif parsed.path == "/replicate" and hasattr(self.service,
                                                      "replication_feed"):
             try:
@@ -890,12 +838,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         path = urlsplit(self.path).path
         is_mutation = (path in self._MUTATION_PATHS
                        and hasattr(self.service, "handle_mutation_request"))
-        is_tuner = path == "/tuner"
-        if path != "/query" and not is_mutation and not is_tuner:
+        if path != "/query" and not is_mutation:
             self._not_found(path)
             return
-        root_name = ("http.mutate" if is_mutation
-                     else "http.tune" if is_tuner else "http.query")
+        root_name = "http.mutate" if is_mutation else "http.query"
         # The response is sent *after* the trace context closes, so the
         # finished trace is already in the ring by the time the caller
         # sees the answer — a client may GET /traces?id=... immediately.
@@ -913,8 +859,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 if is_mutation:
                     answer = self.service.handle_mutation_request(path,
                                                                   payload)
-                elif is_tuner:
-                    answer = self.service.handle_tuner_request(payload)
                 else:
                     timeout_ms = payload.get("timeout_ms")
                     answer = self.service.query(

@@ -4,8 +4,8 @@ Every read of the store is one densify-and-sweep: gather the snapshot's
 live rows once, build a
 :class:`~repro.vectorized.girkernel.GirKernelRRQ` over them, and run
 every query — a micro-batch, or a batch of one — through the BLAS
-kernel.  The grid and the approximate vectors are derived state (paper
-§3.2): deterministic and cheap to recompute from the raw rows, so they
+kernel.  The kernel's sweep-ordered rows and float32 copies are derived
+state: deterministic and cheap to recompute from the raw rows, so they
 live here, per generation and in RAM, never in a segment or on disk.
 Answers come back in *local* (dense) indices; this wrapper maps them to
 the snapshot's stable global ids.
@@ -15,14 +15,13 @@ in ascending global-id order, so local order *is* global order and the
 kernel's lexicographic ``(rank, index)`` truncation commutes with the
 id map.
 
-Build cost is O((|P| + |W|) d) quantization, paid once per store
-generation a read sees: the store memoizes the one kernel it built last
-(``SegmentStore._kernel_for``) and nothing else calls :meth:`build`.
+Build cost is one gather, one sort of the product rows and one float32
+cast, paid once per store generation a read sees: the store memoizes
+the one kernel it built last (``SegmentStore._kernel_for``) and nothing
+else calls :meth:`build`.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import InvalidParameterError
@@ -40,26 +39,18 @@ class SnapshotKernel:
     reference-scan fallback shares this remap.
     """
 
-    def __init__(self, kernel, w_gids, generation: int,
-                 variant: Optional[str] = None):
+    def __init__(self, kernel, w_gids, generation: int):
         self.kernel = kernel
         self.w_gids = w_gids
         #: Store generation the kernel was built from.
         self.generation = int(generation)
-        #: Tuned-config short digest when the auto-tuner chose the grid,
-        #: None for the default build.  The store keys its memo on
-        #: (generation, variant) so a tuner swap forces a rebuild.
-        self.variant = variant
 
     @classmethod
-    def build(cls, snapshot: StoreSnapshot, tuning=None) -> "SnapshotKernel":
-        """Densify ``snapshot`` into a kernel on the store's grid.
+    def build(cls, snapshot: StoreSnapshot) -> "SnapshotKernel":
+        """Densify ``snapshot``'s live rows into a kernel.
 
-        ``tuning`` (a :class:`~repro.tuning.tuner.CandidateConfig`)
-        overrides the default grid recipe: the kernel is built by
-        :func:`~repro.tuning.tuner.build_tuned_kernel`.  A snapshot with
-        no live product or no live weight has nothing to rank and raises
-        :class:`~repro.errors.InvalidParameterError`.
+        A snapshot with no live product or no live weight has nothing
+        to rank and raises :class:`~repro.errors.InvalidParameterError`.
         """
         p_rows, _ = snapshot.live_products()
         w_rows, w_gids = snapshot.live_weights()
@@ -67,15 +58,9 @@ class SnapshotKernel:
             raise InvalidParameterError(
                 "both products and weights must be non-empty to query"
             )
-        products = ProductSet(p_rows, value_range=snapshot.value_range)
-        weights = WeightSet(w_rows)
-        if tuning is not None:
-            from ..tuning.tuner import build_tuned_kernel
-
-            kernel = build_tuned_kernel(products, weights, tuning)
-            return cls(kernel, w_gids, snapshot.generation, tuning.short())
-        kernel = GirKernelRRQ(products, weights,
-                              partitions=snapshot.partitions)
+        kernel = GirKernelRRQ(
+            ProductSet(p_rows, value_range=snapshot.value_range),
+            WeightSet(w_rows))
         return cls(kernel, w_gids, snapshot.generation)
 
     def matches(self, snapshot: StoreSnapshot) -> bool:

@@ -42,7 +42,7 @@ class StoreSnapshot:
     def __init__(self, store, segments: Sequence[Segment], delta_view: dict,
                  dead_products: frozenset, dead_weights: frozenset,
                  next_pid: int, next_wid: int, generation: int, lsn: int,
-                 dim: int, value_range: float, partitions: int):
+                 dim: int, value_range: float):
         self._store = store
         self.segments: Tuple[Segment, ...] = tuple(segments)
         self._delta = delta_view
@@ -56,8 +56,6 @@ class StoreSnapshot:
         self.lsn = int(lsn)
         self.dim = int(dim)
         self.value_range = float(value_range)
-        #: Grid resolution the store was configured with.
-        self.partitions = int(partitions)
         self._released = False
 
     # ------------------------------------------------------------------
@@ -121,15 +119,13 @@ class StoreSnapshot:
     # query execution (one route: the store's kernel for this generation)
     # ------------------------------------------------------------------
 
-    def kernel(self, tuning=None):
+    def kernel(self):
         """The store's in-RAM kernel over this snapshot's live rows.
 
-        ``tuning`` (a :class:`~repro.tuning.tuner.CandidateConfig`)
-        asks for the tuned variant.  Raises
-        :class:`~repro.errors.InvalidParameterError` when either side
-        has no live row — there is nothing to rank.
+        Raises :class:`~repro.errors.InvalidParameterError` when either
+        side has no live row — there is nothing to rank.
         """
-        return self._store._kernel_for(self, tuning)
+        return self._store._kernel_for(self)
 
     def reverse_topk_batch(self, queries, k) -> List[RTKResult]:
         """Reverse top-k of every query in one tile sweep (global ids;

@@ -19,7 +19,7 @@ never synchronizes with writers again.  ``reverse_topk`` /
 single-query path is snapshot-isolated.  Every read is a tile sweep
 through the snapshot's :class:`~repro.storage.kernel.SnapshotKernel`;
 the store keeps exactly one in RAM, rebuilt on the first read after the
-generation (or the tuned grid) moves.
+generation moves.
 
 Crash contract (the WAL barrier invariant, enforced by the chaos
 suite):
@@ -134,7 +134,8 @@ class SegmentStore:
         Product attribute range ``[0, value_range)``; inserts outside it
         are rejected.
     partitions:
-        Grid resolution ``n`` of the kernel every read sweeps.
+        Recorded in the manifest and written back unchanged; no read
+        consults it (the kernel has no grid).
     directory:
         Segment/manifest home.  ``None`` keeps the store memory-only
         (unit tests, ephemeral engines); the commit protocol becomes a
@@ -444,7 +445,6 @@ class SegmentStore:
                 next_pid=self._next_pid, next_wid=self._next_wid,
                 generation=self._generation, lsn=self._manifest_lsn,
                 dim=self.dim, value_range=self.value_range,
-                partitions=self.partitions,
             )
 
     def _release_pins(self, segments: Tuple[Segment, ...]) -> None:
@@ -475,23 +475,20 @@ class SegmentStore:
         with self.pin() as snap:
             return snap.reverse_kranks(q, k)
 
-    def _kernel_for(self, snapshot: StoreSnapshot, tuning=None
-                    ) -> SnapshotKernel:
+    def _kernel_for(self, snapshot: StoreSnapshot) -> SnapshotKernel:
         """The kernel over ``snapshot``'s live rows (``snapshot.kernel``).
 
         One memo, one builder: the last kernel built is kept, keyed on
-        (generation, tuned variant), and a read that finds the key moved
+        its generation, and a read that finds the generation moved
         rebuilds under the memo lock — concurrent readers of one
         generation wait for one build instead of each paying for it.  A
         failed build leaves the memo as it was.
         """
-        variant = tuning.short() if tuning is not None else None
         with self._kernel_lock:
             kernel = self._kernel
-            if kernel is None or not kernel.matches(snapshot) \
-                    or kernel.variant != variant:
+            if kernel is None or not kernel.matches(snapshot):
                 with single_threaded():
-                    kernel = SnapshotKernel.build(snapshot, tuning=tuning)
+                    kernel = SnapshotKernel.build(snapshot)
                 self._kernel = kernel
             return kernel
 

@@ -34,7 +34,7 @@ of :mod:`repro.core.ties`.  minRank is known before the first block: a
 sweep *seeds* it with the exact rank upper bounds of the few weights
 that score ``q`` lowest (:meth:`KernelCore._seed_limits`), and the
 product rows arrive in ascending coordinate-sum order
-(:meth:`GirKernelRRQ._build_core`), the rows most weights rank ahead of
+(:class:`GirKernelRRQ`), the rows most weights rank ahead of
 ``q`` first, so the limit bites in the first tile.  Only the *work*
 differs, and
 :class:`KernelStats` reports exactly where it went (filter / refine /
@@ -57,8 +57,6 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..algorithms.base import RRQAlgorithm, duplicate_mask
-from ..core.approx import Quantizer, quantize_dataset
-from ..core.grid import DEFAULT_PARTITIONS, GridIndex
 from ..core.ties import TIE_REL_TOL, exact_strictly_less
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import InvalidParameterError
@@ -422,8 +420,8 @@ class _BlockState:
 class KernelCore:
     """Array-only compute core of the blocked kernel.
 
-    Deliberately free of dataset/quantizer objects so shard workers can
-    build one directly over shared-memory views.  ``P`` and ``W`` are
+    Deliberately free of dataset objects so shard workers can build one
+    directly over shared-memory views.  ``P`` and ``W`` are
     taken as-is (float64, C-contiguous preferred); on the float32 filter
     path the core also holds their single-precision copies ``P32`` /
     ``W32`` — cast here, or handed in by a caller that already has them
@@ -915,84 +913,49 @@ class KernelCore:
 
 
 class GirKernelRRQ(RRQAlgorithm):
-    """Grid-index RRQ answered by the weight-blocked kernel.
+    """Reverse rank queries answered by the weight-blocked kernel.
 
     Drop-in replacement for :class:`~repro.core.gir.GridIndexRRQ` with
-    identical answers and the same construction surface (``partitions``,
-    ``grid``, quantizer overrides, ``use_domin``), plus the blocking
-    knobs ``w_block`` / ``p_block``.  The grid and the codes are built
-    and kept for that surface; the sweep itself reads only ``P`` and
-    ``W`` (module docstring).  After every query
-    :attr:`last_stats` holds that query's :class:`KernelStats` (the
-    scheduler feeds these into ``/metrics``).
+    identical answers and no grid: what it holds is ``P`` in sweep
+    order, ``W``, their float32 copies and a :class:`KernelCore`.
+    ``w_block`` / ``p_block`` are the blocking knobs; ``partitions`` is
+    accepted and ignored (``benchmarks/e2e/run.py`` still passes it;
+    ROADMAP item 1a retires it).  After every query :attr:`last_stats`
+    holds that query's :class:`KernelStats` (the scheduler feeds these
+    into ``/metrics``).
     """
 
     name = "GIR-K"
 
     def __init__(self, products: ProductSet, weights: WeightSet,
-                 partitions: int = DEFAULT_PARTITIONS,
-                 grid: Optional[GridIndex] = None,
-                 p_quantizer: Optional[Quantizer] = None,
-                 w_quantizer: Optional[Quantizer] = None,
+                 partitions: Optional[int] = None,
                  w_block: int = DEFAULT_W_BLOCK,
                  p_block: int = DEFAULT_P_BLOCK,
                  use_domin: bool = True,
                  filter_dtype: str = "float32"):
         super().__init__(products, weights)
-        if grid is None:
-            # Identical grid recipe to GridIndexRRQ (see the rationale
-            # there): weight-axis resolution spans the observed range.
-            w_range = float(self.W.max())
-            alpha_p = np.linspace(0.0, products.value_range, partitions + 1)
-            alpha_w = np.linspace(0.0, w_range, partitions + 1)
-            grid = GridIndex(alpha_p, alpha_w)
-        self.grid = grid
-        self.p_quantizer = p_quantizer or Quantizer(grid.alpha_p)
-        self.w_quantizer = w_quantizer or Quantizer(grid.alpha_w)
-        self.PA = quantize_dataset(self.P, self.p_quantizer)
-        self.WA = quantize_dataset(self.W, self.w_quantizer)
-        self.core = self._build_core(w_block, p_block, use_domin,
-                                     filter_dtype)
-        #: Stats of the most recent query (None before the first).
-        self.last_stats: Optional[KernelStats] = None
-
-    def _build_core(self, w_block: int, p_block: int, use_domin: bool,
-                    filter_dtype: str = "float32") -> KernelCore:
         # The core sweeps product rows in ascending coordinate-sum order
         # (stable): the products most weights rank ahead of q come
         # first, so a column reaches its limit in the first tile.  A
         # rank is a count over P, answers carry weight indices only:
-        # nothing outside the core can tell, and ``self.P`` / ``self.PA``
-        # stay in dataset order.
+        # nothing outside the core can tell, and ``self.P`` stays in
+        # dataset order.
         order = np.argsort(self.P.sum(axis=1), kind="stable")
-        return KernelCore(self.P[order], self.W, w_block=w_block,
-                          p_block=p_block, use_domin=use_domin,
-                          filter_dtype=filter_dtype)
-
-    # ------------------------------------------------------------------
+        self.core = KernelCore(self.P[order], self.W, w_block=w_block,
+                               p_block=p_block, use_domin=use_domin,
+                               filter_dtype=filter_dtype)
+        #: Stats of the most recent query (None before the first).
+        self.last_stats: Optional[KernelStats] = None
 
     @classmethod
     def from_gir(cls, gir, w_block: int = DEFAULT_W_BLOCK,
                  p_block: int = DEFAULT_P_BLOCK,
                  filter_dtype: str = "float32") -> "GirKernelRRQ":
-        """Wrap an existing :class:`GridIndexRRQ`, reusing its grid and
-        approximate vectors (no re-quantization)."""
-        self = cls.__new__(cls)
-        RRQAlgorithm.__init__(self, gir.products, gir.weights)
-        self.grid = gir.grid
-        self.p_quantizer = gir.p_quantizer
-        self.w_quantizer = gir.w_quantizer
-        self.PA = gir.PA
-        self.WA = gir.WA
-        self.core = self._build_core(w_block, p_block, gir.use_domin,
-                                     filter_dtype)
-        self.last_stats = None
-        return self
-
-    @property
-    def partitions(self) -> int:
-        """Grid resolution ``n``."""
-        return self.grid.partitions
+        """A kernel over the same products, weights and ``use_domin`` as
+        ``gir`` (a :class:`GridIndexRRQ`)."""
+        return cls(gir.products, gir.weights, w_block=w_block,
+                   p_block=p_block, use_domin=gir.use_domin,
+                   filter_dtype=filter_dtype)
 
     @property
     def use_domin(self) -> bool:
@@ -1005,12 +968,9 @@ class GirKernelRRQ(RRQAlgorithm):
         return self.core.filter_dtype
 
     def memory_report(self) -> dict:
-        """Bytes held by the grid, codes, data and float32 filter copies."""
+        """Bytes held by the data and its float32 filter copies."""
         core = self.core
         return {
-            "grid_bytes": self.grid.memory_bytes,
-            "pa_bytes": self.PA.nbytes,
-            "wa_bytes": self.WA.nbytes,
             "f32_copy_bytes": (core.P32.nbytes + core.W32.nbytes
                                if core.P32 is not None else 0),
             "original_bytes": self.P.nbytes + self.W.nbytes,

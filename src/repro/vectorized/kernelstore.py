@@ -1,22 +1,20 @@
 """Zero-copy persistence for a built blocked kernel (mmap warm start).
 
 Building a :class:`~repro.vectorized.girkernel.GirKernelRRQ` from raw
-data costs a full validation + quantization + sort + cast sweep over
-``P`` and ``W`` — cheap next to a query sweep, but it is pure overhead
-on every cold start of a static server, and it scales linearly with
-``|W|``.  (A mutable store's kernel is not worth a disk round trip: it
-is rebuilt in RAM per generation, see :mod:`repro.storage.kernel`.)
-This module persists everything the
-kernel needs — ``P`` and ``W``, the product rows a second
-time in the order the core sweeps them (``P_swept``; ``P`` and the codes
-stay in dataset order, which is what a caller compares with its own
-data), the approximate codes, and (on the float32 filter path) the
-single-precision copies the tiles are formed from (``P_swept32``,
-``W32``) — as a single packed blob
-(``kernel.bin``: raw C-contiguous array bytes at
-64-byte-aligned offsets) plus a JSON ``kernel.meta`` that records each
-array's dtype, shape and offset, committed through the same
-checksummed-manifest protocol as the index store
+data costs a full validation + sort + cast sweep over ``P`` and ``W`` —
+cheap next to a query sweep, but it is pure overhead on every cold
+start of a static server, and it scales linearly with ``|W|``.  (A
+mutable store's kernel is not worth a disk round trip: it is rebuilt in
+RAM per generation, see :mod:`repro.storage.kernel`.)  This module
+persists everything the kernel holds — ``P`` and ``W``, the product
+rows a second time in the order the core sweeps them (``P_swept``;
+``P`` stays in dataset order, which is what a caller compares with its
+own data), and (on the float32 filter path) the single-precision copies
+the tiles are formed from (``P_swept32``, ``W32``) — as a single packed
+blob (``kernel.bin``: raw C-contiguous array bytes at 64-byte-aligned
+offsets) plus a JSON ``kernel.meta`` that records each array's dtype,
+shape and offset, committed through the same checksummed-manifest
+protocol as the index store
 (:func:`repro.core.storage.write_manifest_dir`: atomic per-file writes,
 ``MANIFEST.json`` written last as the commit point).
 
@@ -40,17 +38,15 @@ e.g. after a restore).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..core.approx import Quantizer
-from ..core.grid import GridIndex
+from ..algorithms.base import RRQAlgorithm
 from ..core.storage import verify_manifest_dir, write_manifest_dir
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import DataValidationError, IndexCorruptionError
@@ -59,11 +55,11 @@ from .girkernel import GirKernelRRQ, KernelCore
 _META_NAME = "kernel.meta"
 _BLOB_NAME = "kernel.bin"
 _MANIFEST_NAME = "MANIFEST.json"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 _ALIGN = 64  # cache-line alignment for every packed array
 
 #: Core array artifacts every kernel store carries, in write order.
-CORE_ARRAYS = ("P", "W", "P_swept", "pa", "wa")
+CORE_ARRAYS = ("P", "W", "P_swept")
 
 #: float32 copies of ``P_swept`` and ``W``, present only when saved with
 #: filter_dtype=float32.
@@ -92,105 +88,6 @@ def _pack_blob(arrays: Dict[str, np.ndarray]):
     return bytes(blob), layout
 
 
-def kernel_config_digest(alpha_p, alpha_w, w_block: int, p_block: int,
-                         use_domin: bool, filter_dtype: str) -> str:
-    """Digest of everything that shapes a kernel's *answers-per-layout*.
-
-    Grid boundaries (both axes, exact float64 bytes), tile schedule,
-    Domin buffer and filter dtype — the settings ``kernel.meta`` used to
-    omit, letting a cached ``static/`` kernel built under old boundaries
-    be silently reused after a config change.  Two kernels with equal
-    digests filter identically; a digest mismatch means the store must
-    be rebuilt, not trusted.
-    """
-    h = hashlib.sha256()
-    for arr in (alpha_p, alpha_w):
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    h.update(f"|{int(w_block)}|{int(p_block)}"
-             f"|{bool(use_domin)}|{filter_dtype}".encode())
-    return h.hexdigest()
-
-
-def config_digest_of(kernel: GirKernelRRQ) -> str:
-    """:func:`kernel_config_digest` of a built kernel's own config."""
-    core = kernel.core
-    return kernel_config_digest(
-        kernel.grid.alpha_p, kernel.grid.alpha_w,
-        core.w_block, core.p_block, core.use_domin, core.filter_dtype,
-    )
-
-
-def store_config_digest(directory) -> Optional[str]:
-    """The ``config_digest`` recorded in a store's ``kernel.meta``.
-
-    Returns ``None`` when the store is absent, unreadable, or predates
-    the digest field — callers treat all three as "unknown config" and
-    rebuild rather than trust.
-    """
-    try:
-        meta = json.loads((Path(directory) / _META_NAME).read_text())
-    except (OSError, json.JSONDecodeError, ValueError):
-        return None
-    digest = meta.get("config_digest")
-    return digest if isinstance(digest, str) else None
-
-
-# ----------------------------------------------------------------------
-# per-config store layout (the tuner's `--kernel-cache` extension)
-# ----------------------------------------------------------------------
-
-#: Pointer file naming the active tuned config inside a kernel cache.
-TUNED_POINTER_NAME = "tuned.json"
-
-
-def config_store_dir(cache_dir, digest: str) -> str:
-    """``<cache_dir>/cfg-<digest12>`` — one store per kernel config."""
-    return os.path.join(str(cache_dir), f"cfg-{digest[:12]}")
-
-
-def read_tuned_pointer(cache_dir) -> Optional[dict]:
-    """The active tuned-config pointer, or ``None`` when untuned/damaged.
-
-    A well-formed pointer is ``{"digest": <full config digest>, ...}``;
-    anything unreadable is treated as absent — the scheduler then falls
-    back to the default ``static/`` entry (digest-verified itself), so a
-    torn pointer can cost a rebuild but never a stale kernel.
-    """
-    try:
-        pointer = json.loads(
-            (Path(str(cache_dir)) / TUNED_POINTER_NAME).read_text()
-        )
-    except (OSError, json.JSONDecodeError, ValueError):
-        return None
-    if not isinstance(pointer, dict) or \
-            not isinstance(pointer.get("digest"), str):
-        return None
-    return pointer
-
-
-def write_tuned_pointer(cache_dir, digest: str,
-                        config: Optional[dict] = None) -> None:
-    """Atomically point the cache at ``cfg-<digest12>`` (tmp + rename)."""
-    root = Path(cache_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    payload = {"digest": str(digest)}
-    if config is not None:
-        payload["config"] = dict(config)
-    tmp = root / (TUNED_POINTER_NAME + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, root / TUNED_POINTER_NAME)
-
-
-def clear_tuned_pointer(cache_dir) -> None:
-    """Drop the pointer (revert to the default ``static/`` entry)."""
-    try:
-        os.unlink(os.path.join(str(cache_dir), TUNED_POINTER_NAME))
-    except OSError:
-        pass
-
-
 def _corrupt(directory, msg: str, artifacts=()) -> IndexCorruptionError:
     return IndexCorruptionError(
         f"{directory}: {msg}", directory=str(directory),
@@ -213,8 +110,6 @@ def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
         # swept, and the float32 copies as cast, keeps the load free
         # of any sort, gather or ``astype``.
         "P_swept": core.P,
-        "pa": np.asarray(kernel.PA, dtype=np.int64),
-        "wa": np.asarray(kernel.WA, dtype=np.int64),
     }
     if core.filter_dtype == "float32":
         arrays.update({"P_swept32": core.P32, "W32": core.W32})
@@ -225,13 +120,10 @@ def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
         "n_products": int(core.P.shape[0]),
         "n_weights": int(core.W.shape[0]),
         "value_range": float(kernel.products.value_range),
-        "alpha_p": kernel.grid.alpha_p.tolist(),
-        "alpha_w": kernel.grid.alpha_w.tolist(),
         "w_block": core.w_block,
         "p_block": core.p_block,
         "use_domin": core.use_domin,
         "filter_dtype": core.filter_dtype,
-        "config_digest": config_digest_of(kernel),
         "arrays": layout,
     }
     payloads: Dict[str, bytes] = {
@@ -349,31 +241,19 @@ def _dataset_views(P: np.ndarray, W: np.ndarray, value_range: float):
     return products, weights
 
 
-def load_kernel(directory, mmap: bool = True, verify: str = "size",
-                expected_digest: Optional[str] = None) -> GirKernelRRQ:
+def load_kernel(directory, mmap: bool = True,
+                verify: str = "size") -> GirKernelRRQ:
     """Load a kernel saved by :func:`save_kernel` as zero-copy mmap views.
 
     ``verify="size"`` (default) checks the manifest and per-file byte
     counts without touching array data; ``verify="full"`` additionally
     CRC-checks every byte.  ``mmap=False`` materializes the arrays in
     RAM (useful when the store lives on slow storage and will be hit
-    hard).  Raises :class:`IndexCorruptionError` on damage, or — when
-    ``expected_digest`` is given — when the store's recorded
-    ``config_digest`` is missing or different (a kernel built under a
-    different grid config; callers refuse it and rebuild).
+    hard).  Raises :class:`IndexCorruptionError` on damage and
+    :class:`DataValidationError` on a store of another format version.
     """
     path = Path(directory)
     meta = _check_store(path, verify)
-    if expected_digest is not None:
-        recorded = meta.get("config_digest")
-        if recorded != expected_digest:
-            raise _corrupt(
-                path,
-                "kernel store was built under a different grid config "
-                f"(recorded digest {recorded!r}, expected "
-                f"{expected_digest!r}) — refusing stale kernel",
-                [_META_NAME],
-            )
     views = _blob_views(path, meta, mmap)
     names = list(CORE_ARRAYS)
     if meta["filter_dtype"] == "float32":
@@ -389,15 +269,7 @@ def load_kernel(directory, mmap: bool = True, verify: str = "size",
     kernel = GirKernelRRQ.__new__(GirKernelRRQ)
     # RRQAlgorithm.__init__ is only a dim-compatibility check plus raw
     # array aliases — safe and O(1) over the views.
-    from ..algorithms.base import RRQAlgorithm
     RRQAlgorithm.__init__(kernel, products, weights)
-    grid = GridIndex(np.asarray(meta["alpha_p"], dtype=np.float64),
-                     np.asarray(meta["alpha_w"], dtype=np.float64))
-    kernel.grid = grid
-    kernel.p_quantizer = Quantizer(grid.alpha_p)
-    kernel.w_quantizer = Quantizer(grid.alpha_w)
-    kernel.PA = arrays["pa"]
-    kernel.WA = arrays["wa"]
     # Handed its float32 copies, the constructor neither casts nor
     # probes: the saved store carries the results of both.
     kernel.core = KernelCore(

@@ -146,7 +146,7 @@ class ShardedGirRRQ(RRQAlgorithm):
         ``os.cpu_count()``.  ``shards=1`` still runs through one worker
         so the code path is uniform (use :class:`GirKernelRRQ` directly
         when no parallelism is wanted).
-    partitions, w_block, p_block, use_domin:
+    w_block, p_block, use_domin:
         Forwarded to the kernel (see :class:`GirKernelRRQ`).
 
     Everything is built once: the kernel arrays are ordered and cast in
@@ -160,7 +160,6 @@ class ShardedGirRRQ(RRQAlgorithm):
 
     def __init__(self, products: ProductSet, weights: WeightSet,
                  shards: Optional[int] = None,
-                 partitions: Optional[int] = None,
                  w_block: int = DEFAULT_W_BLOCK,
                  p_block: int = DEFAULT_P_BLOCK,
                  use_domin: bool = True,
@@ -173,10 +172,8 @@ class ShardedGirRRQ(RRQAlgorithm):
                 f"shards must be positive, got {shards}"
             )
         if kernel is None:
-            kwargs = {} if partitions is None else {"partitions": partitions}
             kernel = GirKernelRRQ(products, weights, w_block=w_block,
-                                  p_block=p_block, use_domin=use_domin,
-                                  **kwargs)
+                                  p_block=p_block, use_domin=use_domin)
         #: The serial kernel — source of the shared arrays, and the
         #: in-process fallback after :meth:`close`.
         self.kernel = kernel
@@ -210,7 +207,6 @@ class ShardedGirRRQ(RRQAlgorithm):
 
     @classmethod
     def from_snapshot(cls, snapshot, shards: Optional[int] = None,
-                      partitions: Optional[int] = None,
                       w_block: int = DEFAULT_W_BLOCK,
                       p_block: int = DEFAULT_P_BLOCK,
                       use_domin: bool = True) -> "ShardedGirRRQ":
@@ -232,11 +228,9 @@ class ShardedGirRRQ(RRQAlgorithm):
                 "cannot build a sharded engine over an empty snapshot "
                 f"({p_rows.shape[0]} products, {w_rows.shape[0]} weights)"
             )
-        if partitions is None:
-            partitions = snapshot.partitions
         engine = cls(
             ProductSet(p_rows, value_range=snapshot.value_range),
-            WeightSet(w_rows), shards=shards, partitions=partitions,
+            WeightSet(w_rows), shards=shards,
             w_block=w_block, p_block=p_block, use_domin=use_domin,
         )
         engine._w_gids = np.asarray(w_gids, dtype=np.int64)

@@ -163,6 +163,22 @@ class TestEndpoints:
         with pytest.raises(DeadlineExceededError):
             client.query(product=1, kind="rtk", k=3, timeout_ms=0)  # 504
 
+    def test_tuner_endpoints_are_gone(self, served):
+        """The auto-tuner is deleted: its paths are unknown paths."""
+        import urllib.error
+
+        service, client = served
+        client.wait_until_healthy()
+        for data_ in (None, b'{"force": true}'):  # GET, then POST
+            with pytest.raises(urllib.error.HTTPError) as refused:
+                urllib.request.urlopen(urllib.request.Request(
+                    client.base_url + "/tuner", data=data_), timeout=5)
+            assert refused.value.code == 404
+            assert json.loads(refused.value.read()) == {
+                "error": "NotFound", "message": "/tuner", "status": 404}
+        assert "tuner" not in client.metrics()
+        assert "auto_tune" not in client.info()
+
     def test_sugar_helpers_match_dicts(self, served, data, naive):
         service, client = served
         client.wait_until_healthy()

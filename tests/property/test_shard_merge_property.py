@@ -46,8 +46,7 @@ def engines():
     weights = adversarial_weights()
     naive = NaiveRRQ(products, weights)
     sharded = {
-        shards: ShardedGirRRQ(products, weights, shards=shards,
-                              partitions=16)
+        shards: ShardedGirRRQ(products, weights, shards=shards)
         for shards in SHARD_COUNTS
     }
     yield products, naive, sharded

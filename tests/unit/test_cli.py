@@ -225,78 +225,18 @@ class TestParser:
             build_parser().parse_args([])
 
 
-class TestTune:
-    @pytest.fixture
-    def clustered_dir(self, tmp_path):
-        rc = main(["generate", "--dist", "CL", "--size", "150", "--dim",
-                   "4", "--seed", "5", "--out", str(tmp_path / "cl")])
-        assert rc == 0
-        return tmp_path / "cl"
-
-    def test_tune_prints_winner_table(self, clustered_dir, capsys):
-        rc = main(["tune", str(clustered_dir), "-k", "5",
-                   "--queries", "4", "--seed", "9"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "<- winner" in out
-        assert "improvement (undecided+refined):" in out
-        assert "winner verified vs naive oracle: yes" in out
-
-    def test_tune_json_output(self, clustered_dir, capsys):
-        import json
-
-        rc = main(["tune", str(clustered_dir), "-k", "5",
-                   "--queries", "4", "--json"])
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 1
-        assert report["verified"] is True
-        assert report["winner"]["config"]["partitions"] >= 1
-
-    def test_tune_persists_winner_to_kernel_cache(self, clustered_dir,
-                                                  tmp_path, capsys):
-        from repro.vectorized.kernelstore import (
-            load_kernel,
-            read_tuned_pointer,
-        )
-
-        cache = tmp_path / "kc"
-        rc = main(["tune", str(clustered_dir), "-k", "5", "--queries",
-                   "4", "--kernel-cache", str(cache)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        pointer = read_tuned_pointer(cache)
-        assert pointer is not None
-        assert pointer["digest"][:12] in out
-        kernel = load_kernel(cache / f"cfg-{pointer['digest'][:12]}",
-                             expected_digest=pointer["digest"])
-        assert kernel.partitions == pointer["config"]["partitions"]
-        # info now reports the tuned pointer alongside the cfg store.
-        rc = main(["info", str(cache)])
-        if rc == 0:  # info on a bare cache dir may not be supported
-            assert "tuned" in capsys.readouterr().out
-
-    def test_missing_data_exits_2(self, tmp_path, capsys):
-        rc = main(["tune", str(tmp_path / "nope")])
-        assert rc == 2
+class TestTuneIsGone:
+    @pytest.mark.parametrize("argv", [
+        ["tune", "data"],
+        ["serve", "data", "--auto-tune"],
+        ["serve", "data", "--tune-interval", "5"],
+        ["cluster", "data", "--auto-tune-every", "12"],
+    ])
+    def test_tune_subcommand_and_flags_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(argv)
+        assert refused.value.code == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_serve_auto_tune_flags_parse(self):
-        parser = build_parser()
-        args = parser.parse_args(["serve", "data", "--auto-tune",
-                                  "--tune-interval", "5"])
-        assert args.auto_tune is True
-        assert args.tune_interval == 5.0
-        args = parser.parse_args(["serve", "data"])
-        assert args.auto_tune is False
-
-    def test_cluster_auto_tune_flag_parses(self):
-        parser = build_parser()
-        args = parser.parse_args(["cluster", "data",
-                                  "--auto-tune-every", "12"])
-        assert args.auto_tune_every == 12
-        assert build_parser().parse_args(
-            ["cluster", "data"]).auto_tune_every == 0
 
 
 class TestBlasGuardIsVisible:

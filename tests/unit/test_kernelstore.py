@@ -28,7 +28,7 @@ from repro.vectorized.kernelstore import (
 def kernel():
     P = uniform_products(90, 4, seed=501)
     W = uniform_weights(120, 4, seed=502)
-    return GirKernelRRQ(P, W, partitions=8)
+    return GirKernelRRQ(P, W)
 
 
 @pytest.fixture()
@@ -47,8 +47,6 @@ class TestRoundTrip:
             np.testing.assert_array_equal(getattr(core, name),
                                           getattr(lcore, name))
             assert getattr(core, name).dtype == getattr(lcore, name).dtype
-        np.testing.assert_array_equal(kernel.PA, loaded.PA)
-        np.testing.assert_array_equal(kernel.WA, loaded.WA)
         for qi in (0, 17, 60):
             q = kernel.products[qi]
             assert loaded.reverse_topk(q, 7) == kernel.reverse_topk(q, 7)
@@ -58,13 +56,13 @@ class TestRoundTrip:
     def test_float64_filter_round_trip(self, tmp_path):
         P = uniform_products(40, 3, seed=601)
         W = uniform_weights(50, 3, seed=602)
-        kernel = GirKernelRRQ(P, W, partitions=8, filter_dtype="float64")
+        kernel = GirKernelRRQ(P, W, filter_dtype="float64")
         save_kernel(tmp_path, kernel)
         loaded = load_kernel(tmp_path)
         assert loaded.core.filter_dtype == "float64"
         assert loaded.core.P32 is None and loaded.core.W32 is None
         meta = json.loads((tmp_path / "kernel.meta").read_text())
-        assert not set(F32_ARRAYS) & set(meta["arrays"])
+        assert list(meta["arrays"]) == ["P", "W", "P_swept"]
         q = kernel.products[3]
         assert loaded.reverse_topk(q, 5) == kernel.reverse_topk(q, 5)
 
@@ -159,125 +157,27 @@ class TestLayout:
         meta = json.loads((store / "kernel.meta").read_text())
         for name, spec in meta["arrays"].items():
             assert spec["offset"] % 64 == 0, name
-        assert set(CORE_ARRAYS + F32_ARRAYS) == set(meta["arrays"])
+        assert meta["version"] == 4
+        assert list(meta["arrays"]) == list(CORE_ARRAYS + F32_ARRAYS) == [
+            "P", "W", "P_swept", "P_swept32", "W32"]
 
     def test_store_bytes_at_the_benchmark_shape(self, tmp_path):
-        """Format 2 packed four float64 boundary matrices and their four
-        float32 copies where format 3 packs two float32 copies: 515,018
-        bytes for UNxUN d=4, 1000 x 2000."""
+        """Format 3 packed the int64 grid codes of every row beside the
+        rows themselves (96,000 of 272,000 array bytes for UNxUN d=4,
+        1000 x 2000); format 4 packs rows and their float32 copies."""
         kernel = GirKernelRRQ(uniform_products(1000, 4, seed=7),
-                              uniform_weights(2000, 4, seed=8), partitions=32)
-        assert save_kernel(tmp_path, kernel)["bytes"] < 300_000
+                              uniform_weights(2000, 4, seed=8))
+        assert save_kernel(tmp_path, kernel)["bytes"] < 180_000
 
     def test_store_is_two_artifacts_plus_manifest(self, store):
         names = sorted(f.name for f in store.iterdir())
         assert names == ["MANIFEST.json", "kernel.bin", "kernel.meta"]
 
 
-class TestConfigDigest:
-    """The stale-kernel-after-config-change fix: every store records the
-    digest of the grid/tile/domin config that built it, and loaders can
-    demand a match — a cached kernel built under old boundaries must be
-    refused, never silently served."""
-
-    def test_digest_recorded_and_readable(self, store, kernel):
-        from repro.vectorized.kernelstore import (
-            config_digest_of,
-            store_config_digest,
-        )
-
-        digest = store_config_digest(store)
-        assert digest == config_digest_of(kernel)
-        assert len(digest) == 64
-
-    def test_digest_tracks_every_config_axis(self, kernel):
-        from repro.vectorized.kernelstore import kernel_config_digest
-
-        base_args = (kernel.grid.alpha_p, kernel.grid.alpha_w,
-                     1024, 2048, True, "float32")
-        base = kernel_config_digest(*base_args)
-        moved = np.array(kernel.grid.alpha_p, dtype=np.float64)
-        moved[1] += 1e-9
-        assert kernel_config_digest(moved, *base_args[1:]) != base
-        assert kernel_config_digest(base_args[0], base_args[1],
-                                    512, 2048, True, "float32") != base
-        assert kernel_config_digest(base_args[0], base_args[1],
-                                    1024, 2048, False, "float32") != base
-        assert kernel_config_digest(base_args[0], base_args[1],
-                                    1024, 2048, True, "float64") != base
-
-    def test_expected_digest_mismatch_refused(self, store):
-        with pytest.raises(IndexCorruptionError) as exc:
-            load_kernel(store, expected_digest="0" * 64)
-        assert "kernel.meta" in exc.value.artifacts
-        assert "config" in str(exc.value)
-
-    def test_expected_digest_match_loads(self, store, kernel):
-        from repro.vectorized.kernelstore import config_digest_of
-
-        loaded = load_kernel(store,
-                             expected_digest=config_digest_of(kernel))
-        q = kernel.products[2]
-        assert loaded.reverse_topk(q, 4) == kernel.reverse_topk(q, 4)
-
-    def test_legacy_store_without_digest_refused_when_expected(
-            self, store):
-        meta_path = store / "kernel.meta"
-        meta = json.loads(meta_path.read_text())
-        del meta["config_digest"]
-        from repro.core.storage import write_manifest_dir
-        write_manifest_dir(store, {
-            "kernel.bin": (store / "kernel.bin").read_bytes(),
-            "kernel.meta": json.dumps(meta).encode(),
-        })
-        from repro.vectorized.kernelstore import store_config_digest
-        assert store_config_digest(store) is None
-        with pytest.raises(IndexCorruptionError):
-            load_kernel(store, expected_digest="f" * 64)
-        # Without an expectation the legacy store still loads.
-        load_kernel(store)
-
-
-class TestTunedPointer:
-    def test_round_trip_and_clear(self, tmp_path):
-        from repro.vectorized.kernelstore import (
-            clear_tuned_pointer,
-            config_store_dir,
-            read_tuned_pointer,
-            write_tuned_pointer,
-        )
-
-        assert read_tuned_pointer(tmp_path) is None
-        write_tuned_pointer(tmp_path, "ab" * 32,
-                            config={"partitions": 64})
-        pointer = read_tuned_pointer(tmp_path)
-        assert pointer["digest"] == "ab" * 32
-        assert pointer["config"]["partitions"] == 64
-        assert config_store_dir(tmp_path, pointer["digest"]).endswith(
-            "cfg-abababababab")
-        clear_tuned_pointer(tmp_path)
-        assert read_tuned_pointer(tmp_path) is None
-        clear_tuned_pointer(tmp_path)  # idempotent
-
-    def test_damaged_pointer_treated_as_absent(self, tmp_path):
-        from repro.vectorized.kernelstore import (
-            TUNED_POINTER_NAME,
-            read_tuned_pointer,
-        )
-
-        target = tmp_path / TUNED_POINTER_NAME
-        target.write_text("{torn")
-        assert read_tuned_pointer(tmp_path) is None
-        target.write_text(json.dumps({"no_digest": True}))
-        assert read_tuned_pointer(tmp_path) is None
-        target.write_text(json.dumps({"digest": 7}))
-        assert read_tuned_pointer(tmp_path) is None
-
-
 class TestSweepOrder:
     """The core's product rows are stored as swept (ascending coordinate
-    sum, format 2) beside their float32 copies as cast (format 3), ``P``
-    and the codes as the dataset has them."""
+    sum) beside their float32 copies as cast, ``P`` as the dataset has
+    it."""
 
     def test_dataset_rows_and_swept_rows_both_round_trip(self, store,
                                                          kernel):
@@ -288,7 +188,6 @@ class TestSweepOrder:
         order = np.argsort(rows.sum(axis=1), kind="stable")
         assert (order != np.arange(rows.shape[0])).any()
         assert loaded.core.P.tobytes() == rows[order].tobytes()
-        np.testing.assert_array_equal(loaded.PA, kernel.PA)
         assert (loaded.core.P32.tobytes()
                 == rows[order].astype(np.float32).tobytes())
         # No sort, gather or cast at load: every array the sweep reads
@@ -323,6 +222,12 @@ class TestSweepOrder:
         """A format-2 store holds boundary matrices and no ``W32``."""
         self._refused_rebuilt_resaved(tmp_path, monkeypatch, 2)
 
+    def test_version_3_cache_is_refused_rebuilt_and_resaved(self, tmp_path,
+                                                            monkeypatch):
+        """A format-3 store carries grid codes and a config digest that
+        nothing reads."""
+        self._refused_rebuilt_resaved(tmp_path, monkeypatch, 3)
+
     @staticmethod
     def _refused_rebuilt_resaved(tmp_path, monkeypatch, version):
         from repro.queries.engine import RRQEngine
@@ -345,16 +250,19 @@ class TestSweepOrder:
                                         batch_window_s=0.0,
                                         kernel_cache_dir=str(tmp_path))
         try:
-            assert scheduler._load_static_kernel() is None
             rebuilt = scheduler._get_kernel()
-            assert rebuilt is not None
+            assert rebuilt.core.P.flags.owndata  # built, not mapped
             meta = json.loads(
                 (tmp_path / "static" / "kernel.meta").read_text())
-            assert meta["version"] == 3
-            assert {"P_swept", "P_swept32", "W32"} <= set(meta["arrays"])
+            assert meta["version"] == 4
+            assert list(meta["arrays"]) == [
+                "P", "W", "P_swept", "P_swept32", "W32"]
             warm = scheduler._load_static_kernel()
         finally:
             scheduler.close()
+        assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
+            {"from": "kernel_cache", "to": "rebuild",
+             "reason": "unreadable", "count": 1}]
         assert warm is not None
         q = P[7]
         assert (warm.reverse_kranks(q, 5).entries

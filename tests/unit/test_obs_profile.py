@@ -165,7 +165,7 @@ class TestProfileCli:
 
     def test_profile_prints_breakdown(self, data_dir, capsys):
         code = main(["profile", str(data_dir), "--queries", "5",
-                     "-k", "5", "--partitions", "8"])
+                     "-k", "5"])
         out = capsys.readouterr().out
         assert code == 0
         assert "profiled 5 queries" in out
@@ -173,7 +173,7 @@ class TestProfileCli:
 
     def test_profile_json_output(self, data_dir, capsys):
         code = main(["profile", str(data_dir), "--queries", "5",
-                     "-k", "5", "--partitions", "8", "--json"])
+                     "-k", "5", "--json"])
         out = capsys.readouterr().out
         assert code == 0
         report = json.loads(out)

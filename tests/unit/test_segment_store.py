@@ -339,13 +339,6 @@ class TestKernelMemo:
         monkeypatch.setattr(SnapshotKernel, "build", classmethod(counting))
         return seen
 
-    def test_kernel_grid_is_the_stores_even_without_a_segment(self):
-        store = SegmentStore(DIM, partitions=8)
-        fill(store, _rng(130), n_products=6, n_weights=4)  # delta only
-        with store.pin() as snap:
-            assert snap.segments == ()
-            assert snap.kernel().kernel.partitions == 8
-
     def test_concurrent_reads_of_one_generation_share_one_build(
             self, builds):
         import sys

@@ -404,14 +404,18 @@ class TestDeclaredFallback:
 
     def test_failed_build_is_counted_per_batch_and_retried_on_change(
             self, engine, monkeypatch):
+        """The id predates the behaviour: nothing a static engine's
+        build depends on can change (the hot-swap that did is gone), so
+        the build is attempted once and never again; the mutable
+        engine's retry on the next generation is
+        ``test_failed_snapshot_build_waits_for_the_next_generation``."""
         from repro.vectorized.girkernel import GirKernelRRQ
 
-        real = GirKernelRRQ.from_gir
         attempts = []
 
         def no_room(*args, **kwargs):
             attempts.append(1)
-            raise MemoryError("no room for the bound matrices")
+            raise MemoryError("no room for the score tiles")
 
         monkeypatch.setattr(GirKernelRRQ, "from_gir", no_room)
         scheduler = make_scheduler(engine, batch_window_s=0.0)
@@ -419,21 +423,16 @@ class TestDeclaredFallback:
         try:
             answers = [scheduler.answer(engine.products[2], "rtk", 5)
                        for _ in range(3)]
-            # Nothing the build depends on moved: one attempt, three
-            # counted fallbacks.
-            assert len(attempts) == 1
-            assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
-                {"from": "kernel", "to": "engine",
-                 "reason": "kernel_build_error", "count": 3}]
-            scheduler.swap_kernel(real(engine.algorithm))
-            answers.append(scheduler.answer(engine.products[2], "rtk", 5))
         finally:
             scheduler.close()
+        assert len(attempts) == 1
         expected = engine.reverse_topk(engine.products[2], 5).weights
         assert all(answer.weights == expected for answer in answers)
         snap = scheduler.metrics.snapshot()
-        assert snap["fallbacks"]["total"] == 3
-        assert snap["kernel"]["queries"] == 1  # the swapped-in kernel
+        assert snap["fallbacks"]["routes"] == [
+            {"from": "kernel", "to": "engine",
+             "reason": "kernel_build_error", "count": 3}]
+        assert snap["kernel"]["queries"] == 0
 
 
 class TestDeadlines:
@@ -862,124 +861,122 @@ class TestRawStoreServing:
             service.close()
 
 
-class TestKernelHotSwap:
-    """The auto-tuner's flip: one reference assignment swaps the static
-    batch-path kernel, and the persisted cache must never hand back a
-    kernel whose grid config no longer matches the engine's."""
+class TestKernelCache:
+    """``<cache>/static`` is accepted on what determines its answers and
+    its work — format, ``P`` / ``W`` bytes, ``use_domin`` — and a store
+    that is there and refused is rebuilt and counted, once."""
 
-    def _run_batch(self, scheduler, queries, k=6):
-        futures = [scheduler.submit(q, "rtk", k) for q in queries]
-        scheduler.start()
-        return [f.result(timeout=10) for f in futures]
+    @staticmethod
+    def _data():
+        from repro.data.synthetic import uniform_products, uniform_weights
 
-    def test_swap_kernel_flips_the_batch_path(self, engine):
-        from repro.tuning import CandidateConfig, build_tuned_kernel
+        return (uniform_products(60, 3, seed=921),
+                uniform_weights(40, 3, seed=922))
 
-        scheduler = make_scheduler(
-            engine, batch_window_s=0.1, limits=ServiceLimits(max_batch=8))
-        queries = [engine.products[i] for i in (0, 3, 9)]
-        self._run_batch(scheduler, queries)
-        old = scheduler._get_kernel()
-        tuned = build_tuned_kernel(
-            engine.products, engine.weights,
-            CandidateConfig(partitions=16, boundaries="quantile"))
-        scheduler.swap_kernel(tuned, CandidateConfig(
-            partitions=16, boundaries="quantile"))
-        assert scheduler._get_kernel() is tuned is not old
-        futures = [scheduler.submit(q, "rtk", 6) for q in queries]
-        results = [f.result(timeout=10) for f in futures]
-        scheduler.close()
-        for q, result in zip(queries, results):
-            assert result.weights == engine.reverse_topk(q, 6).weights
+    @staticmethod
+    def _cache_fallbacks(scheduler):
+        return [route for route
+                in scheduler.metrics.snapshot()["fallbacks"]["routes"]
+                if route["from"] == "kernel_cache"]
 
-    def test_swap_persists_config_store_and_pointer(self, engine,
-                                                    tmp_path):
-        from repro.tuning import CandidateConfig, build_tuned_kernel
-        from repro.vectorized.kernelstore import (
-            config_digest_of,
-            read_tuned_pointer,
-        )
-
-        config = CandidateConfig(partitions=16)
-        tuned = build_tuned_kernel(engine.products, engine.weights, config)
+    def _warm(self, tmp_path, engine):
         scheduler = make_scheduler(engine, batch_window_s=0.0,
                                    kernel_cache_dir=str(tmp_path))
-        scheduler.swap_kernel(tuned, config)
+        kernel = scheduler._get_kernel()  # cold start: builds + persists
         scheduler.close()
-        pointer = read_tuned_pointer(tmp_path)
-        assert pointer["digest"] == config_digest_of(tuned)
-        assert pointer["config"]["partitions"] == 16
-        assert (tmp_path / f"cfg-{pointer['digest'][:12]}").is_dir()
-        # A fresh scheduler warm-starts straight into the tuned config.
-        again = make_scheduler(engine, batch_window_s=0.0,
-                               kernel_cache_dir=str(tmp_path))
-        loaded = again._get_kernel()
-        again.close()
-        assert loaded.partitions == 16
-        assert config_digest_of(loaded) == pointer["digest"]
+        assert self._cache_fallbacks(scheduler) == []
+        return kernel
 
-    def test_stale_cache_refused_after_config_change(self, tmp_path):
-        """Regression: the static/ cache recorded layout but not grid
-        config, so restarting with different partitions silently served
-        a kernel quantized under the old boundaries."""
-        from repro.data.synthetic import uniform_products, uniform_weights
-        from repro.vectorized.kernelstore import store_config_digest
+    @pytest.mark.parametrize("moved", ["weights", "use_domin"])
+    def test_stale_cache_refused_and_counted(self, tmp_path, moved):
+        """Another engine's kernel is refused, rebuilt over, and counted
+        once."""
+        from repro.data.synthetic import uniform_weights
 
-        P = uniform_products(60, 3, seed=921)
-        W = uniform_weights(40, 3, seed=922)
-        coarse = RRQEngine(P, W, method="gir", partitions=8)
-        scheduler = make_scheduler(coarse, batch_window_s=0.0,
+        P, W = self._data()
+        self._warm(tmp_path, RRQEngine(P, W, method="gir"))
+        if moved == "weights":
+            other = RRQEngine(P, uniform_weights(40, 3, seed=923),
+                              method="gir")
+        else:
+            other = RRQEngine(P, W, method="gir", use_domin=False)
+        scheduler = make_scheduler(other, batch_window_s=0.0,
                                    kernel_cache_dir=str(tmp_path))
-        assert scheduler._get_kernel() is not None  # builds + persists
-        scheduler.close()
-        cached_digest = store_config_digest(tmp_path / "static")
-        assert cached_digest is not None
-
-        fine = RRQEngine(P, W, method="gir", partitions=32)
-        scheduler = make_scheduler(fine, batch_window_s=0.0,
-                                   kernel_cache_dir=str(tmp_path))
-        assert scheduler._load_static_kernel() is None  # refused
-        kernel = scheduler._get_kernel()                       # rebuilt
-        scheduler.close()
-        assert kernel.partitions == 32
-        assert store_config_digest(tmp_path / "static") != cached_digest
-
-        # Matching config -> the cache is honored again.
-        same = RRQEngine(P, W, method="gir", partitions=32)
-        scheduler = make_scheduler(same, batch_window_s=0.0,
-                                   kernel_cache_dir=str(tmp_path))
-        assert scheduler._load_static_kernel() is not None
-        scheduler.close()
-
-
-class TestSnapshotTuning:
-    """set_snapshot_tuning retargets the MVCC snapshot-kernel cache at
-    the tuned config (the durable half of the tuner's hot-swap)."""
-
-    durable = TestSnapshotBatchPath.durable
-
-    def test_tuning_change_rebuilds_snapshot_kernel(self, durable):
-        from repro.tuning import CandidateConfig
-
-        scheduler = make_scheduler(
-            durable, batch_window_s=0.1,
-            limits=ServiceLimits(max_batch=16))
-        queries = [durable.products[i] for i in (2, 11, 30)]
-        futures = [scheduler.submit(q, "rtk", 6) for q in queries]
         scheduler.start()
-        [f.result(timeout=10) for f in futures]
-        default_kernel = durable.engine._kernel
-        assert default_kernel is not None
-        assert default_kernel.variant is None
+        try:
+            answer = scheduler.answer(P[7], "rkr", 5)
+            scheduler.answer(P[8], "rkr", 5)
+        finally:
+            scheduler.close()
+        assert answer.entries == other.reverse_kranks(P[7], 5).entries
+        kernel = scheduler._get_kernel()
+        assert kernel.use_domin == other.algorithm.use_domin
+        assert kernel.W.tobytes() == other.weights.values.tobytes()
+        assert self._cache_fallbacks(scheduler) == [
+            {"from": "kernel_cache", "to": "rebuild", "reason": "stale",
+             "count": 1}]
+        assert ('rrq_fallback_total{from="kernel_cache",to="rebuild",'
+                'reason="stale"} 1') in scheduler.metrics.prometheus()
+        # The rebuilt store replaced the refused one: the same engine
+        # warm-starts from it, and nothing is counted.
+        again = make_scheduler(other, batch_window_s=0.0,
+                               kernel_cache_dir=str(tmp_path))
+        warm = again._get_kernel()
+        again.close()
+        assert not warm.core.P.flags.owndata  # mapped, not built
+        assert self._cache_fallbacks(again) == []
 
-        config = CandidateConfig(partitions=16, boundaries="quantile")
-        scheduler.set_snapshot_tuning(config)
-        futures = [scheduler.submit(q, "rtk", 6) for q in queries]
-        results = [f.result(timeout=10) for f in futures]
-        scheduler.close()
-        tuned_kernel = durable.engine._kernel
-        assert tuned_kernel is not default_kernel
-        assert tuned_kernel.variant == config.short()
-        rtk, _ = pinned_naive(durable)
-        for q, result in zip(queries, results):
-            assert result.weights == rtk(q, 6)
+    def test_unwritable_cache_is_counted(self, tmp_path):
+        P, W = self._data()
+        engine = RRQEngine(P, W, method="gir")
+        (tmp_path / "cache").write_text("a file where the directory goes")
+        scheduler = make_scheduler(engine, batch_window_s=0.0,
+                                   kernel_cache_dir=str(tmp_path / "cache"))
+        scheduler.start()
+        try:
+            answer = scheduler.answer(P[7], "rtk", 5)
+        finally:
+            scheduler.close()
+        assert answer.weights == engine.reverse_topk(P[7], 5).weights
+        assert self._cache_fallbacks(scheduler) == [
+            {"from": "kernel_cache", "to": "rebuild",
+             "reason": "unwritable", "count": 1}]
+
+    def test_leftover_tuner_files_are_ignored(self, tmp_path):
+        """A cache an older version tuned holds ``tuned.json`` and
+        ``cfg-<digest>/`` beside ``static/``; only ``static/`` is read."""
+        import json
+
+        from repro.algorithms.naive import NaiveRRQ
+        from repro.service.server import (
+            QueryService,
+            ServiceConfig,
+            canonical_json,
+            encode_result,
+        )
+
+        P, W = self._data()
+        engine = RRQEngine(P, W, method="gir")
+        (tmp_path / "tuned.json").write_text(
+            json.dumps({"digest": "ab" * 32, "config": {"partitions": 64}}))
+        leftover = tmp_path / "cfg-abababababab"
+        leftover.mkdir()
+        (leftover / "kernel.meta").write_text("{not a store")
+        naive = NaiveRRQ(P, W)
+        for life in range(2):  # cold (builds static/), then warm (maps it)
+            service = QueryService(engine, config=ServiceConfig(
+                batch_window_s=0.0, kernel_cache_dir=str(tmp_path)))
+            try:
+                for kind, expect in (("rtk", naive.reverse_topk),
+                                     ("rkr", naive.reverse_kranks)):
+                    for i in (3, 7, 21):
+                        served = service.query(product=i, kind=kind, k=5)
+                        assert canonical_json(served) == canonical_json(
+                            encode_result(expect(P[i], 5), kind))
+                kernel = service.scheduler._get_kernel()
+                assert kernel.core.P.flags.owndata == (life == 0)
+                assert service.metrics_snapshot()["fallbacks"]["total"] == 0
+            finally:
+                service.close()
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "cfg-abababababab", "static", "tuned.json"]

@@ -20,7 +20,7 @@ def data():
 def sharded(data):
     """One pool for the whole module — worker startup is the slow part."""
     P, W = data
-    engine = ShardedGirRRQ(P, W, shards=3, partitions=16)
+    engine = ShardedGirRRQ(P, W, shards=3)
     yield engine
     engine.close()
 
@@ -98,7 +98,7 @@ class TestLifecycle:
 
     def test_post_close_serial_fallback(self, data):
         P, W = data
-        engine = ShardedGirRRQ(P, W, shards=2, partitions=16)
+        engine = ShardedGirRRQ(P, W, shards=2)
         engine.close()
         naive = NaiveRRQ(P, W)
         # Still answers, exactly, from the in-process kernel.
@@ -108,7 +108,7 @@ class TestLifecycle:
 
     def test_close_idempotent(self, data):
         P, W = data
-        engine = ShardedGirRRQ(P, W, shards=2, partitions=16)
+        engine = ShardedGirRRQ(P, W, shards=2)
         engine.close()
         engine.close()  # second close is a no-op, not an error
 
@@ -153,7 +153,7 @@ class TestShutdownSafety:
             "from repro.vectorized.shard import ShardedGirRRQ\n"
             "P = uniform_products(30, 3, seed=1)\n"
             "W = uniform_weights(20, 3, seed=2)\n"
-            "engine = ShardedGirRRQ(P, W, shards=2, partitions=8)\n"
+            "engine = ShardedGirRRQ(P, W, shards=2)\n"
             "engine.reverse_topk(P[0], 3)\n"
             "# deliberately no close(): exit with the pool still up\n"
         )

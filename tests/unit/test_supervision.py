@@ -206,6 +206,7 @@ class TestClusterSupervisor:
             assert action["restart"]["status"] == "crash_loop"
             status = supervisor.status()
             assert status["restart_attempts"] == {"0": 1}
+            assert not [key for key in status if key.startswith("tune")]
 
     def test_injected_restart_crash_counts_failed(self, monkeypatch):
         """The ``supervision.restart`` chaos site."""
@@ -246,100 +247,3 @@ class TestClusterSupervisor:
             finally:
                 supervisor.stop()
             assert not supervisor.running
-
-
-class TestShardTuning:
-    """The supervisor's per-shard tuning sweep: each shard primary is
-    tuned against its own workload (force=False), so grids diverge
-    across the cluster; dead shards are skipped, and a failing tune
-    never takes the repair loop down."""
-
-    def _two_shard_cluster(self, stack):
-        servers = [start_worker(stack), start_worker(stack)]
-        coordinator = make_coordinator(
-            stack, [[servers[0].url], [servers[1].url]])
-        detector = FailureDetector(coordinator, probe_timeout_s=2.0)
-        return coordinator, detector, servers
-
-    def test_sweep_hits_every_alive_primary(self, monkeypatch):
-        with ExitStack() as stack:
-            coordinator, detector, servers = self._two_shard_cluster(stack)
-            calls = []
-            for shard_id in (0, 1):
-                def tune(force=True, endpoint=None, timeout_s=None,
-                         _sid=shard_id):
-                    calls.append((_sid, force, endpoint))
-                    return {"status": "skipped"}
-                monkeypatch.setattr(coordinator.clients[shard_id],
-                                    "tune", tune)
-            supervisor = ClusterSupervisor(coordinator, detector=detector,
-                                           tune_every=2)
-            assert supervisor.tick()["actions"] == []   # tick 1: no sweep
-            assert calls == []
-            supervisor.tick()                           # tick 2: sweep
-            assert sorted(calls) == [
-                (0, False, servers[0].url), (1, False, servers[1].url)]
-            status = supervisor.status()
-            assert status["tuner_sweeps"] == 1
-            assert status["tuner_swaps"] == 0
-            assert status["tune_every"] == 2
-
-    def test_swap_outcome_recorded_as_event(self, monkeypatch):
-        with ExitStack() as stack:
-            coordinator, detector, servers = self._two_shard_cluster(stack)
-            outcomes = {
-                0: {"status": "swapped", "winner_label": "n64-quantile",
-                    "improvement": 0.21},
-                1: {"status": "skipped"},
-            }
-            for shard_id in (0, 1):
-                monkeypatch.setattr(
-                    coordinator.clients[shard_id], "tune",
-                    lambda _sid=shard_id, **kw: outcomes[_sid])
-            supervisor = ClusterSupervisor(coordinator, detector=detector,
-                                           tune_every=1)
-            report = supervisor.tick()
-            (action,) = report["actions"]
-            assert action["kind"] == "tune_swapped"
-            assert action["shard"] == 0
-            assert action["winner"] == "n64-quantile"
-            assert supervisor.status()["tuner_swaps"] == 1
-
-    def test_dead_shard_skipped_and_errors_contained(self, monkeypatch):
-        with ExitStack() as stack:
-            server = start_worker(stack)
-            coordinator = make_coordinator(
-                stack, [["http://127.0.0.1:9"], [server.url]])
-            detector = FailureDetector(coordinator, probe_timeout_s=0.2,
-                                       suspect_after=1, dead_after=1)
-            tuned = []
-            monkeypatch.setattr(
-                coordinator.clients[0], "tune",
-                lambda **kw: tuned.append(0) or {"status": "skipped"})
-
-            def boom(**kw):
-                raise OSError("probe socket died")
-
-            monkeypatch.setattr(coordinator.clients[1], "tune", boom)
-            supervisor = ClusterSupervisor(coordinator, detector=detector,
-                                           tune_every=1)
-            report = supervisor.tick()
-            # Shard 0 is dead -> failover attempted, never tuned.
-            assert tuned == []
-            kinds = [a["kind"] for a in report["actions"]]
-            assert "tune_failed" in kinds
-            failed = next(a for a in report["actions"]
-                          if a["kind"] == "tune_failed")
-            assert failed["shard"] == 1
-            assert "OSError" in failed["reason"]
-            assert supervisor.status()["tuner_errors"] == 1
-
-    def test_disabled_by_default(self):
-        with ExitStack() as stack:
-            server = start_worker(stack)
-            coordinator = make_coordinator(stack, [[server.url]])
-            supervisor = ClusterSupervisor(
-                coordinator, detector=FailureDetector(coordinator))
-            for _ in range(3):
-                assert supervisor.tick()["actions"] == []
-            assert supervisor.status()["tuner_sweeps"] == 0
