@@ -788,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8377)
     serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="micro-batch coalescing window (0 disables)")
+                       help="longest wait to be coalesced (0 disables)")
     serve.add_argument("--max-batch", type=int, default=64,
                        help="largest coalesced batch")
     serve.add_argument("--cache-size", type=int, default=1024,

@@ -271,16 +271,7 @@ class _ClusterRequestHandler(_RequestHandler):
 class ClusterHTTPServer(ReverseRankHTTPServer):
     """One thread per connection over a shared :class:`ClusterService`."""
 
-    def __init__(self, address, service: ClusterService,
-                 verbose: bool = False):
-        # Deliberately skip ReverseRankHTTPServer.__init__ to swap the
-        # handler class; everything else (threading, backlog, url) is
-        # inherited unchanged.
-        from http.server import ThreadingHTTPServer
-
-        ThreadingHTTPServer.__init__(self, address, _ClusterRequestHandler)
-        self.service = service
-        self.verbose = verbose
+    handler_class = _ClusterRequestHandler
 
 
 def make_cluster_server(service: ClusterService, host: str = "127.0.0.1",

@@ -75,6 +75,7 @@ class ServiceMetrics:
         self._coalesced_batches = 0
         self._batched_requests = 0
         self._max_batch_size = 0
+        self._windows = {"expired": 0, "complete": 0, "full": 0}
         self._ops = OpCounter()
         self._kernel_queries = 0
         self._kernel_stage_s = {"filter": 0.0, "refine": 0.0, "merge": 0.0}
@@ -184,10 +185,15 @@ class ServiceMetrics:
         with self._lock:
             self._fallbacks[key] = self._fallbacks.get(key, 0) + 1
 
-    def record_batch(self, size: int, counter: Optional[OpCounter] = None) -> None:
-        """One dispatched micro-batch of ``size`` coalesced requests."""
+    def record_batch(self, size: int, counter: Optional[OpCounter] = None,
+                     closed: Optional[str] = None) -> None:
+        """One dispatched micro-batch of ``size`` coalesced requests, and
+        what ``closed`` its window: the clock (``expired``), nobody left
+        to wait for (``complete``) or ``max_batch`` (``full``)."""
         with self._lock:
             self._batches += 1
+            if closed is not None:
+                self._windows[closed] += 1
             self._batched_requests += size
             if size > 1:
                 self._coalesced_batches += 1
@@ -258,6 +264,7 @@ class ServiceMetrics:
                     "batched_requests": self._batched_requests,
                     "mean_size": mean_batch,
                     "max_size": self._max_batch_size,
+                    "windows": dict(self._windows),
                 },
                 "ops": self._ops.snapshot(),
                 "kernel": {
@@ -326,6 +333,7 @@ class ServiceMetrics:
             coalesced = self._coalesced_batches
             batched_requests = self._batched_requests
             max_batch = self._max_batch_size
+            windows = dict(self._windows)
             kernel_queries = self._kernel_queries
             stage_s = dict(self._kernel_stage_s)
             kernel_pairs = dict(self._kernel_pairs)
@@ -385,6 +393,12 @@ class ServiceMetrics:
                     batched_requests)
         exp.gauge("rrq_batch_size_max",
                   "Largest micro-batch dispatched so far.", max_batch)
+        for closed in sorted(windows):
+            exp.counter("rrq_batch_window_total",
+                        "Coalescing windows by what closed them: the clock "
+                        "(expired), no idle connection left to wait for "
+                        "(complete) or max_batch (full).",
+                        windows[closed], labels={"closed": closed})
         exp.counter("rrq_kernel_queries_total",
                     "Queries answered by the blocked GIR kernel.",
                     kernel_queries)

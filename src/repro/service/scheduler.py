@@ -46,7 +46,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -151,9 +151,9 @@ class MicroBatchScheduler:
         store.pin``); every batch reads one pinned snapshot.  Anything
         else is refused at construction.
     batch_window_s:
-        How long the dispatcher waits for more requests after the first
-        one arrives.  ``0`` disables coalescing entirely (every dispatch
-        is a batch of one).
+        The longest the dispatcher waits for more requests after the
+        first one arrives.  ``0`` disables coalescing entirely (every
+        dispatch is a batch of one).
     limits:
         Admission bounds (queue depth, default deadline, max batch size).
     metrics:
@@ -168,6 +168,12 @@ class MicroBatchScheduler:
         cache is a counted ``kernel_cache`` fallback).  A mutable
         engine puts nothing there: its kernel is rebuilt in RAM per
         store generation.  ``None`` disables caching.
+    idle_connections:
+        How many callers could still submit: the HTTP server wires its
+        count of connections waiting for a request.  At zero, with the
+        queue drained, the window closes early — nobody is left to wait
+        for.  ``None`` (no server behind the scheduler): the window
+        always runs its time.
     auto_start:
         Start the dispatcher thread immediately (tests pass ``False`` to
         stage requests deterministically before opening the tap).
@@ -177,6 +183,7 @@ class MicroBatchScheduler:
                  limits: Optional[ServiceLimits] = None,
                  metrics: Optional[ServiceMetrics] = None,
                  kernel_cache_dir: Optional[str] = None,
+                 idle_connections: Optional[Callable[[], int]] = None,
                  auto_start: bool = True):
         if batch_window_s < 0:
             raise InvalidParameterError("batch_window_s must be >= 0")
@@ -184,6 +191,7 @@ class MicroBatchScheduler:
         self.batch_window_s = float(batch_window_s)
         self.limits = limits or ServiceLimits()
         self.metrics = metrics or ServiceMetrics()
+        self.idle_connections = idle_connections
         self._dim = engine.products.dim
         # Mutable engines pin one immutable snapshot per batch: queries
         # run against it without any engine lock and never observe
@@ -285,6 +293,10 @@ class MicroBatchScheduler:
         :class:`RKRResult`, or raises :class:`DeadlineExceededError` if
         the request's deadline passes before dispatch.
         """
+        return self._admit(q, kind, k, deadline_s).future
+
+    def _admit(self, q, kind: str, k: int,
+               deadline_s: Optional[float]) -> _Pending:
         if kind not in _KINDS:
             raise InvalidParameterError("kind must be 'rtk' or 'rkr'")
         if k <= 0:
@@ -308,15 +320,14 @@ class MicroBatchScheduler:
                 f"admission queue full ({self.limits.max_queue_depth} "
                 "requests waiting)"
             ) from None
-        return pending.future
+        return pending
 
     def answer(self, q, kind: str, k: int,
                deadline_s: Optional[float] = None):
         """Submit and block until the result (or rejection) is available."""
-        pending_deadline = self.limits.deadline(deadline_s)
-        future = self.submit(q, kind, k, deadline_s)
-        try:
-            return future.result(timeout=pending_deadline.remaining())
+        pending = self._admit(q, kind, k, deadline_s)
+        try:  # one deadline: the dispatcher's expiry check reads the same
+            return pending.future.result(timeout=pending.deadline.remaining())
         except (TimeoutError, _FutureTimeoutError):
             self.metrics.record_rejection(overload=False)
             raise DeadlineExceededError(
@@ -333,26 +344,31 @@ class MicroBatchScheduler:
                 first = self._queue.get(timeout=_IDLE_POLL_S)
             except queue.Empty:
                 continue
-            batch = self._collect(first)
-            self._dispatch(batch)
+            batch, closed = self._collect(first)
+            self._dispatch(batch, closed)
 
-    def _collect(self, first: _Pending) -> List[_Pending]:
-        """The micro-batch: ``first`` plus arrivals within the window."""
+    def _collect(self, first: _Pending) -> Tuple[List[_Pending], str]:
+        """The micro-batch — ``first`` plus arrivals within the window —
+        and what closed the window: ``full`` (``max_batch``), ``expired``
+        (``batch_window_s``, at once when that is 0) or ``complete``: no
+        connection is idle and the queue is drained, so every caller
+        that could submit is already waiting on this batch."""
         batch = [first]
-        if self.batch_window_s <= 0 or self.limits.max_batch <= 1:
-            return batch
         window_closes = time.monotonic() + self.batch_window_s
         while len(batch) < self.limits.max_batch:
             remaining = window_closes - time.monotonic()
             if remaining <= 0:
-                break
+                return batch, "expired"
+            complete = (self.idle_connections is not None
+                        and self.idle_connections() == 0)
             try:
-                batch.append(self._queue.get(timeout=remaining))
+                batch.append(self._queue.get(block=not complete,
+                                             timeout=remaining))
             except queue.Empty:
-                break
-        return batch
+                return batch, "complete" if complete else "expired"
+        return batch, "full"
 
-    def _dispatch(self, batch: List[_Pending]) -> None:
+    def _dispatch(self, batch: List[_Pending], closed: str) -> None:
         live = []
         for pending in batch:
             if pending.deadline.expired():
@@ -372,7 +388,7 @@ class MicroBatchScheduler:
             snap = (self._pin_snapshot()
                     if self._pin_snapshot is not None else None)
             try:
-                self._answer(live, snap, counter)
+                self._answer(live, snap, counter, closed)
             finally:
                 if snap is not None:
                     snap.release()
@@ -380,9 +396,10 @@ class MicroBatchScheduler:
             for pending in live:
                 if not pending.future.done():
                     pending.future.set_exception(exc)
-        self.metrics.record_batch(len(live), counter)
+        self.metrics.record_batch(len(live), counter, closed)
 
-    def _answer(self, live: List[_Pending], snap, counter: OpCounter) -> None:
+    def _answer(self, live: List[_Pending], snap, counter: OpCounter,
+                closed: str) -> None:
         """Route one micro-batch: the kernel, else the per-query route.
 
         ``snap`` is the batch's pinned MVCC snapshot (``None`` on static
@@ -399,6 +416,7 @@ class MicroBatchScheduler:
             for sp, pending in zip(spans, live):
                 _describe(sp, pending, len(live), snap, fallback)
                 sp.annotate("fused", not single)
+                sp.annotate("window", closed)
             # A batch of one is the request operators look up: its
             # sweep's stats ride on its span (the slow log's Table-4
             # profile: "refined" there is the float32 rounding band of

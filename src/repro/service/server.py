@@ -57,6 +57,7 @@ from ..errors import (
     ServiceError,
     ServiceUnavailableError,
 )
+from ..obs.prom import Exposition
 from ..obs.slowlog import (
     DEFAULT_SLOW_THRESHOLD_S,
     DEFAULT_SLOWLOG_CAPACITY,
@@ -743,6 +744,23 @@ class _RequestHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
+    def handle_one_request(self) -> None:
+        """Counted idle from before the read of the next request line
+        blocks until the request is read (:meth:`do_GET`, the body in
+        :meth:`do_POST`) or the wait ends without one: EOF, a socket
+        timeout, a line that does not parse."""
+        self._idle = True
+        self.server.track_idle(+1)
+        try:
+            super().handle_one_request()
+        finally:
+            self._wake()
+
+    def _wake(self) -> None:
+        if self._idle:
+            self._idle = False
+            self.server.track_idle(-1)
+
     @property
     def service(self) -> QueryService:
         return self.server.service
@@ -784,13 +802,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return int(raw) if raw is not None else None
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._wake()
         parsed = urlsplit(self.path)
         if parsed.path == "/healthz":
             self._send_json(200, self.service.healthz())
         elif parsed.path == "/metrics":
             params = parse_qs(parsed.query)
             if params.get("format", [None])[0] == "prometheus":
-                self._send_text(200, self.service.prometheus_text())
+                self._send_text(200, self.service.prometheus_text()
+                                + self.server.idle_exposition())
             else:
                 self._send_json(200, self.service.metrics_snapshot())
         elif parsed.path == "/traces":
@@ -851,7 +871,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
             root.annotate("path", path)
             try:
                 length = int(self.headers.get("Content-Length") or 0)
-                payload = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                self._wake()  # a body still on its way is worth waiting for
+                payload = json.loads(raw or b"{}")
                 if not isinstance(payload, dict):
                     raise InvalidParameterError(
                         "request body must be an object"
@@ -888,11 +910,35 @@ class ReverseRankHTTPServer(ThreadingHTTPServer):
     #: Listen backlog. The stdlib default (5) resets connections under a
     #: modest concurrent burst — exactly the workload micro-batching wants.
     request_queue_size = 128
+    handler_class = _RequestHandler
 
     def __init__(self, address, service: QueryService, verbose: bool = False):
-        super().__init__(address, _RequestHandler)
+        super().__init__(address, self.handler_class)
         self.service = service
         self.verbose = verbose
+        self._idle = 0
+        self._idle_lock = threading.Lock()
+        # The scheduler closes a coalescing window early once no
+        # connection is left to wait for; a ClusterService has none.
+        scheduler = getattr(service, "scheduler", None)
+        if scheduler is not None:
+            scheduler.idle_connections = self.idle_connections
+
+    def track_idle(self, delta: int) -> None:
+        with self._idle_lock:
+            self._idle += delta
+
+    def idle_connections(self) -> int:
+        """Connections whose handler is waiting for a request."""
+        return self._idle
+
+    def idle_exposition(self) -> str:
+        """The HTTP layer's own line of a Prometheus scrape."""
+        exp = Exposition()
+        exp.gauge("rrq_http_idle_connections",
+                  "Open connections waiting for their next request.",
+                  self._idle)
+        return exp.render()
 
     @property
     def url(self) -> str:

@@ -7,6 +7,7 @@ micro-batched path actually exercised (at least one coalesced batch of
 size > 1 visible in ``/metrics``).
 """
 
+import contextlib
 import json
 import threading
 import urllib.request
@@ -187,3 +188,222 @@ class TestEndpoints:
             naive.reverse_topk(P[5], 9).weights
         assert client.reverse_kranks(P[5], k=3) == \
             naive.reverse_kranks(P[5], 3).entries
+
+
+def _until(condition, timeout_s=5.0):
+    """Wait (bounded) for ``condition``; the assertion is the caller's."""
+    import time
+
+    deadline = time.monotonic() + timeout_s
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return condition()
+
+
+def _post(conn, product, kind="rtk", k=6):
+    """Send one /query on a keep-alive connection without reading."""
+    conn.request("POST", "/query",
+                 body=json.dumps({"product": product, "kind": kind,
+                                  "k": k}).encode(),
+                 headers={"Content-Type": "application/json"})
+
+
+class TestWindowClosesWhenNobodyIsLeftToWaitFor:
+    """The server counts connections waiting for a request; the scheduler
+    stops waiting once there are none.  Windows are 5 s and socket
+    timeouts 3 s wherever a reply must *not* have waited for the clock:
+    a window that ran its time fails the read, and the tally says which."""
+
+    @pytest.fixture()
+    def live(self, data):
+        P, W = data
+        service = QueryService.from_datasets(
+            P, W, method="gir", config=ServiceConfig(batch_window_s=5.0))
+        with serve_in_background(service) as server:
+            yield service, server
+
+    @staticmethod
+    def _connect(server, count, timeout=3.0):
+        import http.client
+
+        host, port = server.server_address[:2]
+        conns = [http.client.HTTPConnection(host, port, timeout=timeout)
+                 for _ in range(count)]
+        for conn in conns:
+            conn.connect()
+        assert _until(lambda: server.idle_connections() == count)
+        return conns
+
+    def test_keep_alive_pair_is_one_fused_batch(self, live, data, naive):
+        service, server = live
+        P, _ = data
+        pair = self._connect(server, 2)
+        try:
+            for conn, product in zip(pair, (3, 4)):
+                _post(conn, product)
+            bodies = [conn.getresponse().read() for conn in pair]
+        finally:
+            for conn in pair:
+                conn.close()
+        assert bodies == [
+            canonical_json(encode_result(naive.reverse_topk(P[i], 6), "rtk"))
+            for i in (3, 4)]
+        snap = service.metrics_snapshot()
+        assert snap["batches"]["total"] == snap["batches"]["coalesced"] == 1
+        assert snap["batches"]["windows"] == {
+            "expired": 0, "complete": 1, "full": 0}
+        assert snap["kernel"]["fused"] == {"batches": 1, "queries": 2}
+
+    def test_single_beside_an_idle_socket_waits_for_the_clock(self, data):
+        P, W = data
+        service = QueryService.from_datasets(
+            P, W, method="gir", config=ServiceConfig(batch_window_s=0.05))
+        with serve_in_background(service) as server:
+            busy, idle = self._connect(server, 2)
+            try:
+                _post(busy, 3)
+                busy.getresponse().read()
+            finally:
+                busy.close()
+                idle.close()
+        assert service.metrics_snapshot()["batches"]["windows"] == {
+            "expired": 1, "complete": 0, "full": 0}
+
+    def test_connection_per_request_client_pays_no_window(self, live):
+        service, server = live
+        client = ServiceClient(server.url, timeout_s=3.0)
+        client.wait_until_healthy()
+        client.query(product=7, kind="rkr", k=4)
+        snap = service.metrics_snapshot()
+        assert snap["batches"]["total"] == 1
+        assert snap["batches"]["windows"]["complete"] == 1
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _serve_counting(service, **handler_attrs):
+        """A server whose handlers tally their exits in ``server.gone``:
+        once a connection's handler is gone, its part in the idle count
+        is settled and the count can be asserted, not polled."""
+        from repro.service.server import ReverseRankHTTPServer
+
+        class Handler(ReverseRankHTTPServer.handler_class):
+            def finish(self):
+                super().finish()
+                with self.server.gone_lock:
+                    self.server.gone += 1
+
+        class Server(ReverseRankHTTPServer):
+            handler_class = type("Handler", (Handler,), handler_attrs)
+            gone, gone_lock = 0, threading.Lock()
+
+        server = Server(("127.0.0.1", 0), service)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5.0)
+            service.close()
+        assert not thread.is_alive()
+
+    def test_gauge_counts_exactly_the_parked_handlers(self, data):
+        """A leaked +1 re-imposes the full window forever, a leaked -1
+        dispatches early forever: after every way a wait for a request
+        line can end without a request, the count is the handlers
+        actually parked."""
+        import socket
+
+        from repro.obs.prom import lint_exposition
+
+        P, W = data
+        service = QueryService.from_datasets(
+            P, W, method="gir", config=ServiceConfig(batch_window_s=5.0))
+        with self._serve_counting(service) as server:
+            (parked,) = self._connect(server, 1)
+            try:
+                for gone, (wire, reply) in enumerate((
+                    (b"", None),                             # connect, leave
+                    (b"POST /que", None),                    # mid request line
+                    (b"POST /query HTTP/1.1\r\nContent-Length: 40\r\n\r\n"
+                     b'{"prod', None),                       # mid body
+                    (b"NOT HTTP AT ALL\r\n\r\n", b"400"),    # malformed line
+                    (b"GET /" + b"x" * 70_000 + b"\r\n\r\n", b"414"),
+                ), start=1):
+                    with socket.create_connection(server.server_address[:2],
+                                                  timeout=3.0) as sock:
+                        sock.sendall(wire)
+                        if reply is not None:
+                            assert reply in sock.recv(1 << 16)
+                    assert _until(lambda: server.gone == gone), wire
+                    assert server.idle_connections() == 1, wire
+                with urllib.request.urlopen(
+                        server.url + "/metrics?format=prometheus",
+                        timeout=3.0) as resp:
+                    text = resp.read().decode()
+                assert lint_exposition(text) == []
+                assert "\nrrq_http_idle_connections 1\n" in text
+                # Nobody else is parked: the survivor's single leaves at
+                # once (5 s window, 3 s read).
+                _post(parked, 9)
+                parked.getresponse().read()
+            finally:
+                parked.close()
+            assert _until(lambda: server.gone == 7)  # 5 + the scrape + parked
+            assert server.idle_connections() == 0
+        assert service.metrics_snapshot()["batches"]["windows"] == {
+            "expired": 0, "complete": 1, "full": 0}
+
+    def test_handlers_that_idle_out_leave_the_count(self, data):
+        import socket
+
+        P, W = data
+        service = QueryService.from_datasets(P, W, method="gir")
+        with self._serve_counting(service, timeout=0.05) as server:
+            socks = [socket.create_connection(server.server_address[:2],
+                                              timeout=3.0) for _ in range(3)]
+            try:
+                for sock in socks:  # the server hangs up on each
+                    assert sock.recv(16) == b""
+            finally:
+                for sock in socks:
+                    sock.close()
+            assert _until(lambda: server.gone == 3)
+            assert server.idle_connections() == 0
+
+    def test_count_survives_many_short_connections_at_once(self, data):
+        """A lost update to the idle count would never heal: eight
+        clients (more than cores) churn connections under a shortened
+        switch interval, and once every handler is gone the count is 0."""
+        import sys
+
+        P, W = data
+        service = QueryService.from_datasets(P, W, method="gir")
+        errors = []
+
+        def churn(url):
+            try:
+                for _ in range(15):
+                    with urllib.request.urlopen(url + "/healthz",
+                                                timeout=10) as resp:
+                        resp.read()
+            except Exception as exc:  # pragma: no cover - diagnostics
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with self._serve_counting(service) as server:
+                threads = [threading.Thread(target=churn, args=(server.url,))
+                           for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert _until(lambda: server.gone == 8 * 15)
+                assert server.idle_connections() == 0
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors

@@ -205,6 +205,20 @@ class TestPrometheusRendering:
         # The latency observation carries its trace id as an exemplar.
         assert 'trace_id="abc123"' in text
 
+    def test_window_tallies_read_the_same_in_both_bodies(self):
+        metrics = ServiceMetrics()
+        metrics.record_batch(2, closed="complete")
+        metrics.record_batch(2, closed="complete")
+        metrics.record_batch(1, closed="expired")
+        batches = metrics.snapshot()["batches"]
+        assert batches["windows"] == {"expired": 1, "complete": 2, "full": 0}
+        assert (batches["total"], batches["coalesced"]) == (3, 2)
+        text = metrics.prometheus()
+        assert lint_exposition(text) == []
+        for closed, count in batches["windows"].items():
+            assert (f'rrq_batch_window_total{{closed="{closed}"}} {count}'
+                    in text)
+
     def test_empty_metrics_still_lint_clean(self):
         assert lint_exposition(ServiceMetrics().prometheus()) == []
 

@@ -435,6 +435,112 @@ class TestDeclaredFallback:
         assert snap["kernel"]["queries"] == 0
 
 
+class TestWindowEnd:
+    """What closes a window, by count and order: the windows here are 5 s
+    and every wait is 3 s, so a request answered at all was answered
+    while its window was still open."""
+
+    @staticmethod
+    def _windows(scheduler):
+        return scheduler.metrics.snapshot()["batches"]["windows"]
+
+    def test_nobody_idle_a_lone_request_leaves_at_once(self, engine):
+        scheduler = make_scheduler(engine, batch_window_s=5.0,
+                                   idle_connections=lambda: 0)
+        scheduler.start()
+        try:
+            got = scheduler.submit(engine.products[9], "rtk", 5).result(
+                timeout=3)
+        finally:
+            scheduler.close()
+        assert got.weights == engine.reverse_topk(
+            engine.products[9], 5).weights
+        assert self._windows(scheduler) == {
+            "expired": 0, "complete": 1, "full": 0}
+
+    def test_one_idle_holds_until_its_request_joins(self, engine):
+        from repro.obs.trace import Tracer
+
+        idle, asked = [1], threading.Event()
+
+        def idle_connections():
+            asked.set()
+            return idle[0]
+
+        scheduler = make_scheduler(engine, batch_window_s=5.0,
+                                   idle_connections=idle_connections)
+        scheduler.start()
+        tracer = Tracer()
+        try:
+            with tracer.trace("test.request") as root:
+                first = scheduler.submit(engine.products[5], "rkr", 4)
+            # The dispatcher holds ``first`` and has been told of the one
+            # caller still to come ...
+            assert asked.wait(timeout=3)
+            assert not first.done()
+            # ... whose request joins, and nobody is left to wait for.
+            idle[0] = 0
+            second = scheduler.submit(engine.products[6], "rkr", 4)
+            results = [f.result(timeout=3) for f in (first, second)]
+        finally:
+            scheduler.close()
+        for i, result in zip((5, 6), results):
+            assert result.entries == engine.reverse_kranks(
+                engine.products[i], 4).entries
+        batches = scheduler.metrics.snapshot()["batches"]
+        assert (batches["total"], batches["max_size"]) == (1, 2)
+        assert batches["windows"] == {"expired": 0, "complete": 1, "full": 0}
+        (dispatch,) = tracer.get(root.trace_id)["spans"][0]["children"]
+        assert dispatch["annotations"]["window"] == "complete"
+
+    def test_the_queue_is_drained_before_the_window_closes(self, engine):
+        scheduler = make_scheduler(engine, batch_window_s=5.0,
+                                   idle_connections=lambda: 0)
+        futures = [scheduler.submit(engine.products[i], "rtk", 5)
+                   for i in range(3)]
+        scheduler.start()
+        try:
+            [f.result(timeout=3) for f in futures]
+        finally:
+            scheduler.close()
+        batches = scheduler.metrics.snapshot()["batches"]
+        assert (batches["total"], batches["max_size"]) == (1, 3)
+        assert batches["windows"]["complete"] == 1
+
+    def test_without_a_server_the_clock_or_max_batch_closes(self, engine):
+        scheduler = make_scheduler(engine, batch_window_s=0.05,
+                                   limits=ServiceLimits(max_batch=2))
+        futures = [scheduler.submit(engine.products[i], "rtk", 5)
+                   for i in range(5)]
+        scheduler.start()
+        try:
+            [f.result(timeout=10) for f in futures]
+        finally:
+            scheduler.close()
+        assert self._windows(scheduler) == {
+            "expired": 1, "complete": 0, "full": 2}
+
+    def test_answer_waits_on_the_deadline_the_dispatcher_checks(
+            self, engine, monkeypatch):
+        """One ``Deadline`` per request: the caller's wait and the
+        dispatcher's expiry check read the same clock."""
+        built = []
+        real = ServiceLimits.deadline
+
+        def counting(limits, seconds=None):
+            built.append(seconds)
+            return real(limits, seconds)
+
+        monkeypatch.setattr(ServiceLimits, "deadline", counting)
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        scheduler.start()
+        try:
+            scheduler.answer(engine.products[1], "rtk", 5, deadline_s=7.0)
+        finally:
+            scheduler.close()
+        assert built == [7.0]
+
+
 class TestDeadlines:
     def test_expired_deadline_rejected_at_dispatch(self, engine):
         scheduler = make_scheduler(engine, batch_window_s=0.0)
