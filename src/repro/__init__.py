@@ -18,58 +18,30 @@ compared against, :mod:`repro.index` the spatial substrates those
 baselines need, and :mod:`repro.ext` the future-work extensions.
 """
 
-from .algorithms import (
-    BranchBoundRTK,
-    MarkedPruningRKR,
-    NaiveRRQ,
-    SimpleScan,
-    ThresholdRTK,
-)
-from .core import GridIndex, GridIndexRRQ, Quantizer
-from .core import model
-from .data import (
-    ProductSet,
-    WeightSet,
-    anticorrelated_products,
-    clustered_products,
-    clustered_weights,
-    color,
-    dianping,
-    generate_products,
-    generate_weights,
-    house,
-    uniform_products,
-    uniform_weights,
-)
-from .errors import (
-    DataValidationError,
-    DeadlineExceededError,
-    DimensionMismatchError,
-    EmptyDatasetError,
-    IndexCorruptionError,
-    InvalidParameterError,
-    ReproError,
-    ServiceError,
-    ServiceOverloadError,
-)
-from .ext import (
-    AdaptiveGridIndexRRQ,
-    AggregateGridIndexRKR,
-    SparseGridIndexRRQ,
-    aggregate_reverse_kranks_naive,
-    sparsify_weights,
-)
-from .queries import (
-    MonochromaticResult,
-    RKRResult,
-    RRQEngine,
-    RTKResult,
-    available_methods,
-    monochromatic_reverse_topk,
-)
-from .service import QueryService, ServiceClient, ServiceConfig
-from .stats import OpCounter
-from .vectorized import BatchOracle
+from ._lazy import lazy_exports
+
+_EXPORTS = {
+    "algorithms": ["BranchBoundRTK", "MarkedPruningRKR", "NaiveRRQ",
+                   "SimpleScan", "ThresholdRTK"],
+    "core": ["GridIndex", "GridIndexRRQ", "Quantizer", "model"],
+    "data": ["ProductSet", "WeightSet", "anticorrelated_products",
+             "clustered_products", "clustered_weights", "color", "dianping",
+             "generate_products", "generate_weights", "house",
+             "uniform_products", "uniform_weights"],
+    "errors": ["DataValidationError", "DeadlineExceededError",
+               "DimensionMismatchError", "EmptyDatasetError",
+               "IndexCorruptionError", "InvalidParameterError", "ReproError",
+               "ServiceError", "ServiceOverloadError"],
+    "ext": ["AdaptiveGridIndexRRQ", "AggregateGridIndexRKR",
+            "SparseGridIndexRRQ", "aggregate_reverse_kranks_naive",
+            "sparsify_weights"],
+    "queries": ["MonochromaticResult", "RKRResult", "RRQEngine", "RTKResult",
+                "available_methods", "monochromatic_reverse_topk"],
+    "service": ["QueryService", "ServiceClient", "ServiceConfig"],
+    "stats": ["OpCounter"],
+    "vectorized": ["BatchOracle"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -43,7 +43,6 @@ from ..service.metrics import percentile
 from ..vectorized.batch import BatchOracle
 from ..vectorized.blasthreads import guarded_thread_counts
 from ..vectorized.girkernel import GirKernelRRQ, KernelStats
-from ..vectorized.parallel import answer_batch_stats
 from ..vectorized.shard import ShardedGirRRQ
 
 #: Seed offsets keep products / weights / query sampling independent.
@@ -229,14 +228,18 @@ def run_config(cfg: dict, seed: int = DEFAULT_SEED,
         if sharded is not None:
             sharded.close()
 
-    # One serial batch over the kernel: surfaces the per-query p50/p95
-    # that BatchStats now reports (satellite: CLI visibility).
-    _, batch_stats = answer_batch_stats(kernel, queries, k, "rtk", workers=1)
+    # One serial pass over the kernel: the per-query p50/p95 that
+    # ``repro-rrq bench`` prints, and their sum.
+    batch_times = []
+    for q in queries:
+        start = perf_counter()
+        kernel.reverse_topk(q, k)
+        batch_times.append(perf_counter() - start)
     record["batch"] = {
-        "workers": batch_stats.workers,
-        "elapsed_s": batch_stats.elapsed_s,
-        "per_query_p50_s": batch_stats.per_query_p50_s,
-        "per_query_p95_s": batch_stats.per_query_p95_s,
+        "workers": 1,
+        "elapsed_s": sum(batch_times),
+        "per_query_p50_s": percentile(batch_times, 0.50),
+        "per_query_p95_s": percentile(batch_times, 0.95),
     }
     record["kernel_stats"] = _full_kernel_stats(kernel, queries, k)
     record["verified"] = bool(identical)

@@ -230,6 +230,13 @@ def _warn_unguarded_blas(info: dict) -> None:
               file=sys.stderr, flush=True)
 
 
+def _startup_note(server) -> str:
+    # Goes before " at <url>": banner readers take the URL from the
+    # end of the line.
+    return ("[startup_cpu_s={startup_cpu_s} "
+            "modules_loaded={modules_loaded}]".format(**server.startup))
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import ServiceConfig, ServiceLimits
     from .service.server import QueryService, make_server
@@ -276,7 +283,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"serving durable {info['method']} ({role}, "
               f"fsync={info['fsync']}, lsn={info['last_lsn']}) over "
               f"{info['products']}x{info['weights']} (d={info['dim']}) "
-              f"at {server.url}", flush=True)
+              f"{_startup_note(server)} at {server.url}", flush=True)
         _warn_unguarded_blas(info)
         print("endpoints: POST /query /insert /delete /modify /compact "
               "/snapshot /promote, GET /healthz /metrics /info "
@@ -303,13 +310,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          verbose=args.verbose)
     info = service.info()
     print(f"serving {info['method']} over {info['products']}x"
-          f"{info['weights']} (d={info['dim']}) at {server.url}")
+          f"{info['weights']} (d={info['dim']}) {_startup_note(server)} "
+          f"at {server.url}", flush=True)
     if service.degraded_reason:
         print(f"WARNING: degraded mode — {service.degraded_reason}",
               file=sys.stderr)
     _warn_unguarded_blas(info)
     print("endpoints: POST /query, GET /healthz /metrics /info "
-          "/traces /slowlog")
+          "/traces /slowlog", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
@@ -396,6 +404,8 @@ def _cmd_info(args: argparse.Namespace) -> int:
         raise DataValidationError(f"{args.index}: not a directory")
     print(f"{'blas_threads':18s} "
           f"{_blas_guard_note(guarded_thread_counts())}")
+    print(f"{'startup_cpu_s':18s} {time.process_time():.3f}")
+    print(f"{'modules_loaded':18s} {len(sys.modules)}")
     if any((path / name).exists()
            for name in ("wal.log", "CURRENT", "engine.json")):
         return _durability_info(path)

@@ -19,20 +19,17 @@ process/HTTP boundary:
   coordinator, for dev, tests, and ``repro-rrq cluster``.
 """
 
-from .coordinator import ClusterCoordinator
-from .launcher import LocalCluster, WorkerProcess
-from .router_server import (
-    ClusterHTTPServer,
-    ClusterService,
-    make_cluster_server,
-    serve_cluster_in_background,
-)
-from .topology import (
-    PARTITIONERS,
-    ClusterTopology,
-    ShardSpec,
-    partition_weight_indices,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "coordinator": ["ClusterCoordinator"],
+    "launcher": ["LocalCluster", "WorkerProcess"],
+    "router_server": ["ClusterHTTPServer", "ClusterService",
+                      "make_cluster_server", "serve_cluster_in_background"],
+    "topology": ["PARTITIONERS", "ClusterTopology", "ShardSpec",
+                 "partition_weight_indices"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "PARTITIONERS",

@@ -27,15 +27,15 @@ mutation prefix — an acknowledged write is never lost, an
 unacknowledged write is atomically absent.
 """
 
-from .engine import SEGMENTS_DIRNAME, DurableDynamicRRQ, durability_report
-from .replica import ReplicaTailer
-from .wal import (
-    FSYNC_POLICIES,
-    WalRecord,
-    WalWriter,
-    read_wal,
-    wal_path,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "engine": ["SEGMENTS_DIRNAME", "DurableDynamicRRQ", "durability_report"],
+    "replica": ["ReplicaTailer"],
+    "wal": ["FSYNC_POLICIES", "WalRecord", "WalWriter", "read_wal",
+            "wal_path"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "DurableDynamicRRQ", "ReplicaTailer", "SEGMENTS_DIRNAME",

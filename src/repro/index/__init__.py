@@ -1,10 +1,15 @@
 """Spatial substrates: MBR geometry, R-tree (with R*/X-tree split
 policies), weight histogram."""
 
-from .histogram import Bucket, WeightHistogram
-from .mbr import MBR
-from .rstar import XTreeSplitPolicy, rstar_split, split_quality
-from .rtree import Node, RTree
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "histogram": ["Bucket", "WeightHistogram"],
+    "mbr": ["MBR"],
+    "rstar": ["XTreeSplitPolicy", "rstar_split", "split_quality"],
+    "rtree": ["Node", "RTree"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "MBR", "RTree", "Node", "WeightHistogram", "Bucket",

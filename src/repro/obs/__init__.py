@@ -21,31 +21,18 @@ Everything here is stdlib-only, so any layer may depend on it without
 cycles.
 """
 
-from .prom import (
-    FILTER_RATE_BUCKETS,
-    LATENCY_BUCKETS_S,
-    Exposition,
-    Histogram,
-    lint_exposition,
-)
-from .slowlog import (
-    DEFAULT_SLOW_THRESHOLD_S,
-    DEFAULT_SLOWLOG_CAPACITY,
-    SlowQueryLog,
-)
-from .trace import (
-    DEFAULT_TRACE_CAPACITY,
-    Span,
-    Trace,
-    Tracer,
-    current,
-    current_trace_id,
-    detached,
-    new_trace_id,
-    sanitize_trace_id,
-    span,
-    use_context,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "prom": ["FILTER_RATE_BUCKETS", "LATENCY_BUCKETS_S", "Exposition",
+             "Histogram", "lint_exposition"],
+    "slowlog": ["DEFAULT_SLOW_THRESHOLD_S", "DEFAULT_SLOWLOG_CAPACITY",
+                "SlowQueryLog"],
+    "trace": ["DEFAULT_TRACE_CAPACITY", "Span", "Trace", "Tracer", "current",
+              "current_trace_id", "detached", "new_trace_id",
+              "sanitize_trace_id", "span", "use_context"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "Tracer", "Trace", "Span", "span", "current", "current_trace_id",

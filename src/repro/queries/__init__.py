@@ -1,15 +1,17 @@
-"""Query definitions, result types and the engine facade.
+"""Query definitions, result types and the engine facade."""
 
-The engine facade imports every algorithm, and the algorithms import the
-result types from this package — so :mod:`.engine` is loaded lazily to keep
-the import graph acyclic.
-"""
+from .._lazy import lazy_exports
 
-from .monochromatic import MonochromaticResult, monochromatic_reverse_topk
-from .planner import AutoEngine, Plan, plan
-from .ta import SortedAccessIndex, ta_kth_score, ta_top_k
-from .topk import all_ranks, in_top_k, kth_best_score, rank_of_point, top_k
-from .types import RKRResult, RTKResult
+_EXPORTS = {
+    "engine": ["RRQEngine", "available_methods", "make_algorithm"],
+    "monochromatic": ["MonochromaticResult", "monochromatic_reverse_topk"],
+    "planner": ["AutoEngine", "Plan", "plan"],
+    "ta": ["SortedAccessIndex", "ta_kth_score", "ta_top_k"],
+    "topk": ["all_ranks", "in_top_k", "kth_best_score", "rank_of_point",
+             "top_k"],
+    "types": ["RKRResult", "RTKResult"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "RRQEngine", "available_methods", "make_algorithm",
@@ -19,13 +21,3 @@ __all__ = [
     "SortedAccessIndex", "ta_top_k", "ta_kth_score",
     "plan", "Plan", "AutoEngine",
 ]
-
-_ENGINE_EXPORTS = ("RRQEngine", "available_methods", "make_algorithm")
-
-
-def __getattr__(name):
-    if name in _ENGINE_EXPORTS:
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

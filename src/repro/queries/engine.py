@@ -17,34 +17,27 @@ see :mod:`repro.queries.planner`).
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from importlib import import_module
+from typing import Dict, Tuple
 
 from ..algorithms.base import RRQAlgorithm
-from ..algorithms.bbr import BranchBoundRTK
-from ..algorithms.mpa import MarkedPruningRKR
-from ..algorithms.naive import NaiveRRQ
-from ..algorithms.rta import ThresholdRTK
-from ..algorithms.sim import SimpleScan
-from ..core.gir import GridIndexRRQ
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import InvalidParameterError
-from ..ext.adaptive_grid import AdaptiveGridIndexRRQ
-from ..ext.sparse import SparseGridIndexRRQ
 from ..queries.types import RKRResult, RTKResult
-from ..vectorized.girkernel import GirKernelRRQ
-from .planner import AutoEngine
 
-_METHODS: Dict[str, Callable[..., RRQAlgorithm]] = {
-    "gir": GridIndexRRQ,
-    "gir-kernel": GirKernelRRQ,
-    "sim": SimpleScan,
-    "bbr": BranchBoundRTK,
-    "mpa": MarkedPruningRKR,
-    "naive": NaiveRRQ,
-    "rta": ThresholdRTK,
-    "gir-adaptive": AdaptiveGridIndexRRQ,
-    "gir-sparse": SparseGridIndexRRQ,
-    "auto": AutoEngine,
+#: ``method -> (module, class)``, imported when the method is first built:
+#: an engine loads the one algorithm it runs.
+_METHODS: Dict[str, Tuple[str, str]] = {
+    "gir": ("..core.gir", "GridIndexRRQ"),
+    "gir-kernel": ("..vectorized.girkernel", "GirKernelRRQ"),
+    "sim": ("..algorithms.sim", "SimpleScan"),
+    "bbr": ("..algorithms.bbr", "BranchBoundRTK"),
+    "mpa": ("..algorithms.mpa", "MarkedPruningRKR"),
+    "naive": ("..algorithms.naive", "NaiveRRQ"),
+    "rta": ("..algorithms.rta", "ThresholdRTK"),
+    "gir-adaptive": ("..ext.adaptive_grid", "AdaptiveGridIndexRRQ"),
+    "gir-sparse": ("..ext.sparse", "SparseGridIndexRRQ"),
+    "auto": (".planner", "AutoEngine"),
 }
 
 
@@ -61,7 +54,9 @@ def make_algorithm(method: str, products: ProductSet, weights: WeightSet,
         raise InvalidParameterError(
             f"unknown method {method!r}; available: {available_methods()}"
         )
-    return _METHODS[key](products, weights, **kwargs)
+    module, name = _METHODS[key]
+    factory = getattr(import_module(module, __package__), name)
+    return factory(products, weights, **kwargs)
 
 
 class RRQEngine:

@@ -14,25 +14,16 @@ Two halves:
 See ``docs/operations.md`` for the operational story.
 """
 
-from .breaker import (
-    CLOSED,
-    DEFAULT_FAILURE_THRESHOLD,
-    DEFAULT_RESET_AFTER_S,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-)
-from .faults import (
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-    InjectedCrashError,
-    active_injector,
-    fire,
-    inject,
-    no_faults,
-    set_injector,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "breaker": ["CLOSED", "DEFAULT_FAILURE_THRESHOLD", "DEFAULT_RESET_AFTER_S",
+                "HALF_OPEN", "OPEN", "CircuitBreaker"],
+    "faults": ["FaultInjector", "FaultPlan", "FaultSpec", "InjectedCrashError",
+               "active_injector", "fire", "inject", "no_faults",
+               "set_injector"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN",

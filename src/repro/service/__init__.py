@@ -41,21 +41,19 @@ a WAL feed for hot standbys (``GET /replicate``), standby promotion
 (``POST /promote``), and client-side endpoint failover.
 """
 
-from .cache import ResultCache, bind_dynamic, make_key
-from .client import ServiceClient
-from .limits import Deadline, ServiceLimits, http_status, rejection_body
-from .metrics import ServiceMetrics, percentile
-from .scheduler import DEFAULT_BATCH_WINDOW_S, MicroBatchScheduler
-from .server import (
-    DurableQueryService,
-    QueryService,
-    ReverseRankHTTPServer,
-    ServiceConfig,
-    canonical_json,
-    encode_result,
-    make_server,
-    serve_in_background,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "cache": ["ResultCache", "bind_dynamic", "make_key"],
+    "client": ["ServiceClient"],
+    "limits": ["Deadline", "ServiceLimits", "http_status", "rejection_body"],
+    "metrics": ["ServiceMetrics", "percentile"],
+    "scheduler": ["DEFAULT_BATCH_WINDOW_S", "MicroBatchScheduler"],
+    "server": ["DurableQueryService", "QueryService", "ReverseRankHTTPServer",
+               "ServiceConfig", "canonical_json", "encode_result",
+               "make_server", "serve_in_background"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "QueryService", "DurableQueryService", "ServiceConfig", "ServiceClient",

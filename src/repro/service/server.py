@@ -19,7 +19,8 @@ Two layers, deliberately separable:
   GET        /metrics    qps, latency percentiles, batch + cache stats
                          (``?format=prometheus`` for text exposition
                          with trace-id exemplars)
-  GET        /info       data set sizes, method, serving limits
+  GET        /info       data set sizes, method, serving limits,
+                         what the process cost to start
   GET        /traces     recent request traces (``?id=`` one trace,
                          ``?limit=`` cap the listing)
   GET        /slowlog    slow-query log entries (``?limit=``)
@@ -40,12 +41,13 @@ against :class:`~repro.algorithms.naive.NaiveRRQ`.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 from typing import Iterator, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -835,7 +837,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 return
             self._send_json(200, body)
         elif parsed.path == "/info":
-            self._send_json(200, self.service.info())
+            self._send_json(200, {**self.service.info(),
+                                  **self.server.startup})
         elif parsed.path == "/replicate" and hasattr(self.service,
                                                      "replication_feed"):
             try:
@@ -914,6 +917,10 @@ class ReverseRankHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, address, service: QueryService, verbose: bool = False):
         super().__init__(address, self.handler_class)
+        #: What the process had spent and loaded once the socket was
+        #: bound; ``GET /info`` and the ``serve`` banners carry it.
+        self.startup = {"startup_cpu_s": round(process_time(), 3),
+                        "modules_loaded": len(sys.modules)}
         self.service = service
         self.verbose = verbose
         self._idle = 0

@@ -23,7 +23,7 @@ def percentile(samples: Sequence[float], q: float) -> float:
     Nearest-rank is the conventional choice for operational latency
     reporting: the result is always an observed sample.  This is the one
     shared implementation — :mod:`repro.service.metrics` and
-    :class:`repro.vectorized.parallel.BatchStats` both use it.
+    :mod:`repro.bench.harness` both use it.
 
     Edge cases are pinned by tests: an empty sample list returns 0.0,
     a single sample is every quantile of itself, ``q=0.0`` is the

@@ -8,25 +8,21 @@ generation.  See :mod:`repro.storage.store` for the
 architecture and the crash contract.
 """
 
-from .delta import MutableDelta
-from .kernel import SnapshotKernel
-from .manifest import (
-    CURRENT_NAME,
-    MANIFEST_FORMAT,
-    manifest_name,
-    read_current_manifest,
-    sweep_store_orphans,
-    write_manifest,
-)
-from .segment import Segment, load_segment
-from .snapshot import StoreSnapshot
-from .store import (
-    DEFAULT_COMPACT_DEAD_FRACTION,
-    DEFAULT_COMPACT_MAX_SEGMENTS,
-    DEFAULT_COMPACT_SMALL_ROWS,
-    DEFAULT_SEAL_ROWS,
-    SegmentStore,
-)
+from .._lazy import lazy_exports
+
+_EXPORTS = {
+    "delta": ["MutableDelta"],
+    "kernel": ["SnapshotKernel"],
+    "manifest": ["CURRENT_NAME", "MANIFEST_FORMAT", "manifest_name",
+                 "read_current_manifest", "sweep_store_orphans",
+                 "write_manifest"],
+    "segment": ["Segment", "load_segment"],
+    "snapshot": ["StoreSnapshot"],
+    "store": ["DEFAULT_COMPACT_DEAD_FRACTION", "DEFAULT_COMPACT_MAX_SEGMENTS",
+              "DEFAULT_COMPACT_SMALL_ROWS", "DEFAULT_SEAL_ROWS",
+              "SegmentStore"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "MutableDelta", "SnapshotKernel", "Segment", "load_segment",

@@ -1,10 +1,13 @@
-"""Batch vectorized engines and process-parallel batch execution."""
+"""Batch vectorized engines."""
 
-from .batch import BatchOracle, all_ranks_multi
-from .girkernel import GirKernelRRQ, KernelCore, KernelStats
-from .parallel import BatchStats, answer_batch, answer_batch_stats
-from .shard import ShardedGirRRQ
+from .._lazy import lazy_exports
 
-__all__ = ["BatchOracle", "all_ranks_multi", "answer_batch",
-           "answer_batch_stats", "BatchStats", "GirKernelRRQ",
+_EXPORTS = {
+    "batch": ["BatchOracle", "all_ranks_multi"],
+    "girkernel": ["GirKernelRRQ", "KernelCore", "KernelStats"],
+    "shard": ["ShardedGirRRQ"],
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+
+__all__ = ["BatchOracle", "all_ranks_multi", "GirKernelRRQ",
            "KernelCore", "KernelStats", "ShardedGirRRQ"]

@@ -1,7 +1,7 @@
 """Single-query parallelism: shard ``W`` across shared-memory workers.
 
-:mod:`repro.vectorized.parallel` parallelizes *across* queries — useless
-when one user asks one enormous query.  This module splits a single
+A fused batch shares one sweep *across* queries — no help when one user
+asks one enormous query.  This module splits a single
 query's weight scan into contiguous shards of ``W`` and fans the shards
 across worker processes, each running the blocked kernel
 (:class:`~repro.vectorized.girkernel.KernelCore`) over **zero-copy**

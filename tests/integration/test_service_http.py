@@ -152,6 +152,16 @@ class TestEndpoints:
         for section in ("requests", "latency_ms", "batches", "cache", "ops"):
             assert section in metrics
 
+    def test_info_carries_what_the_process_cost_to_start(self, served):
+        """Taken once, when the socket was bound — not per request."""
+        service, client = served
+        first, second = client.info(), client.info()
+        assert first["startup_cpu_s"] > 0 and first["modules_loaded"] > 0
+        assert isinstance(first["modules_loaded"], int)
+        assert second == first
+        assert set(first) - set(service.info()) == {"startup_cpu_s",
+                                                    "modules_loaded"}
+
     def test_rejections_are_structured(self, served):
         service, client = served
         client.wait_until_healthy()

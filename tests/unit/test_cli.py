@@ -1,8 +1,17 @@
 """Unit tests for the repro-rrq command-line interface."""
 
+import os
+import queue
+import re
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -37,6 +46,9 @@ class TestBuildAndInfo:
         out = capsys.readouterr().out
         assert "approx_over_raw" in out
         assert "kernel store" not in out  # no packed store yet
+        # What this very process cost to start, beside blas_threads.
+        assert re.search(r"^startup_cpu_s +\d+\.\d{3}$", out, re.M)
+        assert re.search(r"^modules_loaded +\d+$", out, re.M)
 
     def test_info_reports_kernel_store(self, data_dir, tmp_path, capsys):
         from repro.cli import _load_data
@@ -254,6 +266,7 @@ class TestBlasGuardIsVisible:
 
         class Stub:
             url = "http://127.0.0.1:0"
+            startup = {"startup_cpu_s": 0.0, "modules_loaded": 0}
 
             def serve_forever(self):
                 raise KeyboardInterrupt
@@ -294,3 +307,33 @@ class TestBlasGuardIsVisible:
         main(["build", str(data_dir), "--index", str(tmp_path / "idx")])
         assert main(["info", str(tmp_path / "idx")]) == 0
         assert "blas_threads       [1]" in capsys.readouterr().out
+
+
+class TestServeBannerReachesAPipe:
+    """A parent reading ``serve``'s stdout through a pipe gets the URL the
+    moment the socket is bound — block-buffered stdout, no
+    ``PYTHONUNBUFFERED`` — with what the start cost beside it."""
+
+    def test_static_banner_is_flushed(self, data_dir, tmp_path):
+        assert main(["build", str(data_dir),
+                     "--index", str(tmp_path / "idx")]) == 0
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve",
+             str(tmp_path / "idx"), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env)
+        lines = queue.Queue()
+        threading.Thread(
+            target=lambda: [lines.put(line) for line in proc.stdout],
+            daemon=True).start()
+        try:
+            banner = lines.get(timeout=10).decode().strip()
+            assert re.search(r" at http://[0-9.]+:\d+$", banner)
+            assert re.search(
+                r"\[startup_cpu_s=\d+\.\d+ modules_loaded=\d+\] at ", banner)
+            assert lines.get(timeout=10).startswith(b"endpoints:")
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)

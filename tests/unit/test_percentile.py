@@ -1,7 +1,7 @@
 """The shared nearest-rank percentile: edge cases and properties.
 
 One implementation (:func:`repro.stats.timing.percentile`) serves the
-service metrics, the bench harness, and ``BatchStats`` — these tests pin
+service metrics and the bench harness — these tests pin
 its edge-case contract and cross-check it against
 :func:`statistics.quantiles` on well-behaved inputs.
 """
@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.bench import harness
 from repro.errors import InvalidParameterError
 from repro.service.metrics import percentile as service_percentile
 from repro.stats.timing import percentile
-from repro.vectorized import parallel
 
 
 class TestEdgeCases:
@@ -57,7 +57,7 @@ class TestEdgeCases:
     def test_one_shared_implementation(self):
         """Every consumer resolves to the same function object."""
         assert service_percentile is percentile
-        assert parallel.percentile is percentile
+        assert harness.percentile is percentile
 
 
 finite_samples = st.lists(
