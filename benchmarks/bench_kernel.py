@@ -49,7 +49,7 @@ def kernel_rows():
         stats = kernel.last_stats
         rows.append([size_w, ms(gir_timer.mean), ms(kernel_timer.mean),
                      round(gir_timer.mean / kernel_timer.mean, 2),
-                     round(stats.filter_rate(), 4)])
+                     stats.pairs_total])
     return rows
 
 
@@ -57,7 +57,7 @@ def test_kernel_vs_loop(benchmark, kernel_rows):
     banner(f"Blocked kernel vs per-weight GIR loop (d={DIM}, RTK)")
     record_table(
         "kernel_vs_loop",
-        ["|W|", "GIR loop ms", "kernel ms", "speedup", "filter rate"],
+        ["|W|", "GIR loop ms", "kernel ms", "speedup", "pairs classified"],
         kernel_rows,
         "Weight-blocked kernel — per-query RTK latency",
     )

@@ -123,8 +123,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             rtk, rkr = record["rtk"], record["rkr"]
             print(f"{record['name']}: rtk x{rtk['kernel_speedup']:.1f} "
                   f"rkr x{rkr['kernel_speedup']:.1f} "
-                  f"filter_rate="
-                  f"{record['kernel_stats']['filter_rate']:.3f} "
+                  f"rkr_pairs="
+                  f"{record['kernel_stats']['rkr']['pairs']['total']} "
                   f"verified={record['verified']}")
     print(f"wrote {out} (ok={report['ok']})")
     if not report["ok"]:

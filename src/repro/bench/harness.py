@@ -11,7 +11,7 @@ This module is that harness.  For each configuration it
    and — when more than one shard makes sense — the shared-memory
    sharded engine (:class:`~repro.vectorized.shard.ShardedGirRRQ`),
 3. records nearest-rank p50 per-query latency, speedups, and the
-   kernel's pair-classification rates (the paper's filtering story), and
+   kernel's pair-classification counts (the paper's filtering story), and
 4. **verifies** every kernel answer against the per-weight loop and an
    independent oracle (:class:`~repro.algorithms.naive.NaiveRRQ` on
    small configs, :class:`~repro.vectorized.batch.BatchOracle` on large
@@ -263,16 +263,14 @@ def _oracle(products, weights):
 
 def _full_kernel_stats(kernel: GirKernelRRQ, queries: Sequence[np.ndarray],
                        k: int) -> dict:
-    """Pair-classification rates accumulated over one full query sweep.
+    """Pair-classification counts accumulated over one full query sweep.
 
     Split per query kind: RTK and RKR sweeps land in *separate* stats
     objects, so ``rtk["queries"]`` / ``rkr["queries"]`` each equal the
     number of benchmark queries (the merged object used to report their
-    sum — "queries": 6 for a 3-query config).  The top-level
-    ``filter_rate`` remains the overall rate across both sweeps.
+    sum — "queries": 6 for a 3-query config).
     """
     per_kind = {}
-    overall = KernelStats()
     for kind in ("rtk", "rkr"):
         fn = kernel.reverse_topk if kind == "rtk" else kernel.reverse_kranks
         stats = KernelStats()
@@ -281,8 +279,6 @@ def _full_kernel_stats(kernel: GirKernelRRQ, queries: Sequence[np.ndarray],
             if kernel.last_stats is not None:
                 stats.merge(kernel.last_stats)
         per_kind[kind] = stats.snapshot()
-        overall.merge(stats)
-    per_kind["filter_rate"] = overall.filter_rate()
     return per_kind
 
 

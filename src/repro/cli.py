@@ -10,7 +10,8 @@ Installed as ``repro-rrq``.  Subcommands cover the full life cycle:
 * ``model`` — Theorem-1 partition recommendations for a dimensionality;
 * ``info`` — size report of a persisted index, or the durability report
   (checkpoint + WAL integrity) of a ``--durable`` directory;
-* ``serve`` — run the JSON/HTTP query service over an index or data set,
+* ``serve`` — run the JSON/HTTP query service over an index (its kernel
+  arrays, mapped) or a data set (a kernel built at start),
   or (``--durable``) a write-ahead-logged segment store with mutation
   endpoints and optional hot-standby replication (``--standby-of``);
 * ``cluster`` — launch N local durable workers plus the scatter-gather
@@ -19,8 +20,6 @@ Installed as ``repro-rrq``.  Subcommands cover the full life cycle:
   ``BENCH_*.json`` trajectory file (exit 1 if kernel answers diverge
   from the exact oracle); ``--fused`` runs the fused multi-query batch
   and mmap cold-start harness instead;
-* ``profile`` — replay a sampled workload through the blocked kernel
-  and print the Table-4-style filter-effectiveness breakdown;
 * ``wal-dump`` — print every decoded record of a write-ahead log;
 * ``storage-dump`` — decode a ``--durable`` directory's MVCC segment
   store: manifest generation/LSN, per-segment row counts and checksum
@@ -33,11 +32,9 @@ Examples::
     repro-rrq query idx/ --product 17 --kind rtk -k 10
     repro-rrq compare data/ --product 17 -k 10
     repro-rrq model --dim 20 --epsilon 0.01
-    repro-rrq serve idx/ --port 8377 --batch-window-ms 2
-    repro-rrq serve idx/ --kernel-cache cache/   # mmap warm starts
+    repro-rrq serve idx/ --port 8377 --batch-window-ms 2   # maps idx/'s kernel
     repro-rrq bench --smoke --out BENCH_smoke.json
     repro-rrq bench --fused --smoke              # fused batch + mmap gate
-    repro-rrq profile idx/ --queries 100 --kind both -k 10
     repro-rrq serve wal/ --durable --dim 6 --fsync always
     repro-rrq serve wal2/ --durable --standby-of http://127.0.0.1:8377
     repro-rrq wal-dump wal/
@@ -112,7 +109,7 @@ def _load_data(directory: str):
 
 def _load_engine(directory: str, method: str = "gir"):
     """Load a persisted index, or build ``method`` over raw data, and
-    return ``(engine, products)`` — shared by ``query`` and ``serve``."""
+    return ``(engine, products)`` — the ``query`` subcommand's engine."""
     target = Path(directory)
     if (target / "grid.meta").exists():
         from .core.storage import load_index
@@ -264,7 +261,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_query_threshold_s=(args.slow_ms / 1000.0
                                 if args.slow_ms > 0 else None),
         trace_export_path=args.trace_export,
-        kernel_cache_dir=args.kernel_cache,
     )
     if args.durable:
         from .durability import DurableDynamicRRQ
@@ -296,25 +292,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server.server_close()
             service.close()
         return 0
-    if (Path(args.index) / "grid.meta").exists() or \
-            (Path(args.index) / "MANIFEST.json").exists():
-        # Index directories go through the resilient path: checksum
-        # verification, in-place recovery, degraded naive serving.
-        service = QueryService.from_index_dir(
-            args.index, config=config, recover=not args.no_recover,
-        )
-    else:
-        engine, _ = _load_engine(args.index, args.method)
-        service = QueryService(engine, config=config)
+    service = QueryService.from_index_dir(args.index, config=config)
     server = make_server(service, host=args.host, port=args.port,
                          verbose=args.verbose)
     info = service.info()
     print(f"serving {info['method']} over {info['products']}x"
           f"{info['weights']} (d={info['dim']}) {_startup_note(server)} "
           f"at {server.url}", flush=True)
-    if service.degraded_reason:
-        print(f"WARNING: degraded mode — {service.degraded_reason}",
-              file=sys.stderr)
     _warn_unguarded_blas(info)
     print("endpoints: POST /query, GET /healthz /metrics /info "
           "/traces /slowlog", flush=True)
@@ -429,23 +413,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _kernel_store_info(path: Path) -> None:
-    """Report packed kernel stores (mmap warm start) under ``path``.
-
-    A store lives either directly in the directory or in the
-    ``static`` subdirectory ``serve --kernel-cache`` maintains; each
-    one is a single mmap away from a warm kernel.
-    """
-    from .vectorized.kernelstore import kernel_store_size
-
-    stores = [c for c in (path, path / "static")
-              if (c / "kernel.bin").exists() and (c / "kernel.meta").exists()]
-    if not stores:
-        return
-    total = sum(kernel_store_size(c) for c in stores)
-    where = ", ".join("." if c == path else c.name for c in stores)
-    print(f"{'kernel store':18s} {total:>12,} bytes "
-          f"({len(stores)} store(s): {where})")
-    print(f"{'warm start':18s} mmap (zero-copy, O(1) load)")
+    """How ``serve`` starts on ``path``: mapping its kernel arrays, or
+    building a kernel over the raw data."""
+    if (path / "kernel.bin").exists() and (path / "kernel.meta").exists():
+        print(f"{'serve start':18s} mmap kernel.bin (zero-copy, no build)")
+    else:
+        print(f"{'serve start':18s} kernel built from products.rrq / "
+              "weights.rrq ('repro-rrq build' writes kernel.bin)")
 
 
 def _durability_info(path: Path) -> int:
@@ -471,8 +445,7 @@ def _durability_info(path: Path) -> int:
               f"dead={storage['dead_products']}p/"
               f"{storage['dead_weights']}w  [ok]")
     elif storage["status"] == "none":
-        print(f"{'checkpoint':18s} none (a flat-format directory: "
-              "migrated by the next serve --durable)")
+        print(f"{'checkpoint':18s} none")
     else:
         print(f"{'checkpoint':18s} {storage['status']}")
     wal = report["wal"]
@@ -523,7 +496,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"{record['name']}: "
               f"rtk x{record['rtk']['kernel_speedup']:.1f} "
               f"rkr x{record['rkr']['kernel_speedup']:.1f} "
-              f"filter_rate={record['kernel_stats']['filter_rate']:.3f} "
+              f"rkr_pairs="
+              f"{record['kernel_stats']['rkr']['pairs']['total']} "
               f"batch p50={batch['per_query_p50_s']*1000:.1f}ms "
               f"p95={batch['per_query_p95_s']*1000:.1f}ms "
               f"verified={record['verified']}")
@@ -568,40 +542,6 @@ def _bench_fused(args: argparse.Namespace, configs) -> int:
     return 0
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Replay a workload through the kernel; print the Table-4 breakdown.
-
-    Loads a persisted Grid-index or raw data, builds the kernel over
-    its products and weights, samples query points from the product set
-    under a pinned seed, and reports how the bracketed float32 scores
-    classified every ``(p, w)`` pair — the live analogue of the paper's
-    Table 4 filter-effectiveness measurements.
-    """
-    import json as _json
-
-    from .obs.profile import format_report, profile_workload, sample_queries
-    from .vectorized.girkernel import GirKernelRRQ
-
-    target = Path(args.index)
-    if (target / "grid.meta").exists():
-        from .core.storage import load_index
-
-        gir = load_index(target)
-        kernel = GirKernelRRQ.from_gir(gir)
-        products = gir.products
-    else:
-        products, weights = _load_data(args.index)
-        kernel = GirKernelRRQ(products, weights)
-    kinds = ("rtk", "rkr") if args.kind == "both" else (args.kind,)
-    queries = sample_queries(products, args.queries, seed=args.seed)
-    report = profile_workload(kernel, queries, k=args.k, kinds=kinds)
-    if args.json:
-        print(_json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(format_report(report))
-    return 0
-
-
 def _cmd_wal_dump(args: argparse.Namespace) -> int:
     """Decode and print a WAL; exit 1 on mid-log corruption."""
     from .durability.wal import read_wal, wal_path
@@ -635,10 +575,13 @@ def _cmd_storage_dump(args: argparse.Namespace) -> int:
     """
     import json as _json
 
-    from .core.storage import verify_manifest_dir
     from .durability import SEGMENTS_DIRNAME
     from .errors import DataValidationError, IndexCorruptionError
-    from .storage.manifest import CURRENT_NAME, read_current_manifest
+    from .storage.manifest import (
+        CURRENT_NAME,
+        read_current_manifest,
+        verify_manifest_dir,
+    )
     from .storage.segment import META_NAME
 
     path = Path(args.directory)
@@ -758,23 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "BENCH_fused*.json)")
     bench.set_defaults(func=_cmd_bench)
 
-    profile = sub.add_parser(
-        "profile",
-        help="replay a workload; print the Table-4 filter breakdown",
-    )
-    profile.add_argument("index",
-                         help="index directory (or raw data directory)")
-    profile.add_argument("--queries", type=int, default=50,
-                         help="query points sampled from the product set")
-    profile.add_argument("--kind", choices=("rtk", "rkr", "both"),
-                         default="rtk")
-    profile.add_argument("-k", type=int, default=10)
-    profile.add_argument("--seed", type=int, default=7,
-                         help="query-sampling seed")
-    profile.add_argument("--json", action="store_true",
-                         help="print the full report as JSON")
-    profile.set_defaults(func=_cmd_profile)
-
     wal_dump = sub.add_parser(
         "wal-dump", help="decode a write-ahead log (exit 1 on corruption)"
     )
@@ -793,8 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run the JSON/HTTP query service")
     serve.add_argument("index", help="index directory (or raw data directory)")
-    serve.add_argument("--method", default="gir",
-                       help="algorithm when serving raw data")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8377)
     serve.add_argument("--batch-window-ms", type=float, default=2.0,
@@ -810,17 +734,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-fallback", action="store_true",
                        help="disable degraded-mode fallback to the exact "
                             "naive scan on engine failure")
-    serve.add_argument("--no-recover", action="store_true",
-                       help="fail instead of rebuilding damaged derived "
-                            "index artifacts at startup")
     serve.add_argument("--slow-ms", type=float, default=250.0,
                        help="slow-query log threshold in ms (0 disables)")
     serve.add_argument("--trace-export", default=None, metavar="FILE",
                        help="append finished traces to this JSON-lines file")
-    serve.add_argument("--kernel-cache", default=None, metavar="DIR",
-                       help="persist the static index's kernel as a "
-                            "packed mmap store under this directory for "
-                            "O(1) warm starts; unused with --durable")
     serve.add_argument("--verbose", action="store_true",
                        help="log each HTTP request")
     serve.add_argument("--durable", action="store_true",
@@ -841,8 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--storage", choices=("segmented",),
                        default="segmented",
                        help="deprecated: 'segmented', the only durable "
-                            "backend, is the one value accepted (a flat "
-                            "directory is migrated when it is opened)")
+                            "backend, is the one value accepted")
     serve.add_argument("--chaos-latency-ms", type=float, default=0.0,
                        metavar="MS",
                        help="inject a fixed extra latency into every query "

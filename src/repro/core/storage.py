@@ -10,7 +10,12 @@ of two boundary vectors).  This module serializes everything a
 * ``pa.rrqa`` / ``wa.rrqa`` — the bit-packed approximate vectors
   (``b = ceil(log2 n)`` bits per component, the Section 3.2 encoding);
 * ``grid.meta`` — boundary vectors and parameters, as JSON;
-* ``MANIFEST.json`` — per-file CRC32 checksums, **written last**.
+* ``kernel.bin`` / ``kernel.meta`` — the blocked kernel's arrays
+  (:mod:`repro.vectorized.kernelstore`): all a static server reads.
+  ``QueryService.from_index_dir`` maps them and never calls
+  :func:`load_index`;
+* ``MANIFEST.json`` — per-file CRC32 checksums, **written last**
+  (:func:`repro.storage.manifest.write_manifest_dir`).
 
 Crash safety contract
 ---------------------
@@ -27,7 +32,8 @@ enforce exactly that.
 On load, every artifact is verified against the manifest; a mismatch
 raises a structured :class:`~repro.errors.IndexCorruptionError` naming
 the damaged artifacts.  When only the *derived* artifacts
-(``pa.rrqa`` / ``wa.rrqa``) are damaged the index is **recoverable**:
+(``pa.rrqa`` / ``wa.rrqa`` / the kernel's) are damaged the index is
+**recoverable**:
 ``load_index(directory, recover=True)`` rebuilds them from the raw data
 (quantization is deterministic) and heals the directory in place.
 
@@ -40,7 +46,6 @@ of the raw data).
 from __future__ import annotations
 
 import json
-import zlib
 from pathlib import Path
 from typing import Dict, List, Union
 
@@ -48,7 +53,6 @@ import numpy as np
 
 from ..data.io import (
     approx_to_bytes,
-    atomic_write_bytes,
     load_approx,
     load_products,
     load_weights,
@@ -57,6 +61,13 @@ from ..data.io import (
 )
 from ..errors import DataValidationError, IndexCorruptionError
 from ..resilience.faults import fire
+from ..storage.manifest import (
+    DIR_MANIFEST_NAME as _MANIFEST_NAME,
+    verify_manifest_dir,
+    write_manifest_dir,
+)
+from ..vectorized.girkernel import GirKernelRRQ
+from ..vectorized.kernelstore import kernel_payloads
 from .approx import bits_needed
 from .gir import GridIndexRRQ
 from .grid import GridIndex
@@ -64,90 +75,18 @@ from .grid import GridIndex
 PathLike = Union[str, Path]
 
 _META_NAME = "grid.meta"
-_MANIFEST_NAME = "MANIFEST.json"
 _FORMAT_VERSION = 1
-_MANIFEST_FORMAT = 1
 
-#: Artifacts listed in the manifest, in write order.
-ARTIFACT_NAMES = ("products.rrq", "weights.rrq", "pa.rrqa", "wa.rrqa",
-                  _META_NAME)
+#: The Grid-index proper: what :func:`load_index` reads.
+_GRID_ARTIFACTS = ("products.rrq", "weights.rrq", "pa.rrqa", "wa.rrqa",
+                   _META_NAME)
+
+#: Artifacts listed in the manifest, in write order: the Grid-index,
+#: then the kernel arrays a static server maps.
+ARTIFACT_NAMES = _GRID_ARTIFACTS + ("kernel.bin", "kernel.meta")
 
 #: Artifacts derivable from the raw data — damage here is recoverable.
-REBUILDABLE = frozenset({"pa.rrqa", "wa.rrqa"})
-
-
-def _crc32(data: bytes) -> str:
-    return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
-
-
-# ----------------------------------------------------------------------
-# generic manifest machinery (shared with segments and the kernel store)
-# ----------------------------------------------------------------------
-
-
-def write_manifest_dir(directory: PathLike, payloads: Dict[str, bytes],
-                       site_prefix: str = "storage.write") -> Dict[str, dict]:
-    """Write ``payloads`` atomically into ``directory``, manifest last.
-
-    The generic commit protocol the index store, sealed segments and
-    the kernel store use: each artifact lands via temp-file + fsync + rename
-    (fault site ``<site_prefix>.<name>``), and ``MANIFEST.json`` —
-    per-file byte counts and CRC32 checksums — is written only after
-    every artifact it describes is durably in place.  Returns the
-    per-file manifest entries.
-    """
-    path = Path(directory)
-    path.mkdir(parents=True, exist_ok=True)
-    files = {}
-    for name, data in payloads.items():
-        atomic_write_bytes(path / name, data, site=f"{site_prefix}.{name}")
-        files[name] = {"bytes": len(data), "crc32": _crc32(data)}
-    manifest = {
-        "format": _MANIFEST_FORMAT,
-        "checksum": "crc32",
-        "files": files,
-    }
-    atomic_write_bytes(
-        path / _MANIFEST_NAME,
-        json.dumps(manifest, indent=2, sort_keys=True).encode(),
-        site=f"{site_prefix}.{_MANIFEST_NAME}",
-    )
-    return files
-
-
-def verify_manifest_dir(directory: PathLike) -> dict:
-    """Check every artifact in ``directory`` against its manifest.
-
-    Returns ``{"ok": bool, "manifest": "ok"|"missing"|"corrupt",
-    "artifacts": {name: status}, "damaged": [...]}`` without parsing any
-    artifact — pure presence + checksum verification.
-    """
-    path = Path(directory)
-    report: dict = {"ok": False, "manifest": "ok",
-                    "artifacts": {}, "damaged": []}
-    if not (path / _MANIFEST_NAME).exists():
-        report["manifest"] = "missing"
-        report["damaged"] = [_MANIFEST_NAME]
-        return report
-    try:
-        manifest = _read_manifest(path)
-    except IndexCorruptionError:
-        report["manifest"] = "corrupt"
-        report["damaged"] = [_MANIFEST_NAME]
-        return report
-    for name, entry in manifest["files"].items():
-        target = path / name
-        if not target.exists():
-            status = "missing"
-        else:
-            data = target.read_bytes()
-            status = ("ok" if _crc32(data) == entry.get("crc32")
-                      and len(data) == entry.get("bytes") else "corrupt")
-        report["artifacts"][name] = status
-        if status != "ok":
-            report["damaged"].append(name)
-    report["ok"] = not report["damaged"]
-    return report
+REBUILDABLE = frozenset({"pa.rrqa", "wa.rrqa", "kernel.bin", "kernel.meta"})
 
 
 def _artifact_payloads(gir: GridIndexRRQ) -> Dict[str, bytes]:
@@ -168,6 +107,9 @@ def _artifact_payloads(gir: GridIndexRRQ) -> Dict[str, bytes]:
         "pa.rrqa": approx_to_bytes(gir.PA.astype(np.int64), bits),
         "wa.rrqa": approx_to_bytes(gir.WA.astype(np.int64), bits),
         _META_NAME: json.dumps(meta, indent=2).encode(),
+        # What a static server maps (``QueryService.from_index_dir``):
+        # the kernel over the same rows, with the index's ``use_domin``.
+        **kernel_payloads(GirKernelRRQ.from_gir(gir)),
     }
 
 
@@ -187,6 +129,8 @@ def save_index(directory: PathLike, gir: GridIndexRRQ) -> dict:
         "pa_bytes": files["pa.rrqa"]["bytes"],
         "wa_bytes": files["wa.rrqa"]["bytes"],
         "meta_bytes": files[_META_NAME]["bytes"],
+        "kernel_bytes": (files["kernel.bin"]["bytes"]
+                         + files["kernel.meta"]["bytes"]),
         "manifest_bytes": (path / _MANIFEST_NAME).stat().st_size,
     }
 
@@ -194,24 +138,6 @@ def save_index(directory: PathLike, gir: GridIndexRRQ) -> dict:
 # ----------------------------------------------------------------------
 # verification
 # ----------------------------------------------------------------------
-
-
-def _read_manifest(path: Path) -> dict:
-    raw = (path / _MANIFEST_NAME).read_bytes()
-    try:
-        manifest = json.loads(raw)
-    except (json.JSONDecodeError, ValueError):
-        raise IndexCorruptionError(
-            f"{path}: {_MANIFEST_NAME} is not valid JSON (corrupted manifest)",
-            directory=str(path), artifacts=(_MANIFEST_NAME,),
-        ) from None
-    if manifest.get("format") != _MANIFEST_FORMAT or \
-            not isinstance(manifest.get("files"), dict):
-        raise IndexCorruptionError(
-            f"{path}: unsupported or malformed manifest",
-            directory=str(path), artifacts=(_MANIFEST_NAME,),
-        )
-    return manifest
 
 
 def verify_index(directory: PathLike) -> dict:
@@ -232,7 +158,7 @@ def verify_index(directory: PathLike) -> dict:
         report: dict = {"ok": False, "manifest": "missing",
                         "artifacts": {}, "damaged": [],
                         "recoverable": False}
-        for name in ARTIFACT_NAMES:
+        for name in _GRID_ARTIFACTS:  # older than the kernel arrays
             status = "ok" if (path / name).exists() else "missing"
             report["artifacts"][name] = status
             if status != "ok":
@@ -332,7 +258,7 @@ def load_index(directory: PathLike, recover: bool = False) -> GridIndexRRQ:
     else:
         # Legacy directory: no checksums, so require every artifact to be
         # present (a crashed pre-manifest save must not half-load).
-        missing = [name for name in ARTIFACT_NAMES
+        missing = [name for name in _GRID_ARTIFACTS
                    if not (path / name).exists()]
         if missing:
             raise DataValidationError(

@@ -14,8 +14,6 @@ already has, plus a warm standby:
   startup (the store's committed manifest + WAL tail replay, LSN
   idempotent), checkpoints by sealing the store and truncating the log
   at the manifest barrier, and feeds log-shipping replication.
-* :mod:`.migrate` — the one-shot rewrite, on open, of a directory still
-  in the earlier flat snapshot format.
 * :mod:`.replica` — the standby tailer that follows a primary's
   ``GET /replicate`` feed, applies records through its own durable
   path, and reports replication lag until promoted.

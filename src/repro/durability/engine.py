@@ -13,8 +13,8 @@ recovery reopens the store at its committed manifest barrier, replays
 the WAL tail (records at or below the barrier are skipped — replay is
 idempotent by LSN), drops a torn trailing record, and refuses with
 :class:`~repro.errors.WalCorruptionError` on mid-log damage.  A
-directory still in the earlier flat format is migrated first, once
-(:mod:`.migrate`).
+directory still in the earlier flat format (``snapshot-*/`` behind a
+root ``CURRENT``) is refused.
 
 Replication rides the same log: the engine retains recent records in
 memory and serves them through :meth:`replication_feed`; a standby that
@@ -52,7 +52,6 @@ from ..storage import (
     SegmentStore,
     read_current_manifest,
 )
-from .migrate import migrate_flat_directory
 from .wal import WalRecord, WalWriter, read_wal, wal_path
 
 PathLike = Union[str, Path]
@@ -130,7 +129,7 @@ class DurableDynamicRRQ:
         if backend != "segmented":
             raise InvalidParameterError(
                 f"unknown storage backend {backend!r}: the segment store "
-                "is the only one (a flat directory migrates on open)"
+                "is the only one"
             )
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -147,8 +146,7 @@ class DurableDynamicRRQ:
         self._mutations_since_snapshot = 0
         self._feed: Deque[WalRecord] = deque(maxlen=max(1, int(feed_retain)))
 
-        migrate_flat_directory(self.directory, self._params_path(),
-                               self.directory / SEGMENTS_DIRNAME)
+        self._refuse_flat()
         params = self._load_params()
         if params is None:
             if dim is None:
@@ -172,6 +170,30 @@ class DurableDynamicRRQ:
     def _params_path(self) -> Path:
         return self.directory / _PARAMS_NAME
 
+    def _refuse_flat(self) -> None:
+        """Refuse a directory in the flat format: ``engine.json`` says
+        ``flat``, or (older than that key) a root ``CURRENT`` /
+        ``snapshot-*`` / WAL with no store manifest."""
+        base = self.directory
+        try:
+            backend = json.loads(self._params_path().read_text()).get(
+                "backend")
+        except (OSError, ValueError, AttributeError):
+            return  # fresh, or malformed: _load_params reports it
+        flat = backend == "flat" or (
+            backend is None
+            and not (base / SEGMENTS_DIRNAME / CURRENT_NAME).exists()
+            and ((base / CURRENT_NAME).exists()
+                 or any(base.glob("snapshot-*"))
+                 or wal_path(base).exists()))
+        if flat:
+            raise DataValidationError(
+                f"{base}: a flat-format durability directory (snapshot-*/ "
+                "behind a root CURRENT); only the segment store is read "
+                "now.  Commit b548621 is the last that reads this format: "
+                "export the live rows with it and bootstrap a fresh "
+                "--durable directory from them")
+
     def _load_params(self) -> Optional[dict]:
         target = self._params_path()
         if not target.exists():
@@ -188,7 +210,7 @@ class DurableDynamicRRQ:
         return params
 
     def _write_params(self, params: dict) -> None:
-        # The key is what tells this directory from a flat one (.migrate).
+        # The key is what tells this directory from a flat one.
         body = dict(params, backend="segmented")
         atomic_write_bytes(
             self._params_path(),
@@ -219,13 +241,7 @@ class DurableDynamicRRQ:
             self._apply(record)
             applied = record.lsn
             self.replayed_records += 1
-        # A migrated directory's log may still hold flat-era records, and
-        # a ``compact`` among them renumbered every id after it: nothing
-        # up to it ships incrementally (a standby that far behind gets a
-        # ``reset``).
-        cut = max((i + 1 for i, record in enumerate(records)
-                   if record.op == "compact"), default=0)
-        self._feed.extend(records[cut:])
+        self._feed.extend(records)
         last_lsn = max(applied,
                        records[-1].lsn if records else 0)
         self._wal = WalWriter(
@@ -636,8 +652,7 @@ def durability_report(directory: PathLike) -> dict:
          "wal": {"records", "first_lsn", "last_lsn", "torn_bytes",
                  "status", ["error"]}}
 
-    ``storage.status`` is ``none`` while nothing has been committed (a
-    flat-format directory no open has migrated yet).
+    ``storage.status`` is ``none`` while nothing has been committed.
     """
     base = Path(directory)
     report: dict = {"ok": True}

@@ -12,10 +12,6 @@ The cross-cutting layer every other subsystem reports into:
   with trace-id exemplars, plus the lint parser CI scrapes with.
 * :mod:`.slowlog` — the structured slow-query log (threshold
   configurable; entries carry the span tree and kernel stats).
-* :mod:`.profile` — live filter-effectiveness profiling (the paper's
-  Table 4 over a replayed workload; ``repro-rrq profile``).  Imported
-  lazily by its callers — it pulls in the vectorized kernel, which
-  itself uses :mod:`.trace`.
 
 Everything here is stdlib-only, so any layer may depend on it without
 cycles.
@@ -24,8 +20,8 @@ cycles.
 from .._lazy import lazy_exports
 
 _EXPORTS = {
-    "prom": ["FILTER_RATE_BUCKETS", "LATENCY_BUCKETS_S", "Exposition",
-             "Histogram", "lint_exposition"],
+    "prom": ["LATENCY_BUCKETS_S", "Exposition", "Histogram",
+             "lint_exposition"],
     "slowlog": ["DEFAULT_SLOW_THRESHOLD_S", "DEFAULT_SLOWLOG_CAPACITY",
                 "SlowQueryLog"],
     "trace": ["DEFAULT_TRACE_CAPACITY", "Span", "Trace", "Tracer", "current",
@@ -39,6 +35,6 @@ __all__ = [
     "use_context", "detached", "new_trace_id", "sanitize_trace_id",
     "DEFAULT_TRACE_CAPACITY",
     "Histogram", "Exposition", "lint_exposition",
-    "LATENCY_BUCKETS_S", "FILTER_RATE_BUCKETS",
+    "LATENCY_BUCKETS_S",
     "SlowQueryLog", "DEFAULT_SLOW_THRESHOLD_S", "DEFAULT_SLOWLOG_CAPACITY",
 ]

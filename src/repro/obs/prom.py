@@ -29,10 +29,6 @@ from ..errors import InvalidParameterError
 LATENCY_BUCKETS_S = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
                      0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
 
-#: Buckets for per-query filter effectiveness (a fraction in [0, 1]).
-FILTER_RATE_BUCKETS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9,
-                       0.95, 0.99, 1.0)
-
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 

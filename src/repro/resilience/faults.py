@@ -48,11 +48,12 @@ Registered sites (grep for ``fire(`` / ``atomic_write_bytes`` to verify):
 site                       where
 ========================== ====================================================
 ``storage.load``           entry of :func:`repro.core.storage.load_index`
-``storage.write.<file>``   each index artifact write (incl. MANIFEST.json)
+``storage.write.<file>``   each index artifact write (incl. kernel.bin,
+                           kernel.meta and MANIFEST.json)
 ``io.write.<file>``        default site of any other atomic write
 ``scheduler.dispatch``     just before a micro-batch hits the engine
 ``scheduler.kernel``       just before a micro-batch's kernel sweep (a raise
-                           is answered by the counted per-query fallback)
+                           is answered by the counted reference scan)
 ``service.query``          entry of :meth:`QueryService.query`
 ``service.mutate``         entry of :meth:`DurableQueryService.mutate`
 ``wal.append``             after framing, before the WAL write+fsync

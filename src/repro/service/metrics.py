@@ -31,12 +31,7 @@ import threading
 import time
 from typing import Dict, Optional
 
-from ..obs.prom import (
-    FILTER_RATE_BUCKETS,
-    LATENCY_BUCKETS_S,
-    Exposition,
-    Histogram,
-)
+from ..obs.prom import LATENCY_BUCKETS_S, Exposition, Histogram
 from ..stats.counters import OpCounter
 from ..stats.timing import Timer, percentile
 
@@ -51,10 +46,10 @@ class ServiceMetrics:
 
     The scheduler reports batches, the service frontend reports request
     outcomes, and :meth:`snapshot` / :meth:`prometheus` render both into
-    the ``/metrics`` bodies.  ``record_request`` and ``record_kernel``
-    accept the request's trace id, which becomes the exemplar on the
-    matching Prometheus histogram bucket — the hop from a latency spike
-    on a dashboard back to the exact trace in ``GET /traces``.
+    the ``/metrics`` bodies.  ``record_request`` accepts the request's
+    trace id, which becomes the exemplar on the matching latency bucket
+    — the hop from a latency spike on a dashboard back to the exact
+    trace in ``GET /traces``.
     """
 
     def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES):
@@ -89,7 +84,6 @@ class ServiceMetrics:
         self._mutations_by_op: Dict[str, int] = {}
         self._mutations_rejected = 0
         self._latency_hist = Histogram(LATENCY_BUCKETS_S)
-        self._filter_rate_hist = Histogram(FILTER_RATE_BUCKETS)
 
     # ------------------------------------------------------------------
     # recording
@@ -149,16 +143,13 @@ class ServiceMetrics:
             self._mutations_total += 1
             self._mutations_by_op[op] = self._mutations_by_op.get(op, 0) + 1
 
-    def record_kernel(self, stats: dict,
-                      trace_id: Optional[str] = None) -> None:
-        """Fold one blocked-kernel stats snapshot into the gauges.
+    def record_kernel(self, stats: dict) -> None:
+        """Fold one blocked-kernel stats snapshot into the counters.
 
         ``stats`` is the dict produced by
         :meth:`repro.vectorized.girkernel.KernelStats.snapshot` — queries
         served, per-stage wall-clock (filter/refine/merge) and the pair
-        classification tallies behind the filter-rate gauge.  The
-        per-query filter rate feeds the effectiveness histogram, with
-        ``trace_id`` as its exemplar.
+        classification tallies.
         """
         with self._lock:
             self._kernel_queries += stats["queries"]
@@ -170,9 +161,6 @@ class ServiceMetrics:
             self._kernel_fused["batches"] += fused.get("batches", 0)
             self._kernel_fused["queries"] += fused.get("queries", 0)
             self._kernel_weights_pruned += stats["weights_pruned"]
-            if stats["pairs"]["total"]:
-                self._filter_rate_hist.observe(stats["filter_rate"],
-                                               exemplar=trace_id)
 
     def record_fallback(self, source: str, target: str, reason: str) -> None:
         """One micro-batch the ``source`` route handed to ``target``.
@@ -273,12 +261,6 @@ class ServiceMetrics:
                     "pairs": dict(self._kernel_pairs),
                     "fused": dict(self._kernel_fused),
                     "weights_pruned": self._kernel_weights_pruned,
-                    "filter_rate": (
-                        (self._kernel_pairs["case1"]
-                         + self._kernel_pairs["case2"])
-                        / self._kernel_pairs["total"]
-                        if self._kernel_pairs["total"] else 0.0
-                    ),
                 },
                 "fallbacks": {
                     "total": sum(self._fallbacks.values()),
@@ -341,15 +323,10 @@ class ServiceMetrics:
             weights_pruned = self._kernel_weights_pruned
             # A zero sample keeps the series present for rate() alerts.
             fallbacks = dict(self._fallbacks) or {
-                ("kernel", "engine", "kernel_error"): 0}
-            filter_rate = (
-                (kernel_pairs["case1"] + kernel_pairs["case2"])
-                / kernel_pairs["total"] if kernel_pairs["total"] else 0.0
-            )
+                ("kernel", "reference_scan", "kernel_error"): 0}
             mutations_by_op = dict(self._mutations_by_op)
             mutations_rejected = self._mutations_rejected
             latency_hist = self._latency_hist.snapshot()
-            rate_hist = self._filter_rate_hist.snapshot()
 
         exp = Exposition()
         exp.gauge("rrq_uptime_seconds",
@@ -423,17 +400,11 @@ class ServiceMetrics:
         exp.counter("rrq_kernel_weights_pruned_total",
                     "Weight vectors pruned by the k/minRank abort or the "
                     "rank-interval cap before refinement.", weights_pruned)
-        exp.gauge("rrq_kernel_filter_rate",
-                  "Fraction of classified pairs decided by bounds alone.",
-                  filter_rate)
-        exp.histogram("rrq_query_filter_rate",
-                      "Per-query filter effectiveness (fraction of pairs "
-                      "decided without an inner product).", rate_hist)
         for (source, target, reason), count in sorted(fallbacks.items()):
             exp.counter("rrq_fallback_total",
-                        "Micro-batches a failed or inapplicable fast route "
-                        "handed to a slower exact one, and kernel caches "
-                        "refused or unwritable at a build, by reason.",
+                        "Micro-batches a failed fast route handed to a "
+                        "slower exact one, and static starts that rebuilt "
+                        "the kernel instead of mapping it, by reason.",
                         count, labels={"from": source, "to": target,
                                        "reason": reason})
         for op in sorted(mutations_by_op):

@@ -18,12 +18,13 @@ There are two answer routes and no others:
   :class:`~repro.vectorized.girkernel.GirKernelRRQ`, or on MVCC engines
   the pinned snapshot's :class:`~repro.storage.SnapshotKernel`, which
   the store rebuilds on the first read after its generation moves;
-* **per query** — the *declared fallback* of the kernel route, taken
-  only when a kernel fails to build or to answer: the static engine's
-  own ``reverse_topk`` / ``reverse_kranks``, or on MVCC engines the
-  exact reference scan (``NaiveRRQ``) over the pinned live rows.  Every
-  fallback is counted (``rrq_fallback_total{from,to,reason}``) and
-  annotated on the request spans (``fallback_reason``) — a broken
+* **reference scan** — the *declared fallback* of the kernel route,
+  taken only when a kernel fails to build or to answer: the exact
+  ``NaiveRRQ`` scan, one call per request, over the same rows the
+  kernel sweeps (the static engine's ``P`` / ``W``, or the pinned
+  snapshot's live rows).  Every fallback is counted
+  (``rrq_fallback_total{from="kernel",to="reference_scan",reason}``)
+  and annotated on the request spans (``fallback_reason``) — a broken
   kernel never looks like a healthy slow service.
 
 Both routes are byte-identical to
@@ -38,7 +39,6 @@ dispatch time and reports every batch to
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -53,9 +53,7 @@ import numpy as np
 from ..algorithms.naive import NaiveRRQ
 from ..data.datasets import ProductSet, WeightSet, check_query_point
 from ..errors import (
-    DataValidationError,
     DeadlineExceededError,
-    IndexCorruptionError,
     InvalidParameterError,
     ServiceOverloadError,
     ServiceUnavailableError,
@@ -109,9 +107,12 @@ def _request_spans(live: List[_Pending], name: str):
         yield spans
 
 
-def _reference_scan(snap):
-    """``NaiveRRQ`` over the pinned live rows, behind the same id remap
-    as the kernel it stands in for."""
+def _reference_scan(engine, snap):
+    """``NaiveRRQ`` over the rows the kernel sweeps: the static engine's
+    own, or the pinned live rows behind the same id remap as the
+    snapshot kernel it stands in for."""
+    if snap is None:
+        return NaiveRRQ(engine.products, engine.weights)
     from ..storage import SnapshotKernel
 
     p_rows, _ = snap.live_products()
@@ -140,11 +141,13 @@ class MicroBatchScheduler:
     Parameters
     ----------
     engine:
-        One of two kinds.  A *static* engine exposes ``reverse_topk``,
-        ``reverse_kranks`` and ``products`` / ``weights`` with ``.values``
-        arrays (an :class:`~repro.queries.engine.RRQEngine` in
-        practice); its own query methods are the fallback route.  A
-        *mutable* engine exposes ``pin_snapshot()`` returning a
+        One of two kinds.  A *static* engine exposes ``products`` /
+        ``weights`` with ``.values`` arrays: a
+        :class:`~repro.vectorized.girkernel.GirKernelRRQ` is swept as it
+        is (``QueryService.from_index_dir`` maps one), anything else (an
+        :class:`~repro.queries.engine.RRQEngine`, a bare algorithm) gets
+        a kernel built over its rows on the first batch.  A *mutable*
+        engine exposes ``pin_snapshot()`` returning a
         :class:`~repro.storage.StoreSnapshot`
         (:class:`~repro.durability.DurableDynamicRRQ`, or a raw
         :class:`~repro.storage.SegmentStore` with ``pin_snapshot =
@@ -159,15 +162,6 @@ class MicroBatchScheduler:
     metrics:
         Destination for batch/rejection tallies; a private instance is
         created when omitted.
-    kernel_cache_dir:
-        Directory for mmap kernel warm starts
-        (:mod:`repro.vectorized.kernelstore`).  Static engines persist
-        their lazily built kernel under ``<dir>/static`` and reload it
-        zero-copy on the next process start (validated against the
-        engine's arrays and ``use_domin``; a refused or unwritable
-        cache is a counted ``kernel_cache`` fallback).  A mutable
-        engine puts nothing there: its kernel is rebuilt in RAM per
-        store generation.  ``None`` disables caching.
     idle_connections:
         How many callers could still submit: the HTTP server wires its
         count of connections waiting for a request.  At zero, with the
@@ -182,7 +176,6 @@ class MicroBatchScheduler:
     def __init__(self, engine, batch_window_s: float = DEFAULT_BATCH_WINDOW_S,
                  limits: Optional[ServiceLimits] = None,
                  metrics: Optional[ServiceMetrics] = None,
-                 kernel_cache_dir: Optional[str] = None,
                  idle_connections: Optional[Callable[[], int]] = None,
                  auto_start: bool = True):
         if batch_window_s < 0:
@@ -198,18 +191,13 @@ class MicroBatchScheduler:
         # mutations that land mid-batch.  The store densifies it into a
         # blocked kernel, kept until the store generation moves.
         self._pin_snapshot = getattr(engine, "pin_snapshot", None)
-        if self._pin_snapshot is not None:
-            self._P = self._W = None
-        elif hasattr(engine.products, "values"):
-            self._P = engine.products.values
-            self._W = engine.weights.values
-        else:
+        if self._pin_snapshot is None and \
+                not hasattr(engine.products, "values"):
             raise InvalidParameterError(
                 f"{type(engine).__name__} exposes neither static "
                 "products.values / weights.values arrays nor "
                 "pin_snapshot(); the scheduler cannot read it consistently"
             )
-        self.kernel_cache_dir = kernel_cache_dir
         self._kernel: Optional[GirKernelRRQ] = None
         #: ``(store generation or None, error)`` of the last failed kernel
         #: build; see :meth:`_sweep`.
@@ -400,7 +388,7 @@ class MicroBatchScheduler:
 
     def _answer(self, live: List[_Pending], snap, counter: OpCounter,
                 closed: str) -> None:
-        """Route one micro-batch: the kernel, else the per-query route.
+        """Route one micro-batch: the kernel, else the reference scan.
 
         ``snap`` is the batch's pinned MVCC snapshot (``None`` on static
         engines).  No lock is taken on either route — writers proceed
@@ -420,18 +408,15 @@ class MicroBatchScheduler:
             # A batch of one is the request operators look up: its
             # sweep's stats ride on its span (the slow log's Table-4
             # profile: "refined" there is the float32 rounding band of
-            # the columns kept) and its trace id becomes the filter-rate
-            # exemplar.
+            # the columns kept).
             if swept is not None and single and swept[1]:
                 spans[0].annotate("kernel_stats", swept[1][0])
         if swept is None:
             self._answer_per_query(live, snap, counter, fallback)
             return
         results, sweeps = swept
-        exemplar = (live[0].ctx.trace.trace_id
-                    if single and live[0].ctx is not None else None)
         for stats in sweeps:
-            self.metrics.record_kernel(stats, trace_id=exemplar)
+            self.metrics.record_kernel(stats)
         for pending, result in zip(live, results):
             counter.merge(result.counter)
             pending.future.set_result(result)
@@ -441,7 +426,7 @@ class MicroBatchScheduler:
 
         Returns ``((results, sweep_stats), None)``, or
         ``(None, (reason, error))`` when the batch must fall back to the
-        per-query route: the kernel could not be built
+        reference scan: the kernel could not be built
         (``kernel_build_error``) or raised while answering
         (``kernel_error``).  No future is touched here, so a failure
         leaves the whole batch for the fallback to answer exactly.  A
@@ -491,17 +476,16 @@ class MicroBatchScheduler:
 
     def _answer_per_query(self, live: List[_Pending], snap,
                           counter: OpCounter, fallback) -> None:
-        """The fallback, one call per request: the reference scan over
-        the pinned snapshot, or the static engine's own methods.
+        """The fallback, one reference-scan call per request.
 
         ``fallback`` is :meth:`_sweep`'s ``(reason, error)``; the
         hand-over is counted once and named on every request's span.
         """
-        route, backend = (("snapshot", _reference_scan(snap))
-                          if snap is not None else ("engine", self.engine))
-        self.metrics.record_fallback("kernel", route, fallback[0])
+        backend = _reference_scan(self.engine, snap)
+        self.metrics.record_fallback("kernel", "reference_scan", fallback[0])
         for pending in live:
-            with use_context(pending.ctx), span(f"{route}.query") as sp:
+            with use_context(pending.ctx), \
+                    span("reference_scan.query") as sp:
                 _describe(sp, pending, len(live), snap, fallback)
                 if pending.kind == "rtk":
                     result = backend.reverse_topk(pending.q, pending.k)
@@ -511,67 +495,12 @@ class MicroBatchScheduler:
             pending.future.set_result(result)
 
     def _get_kernel(self) -> GirKernelRRQ:
-        """The static engine's kernel, built lazily on first use: mapped
-        from the cache when that holds this engine's, else the engine's
-        own algorithm when it is a kernel, else built over the engine's
-        products and weights (with a GIR engine's ``use_domin``)."""
+        """The static engine's kernel: the engine itself (or its
+        algorithm) when that is a kernel, else one built over its rows on
+        first use."""
         if self._kernel is None:
-            kernel = self._load_static_kernel()
-            if kernel is None:
-                from ..core.gir import GridIndexRRQ
-
-                algorithm = getattr(self.engine, "algorithm", self.engine)
-                if isinstance(algorithm, GirKernelRRQ):
-                    kernel = algorithm
-                elif isinstance(algorithm, GridIndexRRQ):
-                    kernel = GirKernelRRQ.from_gir(algorithm)
-                else:
-                    kernel = GirKernelRRQ(self.engine.products,
-                                          self.engine.weights)
-                self._save_static_kernel(kernel)
-            self._kernel = kernel
+            algorithm = getattr(self.engine, "algorithm", self.engine)
+            self._kernel = (algorithm if isinstance(algorithm, GirKernelRRQ)
+                            else GirKernelRRQ(self.engine.products,
+                                              self.engine.weights))
         return self._kernel
-
-    def _load_static_kernel(self) -> Optional[GirKernelRRQ]:
-        """mmap warm start for the static-engine kernel, if cached.
-
-        ``<cache>/static`` is accepted on what determines its answers
-        and its work: the store's format version (``load_kernel``),
-        ``P`` / ``W`` equal to the engine's own (a memcmp-speed scan)
-        and the ``use_domin`` :meth:`_get_kernel` would build with.
-        Anything else in the directory is ignored; a store that is
-        there and refused is a counted ``kernel_cache`` fallback.
-        """
-        if self.kernel_cache_dir is None:
-            return None
-        from ..vectorized.kernelstore import load_kernel
-
-        directory = os.path.join(self.kernel_cache_dir, "static")
-        if not os.path.isdir(directory):
-            return None  # a cold start, not a refusal
-        try:
-            kernel = load_kernel(directory)
-        except (IndexCorruptionError, DataValidationError, OSError):
-            self.metrics.record_fallback("kernel_cache", "rebuild",
-                                         "unreadable")
-            return None
-        algorithm = getattr(self.engine, "algorithm", self.engine)
-        if kernel.use_domin == getattr(algorithm, "use_domin", True) and \
-                np.array_equal(kernel.P, self._P) and \
-                np.array_equal(kernel.W, self._W):
-            return kernel
-        self.metrics.record_fallback("kernel_cache", "rebuild", "stale")
-        return None
-
-    def _save_static_kernel(self, kernel: GirKernelRRQ) -> None:
-        """Persist the kernel just built; serving never depends on it."""
-        if self.kernel_cache_dir is None:
-            return
-        from ..vectorized.kernelstore import save_kernel
-
-        try:
-            save_kernel(os.path.join(self.kernel_cache_dir, "static"),
-                        kernel)
-        except OSError:
-            self.metrics.record_fallback("kernel_cache", "rebuild",
-                                         "unwritable")

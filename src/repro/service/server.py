@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -112,7 +113,6 @@ class ServiceConfig:
     fallback: bool = True
     breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD
     breaker_reset_s: float = DEFAULT_RESET_AFTER_S
-    kernel_cache_dir: Optional[str] = None
     trace_capacity: int = DEFAULT_TRACE_CAPACITY
     trace_export_path: Optional[str] = None
     slow_query_threshold_s: Optional[float] = DEFAULT_SLOW_THRESHOLD_S
@@ -162,8 +162,7 @@ class QueryService:
         Serving knobs; defaults are sensible for interactive use.
     """
 
-    def __init__(self, engine, config: Optional[ServiceConfig] = None,
-                 fallback_engine=None, degraded_reason: Optional[str] = None):
+    def __init__(self, engine, config: Optional[ServiceConfig] = None):
         self.engine = engine
         self.config = config or ServiceConfig()
         self.method = getattr(engine, "method", None) or getattr(
@@ -183,17 +182,13 @@ class QueryService:
             batch_window_s=self.config.batch_window_s,
             limits=self.config.limits,
             metrics=self.metrics,
-            kernel_cache_dir=self.config.kernel_cache_dir,
         )
         self.breaker = CircuitBreaker(
             failure_threshold=self.config.breaker_threshold,
             reset_after_s=self.config.breaker_reset_s,
         )
-        self._fallback_engine = fallback_engine
+        self._fallback_engine = None
         self._fallback_lock = threading.Lock()
-        #: Permanent degradation cause (e.g. the index failed its
-        #: checksums and the service is running on the naive scan).
-        self.degraded_reason = degraded_reason
         self._dim = engine.products.dim
 
     # ------------------------------------------------------------------
@@ -212,37 +207,76 @@ class QueryService:
 
     @classmethod
     def from_index_dir(cls, directory: PathLike,
-                       config: Optional[ServiceConfig] = None,
-                       recover: bool = True) -> "QueryService":
-        """Serve a Grid-index persisted by :func:`repro.core.storage.save_index`.
+                       config: Optional[ServiceConfig] = None
+                       ) -> "QueryService":
+        """Serve an index written by :func:`repro.core.storage.save_index`,
+        or a raw data directory from ``repro-rrq generate``.
 
-        Resilient by default: a checksum failure confined to the derived
-        artifacts is healed in place (``recover=True``); if the GIR index
-        is unrecoverable but the raw data still verifies, the service
-        comes up **degraded** on the exact naive scan instead of refusing
-        to start (``healthz`` reports it, answers carry
-        ``"degraded": true``).  Only when the raw data itself is damaged
-        does construction fail.
+        The directory is checked against its manifest (every byte, CRC32)
+        and, when it verifies, its kernel arrays are mapped
+        (:func:`~repro.vectorized.kernelstore.load_kernel`) and served as
+        they are: no Grid-index is read and no kernel is built.  A
+        directory without kernel arrays (raw data, an index older than
+        them) or with any artifact damaged is served from a kernel built
+        in RAM over ``products.rrq`` / ``weights.rrq`` — only when those
+        two verify — and that is counted once as
+        ``rrq_fallback_total{from="kernel_store",to="rebuild",
+        reason="absent"|"corrupt"}``; damage also raises a
+        :class:`RuntimeWarning` naming the damaged artifacts.  Damaged or
+        unreadable raw data refuses to start with
+        :class:`~repro.errors.IndexCorruptionError`.
         """
-        from ..core.storage import load_index
         from ..errors import DataValidationError, IndexCorruptionError
+        from ..storage.manifest import verify_manifest_dir
+        from ..vectorized.kernelstore import load_kernel
+
+        path = Path(directory)
+        raw = ("products.rrq", "weights.rrq")
+        if not all((path / name).is_file() for name in raw):
+            raise DataValidationError(
+                f"{directory}: not an index or data directory (missing "
+                "products.rrq / weights.rrq; run 'repro-rrq generate' "
+                "and 'repro-rrq build')")
+        report = verify_manifest_dir(path)
+        damaged = sorted(report["damaged"])
+        if report["manifest"] == "missing":
+            reason, damaged = "absent", []
+        elif report["manifest"] == "corrupt" or \
+                any(report["artifacts"].get(name) != "ok" for name in raw):
+            raise IndexCorruptionError(
+                f"{directory}: {', '.join(damaged)} damaged; the raw data "
+                "cannot be trusted — rebuild the index from the original "
+                "data set with 'repro-rrq build'",
+                directory=str(directory), artifacts=tuple(damaged))
+        elif "kernel.bin" not in report["artifacts"]:
+            reason = "absent"
+        elif damaged:
+            reason = "corrupt"
+        else:
+            try:
+                return cls(load_kernel(path), config=config)
+            except (IndexCorruptionError, DataValidationError) as exc:
+                reason, damaged = "corrupt", [f"kernel store ({exc})"]
+        from ..data.io import load_products, load_weights
+        from ..vectorized.girkernel import GirKernelRRQ
 
         try:
-            return cls(load_index(directory, recover=recover), config=config)
-        except (IndexCorruptionError, DataValidationError) as exc:
-            from ..algorithms.naive import NaiveRRQ
-            from ..data.io import load_products, load_weights
-
-            directory = Path(directory)
-            try:
-                products = load_products(directory / "products.rrq")
-                weights = load_weights(directory / "weights.rrq")
-            except (ReproError, OSError):
-                raise exc from None  # raw data gone too — nothing to serve
-            naive = NaiveRRQ(products, weights)
-            return cls(naive, config=config, fallback_engine=naive,
-                       degraded_reason=f"index corrupt, serving naive scan: "
-                                       f"{exc}")
+            kernel = GirKernelRRQ(load_products(path / "products.rrq"),
+                                  load_weights(path / "weights.rrq"))
+        except (ReproError, OSError) as exc:
+            raise IndexCorruptionError(
+                f"{directory}: raw data unreadable ({exc}); rebuild the "
+                "index from the original data set with 'repro-rrq build'",
+                directory=str(directory), artifacts=raw) from exc
+        if damaged:
+            warnings.warn(
+                f"{directory}: {', '.join(damaged)} damaged; serving a "
+                "kernel rebuilt from products.rrq / weights.rrq "
+                "('repro-rrq build' rewrites the index)",
+                RuntimeWarning, stacklevel=2)
+        service = cls(kernel, config=config)
+        service.metrics.record_fallback("kernel_store", "rebuild", reason)
+        return service
 
     # ------------------------------------------------------------------
     # serving
@@ -376,10 +410,8 @@ class QueryService:
             else:
                 self.breaker.record_success()
                 encoded = encode_result(result, kind)
-                if self.degraded_reason is not None:
-                    encoded["degraded"] = True
                 self.cache.put(key, encoded, generation=generation)
-                return encoded, False, self.degraded_reason is not None
+                return encoded, False, False
         # Degraded path: breaker open (or the primary just failed) —
         # answer exactly via the naive scan rather than failing.
         fallback = self._fallback()
@@ -421,7 +453,6 @@ class QueryService:
             "max_batch": self.config.limits.max_batch,
             "default_deadline_s": self.config.limits.default_deadline_s,
             "fallback": self.config.fallback,
-            "kernel_cache_dir": self.config.kernel_cache_dir,
             "breaker_threshold": self.config.breaker_threshold,
             "breaker_reset_s": self.config.breaker_reset_s,
         }
@@ -454,23 +485,18 @@ class QueryService:
 
         ``status`` is ``"ok"`` on the primary engine path and
         ``"degraded"`` while answers come from the naive fallback (open
-        circuit breaker or a permanently corrupt index).  Degraded is
-        still *healthy* — answers remain exact — so orchestrators should
-        alert on it, not restart on it.
+        circuit breaker).  Degraded is still *healthy* — answers remain
+        exact — so orchestrators should alert on it, not restart on it.
         """
         breaker = self.breaker.snapshot()
-        degraded = (self.degraded_reason is not None
-                    or breaker["state"] != "closed")
-        body = {
+        degraded = breaker["state"] != "closed"
+        return {
             "status": "degraded" if degraded else "ok",
             "degraded": degraded,
             "breaker": breaker["state"],
             "uptime_s": self.metrics.uptime_s(),
             "queue_depth": self.scheduler.queue_depth(),
         }
-        if self.degraded_reason is not None:
-            body["degraded_reason"] = self.degraded_reason
-        return body
 
     def close(self, drain: bool = True) -> None:
         """Stop the dispatcher thread; the service cannot answer afterwards.

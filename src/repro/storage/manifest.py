@@ -23,6 +23,14 @@ Deletes after the barrier live in the delta and are reconstructed by
 WAL tail replay — which is exactly why compaction, which runs between
 barriers, must drop manifest-dead rows only and leave ``lsn``
 untouched.
+
+The module also owns the directory-manifest protocol every other
+checksummed artifact set commits through — the static index and its
+kernel arrays (:func:`repro.core.storage.save_index`), a sealed segment,
+a stand-alone kernel store: :func:`write_manifest_dir` lands each file
+atomically and writes ``MANIFEST.json`` (per-file byte counts and
+CRC32s) last, and :func:`verify_manifest_dir` checks a directory
+against it without parsing any artifact.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from __future__ import annotations
 import json
 import zlib
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..data.io import atomic_write_bytes
 from ..errors import IndexCorruptionError
@@ -56,6 +64,100 @@ def _canonical(body: dict) -> bytes:
 
 def _crc32(data: bytes) -> str:
     return f"{zlib.crc32(data) & 0xFFFFFFFF:08x}"
+
+
+# ----------------------------------------------------------------------
+# directory manifests (the static index, segments, kernel stores)
+# ----------------------------------------------------------------------
+
+#: The commit point of a manifest directory.
+DIR_MANIFEST_NAME = "MANIFEST.json"
+_DIR_MANIFEST_FORMAT = 1
+
+
+def write_manifest_dir(directory, payloads: Dict[str, bytes],
+                       site_prefix: str = "storage.write") -> Dict[str, dict]:
+    """Write ``payloads`` atomically into ``directory``, manifest last.
+
+    Each artifact lands via temp-file + fsync + rename (fault site
+    ``<site_prefix>.<name>``), and ``MANIFEST.json`` — per-file byte
+    counts and CRC32 checksums — is written only after every artifact it
+    describes is durably in place.  Returns the per-file manifest
+    entries.
+    """
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, data in payloads.items():
+        atomic_write_bytes(path / name, data, site=f"{site_prefix}.{name}")
+        files[name] = {"bytes": len(data), "crc32": _crc32(data)}
+    manifest = {
+        "format": _DIR_MANIFEST_FORMAT,
+        "checksum": "crc32",
+        "files": files,
+    }
+    atomic_write_bytes(
+        path / DIR_MANIFEST_NAME,
+        json.dumps(manifest, indent=2, sort_keys=True).encode(),
+        site=f"{site_prefix}.{DIR_MANIFEST_NAME}",
+    )
+    return files
+
+
+def read_manifest_dir(directory) -> dict:
+    """Parse ``MANIFEST.json``; a malformed one raises
+    :class:`IndexCorruptionError` naming it."""
+    path = Path(directory)
+    try:
+        manifest = json.loads((path / DIR_MANIFEST_NAME).read_bytes())
+    except (json.JSONDecodeError, ValueError):
+        raise IndexCorruptionError(
+            f"{path}: {DIR_MANIFEST_NAME} is not valid JSON "
+            "(corrupted manifest)",
+            directory=str(path), artifacts=(DIR_MANIFEST_NAME,),
+        ) from None
+    if manifest.get("format") != _DIR_MANIFEST_FORMAT or \
+            not isinstance(manifest.get("files"), dict):
+        raise IndexCorruptionError(
+            f"{path}: unsupported or malformed manifest",
+            directory=str(path), artifacts=(DIR_MANIFEST_NAME,),
+        )
+    return manifest
+
+
+def verify_manifest_dir(directory) -> dict:
+    """Check every artifact in ``directory`` against its manifest.
+
+    Returns ``{"ok": bool, "manifest": "ok"|"missing"|"corrupt",
+    "artifacts": {name: status}, "damaged": [...]}`` without parsing any
+    artifact — pure presence + checksum verification.
+    """
+    path = Path(directory)
+    report: dict = {"ok": False, "manifest": "ok",
+                    "artifacts": {}, "damaged": []}
+    if not (path / DIR_MANIFEST_NAME).exists():
+        report["manifest"] = "missing"
+        report["damaged"] = [DIR_MANIFEST_NAME]
+        return report
+    try:
+        manifest = read_manifest_dir(path)
+    except IndexCorruptionError:
+        report["manifest"] = "corrupt"
+        report["damaged"] = [DIR_MANIFEST_NAME]
+        return report
+    for name, entry in manifest["files"].items():
+        target = path / name
+        if not target.exists():
+            status = "missing"
+        else:
+            data = target.read_bytes()
+            status = ("ok" if _crc32(data) == entry.get("crc32")
+                      and len(data) == entry.get("bytes") else "corrupt")
+        report["artifacts"][name] = status
+        if status != "ok":
+            report["damaged"].append(name)
+    report["ok"] = not report["damaged"]
+    return report
 
 
 def write_manifest(directory, generation: int, lsn: int, segments: List[str],

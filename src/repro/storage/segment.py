@@ -8,7 +8,7 @@ snapshot gathers its live rows, so an arbitrary number of readers can
 hold one segment concurrently with zero coordination.
 
 On disk a segment is a directory committed through the generic CRC32
-manifest machinery (:func:`repro.core.storage.write_manifest_dir`):
+manifest machinery (:func:`repro.storage.manifest.write_manifest_dir`):
 every artifact lands via temp-file + fsync + rename and
 ``MANIFEST.json`` is written last, so a crash at any byte leaves a
 directory that either verifies completely or is provably damaged —
@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..core.storage import verify_manifest_dir, write_manifest_dir
 from ..data.io import load_matrix, matrix_to_bytes
 from ..errors import IndexCorruptionError, InvalidParameterError
+from .manifest import verify_manifest_dir, write_manifest_dir
 
 #: Format tag stored in every segment's metadata.
 SEGMENT_FORMAT = "rrq-segment-v1"

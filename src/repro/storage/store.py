@@ -967,7 +967,7 @@ class SegmentStore:
             }
 
     # ------------------------------------------------------------------
-    # bulk state (replication reset, bulk construction, migration)
+    # bulk state (replication reset, bulk construction)
     # ------------------------------------------------------------------
 
     def state_arrays(self) -> dict:

@@ -209,12 +209,6 @@ class KernelStats:
         """Pairs settled by the tile alone (no exact dot product)."""
         return self.pairs_case1 + self.pairs_case2
 
-    def filter_rate(self) -> float:
-        """Fraction of classified pairs decided without refinement."""
-        if self.pairs_total == 0:
-            return 0.0
-        return self.pairs_decided / self.pairs_total
-
     def snapshot(self) -> dict:
         """JSON-ready dict (used by ``/metrics`` and the bench harness)."""
         return {
@@ -233,7 +227,6 @@ class KernelStats:
                 "f32": self.pairs_f32,
             },
             "weights_pruned": self.weights_pruned,
-            "filter_rate": self.filter_rate(),
             "fused": {
                 "batches": self.fused_batches,
                 "queries": self.fused_queries,
@@ -640,6 +633,9 @@ class KernelCore:
             g_hi = np.where(act_u, hi_cmp[live_cols], neg_inf)
             g_lo = np.where(act_u, lo_cmp[live_cols], neg_inf)
             case1_per_col, lowhit_per_col = _gate_tallies(S, g_hi, g_lo)
+            # Rows of the tile each query classifies: its excluded rows
+            # (duplicates, dominators) are neither case 1 nor case 2.
+            n_rows = [pe - ps] * nq
             for qi in range(nq):
                 excl = batch.excl[qi]
                 if excl is None:
@@ -647,6 +643,7 @@ class KernelCore:
                 lo_i, hi_i = np.searchsorted(excl, (ps, pe))
                 if hi_i <= lo_i:
                     continue
+                n_rows[qi] -= int(hi_i - lo_i)
                 # The tallies count every row; subtract the excluded
                 # rows' contributions directly (|excl| is tiny:
                 # dominators and duplicates of one query).
@@ -668,7 +665,7 @@ class KernelCore:
                 n_act = int(n_act_q[qi])
                 if n_act == 0:
                     continue
-                n_pairs = (pe - ps) * n_act
+                n_pairs = n_rows[qi] * n_act
                 n_case1 = int(n_case1_q[qi])
                 n_und = int(n_und_q[qi])
                 counter = counters[qi]

@@ -15,7 +15,7 @@ blob (``kernel.bin``: raw C-contiguous array bytes at 64-byte-aligned
 offsets) plus a JSON ``kernel.meta`` that records each array's dtype,
 shape and offset, committed through the same checksummed-manifest
 protocol as the index store
-(:func:`repro.core.storage.write_manifest_dir`: atomic per-file writes,
+(:func:`repro.storage.manifest.write_manifest_dir`: atomic per-file writes,
 ``MANIFEST.json`` written last as the commit point).
 
 Loading maps ``kernel.bin`` once (``numpy.memmap``) and slices every
@@ -47,9 +47,9 @@ from typing import Dict
 import numpy as np
 
 from ..algorithms.base import RRQAlgorithm
-from ..core.storage import verify_manifest_dir, write_manifest_dir
 from ..data.datasets import ProductSet, WeightSet
 from ..errors import DataValidationError, IndexCorruptionError
+from ..storage.manifest import verify_manifest_dir, write_manifest_dir
 from .girkernel import GirKernelRRQ, KernelCore
 
 _META_NAME = "kernel.meta"
@@ -95,14 +95,11 @@ def _corrupt(directory, msg: str, artifacts=()) -> IndexCorruptionError:
     )
 
 
-def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
-    """Persist a built kernel for O(mmap) reload; returns a size report.
-
-    The write is crash-safe with the same contract as the index store:
-    artifacts land atomically and the checksum manifest is written
-    last, so a reader at any instant sees a consistent or *provably*
-    inconsistent directory, never a torn one.
-    """
+def kernel_payloads(kernel: GirKernelRRQ) -> Dict[str, bytes]:
+    """``kernel.bin`` and ``kernel.meta`` of ``kernel``, as bytes — the
+    unit :func:`save_kernel` commits alone and
+    :func:`repro.core.storage.save_index` commits beside the
+    Grid-index."""
     core = kernel.core
     arrays: Dict[str, np.ndarray] = {
         "P": kernel.P, "W": core.W,
@@ -126,11 +123,21 @@ def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
         "filter_dtype": core.filter_dtype,
         "arrays": layout,
     }
-    payloads: Dict[str, bytes] = {
+    return {
         _BLOB_NAME: blob,
         _META_NAME: json.dumps(meta, indent=2).encode(),
     }
-    files = write_manifest_dir(directory, payloads,
+
+
+def save_kernel(directory, kernel: GirKernelRRQ) -> dict:
+    """Persist a built kernel for O(mmap) reload; returns a size report.
+
+    The write is crash-safe with the same contract as the index store:
+    artifacts land atomically and the checksum manifest is written
+    last, so a reader at any instant sees a consistent or *provably*
+    inconsistent directory, never a torn one.
+    """
+    files = write_manifest_dir(directory, kernel_payloads(kernel),
                                site_prefix="kernelstore.write")
     return {
         "files": len(files) + 1,

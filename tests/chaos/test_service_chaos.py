@@ -122,27 +122,31 @@ class TestBreakerDegradation:
 class TestCorruptIndexOverHTTP:
     def test_corrupt_index_serves_degraded_but_exact(self, built_index,
                                                      naive_oracle, tmp_path):
-        """An unrecoverable index comes up on the naive scan: /healthz
+        """A damaged index starts on a kernel rebuilt from its raw data:
 
-        says degraded, every answer is flagged and byte-exact."""
+        counted once as a ``kernel_store`` rebuild and warned about by
+        name, then every answer is byte-exact and unflagged — the
+        rebuilt kernel is the same kernel, not a degraded engine."""
         save_index(tmp_path / "idx", built_index)
         meta = tmp_path / "idx" / "grid.meta"
         meta.write_bytes(b"\x00" * meta.stat().st_size)
 
-        service = QueryService.from_index_dir(
-            tmp_path / "idx", config=ServiceConfig(batch_window_s=0.0))
-        assert service.degraded_reason is not None
+        with pytest.warns(RuntimeWarning, match="grid.meta"):
+            service = QueryService.from_index_dir(
+                tmp_path / "idx", config=ServiceConfig(batch_window_s=0.0))
         with serve_in_background(service) as server:
             client = ServiceClient(server.url)
             health = client.wait_until_healthy()
-            assert health["status"] == "degraded"
-            assert "index corrupt" in health["degraded_reason"]
+            assert health["status"] == "ok"
 
             for i, kind, k in [(0, "rtk", 9), (41, "rkr", 3)]:
                 q = built_index.products[i]
                 response = client.query(list(q), kind=kind, k=k)
-                assert response["degraded"] is True
+                assert "degraded" not in response
                 assert_exact_answer(response, naive_oracle, q, kind, k)
+        assert service.metrics_snapshot()["fallbacks"]["routes"] == [
+            {"from": "kernel_store", "to": "rebuild", "reason": "corrupt",
+             "count": 1}]
 
 
 class TestClientRetries:

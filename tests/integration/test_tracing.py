@@ -116,9 +116,9 @@ class TestTraceIdEndToEnd:
         assert names[0] == "http.query"
         assert "service.query" in names
         # A batch of one is answered by the same kernel sweep as any
-        # other dispatch, never by the per-query engine, and its span
+        # other dispatch, never by the reference scan, and its span
         # carries the sweep's stats.
-        assert "engine.query" not in names
+        assert "reference_scan.query" not in names
         (dispatch,) = [s for s in _spans(root) if s["name"] == "kernel.batch"]
         notes = dispatch["annotations"]
         assert notes["batch_size"] == 1 and notes["fused"] is False
@@ -154,12 +154,10 @@ class TestTraceIdEndToEnd:
             assert resp.headers["Content-Type"].startswith("text/plain")
             text = resp.read().decode()
         assert lint_exposition(text) == []
-        latency, filter_rate = (
-            [line for line in text.splitlines()
-             if line.startswith(family) and f'trace_id="{trace_id}"' in line]
-            for family in ("rrq_request_latency_seconds_bucket",
-                           "rrq_query_filter_rate_bucket"))
-        assert latency and filter_rate
+        assert [line for line in text.splitlines()
+                if line.startswith("rrq_request_latency_seconds_bucket")
+                and f'trace_id="{trace_id}"' in line]
+        assert "filter_rate" not in text  # a constant, no longer scraped
 
     def test_generated_id_when_header_absent(self, served):
         _, client = served

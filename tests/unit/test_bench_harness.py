@@ -55,7 +55,7 @@ class TestRunConfig:
             assert record[kind]["gir_p50_s"] > 0
             assert record[kind]["kernel_p50_s"] > 0
             assert "sharded_p50_s" not in record[kind]
-        assert 0.0 <= record["kernel_stats"]["filter_rate"] <= 1.0
+        assert "filter_rate" not in record["kernel_stats"]
 
     def test_sharded_numbers_recorded(self):
         record = run_config(MICRO, seed=11, shards=2, verify=False)
@@ -281,7 +281,7 @@ class TestPerKindKernelStats:
         stats = record["kernel_stats"]
         assert stats["rtk"]["queries"] == MICRO["queries"]
         assert stats["rkr"]["queries"] == MICRO["queries"]
-        assert 0.0 <= stats["filter_rate"] <= 1.0
+        assert set(stats) == {"rtk", "rkr"}
 
 
 FUSED_MICRO = {"name": "fused-micro", "p_dist": "UN", "w_dist": "UN",

@@ -45,28 +45,25 @@ class TestBuildAndInfo:
         assert rc == 0
         out = capsys.readouterr().out
         assert "approx_over_raw" in out
-        assert "kernel store" not in out  # no packed store yet
         # What this very process cost to start, beside blas_threads.
         assert re.search(r"^startup_cpu_s +\d+\.\d{3}$", out, re.M)
         assert re.search(r"^modules_loaded +\d+$", out, re.M)
 
     def test_info_reports_kernel_store(self, data_dir, tmp_path, capsys):
-        from repro.cli import _load_data
-        from repro.vectorized.girkernel import GirKernelRRQ
-        from repro.vectorized.kernelstore import save_kernel
-
+        """``build`` writes the kernel arrays into the index: ``info``
+        sizes them and says a ``serve`` maps them; over raw data it says
+        the server builds a kernel."""
         idx = tmp_path / "idx"
-        rc = main(["build", str(data_dir), "--index", str(idx)])
-        assert rc == 0
-        products, weights = _load_data(str(data_dir))
-        kernel = GirKernelRRQ(products, weights, partitions=8)
-        save_kernel(idx / "static", kernel)
-        rc = main(["info", str(idx)])
-        assert rc == 0
+        assert main(["build", str(data_dir), "--index", str(idx)]) == 0
+        assert main(["info", str(idx)]) == 0
         out = capsys.readouterr().out
-        assert "kernel store" in out
-        assert "static" in out
-        assert "mmap" in out
+        assert re.search(r"^kernel\.bin +[1-9][\d,]* bytes$", out, re.M)
+        assert re.search(r"^serve start +mmap kernel\.bin", out, re.M)
+        assert "integrity          ok" in out
+        main(["info", str(data_dir)])
+        out = capsys.readouterr().out
+        assert re.search(r"^serve start +kernel built from products\.rrq",
+                         out, re.M)
 
 
 class TestQuery:
@@ -196,12 +193,16 @@ class TestBench:
 
 
 class TestServeFlags:
-    def test_kernel_cache_flag_parses(self):
-        args = build_parser().parse_args(
-            ["serve", "idx/", "--kernel-cache", "cache/"])
-        assert args.kernel_cache == "cache/"
-        args = build_parser().parse_args(["serve", "idx/"])
-        assert args.kernel_cache is None
+    @pytest.mark.parametrize("flag", [["--kernel-cache", "cache/"],
+                                      ["--method", "sim"],
+                                      ["--no-recover"]])
+    def test_static_serve_has_no_engine_or_cache_flags(self, flag, capsys):
+        """The index is the kernel store: nothing picks a cache, an
+        engine or a recovery mode for it."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "idx/"] + flag)
+        assert excinfo.value.code == 2
+        assert flag[0] in capsys.readouterr().err
 
 
 class TestClusterFlags:

@@ -1,30 +1,69 @@
 """Reopening a durable directory that an earlier process — or an earlier
 format — left behind.
 
-Two things a restart must not do: answer from what the *previous*
-process derived (the kernel is in-RAM state of one process; with
-``kernel_cache_dir`` set it used to be persisted under a generation
-number that restarts at 0), and refuse or misread a directory written
-while segments still carried a private Grid-index.  ``segmented_tail``
-under ``tests/fixtures/`` is such a directory (see the README there):
-``chunk`` in ``engine.json`` and the manifest ``params``; ``partitions``
-/ ``chunk`` / ``w_range`` in every ``segment.json``.
+Three things a restart must not do: answer from what the *previous*
+process derived (the kernel is in-RAM state of one process; a static
+kernel cache once persisted it under a generation number that restarts
+at 0), refuse or misread a directory written while segments still
+carried a private Grid-index, or misread one in the flat format.
+``segmented_tail`` under ``tests/fixtures/`` is the second kind (see the
+README there): ``chunk`` in ``engine.json`` and the manifest ``params``;
+``partitions`` / ``chunk`` / ``w_range`` in every ``segment.json``.  A
+flat directory (``snapshot-*/`` behind a root ``CURRENT``) is refused.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.algorithms.naive import NaiveRRQ
+from repro.cli import main
 from repro.data.datasets import ProductSet, WeightSet
 from repro.data.synthetic import uniform_products, uniform_weights
 from repro.durability import DurableDynamicRRQ
 from repro.durability.wal import WalRecord
+from repro.errors import DataValidationError, InvalidParameterError
 from repro.service.scheduler import MicroBatchScheduler
 from repro.service.server import canonical_json, encode_result
 from repro.storage import read_current_manifest
 
-from .test_migrate import assert_matches, golden
+from ..model import LiveModel
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def golden(name, tmp_path):
+    """A scratch copy of one golden directory plus its expected state."""
+    db = tmp_path / "db"
+    shutil.copytree(FIXTURES / name, db)
+    expected = json.loads((db / "expected.json").read_text())
+    (db / "expected.json").unlink()
+    model = LiveModel()
+    for side, size in (("products", expected["next_pid"]),
+                       ("weights", expected["next_wid"])):
+        rows = expected[side]
+        setattr(model, side, [
+            np.array(rows[str(i)]) if str(i) in rows else None
+            for i in range(size)])
+    return db, expected, model
+
+
+def assert_matches(engine, expected, model):
+    """Answers == NaiveRRQ over the expected rows."""
+    assert engine.last_lsn == expected["last_lsn"]
+    assert engine.products.size == expected["next_pid"]
+    assert engine.weights.size == expected["next_wid"]
+    assert list(engine.products.live_indices()) == model.live_products()
+    assert list(engine.weights.live_indices()) == model.live_weights()
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        q = rng.random(3) * 0.9
+        rtk, rkr = model.answers(q, 3)
+        assert engine.reverse_topk(q, 3).weights == rtk
+        assert engine.reverse_kranks(q, 3).entries == rkr
 
 
 def test_restart_with_a_kernel_cache_serves_this_lifes_rows(tmp_path):
@@ -33,14 +72,13 @@ def test_restart_with_a_kernel_cache_serves_this_lifes_rows(tmp_path):
     in-memory generation 1; life B's answer must hold life B's weight."""
     P = uniform_products(40, 3, seed=941)
     W = uniform_weights(12, 3, seed=942)
-    db, cache = tmp_path / "db", str(tmp_path / "cache")
+    db = tmp_path / "db"
     DurableDynamicRRQ.bootstrap(db, P, W, fsync="never").close()
     q = P.values[5]
 
     def live(inserted):
         durable = DurableDynamicRRQ(db, fsync="never", auto_compact=False)
-        scheduler = MicroBatchScheduler(durable, batch_window_s=0.0,
-                                        kernel_cache_dir=cache)
+        scheduler = MicroBatchScheduler(durable, batch_window_s=0.0)
         try:
             durable.insert_weight(inserted)
             served = canonical_json(encode_result(
@@ -118,3 +156,37 @@ class TestGoldenSegmentedDirectory:
                 np.testing.assert_array_equal(engine.products[0],
                                               products[0])
             assert "chunk" not in engine.params
+
+
+class TestFlatDirectoryIsRefused:
+    """The flat format (``snapshot-<lsn>/`` behind a root ``CURRENT``) is
+    not read any more: opening one names the last commit that reads it
+    and changes nothing on disk."""
+
+    @pytest.mark.parametrize("layout", ["backend_key", "snapshot", "wal"])
+    def test_refused_with_the_commit_that_reads_it(self, tmp_path, layout):
+        db = tmp_path / "db"
+        db.mkdir()
+        params = {"dim": 3, "value_range": 1.0, "partitions": 32}
+        if layout == "backend_key":
+            params["backend"] = "flat"
+        elif layout == "snapshot":
+            (db / "CURRENT").write_text('{"snapshot": "snapshot-16"}')
+            (db / "snapshot-000000000016").mkdir()
+        (db / "wal.log").write_bytes(b"")
+        (db / "engine.json").write_text(json.dumps(params))
+        before = sorted(p.name for p in db.iterdir())
+        for _ in range(2):  # refusing changes nothing: it refuses again
+            with pytest.raises(DataValidationError, match="b548621"):
+                DurableDynamicRRQ(db, fsync="never")
+        assert sorted(p.name for p in db.iterdir()) == before
+
+    def test_flat_backend_is_no_longer_accepted(self, tmp_path, capsys):
+        with pytest.raises(InvalidParameterError, match="flat"):
+            DurableDynamicRRQ(tmp_path / "db", dim=3, backend="flat")
+        assert not (tmp_path / "db").exists()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", str(tmp_path / "db"), "--durable", "--dim", "3",
+                  "--storage", "flat"])
+        assert excinfo.value.code == 2
+        assert "--storage" in capsys.readouterr().err

@@ -135,7 +135,6 @@ class TestStats:
         assert isinstance(stats, KernelStats)
         assert stats.queries == 1
         assert stats.pairs_total > 0
-        assert 0.0 < stats.filter_rate() <= 1.0
         assert stats.pairs_decided == stats.pairs_case1 + stats.pairs_case2
 
     def test_snapshot_shape(self, data):
@@ -144,11 +143,44 @@ class TestStats:
         kernel.reverse_kranks(P[0], 5)
         snap = kernel.last_stats.snapshot()
         assert set(snap) == {"queries", "stage_s", "pairs",
-                             "weights_pruned", "filter_rate", "fused"}
+                             "weights_pruned", "fused"}
         assert set(snap["stage_s"]) == {"filter", "refine", "merge"}
         assert set(snap["pairs"]) == {"total", "case1", "case2",
                                       "refined", "domin_skipped", "f32"}
         assert set(snap["fused"]) == {"batches", "queries"}
+
+    @pytest.mark.parametrize("use_domin", [True, False])
+    def test_excluded_rows_are_no_case(self, use_domin):
+        """On a sweep that prunes nothing (RTK, k > |P|: every weight
+        qualifies) every classified pair is case 1, case 2 or refined,
+        and a query's excluded rows — its duplicates and, with Domin,
+        its dominators — are none of them: ``pairs_total`` is
+        ``(|P| - |excluded|) x |W|``."""
+        P = uniform_products(300, 4, seed=61)
+        W = uniform_weights(170, 4, seed=62)
+        rows = P.values
+        q = rows[np.argsort(rows.sum(axis=1))[240]]
+        # Two more copies of q: three duplicate rows in all.
+        P = type(P)(np.vstack([rows, q, q]), value_range=P.value_range)
+        rows = P.values
+        excluded = np.all(rows == q, axis=1)
+        dominators = np.all(rows < q, axis=1)
+        if use_domin:
+            excluded |= dominators
+        assert excluded.sum() >= 3 and dominators.sum() > 0
+        kernel = GirKernelRRQ(P, W, w_block=64, p_block=128,
+                              use_domin=use_domin)
+        result = kernel.reverse_topk(q, P.size + 1)
+        assert sorted(result.weights) == list(range(W.size))
+        stats, counter = kernel.last_stats, result.counter
+        assert stats.weights_pruned == 0
+        assert (stats.pairs_case1 + stats.pairs_case2 + stats.pairs_refined
+                == stats.pairs_total
+                == (P.size - int(excluded.sum())) * W.size)
+        assert stats.pairs_domin_skipped == (
+            int(dominators.sum()) * W.size if use_domin else 0)
+        assert (counter.filtered_case1, counter.filtered_case2) == (
+            stats.pairs_case1, stats.pairs_case2)
 
     def test_merge_accumulates(self, data):
         P, W = data
@@ -226,11 +258,9 @@ class TestRankIntervalCap:
 
     def test_capped_pairs_land_in_the_never_refined_bucket(self, monkeypatch):
         """``case1 + case2 + undecided + refined == pairs_total`` with
-        every term counted on its own: the profile's *undecided* is the
-        sweep's ``gap`` over the columns it dropped (limit or cap), its
-        *refined* the ``gap`` over the columns it kept."""
-        from repro.obs.profile import profile_workload
-
+        every term counted on its own: *undecided* is the sweep's
+        ``gap`` over the columns it dropped (limit or cap), *refined* the
+        ``gap`` over the columns it kept."""
         P = uniform_products(1000, 4, seed=7)
         W = uniform_weights(2000, 4, seed=8)
         kernel = GirKernelRRQ(P, W, partitions=32)
@@ -246,14 +276,16 @@ class TestRankIntervalCap:
                                 stats)
 
         monkeypatch.setattr(girkernel.KernelCore, "_exact_counts", tally)
-        report = profile_workload(kernel, [P[532]], k=10, kinds=("rkr",))
-        pairs = report["pairs"]
-        assert pairs["refined"] == gaps["kept"] <= 8
-        assert pairs["undecided"] == gaps["dropped"] > 3 * gaps["kept"]
-        assert report["weights_pruned"] == gaps["columns_dropped"]
-        assert report["pairs_total"] * 2 < self.PARENT_PAIRS_TOTAL
-        assert (pairs["case1"] + pairs["case2"] + gaps["dropped"]
-                + gaps["kept"]) == report["pairs_total"]
+        kernel.reverse_kranks(P[532], 10)
+        stats = kernel.last_stats
+        undecided = (stats.pairs_total - stats.pairs_case1
+                     - stats.pairs_case2 - stats.pairs_refined)
+        assert stats.pairs_refined == gaps["kept"] <= 8
+        assert undecided == gaps["dropped"] > 3 * gaps["kept"]
+        assert stats.weights_pruned == gaps["columns_dropped"]
+        assert stats.pairs_total * 2 < self.PARENT_PAIRS_TOTAL
+        assert (stats.pairs_case1 + stats.pairs_case2 + gaps["dropped"]
+                + gaps["kept"]) == stats.pairs_total
 
 
 class TestDominEmptiedQuery:
@@ -552,7 +584,12 @@ class TestSeededLimit:
         short = kernel.core.rkr_pairs(P[532], 10, 0, 9, unseeded,
                                       KernelStats())
         assert len(short) == 9
-        assert unseeded.points_accessed == 9 * P.size + unseeded.refined
+        # The query itself and its 26 dominators are no classified pair.
+        rows, q = P.values, P[532]
+        excluded = np.all(rows == q, axis=1) | np.all(rows < q, axis=1)
+        assert int(excluded.sum()) == 27
+        assert unseeded.points_accessed == (9 * (P.size - 27)
+                                            + unseeded.refined)
         assert unseeded.pairwise == 9 + unseeded.points_accessed
 
     def test_frugality_pin_on_the_benchmark_shape(self):
@@ -561,7 +598,8 @@ class TestSeededLimit:
         regression no timing gate on a shared box can: 33,448,464 pairs
         before the seed and the row order, 19,351,896 with them and
         262,595 of those refined; 17,612,424 and none since a tile
-        holds scores."""
+        holds scores; 15,507,867 since a query's excluded rows (itself,
+        its dominators) are no classified pair."""
         P, W = _bench_shape()
         kernel = GirKernelRRQ(P, W, partitions=32)
         order = np.argsort(P.values.sum(axis=1), kind="stable")

@@ -18,9 +18,16 @@ submodules), counted with ``site``, ``_sitebuiltins`` and
 ``_distutils_hack`` loaded; ``-S`` drops those three, so the same program
 reads 287, and the ceiling keeps the same 10-module margin.  Readings
 under ``-S``: 287 at ready and 294 after serving an RTK and an RKR; 362
-at ready on the eager facades.  Most of either count is numpy's and the
-interpreter's own, so a new toolchain may still move the ceiling;
-nothing moves the deny-list.
+at ready on the eager facades.  Since a static server maps the kernel
+arrays its index carries instead of loading the Grid-index, the reading
+at ready is still 287 (neither path is imported before the first
+``from_index_dir``) and after serving 292: the five Grid-index modules
+(``repro.core.gir``, ``.gin``, ``.grid``, ``.approx``, ``.storage``) and
+``repro.core.bitstring`` are gone, ``mmap``, ``repro.storage``,
+``repro.storage.manifest`` and ``repro.vectorized.kernelstore`` came
+in — so the ceiling stays 287 + 10.  Most of either
+count is numpy's and the interpreter's own, so a new toolchain may still
+move the ceiling; nothing moves the deny-list.
 """
 
 import json
@@ -47,6 +54,10 @@ NEVER_LOADED = (
     "repro.data.real", "repro.data.synthetic",
     "repro.service.client",
     "repro.vectorized.shard", "repro.vectorized.batch",
+    # The Grid-index: a static server maps the kernel arrays its index
+    # carries, and a durable one commits through repro.storage.manifest.
+    "repro.core.gir", "repro.core.gin", "repro.core.grid",
+    "repro.core.approx", "repro.core.storage",
     "multiprocessing", "urllib.request",
 )
 

@@ -214,7 +214,8 @@ class TestSweepOrder:
         """A store written before the swept rows existed carries the
         same array names in dataset order: served as it is, it would
         sweep unordered rows against nothing that says so.  The version
-        check refuses it and the scheduler rebuilds over it."""
+        check refuses it: the server builds over it, and the next
+        ``save_index`` writes the current format."""
         self._refused_rebuilt_resaved(tmp_path, monkeypatch, 1)
 
     def test_version_2_cache_is_refused_rebuilt_and_resaved(self, tmp_path,
@@ -230,41 +231,42 @@ class TestSweepOrder:
 
     @staticmethod
     def _refused_rebuilt_resaved(tmp_path, monkeypatch, version):
-        from repro.queries.engine import RRQEngine
-        from repro.service.scheduler import MicroBatchScheduler
+        from repro.core.gir import GridIndexRRQ
+        from repro.core.storage import save_index
+        from repro.service.server import QueryService
         from repro.vectorized import kernelstore
 
         P = uniform_products(60, 3, seed=921)
         W = uniform_weights(40, 3, seed=922)
-        engine = RRQEngine(P, W, method="gir", partitions=8)
-        old = GirKernelRRQ.from_gir(engine.algorithm)
+        gir = GridIndexRRQ(P, W, partitions=8)
+        idx = tmp_path / "idx"
         with monkeypatch.context() as patch:
             patch.setattr(kernelstore, "_FORMAT_VERSION", version)
-            save_kernel(tmp_path / "static", old)
-        meta = json.loads((tmp_path / "static" / "kernel.meta").read_text())
+            save_index(idx, gir)
+        meta = json.loads((idx / "kernel.meta").read_text())
         assert meta["version"] == version
         with pytest.raises(DataValidationError, match=f"version {version}"):
-            load_kernel(tmp_path / "static")
+            load_kernel(idx)
 
-        scheduler = MicroBatchScheduler(engine, auto_start=False,
-                                        batch_window_s=0.0,
-                                        kernel_cache_dir=str(tmp_path))
-        try:
-            rebuilt = scheduler._get_kernel()
-            assert rebuilt.core.P.flags.owndata  # built, not mapped
-            meta = json.loads(
-                (tmp_path / "static" / "kernel.meta").read_text())
-            assert meta["version"] == 4
-            assert list(meta["arrays"]) == [
-                "P", "W", "P_swept", "P_swept32", "W32"]
-            warm = scheduler._load_static_kernel()
-        finally:
-            scheduler.close()
-        assert scheduler.metrics.snapshot()["fallbacks"]["routes"] == [
-            {"from": "kernel_cache", "to": "rebuild",
-             "reason": "unreadable", "count": 1}]
-        assert warm is not None
+        with pytest.warns(RuntimeWarning, match=f"version {version}"):
+            refused = QueryService.from_index_dir(idx)
+        refused.close()
+        rebuilt = refused.engine
+        assert rebuilt.core.P.flags.owndata  # built, not mapped
+        assert refused.metrics.snapshot()["fallbacks"]["routes"] == [
+            {"from": "kernel_store", "to": "rebuild",
+             "reason": "corrupt", "count": 1}]
+
+        save_index(idx, gir)
+        meta = json.loads((idx / "kernel.meta").read_text())
+        assert meta["version"] == 4
+        assert list(meta["arrays"]) == [
+            "P", "W", "P_swept", "P_swept32", "W32"]
+        warm = QueryService.from_index_dir(idx)
+        warm.close()
+        assert warm.metrics.snapshot()["fallbacks"]["total"] == 0
+        assert not warm.engine.core.P.flags.owndata  # mapped
         q = P[7]
-        assert (warm.reverse_kranks(q, 5).entries
+        assert (warm.engine.reverse_kranks(q, 5).entries
                 == rebuilt.reverse_kranks(q, 5).entries
-                == engine.reverse_kranks(q, 5).entries)
+                == gir.reverse_kranks(q, 5).entries)

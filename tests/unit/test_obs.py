@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import InvalidParameterError
 from repro.obs.prom import (
-    FILTER_RATE_BUCKETS,
     LATENCY_BUCKETS_S,
     Exposition,
     Histogram,
@@ -224,7 +223,6 @@ class TestHistogram:
 
     def test_default_bucket_tuples_valid(self):
         Histogram(LATENCY_BUCKETS_S)
-        Histogram(FILTER_RATE_BUCKETS)
 
 
 class TestExposition:

@@ -30,7 +30,6 @@ KERNEL_STATS = {
     "pairs": {"total": 100, "case1": 60, "case2": 30, "refined": 10,
               "domin_skipped": 5},
     "weights_pruned": 2,
-    "filter_rate": 0.9,
 }
 
 
@@ -111,8 +110,7 @@ class TestSnapshotIsolation:
             kind = "rtk" if i % 2 == 0 else "rkr"
             while not stop.is_set():
                 metrics.record_request(kind, 0.001, cache_hit=(i % 3 == 0))
-                metrics.record_kernel(dict(KERNEL_STATS),
-                                      trace_id=f"w{i}")
+                metrics.record_kernel(dict(KERNEL_STATS))
                 metrics.record_batch(4)
                 metrics.record_mutation("insert_product")
 
@@ -159,7 +157,7 @@ class TestSnapshotIsolation:
         def writer():
             while not stop.is_set():
                 metrics.record_request("rtk", 0.002, trace_id="hot")
-                metrics.record_kernel(dict(KERNEL_STATS), trace_id="hot")
+                metrics.record_kernel(dict(KERNEL_STATS))
 
         threads = [threading.Thread(target=writer) for _ in range(4)]
         for t in threads:
@@ -179,7 +177,7 @@ class TestPrometheusRendering:
         metrics.record_request("rtk", 0.003, trace_id="abc123")
         metrics.record_request("rkr", 0.004)
         metrics.record_rejection(overload=True)
-        metrics.record_kernel(dict(KERNEL_STATS), trace_id="abc123")
+        metrics.record_kernel(dict(KERNEL_STATS))
         metrics.record_batch(3)
         metrics.record_mutation("compact")
         text = metrics.prometheus(

@@ -157,7 +157,6 @@ class TestKernelPath:
         kernel = scheduler.metrics.snapshot()["kernel"]
         assert kernel["queries"] == 4
         assert kernel["pairs"]["total"] + kernel["pairs"]["domin_skipped"] > 0
-        assert 0.0 <= kernel["filter_rate"] <= 1.0
         assert kernel["stage_s"]["filter"] >= 0.0
 
     def test_coalesced_batch_dispatches_fused(self, engine):
@@ -269,7 +268,7 @@ class TestKernelPath:
     def test_use_kernel_false_answers_per_query(self, engine):
         """No knob selects the per-query route any more: a coalesced
         batch lands there when its sweep raises, as one counted
-        hand-over, answered by the engine itself."""
+        hand-over, answered by the reference scan."""
         from repro.resilience.faults import inject
 
         scheduler = make_scheduler(
@@ -290,7 +289,7 @@ class TestKernelPath:
         snap = scheduler.metrics.snapshot()
         assert snap["kernel"]["queries"] == 0
         assert snap["fallbacks"]["routes"] == [
-            {"from": "kernel", "to": "engine", "reason": "kernel_error",
+            {"from": "kernel", "to": "reference_scan", "reason": "kernel_error",
              "count": 1}]
 
     def test_kernel_and_per_query_payloads_identical(self, engine):
@@ -382,7 +381,7 @@ class TestDeclaredFallback:
                         canonical_json(encode_result(result, kind)))
                     spans = {s["name"]: s for s in
                              tracer.get(root.trace_id)["spans"][0]["children"]}
-                    notes = spans["engine.query"]["annotations"]
+                    notes = spans["reference_scan.query"]["annotations"]
                     assert notes["fallback_reason"] == "kernel_error"
                     assert "tile sweep exploded" in notes["fallback_error"]
             finally:
@@ -393,13 +392,13 @@ class TestDeclaredFallback:
         assert snap["batches"]["total"] == len(requests)
         assert snap["fallbacks"] == {
             "total": len(requests),
-            "routes": [{"from": "kernel", "to": "engine",
+            "routes": [{"from": "kernel", "to": "reference_scan",
                         "reason": "kernel_error",
                         "count": len(requests)}],
         }
         assert snap["kernel"]["queries"] == 0
         text = scheduler.metrics.prometheus()
-        assert ('rrq_fallback_total{from="kernel",to="engine",'
+        assert ('rrq_fallback_total{from="kernel",to="reference_scan",'
                 f'reason="kernel_error"}} {len(requests)}') in text
 
     def test_failed_build_is_counted_per_batch_and_retried_on_change(
@@ -417,7 +416,7 @@ class TestDeclaredFallback:
             attempts.append(1)
             raise MemoryError("no room for the score tiles")
 
-        monkeypatch.setattr(GirKernelRRQ, "from_gir", no_room)
+        monkeypatch.setattr(GirKernelRRQ, "__init__", no_room)
         scheduler = make_scheduler(engine, batch_window_s=0.0)
         scheduler.start()
         try:
@@ -430,7 +429,7 @@ class TestDeclaredFallback:
         assert all(answer.weights == expected for answer in answers)
         snap = scheduler.metrics.snapshot()
         assert snap["fallbacks"]["routes"] == [
-            {"from": "kernel", "to": "engine",
+            {"from": "kernel", "to": "reference_scan",
              "reason": "kernel_build_error", "count": 3}]
         assert snap["kernel"]["queries"] == 0
 
@@ -794,7 +793,7 @@ class TestSnapshotBatchPath:
         assert swept.entries == pinned_naive(durable)[1](q, 4)
         snap = scheduler.metrics.snapshot()
         assert snap["fallbacks"]["routes"] == [
-            {"from": "kernel", "to": "snapshot",
+            {"from": "kernel", "to": "reference_scan",
              "reason": "kernel_build_error", "count": 2}]
         assert snap["kernel"]["queries"] == 1
 
@@ -905,7 +904,7 @@ class TestSnapshotFallback:
                             encode_result(result, key[1]))
                         (span,) = tracer.get(
                             root.trace_id)["spans"][0]["children"][1:]
-                        assert span["name"] == "snapshot.query"
+                        assert span["name"] == "reference_scan.query"
                         assert (span["annotations"]["fallback_reason"]
                                 == "kernel_error")
                 finally:
@@ -916,7 +915,7 @@ class TestSnapshotFallback:
         snap = scheduler.metrics.snapshot()
         assert snap["batches"]["total"] == 3
         assert snap["fallbacks"]["routes"] == [
-            {"from": "kernel", "to": "snapshot", "reason": "kernel_error",
+            {"from": "kernel", "to": "reference_scan", "reason": "kernel_error",
              "count": 3}]
         assert snap["kernel"]["queries"] == 0
 
@@ -965,124 +964,3 @@ class TestRawStoreServing:
             assert snap["fallbacks"]["total"] == 0
         finally:
             service.close()
-
-
-class TestKernelCache:
-    """``<cache>/static`` is accepted on what determines its answers and
-    its work — format, ``P`` / ``W`` bytes, ``use_domin`` — and a store
-    that is there and refused is rebuilt and counted, once."""
-
-    @staticmethod
-    def _data():
-        from repro.data.synthetic import uniform_products, uniform_weights
-
-        return (uniform_products(60, 3, seed=921),
-                uniform_weights(40, 3, seed=922))
-
-    @staticmethod
-    def _cache_fallbacks(scheduler):
-        return [route for route
-                in scheduler.metrics.snapshot()["fallbacks"]["routes"]
-                if route["from"] == "kernel_cache"]
-
-    def _warm(self, tmp_path, engine):
-        scheduler = make_scheduler(engine, batch_window_s=0.0,
-                                   kernel_cache_dir=str(tmp_path))
-        kernel = scheduler._get_kernel()  # cold start: builds + persists
-        scheduler.close()
-        assert self._cache_fallbacks(scheduler) == []
-        return kernel
-
-    @pytest.mark.parametrize("moved", ["weights", "use_domin"])
-    def test_stale_cache_refused_and_counted(self, tmp_path, moved):
-        """Another engine's kernel is refused, rebuilt over, and counted
-        once."""
-        from repro.data.synthetic import uniform_weights
-
-        P, W = self._data()
-        self._warm(tmp_path, RRQEngine(P, W, method="gir"))
-        if moved == "weights":
-            other = RRQEngine(P, uniform_weights(40, 3, seed=923),
-                              method="gir")
-        else:
-            other = RRQEngine(P, W, method="gir", use_domin=False)
-        scheduler = make_scheduler(other, batch_window_s=0.0,
-                                   kernel_cache_dir=str(tmp_path))
-        scheduler.start()
-        try:
-            answer = scheduler.answer(P[7], "rkr", 5)
-            scheduler.answer(P[8], "rkr", 5)
-        finally:
-            scheduler.close()
-        assert answer.entries == other.reverse_kranks(P[7], 5).entries
-        kernel = scheduler._get_kernel()
-        assert kernel.use_domin == other.algorithm.use_domin
-        assert kernel.W.tobytes() == other.weights.values.tobytes()
-        assert self._cache_fallbacks(scheduler) == [
-            {"from": "kernel_cache", "to": "rebuild", "reason": "stale",
-             "count": 1}]
-        assert ('rrq_fallback_total{from="kernel_cache",to="rebuild",'
-                'reason="stale"} 1') in scheduler.metrics.prometheus()
-        # The rebuilt store replaced the refused one: the same engine
-        # warm-starts from it, and nothing is counted.
-        again = make_scheduler(other, batch_window_s=0.0,
-                               kernel_cache_dir=str(tmp_path))
-        warm = again._get_kernel()
-        again.close()
-        assert not warm.core.P.flags.owndata  # mapped, not built
-        assert self._cache_fallbacks(again) == []
-
-    def test_unwritable_cache_is_counted(self, tmp_path):
-        P, W = self._data()
-        engine = RRQEngine(P, W, method="gir")
-        (tmp_path / "cache").write_text("a file where the directory goes")
-        scheduler = make_scheduler(engine, batch_window_s=0.0,
-                                   kernel_cache_dir=str(tmp_path / "cache"))
-        scheduler.start()
-        try:
-            answer = scheduler.answer(P[7], "rtk", 5)
-        finally:
-            scheduler.close()
-        assert answer.weights == engine.reverse_topk(P[7], 5).weights
-        assert self._cache_fallbacks(scheduler) == [
-            {"from": "kernel_cache", "to": "rebuild",
-             "reason": "unwritable", "count": 1}]
-
-    def test_leftover_tuner_files_are_ignored(self, tmp_path):
-        """A cache an older version tuned holds ``tuned.json`` and
-        ``cfg-<digest>/`` beside ``static/``; only ``static/`` is read."""
-        import json
-
-        from repro.algorithms.naive import NaiveRRQ
-        from repro.service.server import (
-            QueryService,
-            ServiceConfig,
-            canonical_json,
-            encode_result,
-        )
-
-        P, W = self._data()
-        engine = RRQEngine(P, W, method="gir")
-        (tmp_path / "tuned.json").write_text(
-            json.dumps({"digest": "ab" * 32, "config": {"partitions": 64}}))
-        leftover = tmp_path / "cfg-abababababab"
-        leftover.mkdir()
-        (leftover / "kernel.meta").write_text("{not a store")
-        naive = NaiveRRQ(P, W)
-        for life in range(2):  # cold (builds static/), then warm (maps it)
-            service = QueryService(engine, config=ServiceConfig(
-                batch_window_s=0.0, kernel_cache_dir=str(tmp_path)))
-            try:
-                for kind, expect in (("rtk", naive.reverse_topk),
-                                     ("rkr", naive.reverse_kranks)):
-                    for i in (3, 7, 21):
-                        served = service.query(product=i, kind=kind, k=5)
-                        assert canonical_json(served) == canonical_json(
-                            encode_result(expect(P[i], 5), kind))
-                kernel = service.scheduler._get_kernel()
-                assert kernel.core.P.flags.owndata == (life == 0)
-                assert service.metrics_snapshot()["fallbacks"]["total"] == 0
-            finally:
-                service.close()
-        assert sorted(f.name for f in tmp_path.iterdir()) == [
-            "cfg-abababababab", "static", "tuned.json"]

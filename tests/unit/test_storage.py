@@ -117,6 +117,7 @@ class TestManifest:
         assert report["manifest"] == "ok"
         assert set(report["artifacts"]) == {
             "products.rrq", "weights.rrq", "pa.rrqa", "wa.rrqa", "grid.meta",
+            "kernel.bin", "kernel.meta",
         }
         assert all(v == "ok" for v in report["artifacts"].values())
 
