@@ -394,12 +394,21 @@ def _cmd_info(args: argparse.Namespace) -> int:
            for name in ("wal.log", "CURRENT", "engine.json")):
         return _durability_info(path)
     report = index_size_report(args.index)
+    present = {name for name in report if (path / name).exists()}
+    # What `generate` writes and `serve` accepts: no index to verify.
+    raw_data = present == {"products.rrq", "weights.rrq"}
+    if raw_data:
+        print(f"{'contents':18s} raw data, no index "
+              "('repro-rrq build' writes one)")
     for name, size in report.items():
         if name == "approx_over_raw":
-            print(f"{name:18s} {size:.3%}")
-        else:
+            if not raw_data:
+                print(f"{name:18s} {size:.3%}")
+        elif name in present:
             print(f"{name:18s} {size:>12,} bytes")
     _kernel_store_info(path)
+    if raw_data:
+        return 0
     integrity = verify_index(args.index)
     if integrity["ok"]:
         print("integrity          ok")

@@ -7,8 +7,8 @@ scheduler coalesces concurrent requests into shared BLAS sweeps
 rejections (:mod:`.limits`), and live qps/latency/batch/cache counters
 feed ``GET /metrics`` (:mod:`.metrics`) — as JSON or, with
 ``?format=prometheus``, as Prometheus text exposition with trace-id
-exemplars.  :mod:`.server` wires it all behind a stdlib JSON/HTTP
-frontend and :mod:`.client` talks to it.
+exemplars.  :mod:`.server` wires it all behind a JSON/HTTP frontend
+on its own request layer (:mod:`.httpd`) and :mod:`.client` talks to it.
 
 Observability (:mod:`repro.obs`): every HTTP request runs under a trace
 (``X-Trace-Id`` in/out) whose span tree — ingress, scheduler dispatch,

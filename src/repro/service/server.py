@@ -6,8 +6,9 @@ Two layers, deliberately separable:
   micro-batch scheduler, the LRU answer cache, admission limits, and
   metrics.  Embed it directly when the caller is Python (the benchmark
   harness does exactly this to measure scheduling without socket noise).
-* :class:`ReverseRankHTTPServer` — a stdlib ``ThreadingHTTPServer``
-  exposing the service as a JSON API:
+* :class:`ReverseRankHTTPServer` — a thread-per-connection server on
+  the request layer of :mod:`.httpd`, exposing the service as a JSON
+  API:
 
   =========  ==========  ===========================================
   method     path        body / answer
@@ -46,7 +47,6 @@ import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from time import perf_counter, process_time
 from typing import Iterator, Optional, Union
@@ -81,6 +81,7 @@ from ..resilience.breaker import (
 )
 from ..resilience.faults import fire
 from .cache import DEFAULT_CAPACITY, ResultCache, bind_dynamic, make_key
+from .httpd import HTTPServer, RequestHandler
 from .limits import ServiceLimits, http_status, rejection_body
 from .metrics import ServiceMetrics
 from .scheduler import DEFAULT_BATCH_WINDOW_S, MicroBatchScheduler
@@ -755,7 +756,7 @@ class DurableQueryService(QueryService):
         self.engine.close()
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+class _RequestHandler(RequestHandler):
     """Routes the endpoints; bodies are canonical JSON (or Prometheus text).
 
     Every ``/query`` and mutation request runs under a root trace span:
@@ -764,30 +765,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
     ``X-Trace-Id`` — never inside the JSON body, which stays byte-exact
     across execution paths.
     """
-
-    server_version = "repro-rrq"
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
-
-    def handle_one_request(self) -> None:
-        """Counted idle from before the read of the next request line
-        blocks until the request is read (:meth:`do_GET`, the body in
-        :meth:`do_POST`) or the wait ends without one: EOF, a socket
-        timeout, a line that does not parse."""
-        self._idle = True
-        self.server.track_idle(+1)
-        try:
-            super().handle_one_request()
-        finally:
-            self._wake()
-
-    def _wake(self) -> None:
-        if self._idle:
-            self._idle = False
-            self.server.track_idle(-1)
 
     @property
     def service(self) -> QueryService:
@@ -830,7 +807,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         return int(raw) if raw is not None else None
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._wake()
         parsed = urlsplit(self.path)
         if parsed.path == "/healthz":
             self._send_json(200, self.service.healthz())
@@ -899,10 +875,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         ) as root:
             root.annotate("path", path)
             try:
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length)
-                self._wake()  # a body still on its way is worth waiting for
-                payload = json.loads(raw or b"{}")
+                payload = json.loads(self.body or b"{}")
                 if not isinstance(payload, dict):
                     raise InvalidParameterError(
                         "request body must be an object"
@@ -931,14 +904,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, body, trace_id=root.trace_id)
 
 
-class ReverseRankHTTPServer(ThreadingHTTPServer):
+class ReverseRankHTTPServer(HTTPServer):
     """One thread per connection over a shared :class:`QueryService`."""
 
-    daemon_threads = True
-    allow_reuse_address = True
-    #: Listen backlog. The stdlib default (5) resets connections under a
-    #: modest concurrent burst — exactly the workload micro-batching wants.
-    request_queue_size = 128
     handler_class = _RequestHandler
 
     def __init__(self, address, service: QueryService, verbose: bool = False):
@@ -949,28 +917,18 @@ class ReverseRankHTTPServer(ThreadingHTTPServer):
                         "modules_loaded": len(sys.modules)}
         self.service = service
         self.verbose = verbose
-        self._idle = 0
-        self._idle_lock = threading.Lock()
         # The scheduler closes a coalescing window early once no
         # connection is left to wait for; a ClusterService has none.
         scheduler = getattr(service, "scheduler", None)
         if scheduler is not None:
             scheduler.idle_connections = self.idle_connections
 
-    def track_idle(self, delta: int) -> None:
-        with self._idle_lock:
-            self._idle += delta
-
-    def idle_connections(self) -> int:
-        """Connections whose handler is waiting for a request."""
-        return self._idle
-
     def idle_exposition(self) -> str:
         """The HTTP layer's own line of a Prometheus scrape."""
         exp = Exposition()
         exp.gauge("rrq_http_idle_connections",
                   "Open connections waiting for their next request.",
-                  self._idle)
+                  self.idle_connections())
         return exp.render()
 
     @property

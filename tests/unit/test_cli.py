@@ -65,6 +65,21 @@ class TestBuildAndInfo:
         assert re.search(r"^serve start +kernel built from products\.rrq",
                          out, re.M)
 
+    def test_info_on_raw_data_is_not_damage(self, data_dir, capsys):
+        """A ``generate`` output is what ``serve`` accepts as raw data:
+        ``info`` says so, sizes what is there and exits 0."""
+        assert main(["info", str(data_dir)]) == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^contents +raw data, no index", out, re.M)
+        assert re.search(r"^products\.rrq +[1-9][\d,]* bytes$", out, re.M)
+        assert re.search(r"^weights\.rrq +[1-9][\d,]* bytes$", out, re.M)
+        assert re.search(r"^serve start +kernel built from products\.rrq",
+                         out, re.M)
+        for absent in ("pa.rrqa", "wa.rrqa", "grid.meta", "kernel.bin",
+                       "MANIFEST.json", "approx_over_raw", "integrity"):
+            assert not re.search(rf"^{re.escape(absent)} ", out, re.M)
+        assert "DAMAGED" not in out
+
 
 class TestQuery:
     def test_rtk_on_index(self, data_dir, tmp_path, capsys):
