@@ -257,7 +257,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                 if args.deadline_ms > 0 else None),
             max_batch=args.max_batch,
         ),
-        fallback=not args.no_fallback,
         slow_query_threshold_s=(args.slow_ms / 1000.0
                                 if args.slow_ms > 0 else None),
         trace_export_path=args.trace_export,
@@ -740,9 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission queue depth before 429s")
     serve.add_argument("--deadline-ms", type=float, default=10_000.0,
                        help="default per-request deadline (0 disables)")
-    serve.add_argument("--no-fallback", action="store_true",
-                       help="disable degraded-mode fallback to the exact "
-                            "naive scan on engine failure")
     serve.add_argument("--slow-ms", type=float, default=250.0,
                        help="slow-query log threshold in ms (0 disables)")
     serve.add_argument("--trace-export", default=None, metavar="FILE",

@@ -7,9 +7,9 @@ Two halves:
   points; chaos tests (``tests/chaos/``) arm :class:`FaultPlan`\\ s
   against them and assert the paper's exactness guarantee survives every
   injected failure.
-* :mod:`.breaker` — the :class:`CircuitBreaker` the service layer uses
-  to fall back from the Grid-index engine to the exact naive scan
-  instead of failing requests (degraded-but-exact).
+* :mod:`.breaker` — the :class:`CircuitBreaker` the cluster coordinator
+  keeps per shard, so a failing shard's slice is answered by its exact
+  degraded-shard fallback instead of failing requests.
 
 See ``docs/operations.md`` for the operational story.
 """

@@ -1,11 +1,13 @@
-"""A classic three-state circuit breaker for the serving layer.
+"""A classic three-state circuit breaker, one per cluster shard.
 
-The :class:`~repro.service.server.QueryService` wraps every trip through
-the primary engine in one of these.  Repeated engine failures open the
-circuit; while open, requests route straight to the exact naive fallback
-(degraded-but-exact — see ``docs/operations.md``) without paying for a
-doomed engine call.  After ``reset_after_s`` one probe request is let
-through (*half-open*); its outcome closes or re-opens the circuit.
+The :class:`~repro.cluster.coordinator.ClusterCoordinator` wraps every
+sub-request to a shard in one of these.  Repeated shard failures open
+the circuit; while open, that shard's slice routes straight to the
+coordinator's exact degraded-shard fallback (see ``docs/operations.md``)
+without paying for a doomed call.  After ``reset_after_s`` one probe
+request is let through (*half-open*); its outcome closes or re-opens
+the circuit.  A single node has no breaker: its one degraded route is
+the scheduler's counted reference scan.
 
 States
 ------

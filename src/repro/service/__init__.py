@@ -27,12 +27,13 @@ Quick start::
 
 Everything is stdlib + numpy; there is nothing to install.
 
-Resilience: the service degrades instead of dying.  Engine failures trip
-a circuit breaker (:mod:`repro.resilience.breaker`) and answers fall back
-to the exact naive scan with ``"degraded": true``; shutdown drains the
-queue with structured 503s; the client retries 429/503/transport failures
-with jittered exponential backoff under a total deadline.  See
-``docs/operations.md``.
+Resilience: the service degrades instead of dying.  A kernel that fails
+to build or to answer hands its batch to the scheduler's one declared
+fallback, the exact reference scan — counted in ``rrq_fallback_total``
+and shown as ``degraded`` on ``/healthz`` until the kernel answers again;
+shutdown drains the queue with structured 503s; the client retries
+429/503/transport failures with jittered exponential backoff under a
+total deadline.  See ``docs/operations.md``.
 
 Durability: :class:`.server.DurableQueryService` serves a write-ahead-
 logged dynamic engine (:mod:`repro.durability`), adding mutation

@@ -120,10 +120,9 @@ class Deadline:
 def http_status(exc: BaseException) -> int:
     """The HTTP status code a rejection/error maps to.
 
-    429 for overload, 503 for unavailability (shutdown drain, engine down
-    with no fallback), 504 for deadline expiry, 409 for a mutation sent
-    to a standby, 400 for any other library (caller) error, 500
-    otherwise.
+    429 for overload, 503 for unavailability (shutdown drain), 504 for
+    deadline expiry, 409 for a mutation sent to a standby, 400 for any
+    other library (caller) error, 500 otherwise.
     """
     if isinstance(exc, NotPrimaryError):
         return 409

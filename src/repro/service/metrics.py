@@ -93,7 +93,8 @@ class ServiceMetrics:
                        cache_hit: bool = False,
                        degraded: bool = False,
                        trace_id: Optional[str] = None) -> None:
-        """One successfully answered request (``degraded`` = via fallback).
+        """One successfully answered request (``degraded``: flagged by the
+        cluster coordinator's degraded-shard fallback).
 
         ``trace_id`` (when the request was traced) becomes the exemplar
         on the latency-histogram bucket this observation lands in.
@@ -354,7 +355,7 @@ class ServiceMetrics:
                     "Requests answered from the LRU result cache.",
                     cache_hits)
         exp.counter("rrq_degraded_responses_total",
-                    "Responses served by the degraded fallback path.",
+                    "Responses flagged degraded by a shard fallback.",
                     degraded)
         exp.histogram("rrq_request_latency_seconds",
                       "Service-side request latency; bucket exemplars "

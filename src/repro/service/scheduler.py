@@ -24,8 +24,11 @@ There are two answer routes and no others:
   kernel sweeps (the static engine's ``P`` / ``W``, or the pinned
   snapshot's live rows).  Every fallback is counted
   (``rrq_fallback_total{from="kernel",to="reference_scan",reason}``)
-  and annotated on the request spans (``fallback_reason``) — a broken
-  kernel never looks like a healthy slow service.
+  and annotated on the request spans (``fallback_reason``), and the
+  reason stays on :attr:`MicroBatchScheduler.fallback_reason` (so on
+  ``/healthz``) until a batch is next answered by the kernel — a broken
+  kernel never looks like a healthy slow service.  It is the node's
+  only degraded route.
 
 Both routes are byte-identical to
 :class:`~repro.algorithms.naive.NaiveRRQ` (the property and integration
@@ -42,7 +45,7 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as _FutureTimeoutError
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
@@ -120,6 +123,16 @@ def _reference_scan(engine, snap):
     naive = NaiveRRQ(ProductSet(p_rows, value_range=snap.value_range),
                      WeightSet(w_rows))
     return SnapshotKernel(naive, w_gids, snap.generation)
+
+
+def _fail(pending: _Pending, exc: Exception) -> bool:
+    """Resolve a request the dispatcher has not swept with ``exc``;
+    ``False`` when its waiter gave up first (and counted that)."""
+    try:
+        pending.future.set_exception(exc)
+    except InvalidStateError:  # cancelled by ``answer`` on its deadline
+        return False
+    return True
 
 
 def _describe(sp, pending: _Pending, batch_size: int, snap, fallback) -> None:
@@ -202,6 +215,10 @@ class MicroBatchScheduler:
         #: ``(store generation or None, error)`` of the last failed kernel
         #: build; see :meth:`_sweep`.
         self._build_failure = None
+        #: Why the last batch fell back to the reference scan
+        #: (``kernel_error`` / ``kernel_build_error``); ``None`` once a
+        #: batch is answered by the kernel again.
+        self.fallback_reason: Optional[str] = None
         self._queue: "queue.Queue[_Pending]" = queue.Queue(
             maxsize=self.limits.max_queue_depth
         )
@@ -250,12 +267,9 @@ class MicroBatchScheduler:
                 pending = self._queue.get_nowait()
             except queue.Empty:
                 break
-            self.metrics.record_unavailable()
-            pending.future.set_exception(
-                ServiceUnavailableError(
-                    "service shut down before the request was dispatched"
-                )
-            )
+            if _fail(pending, ServiceUnavailableError(
+                    "service shut down before the request was dispatched")):
+                self.metrics.record_unavailable()
 
     def __enter__(self) -> "MicroBatchScheduler":
         self.start()
@@ -312,11 +326,19 @@ class MicroBatchScheduler:
 
     def answer(self, q, kind: str, k: int,
                deadline_s: Optional[float] = None):
-        """Submit and block until the result (or rejection) is available."""
+        """Submit and block until the result (or rejection) is available.
+
+        An expiry is counted once.  Cancelling the future claims a
+        request the dispatcher has not reached yet (it then skips it); a
+        future already resolved carries the dispatcher's own verdict; one
+        still being swept is this waiter's to count.
+        """
         pending = self._admit(q, kind, k, deadline_s)
         try:  # one deadline: the dispatcher's expiry check reads the same
             return pending.future.result(timeout=pending.deadline.remaining())
         except (TimeoutError, _FutureTimeoutError):
+            if not pending.future.cancel() and pending.future.done():
+                return pending.future.result()
             self.metrics.record_rejection(overload=False)
             raise DeadlineExceededError(
                 "request deadline exceeded while waiting for dispatch"
@@ -359,15 +381,12 @@ class MicroBatchScheduler:
     def _dispatch(self, batch: List[_Pending], closed: str) -> None:
         live = []
         for pending in batch:
-            if pending.deadline.expired():
+            if not pending.deadline.expired():
+                if pending.future.set_running_or_notify_cancel():
+                    live.append(pending)
+            elif _fail(pending, DeadlineExceededError(
+                    "request deadline exceeded before dispatch")):
                 self.metrics.record_rejection(overload=False)
-                pending.future.set_exception(
-                    DeadlineExceededError(
-                        "request deadline exceeded before dispatch"
-                    )
-                )
-            else:
-                live.append(pending)
         if not live:
             return
         counter = OpCounter()
@@ -412,8 +431,10 @@ class MicroBatchScheduler:
             if swept is not None and single and swept[1]:
                 spans[0].annotate("kernel_stats", swept[1][0])
         if swept is None:
+            self.fallback_reason = fallback[0]
             self._answer_per_query(live, snap, counter, fallback)
             return
+        self.fallback_reason = None
         results, sweeps = swept
         for stats in sweeps:
             self.metrics.record_kernel(stats)

@@ -46,7 +46,7 @@ import sys
 import threading
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, process_time
 from typing import Iterator, Optional, Union
@@ -57,8 +57,6 @@ from ..errors import (
     InvalidParameterError,
     NotPrimaryError,
     ReproError,
-    ServiceError,
-    ServiceUnavailableError,
 )
 from ..obs.prom import Exposition
 from ..obs.slowlog import (
@@ -74,11 +72,6 @@ from ..obs.trace import (
     span,
 )
 from ..queries.types import RKRResult, RTKResult
-from ..resilience.breaker import (
-    DEFAULT_FAILURE_THRESHOLD,
-    DEFAULT_RESET_AFTER_S,
-    CircuitBreaker,
-)
 from ..resilience.faults import fire
 from .cache import DEFAULT_CAPACITY, ResultCache, bind_dynamic, make_key
 from .httpd import HTTPServer, RequestHandler
@@ -93,13 +86,6 @@ PathLike = Union[str, Path]
 class ServiceConfig:
     """Every serving knob in one place (the CLI maps flags onto this).
 
-    ``fallback`` enables graceful degradation: when the primary engine
-    fails (or its circuit breaker is open) requests are answered by the
-    exact naive scan instead — slower, still byte-exact — and carry
-    ``"degraded": true``.  ``breaker_threshold`` consecutive engine
-    failures open the circuit; after ``breaker_reset_s`` one probe
-    request tries the primary again (self-healing).
-
     The observability knobs: ``trace_capacity`` bounds the in-memory
     ring behind ``GET /traces`` (``trace_export_path`` additionally
     appends finished traces as JSON lines); requests at or above
@@ -111,9 +97,6 @@ class ServiceConfig:
     batch_window_s: float = DEFAULT_BATCH_WINDOW_S
     cache_capacity: int = DEFAULT_CAPACITY
     limits: ServiceLimits = field(default_factory=ServiceLimits)
-    fallback: bool = True
-    breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD
-    breaker_reset_s: float = DEFAULT_RESET_AFTER_S
     trace_capacity: int = DEFAULT_TRACE_CAPACITY
     trace_export_path: Optional[str] = None
     slow_query_threshold_s: Optional[float] = DEFAULT_SLOW_THRESHOLD_S
@@ -184,12 +167,6 @@ class QueryService:
             limits=self.config.limits,
             metrics=self.metrics,
         )
-        self.breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            reset_after_s=self.config.breaker_reset_s,
-        )
-        self._fallback_engine = None
-        self._fallback_lock = threading.Lock()
         self._dim = engine.products.dim
 
     # ------------------------------------------------------------------
@@ -298,20 +275,8 @@ class QueryService:
             vector = self.engine.products[int(product)]
         return check_query_point(vector, self._dim)
 
-    def _fallback(self):
-        """The exact naive fallback engine (lazily built), or ``None``."""
-        if not self.config.fallback:
-            return None
-        with self._fallback_lock:
-            if self._fallback_engine is None:
-                from ..algorithms.naive import NaiveRRQ
-
-                self._fallback_engine = NaiveRRQ(self.engine.products,
-                                                 self.engine.weights)
-            return self._fallback_engine
-
-    def _finish(self, kind: str, k: int, start: float, *,
-                cache_hit: bool = False, degraded: bool = False) -> None:
+    def _finish(self, kind: str, k: int, start: float,
+                cache_hit: bool) -> None:
         """Close out one answered request: metrics, exemplar, slow log.
 
         The active trace id (if any) becomes the latency-histogram
@@ -321,7 +286,6 @@ class QueryService:
         """
         latency_s = perf_counter() - start
         self.metrics.record_request(kind, latency_s, cache_hit=cache_hit,
-                                    degraded=degraded,
                                     trace_id=current_trace_id())
         if not self.slowlog.should_log(latency_s):
             return
@@ -330,7 +294,6 @@ class QueryService:
             "k": int(k),
             "latency_s": latency_s,
             "cache_hit": cache_hit,
-            "degraded": degraded,
         }
         ctx = current()
         if ctx is not None:
@@ -348,11 +311,11 @@ class QueryService:
         """Answer one request; returns the JSON-ready answer dict.
 
         Raises :class:`ServiceOverloadError` / :class:`DeadlineExceededError`
-        under load and :class:`InvalidParameterError` for caller mistakes.
-        Engine failures trip the circuit breaker and are answered by the
-        exact naive fallback (``"degraded": true`` in the response) when
-        one is configured; with fallback disabled they surface as
-        :class:`ServiceUnavailableError` (HTTP 503).
+        under load and :class:`InvalidParameterError` for caller mistakes;
+        any other failure propagates as it is (the HTTP frontend maps it
+        to a status and counts a 5xx once).  A kernel that fails to build
+        or to answer never reaches here: the scheduler answers that batch
+        by its counted reference scan, byte-identical.
         Treat the returned dict as read-only: cache hits share it.
 
         When a trace is active (the HTTP frontend opens one per request)
@@ -367,23 +330,25 @@ class QueryService:
             raise InvalidParameterError("kind must be 'rtk' or 'rkr'")
         if int(k) <= 0:
             raise InvalidParameterError("k must be positive")
+        if deadline_s is not None and deadline_s < 0:  # cached or not
+            raise InvalidParameterError("deadline seconds must be >= 0")
         # The span closes (joining the trace) before _finish runs, so a
         # slow-query record sees the full service/scheduler span tree.
         with span("service.query") as sp:
             sp.annotate("kind", kind)
             sp.annotate("k", int(k))
-            encoded, cache_hit, degraded = self._answer(
+            encoded, cache_hit = self._answer(
                 sp, vector, product, kind, int(k), deadline_s
             )
-        self._finish(kind, k, start, cache_hit=cache_hit, degraded=degraded)
+        self._finish(kind, k, start, cache_hit)
         return encoded
 
     def _answer(self, sp, vector, product, kind: str, k: int,
                 deadline_s: Optional[float]):
-        """The cache/scheduler/fallback pipeline behind :meth:`query`.
+        """The cache/scheduler pipeline behind :meth:`query`.
 
-        Returns ``(encoded_answer, cache_hit, degraded)``; runs inside
-        the ``service.query`` span (``sp``).
+        Returns ``(encoded_answer, cache_hit)``; runs inside the
+        ``service.query`` span (``sp``).
         """
         q_arr = self.resolve_query_point(vector, product)
         key = make_key(q_arr, kind, k, self.method)
@@ -395,42 +360,11 @@ class QueryService:
         cached = self.cache.get(key)
         if cached is not None:
             sp.annotate("cache_hit", True)
-            return cached, True, False
-        primary_error: Optional[Exception] = None
-        if self.breaker.allow():
-            try:
-                result = self.scheduler.answer(q_arr, kind, k, deadline_s)
-            except ServiceError:
-                # Load shedding (overload/deadline/shutdown) is not an
-                # engine failure; don't trip the breaker or degrade.
-                raise
-            except Exception as exc:
-                self.breaker.record_failure()
-                self.metrics.record_error()
-                primary_error = exc
-            else:
-                self.breaker.record_success()
-                encoded = encode_result(result, kind)
-                self.cache.put(key, encoded, generation=generation)
-                return encoded, False, False
-        # Degraded path: breaker open (or the primary just failed) —
-        # answer exactly via the naive scan rather than failing.
-        fallback = self._fallback()
-        if fallback is None:
-            if primary_error is not None:
-                raise primary_error
-            raise ServiceUnavailableError(
-                "engine unavailable (circuit open) and fallback disabled"
-            )
-        sp.annotate("fallback", True)
-        if kind == "rtk":
-            result = fallback.reverse_topk(q_arr, k)
-        else:
-            result = fallback.reverse_kranks(q_arr, k)
+            return cached, True
+        result = self.scheduler.answer(q_arr, kind, k, deadline_s)
         encoded = encode_result(result, kind)
-        encoded["degraded"] = True
-        # Not cached: a healthy engine must not serve flagged answers.
-        return encoded, False, True
+        self.cache.put(key, encoded, generation=generation)
+        return encoded, False
 
     def info(self) -> dict:
         """Static facts about the served engine (the ``/info`` body)."""
@@ -453,9 +387,6 @@ class QueryService:
             "max_queue_depth": self.config.limits.max_queue_depth,
             "max_batch": self.config.limits.max_batch,
             "default_deadline_s": self.config.limits.default_deadline_s,
-            "fallback": self.config.fallback,
-            "breaker_threshold": self.config.breaker_threshold,
-            "breaker_reset_s": self.config.breaker_reset_s,
         }
 
     def metrics_snapshot(self) -> dict:
@@ -484,20 +415,23 @@ class QueryService:
     def healthz(self) -> dict:
         """Liveness body: cheap, allocation-light, never blocks on the queue.
 
-        ``status`` is ``"ok"`` on the primary engine path and
-        ``"degraded"`` while answers come from the naive fallback (open
-        circuit breaker).  Degraded is still *healthy* — answers remain
-        exact — so orchestrators should alert on it, not restart on it.
+        ``status`` is ``"ok"`` while the kernel answers and
+        ``"degraded"`` — with ``fallback_reason`` (``kernel_error`` /
+        ``kernel_build_error``) — from the scheduler's last fallback to
+        its reference scan until a batch is next answered by the kernel.
+        Degraded is still *healthy* — answers remain exact — so
+        orchestrators should alert on it, not restart on it.
         """
-        breaker = self.breaker.snapshot()
-        degraded = breaker["state"] != "closed"
-        return {
-            "status": "degraded" if degraded else "ok",
-            "degraded": degraded,
-            "breaker": breaker["state"],
+        reason = self.scheduler.fallback_reason
+        body = {
+            "status": "ok" if reason is None else "degraded",
+            "degraded": reason is not None,
             "uptime_s": self.metrics.uptime_s(),
             "queue_depth": self.scheduler.queue_depth(),
         }
+        if reason is not None:
+            body["fallback_reason"] = reason
+        return body
 
     def close(self, drain: bool = True) -> None:
         """Stop the dispatcher thread; the service cannot answer afterwards.
@@ -531,11 +465,6 @@ class DurableQueryService(QueryService):
       path;
     * **replication feed** — :meth:`replication_feed` exposes the WAL
       tail for standbys (``GET /replicate``).
-
-    The naive fallback is force-disabled: the store's views expose no
-    static arrays to build a fallback from, and a degraded answer
-    computed from stale state would violate the durability invariant
-    anyway.
     """
 
     #: Mutation operations accepted over HTTP, keyed by (path, type).
@@ -548,7 +477,6 @@ class DurableQueryService(QueryService):
                  poll_interval_s: float = 0.05):
         if role not in ("primary", "standby"):
             raise InvalidParameterError("role must be 'primary' or 'standby'")
-        config = replace(config or ServiceConfig(), fallback=False)
         super().__init__(engine, config=config)
         bind_dynamic(self.cache, engine)
         self.role = role

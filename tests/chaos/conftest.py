@@ -6,8 +6,9 @@ run reproduces byte-for-byte with the same environment.
 
 The load-bearing invariant, enforced by :func:`assert_exact_answer`:
 **every non-error response — healthy or degraded — is byte-identical to
-the exact naive scan.**  Chaos may cost latency or a ``"degraded": true``
-flag, never correctness.
+the exact naive scan.**  Chaos may cost latency or (from the cluster
+coordinator's degraded-shard fallback) a ``"degraded": true`` flag, never
+correctness.
 """
 
 import os

@@ -3,27 +3,37 @@
 Under injected engine failures, index corruption, and mid-flight
 shutdown, the service must degrade — never lie.  Each test drives the
 stack through a deterministic :class:`FaultPlan` and checks two things:
-the *signalling* (``degraded`` flags, breaker state, structured 503s)
-and the *answers* (byte-identical to the exact naive scan, per
+the *signalling* (counted fallbacks, ``/healthz`` state, structured
+4xx/5xx) and the *answers* (byte-identical to the exact naive scan, per
 :func:`tests.chaos.conftest.assert_exact_answer`).
+
+A node has one degraded route: the scheduler's counted reference scan,
+taken when the kernel fails to build or to answer.  Nothing else — a
+caller's mistake, a failure outside the kernel — is degradation.
 """
 
-import time
+import json
+import urllib.error
+import urllib.request
 
 import pytest
 
+from repro.algorithms.naive import NaiveRRQ
 from repro.core.storage import save_index
+from repro.data.datasets import ProductSet, WeightSet
 from repro.errors import (
     ServiceOverloadError,
     ServiceUnavailableError,
 )
 from repro.resilience.faults import FaultPlan, inject
 from repro.service import (
+    DurableQueryService,
     QueryService,
     ServiceClient,
     ServiceConfig,
     serve_in_background,
 )
+from repro.service.server import canonical_json
 
 from .conftest import assert_exact_answer
 
@@ -35,88 +45,165 @@ def make_service(datasets, **config_kwargs):
                                       config=ServiceConfig(**config_kwargs))
 
 
-class TestBreakerDegradation:
-    def test_engine_faults_degrade_then_self_heal(self, datasets,
-                                                  naive_oracle, chaos_seed):
-        """Dispatch failures flip to exact fallback answers, open the
+def make_durable_service(tmp_path, datasets=None):
+    """A durable primary; with ``datasets`` its rows are inserted in
+    order, so stable ids equal the static indices and the session's
+    naive oracle answers for it too."""
+    from repro.durability import DurableDynamicRRQ
 
-        breaker after the threshold, and the probe closes it again once
-        the faults stop — the full self-healing loop."""
-        P, _ = datasets
-        service = make_service(datasets, breaker_threshold=3,
-                               breaker_reset_s=0.2)
-        plan = FaultPlan(seed=chaos_seed).add(
-            "scheduler.dispatch", "raise", times=3,
-            exception=lambda: RuntimeError("injected engine failure"))
-        with service, inject(plan) as injector:
-            # Three failing engine trips: every answer degraded but exact.
-            for i in range(3):
-                q = P[i]
-                response = service.query(list(q), kind="rtk", k=7)
-                assert response["degraded"] is True
-                assert_exact_answer(response, naive_oracle, q, "rtk", 7)
-            assert injector.fired("scheduler.dispatch") == 3
+    if datasets is None:
+        engine = DurableDynamicRRQ(tmp_path / "wal", dim=4, fsync="never")
+    else:
+        P, W = datasets
+        engine = DurableDynamicRRQ(tmp_path / "wal", dim=4, fsync="never",
+                                   value_range=P.value_range)
+        for row in P.values:
+            engine.insert_product(row)
+        for row in W.values:
+            engine.insert_weight(row)
+    return DurableQueryService(engine,
+                               config=ServiceConfig(batch_window_s=0.0))
 
+
+def broken_kernel(seed, times):
+    return FaultPlan(seed=seed).add(
+        "scheduler.kernel", "raise", times=times,
+        exception=lambda: RuntimeError("injected kernel failure"))
+
+
+def post(url, path, payload):
+    """``(status, body)`` of one JSON POST, error statuses included."""
+    request = urllib.request.Request(url + path,
+                                     data=json.dumps(payload).encode())
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as refused:
+        return refused.code, json.loads(refused.read())
+
+
+def degrade_then_heal(service, P, oracle, seed):
+    """Three kernel faults, then none: every answer exact and
+    unflagged, one reference-scan fallback counted per batch, and
+    ``/healthz`` degraded with its reason exactly while they last."""
+    with inject(broken_kernel(seed, times=3)) as injector:
+        for i, kind, k in [(0, "rtk", 7), (1, "rkr", 4), (2, "rtk", 7)]:
+            response = service.query(list(P[i]), kind=kind, k=k)
+            assert "degraded" not in response
+            assert_exact_answer(response, oracle, P[i], kind, k)
             health = service.healthz()
             assert health["status"] == "degraded"
             assert health["degraded"] is True
-            assert health["breaker"] == "open"
+            assert health["fallback_reason"] == "kernel_error"
+        assert injector.fired("scheduler.kernel") == 3
 
-            # Circuit open: the engine is bypassed (no new faults consumed)
-            # yet answers keep flowing, exact and flagged.
-            q = P[10]
-            response = service.query(list(q), kind="rkr", k=4)
-            assert response["degraded"] is True
-            assert_exact_answer(response, naive_oracle, q, "rkr", 4)
-            assert injector.fired("scheduler.dispatch") == 3
+        # The faults are spent: the next batch is the kernel's again.
+        response = service.query(list(P[20]), kind="rtk", k=7)
+        assert_exact_answer(response, oracle, P[20], "rtk", 7)
+    health = service.healthz()
+    assert health["status"] == "ok"
+    assert health["degraded"] is False
+    assert "fallback_reason" not in health
+    assert "breaker" not in health
 
-            # Cool-down passes; the next request is the half-open probe,
-            # the faults are exhausted, and the circuit closes.
-            time.sleep(0.25)
-            assert service.healthz()["breaker"] == "half-open"
-            q = P[20]
-            response = service.query(list(q), kind="rtk", k=7)
-            assert "degraded" not in response
-            assert_exact_answer(response, naive_oracle, q, "rtk", 7)
-            health = service.healthz()
-            assert health["status"] == "ok"
-            assert health["breaker"] == "closed"
+    snap = service.metrics_snapshot()
+    assert snap["fallbacks"]["routes"] == [
+        {"from": "kernel", "to": "reference_scan", "reason": "kernel_error",
+         "count": 3}]
+    assert snap["requests"]["degraded"] == 0
+    assert snap["requests"]["errors"] == 0
 
-        snap = service.metrics_snapshot()
-        assert snap["requests"]["degraded"] == 4
-        assert snap["requests"]["errors"] == 3
 
-    def test_fallback_disabled_surfaces_503(self, datasets, chaos_seed):
+class TestBreakerDegradation:
+    """The ids predate the behaviour: the node's breaker and its second
+    naive engine are gone, and the scheduler's reference scan is the
+    one degraded route these tests drive."""
+
+    def test_engine_faults_degrade_then_self_heal(self, datasets,
+                                                  naive_oracle, chaos_seed):
         P, _ = datasets
-        service = make_service(datasets, fallback=False, breaker_threshold=1,
-                               breaker_reset_s=60.0)
-        plan = FaultPlan(seed=chaos_seed).add(
-            "scheduler.dispatch", "raise",
-            exception=lambda: RuntimeError("injected engine failure"))
-        with service, inject(plan):
-            with pytest.raises(RuntimeError, match="injected engine failure"):
-                service.query(list(P[0]), kind="rtk", k=5)
-            # Breaker now open and there is nothing to fall back to.
-            with pytest.raises(ServiceUnavailableError, match="circuit open"):
-                service.query(list(P[1]), kind="rtk", k=5)
+        with make_service(datasets) as service:
+            degrade_then_heal(service, P, naive_oracle, chaos_seed)
 
-    def test_degraded_answers_are_not_cached(self, datasets, naive_oracle,
-                                             chaos_seed):
-        """A healed engine must not keep serving flagged cache entries."""
+    def test_durable_kernel_faults_degrade_then_heal(
+            self, datasets, naive_oracle, chaos_seed, tmp_path):
         P, _ = datasets
-        service = make_service(datasets, breaker_threshold=5,
-                               breaker_reset_s=60.0)
-        plan = FaultPlan(seed=chaos_seed).add(
-            "scheduler.dispatch", "raise",
-            exception=lambda: RuntimeError("one bad dispatch"))
+        with make_durable_service(tmp_path, datasets) as service:
+            degrade_then_heal(service, P, naive_oracle, chaos_seed)
+
+    def test_reference_scan_answers_are_cached(self, datasets,
+                                                 naive_oracle, chaos_seed):
+        """A reference-scan answer is the kernel's answer, byte for
+        byte, so the cache keeps it and a healed kernel is not asked
+        again."""
+        P, _ = datasets
         q = P[33]
-        with service, inject(plan):
-            degraded = service.query(list(q), kind="rtk", k=6)
-            assert degraded["degraded"] is True
-            healthy = service.query(list(q), kind="rtk", k=6)
-            assert "degraded" not in healthy
-            assert_exact_answer(healthy, naive_oracle, q, "rtk", 6)
-        assert service.cache.stats()["hits"] == 0
+        with make_service(datasets) as service:
+            with inject(broken_kernel(chaos_seed, times=1)):
+                first = service.query(list(q), kind="rtk", k=6)
+            again = service.query(list(q), kind="rtk", k=6)
+            assert canonical_json(again) == canonical_json(first)
+            assert "degraded" not in first
+            assert_exact_answer(first, naive_oracle, q, "rtk", 6)
+            assert service.cache.stats()["hits"] == 1
+            assert service.metrics_snapshot()["fallbacks"]["total"] == 1
+
+
+class TestNoFalseDegradation:
+    """What reaches the service past the scheduler is the caller's
+    mistake or a failure outside the kernel: it is answered with its own
+    status and counted once, and it never degrades the node."""
+
+    def test_negative_timeout_is_a_plain_400(self, datasets):
+        with serve_in_background(make_service(datasets)) as server:
+            # Refused whether the answer is cached or not.
+            for cached in (False, True):
+                status, body = post(server.url, "/query",
+                                    {"product": 3, "timeout_ms": -5})
+                assert status == 400
+                assert body["error"] == "InvalidParameterError"
+                assert "degraded" not in body
+                if not cached:
+                    assert post(server.url, "/query",
+                                {"product": 3})[0] == 200
+            client = ServiceClient(server.url)
+            assert client.metrics()["requests"]["errors"] == 0
+            assert client.healthz()["status"] == "ok"
+
+    def test_queries_before_first_insert_stay_healthy(self, tmp_path):
+        q = [0.3, 0.1, 0.4, 0.2]
+        service = make_durable_service(tmp_path)
+        with serve_in_background(service) as server:
+            for _ in range(5):
+                status, body = post(server.url, "/query", {"vector": q})
+                assert status == 400, body
+            client = ServiceClient(server.url)
+            product, weight = [0.2, 0.2, 0.5, 0.1], [0.4, 0.3, 0.2, 0.1]
+            client.insert_product(product)
+            client.insert_weight(weight)
+            status, body = post(server.url, "/query",
+                                {"vector": q, "kind": "rtk", "k": 1})
+            assert status == 200, body
+            oracle = NaiveRRQ(ProductSet([product]), WeightSet([weight]))
+            assert_exact_answer(body, oracle, q, "rtk", 1)
+            assert client.healthz()["status"] == "ok"
+            assert client.metrics()["requests"]["errors"] == 0
+
+    def test_one_dispatch_failure_is_one_500(self, datasets, chaos_seed):
+        plan = FaultPlan(seed=chaos_seed).add(
+            "scheduler.dispatch", "raise", times=1,
+            exception=lambda: RuntimeError("injected dispatch failure"))
+        with serve_in_background(make_service(datasets)) as server:
+            with inject(plan) as injector:
+                status, body = post(server.url, "/query", {"product": 3})
+                assert injector.fired("scheduler.dispatch") == 1
+            assert status == 500
+            assert body == {"error": "RuntimeError",
+                            "message": "injected dispatch failure",
+                            "status": 500}
+            snap = ServiceClient(server.url).metrics()
+            assert snap["requests"]["errors"] == 1
+            assert snap["fallbacks"]["total"] == 0
 
 
 class TestCorruptIndexOverHTTP:
@@ -211,26 +298,29 @@ class TestExactnessUnderSustainedChaos:
                                               chaos_seed):
         """The headline invariant: a sustained, probabilistic mix of
 
-        latency and engine faults may slow or flag responses — every
-        response that comes back is still byte-identical to naive."""
+        latency and kernel faults may slow responses or send them down
+        the reference scan — every response is still byte-identical to
+        naive, and every fallback is counted."""
         P, _ = datasets
-        service = make_service(datasets, breaker_threshold=3,
-                               breaker_reset_s=0.05, cache_capacity=8)
         plan = (FaultPlan(seed=chaos_seed)
-                .add("scheduler.dispatch", "raise", times=None,
+                .add("scheduler.kernel", "raise", times=None,
                      probability=0.3,
-                     exception=lambda: RuntimeError("flaky engine"))
+                     exception=lambda: RuntimeError("flaky kernel"))
                 .add("service.query", "latency", times=None,
                      probability=0.2, latency_s=0.001))
-        answered = degraded_count = 0
-        with service, inject(plan):
+        answered = 0
+        with make_service(datasets, cache_capacity=8) as service, \
+                inject(plan) as injector:
             for i in range(40):
                 q = P[i % P.size]
                 kind = "rtk" if i % 2 == 0 else "rkr"
                 k = 3 + (i % 5)
                 response = service.query(list(q), kind=kind, k=k)
                 answered += 1
-                degraded_count += 1 if response.get("degraded") else 0
+                assert "degraded" not in response
                 assert_exact_answer(response, naive_oracle, q, kind, k)
+            fired = injector.fired("scheduler.kernel")
         assert answered == 40
-        assert degraded_count > 0  # the plan really did bite
+        fallbacks = service.metrics_snapshot()["fallbacks"]
+        assert fallbacks["total"] > 0  # the plan really did bite
+        assert fallbacks["total"] == fired

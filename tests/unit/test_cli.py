@@ -210,10 +210,13 @@ class TestBench:
 class TestServeFlags:
     @pytest.mark.parametrize("flag", [["--kernel-cache", "cache/"],
                                       ["--method", "sim"],
-                                      ["--no-recover"]])
+                                      ["--no-recover"],
+                                      ["--no-fallback"]])
     def test_static_serve_has_no_engine_or_cache_flags(self, flag, capsys):
         """The index is the kernel store: nothing picks a cache, an
-        engine or a recovery mode for it."""
+        engine or a recovery mode for it, and nothing switches off its
+        one degraded route (``cluster --no-fallback`` is the
+        coordinator's)."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "idx/"] + flag)
         assert excinfo.value.code == 2

@@ -384,6 +384,7 @@ class TestDeclaredFallback:
                     notes = spans["reference_scan.query"]["annotations"]
                     assert notes["fallback_reason"] == "kernel_error"
                     assert "tile sweep exploded" in notes["fallback_error"]
+                assert scheduler.fallback_reason == "kernel_error"
             finally:
                 scheduler.close()
             assert injector.fired("scheduler.kernel") == len(requests)
@@ -425,6 +426,8 @@ class TestDeclaredFallback:
         finally:
             scheduler.close()
         assert len(attempts) == 1
+        # A kernel that never builds keeps the node degraded.
+        assert scheduler.fallback_reason == "kernel_build_error"
         expected = engine.reverse_topk(engine.products[2], 5).weights
         assert all(answer.weights == expected for answer in answers)
         snap = scheduler.metrics.snapshot()
@@ -552,6 +555,33 @@ class TestDeadlines:
             scheduler.close()
         snap = scheduler.metrics.snapshot()
         assert snap["requests"]["rejected_deadline"] == 1
+
+    def test_an_expiry_is_counted_once(self, engine):
+        """A waiter that times out while its request is queued and the
+        dispatcher that later finds it expired book it once between
+        them."""
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        scheduler.start()
+        try:
+            for i in range(20):
+                with pytest.raises(DeadlineExceededError):
+                    scheduler.answer(engine.products[i], "rtk", 5,
+                                     deadline_s=0)
+        finally:
+            scheduler.close()
+        snap = scheduler.metrics.snapshot()
+        assert snap["requests"]["rejected_deadline"] == 20
+
+    def test_an_expiry_parked_until_close_is_counted_once(self, engine):
+        """A request its waiter gave up on is skipped at shutdown: it is
+        a deadline rejection, not also a 503."""
+        scheduler = make_scheduler(engine, batch_window_s=0.0)
+        with pytest.raises(DeadlineExceededError):
+            scheduler.answer(engine.products[0], "rtk", 5, deadline_s=0.01)
+        scheduler.close()
+        requests = scheduler.metrics.snapshot()["requests"]
+        assert requests["rejected_deadline"] == 1
+        assert requests["rejected_unavailable"] == 0
 
     def test_answer_times_out_while_parked(self, engine):
         """answer() enforces the deadline even if dispatch never happens."""
@@ -943,7 +973,7 @@ class TestRawStoreServing:
         store = SegmentStore.from_datasets(P, W, partitions=8)
         store.pin_snapshot = store.pin
         service = QueryService(store, config=ServiceConfig(
-            batch_window_s=0.0, fallback=False))
+            batch_window_s=0.0))
         bind_dynamic(service.cache, store)
         try:
             q = [float(x) for x in P.values[5]]
