@@ -71,7 +71,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..data.datasets import check_query_point
+from ..data.datasets import as_vector, check_query_point
 from ..errors import (
     DeadlineExceededError,
     InvalidParameterError,
@@ -81,7 +81,7 @@ from ..obs.trace import current, current_trace_id, span, use_context
 from ..queries.types import RTKResult, make_rkr_result
 from ..resilience.breaker import CircuitBreaker
 from ..service.client import ServiceClient
-from ..service.limits import Deadline
+from ..service.limits import Deadline, coerce
 from ..service.server import encode_result
 from ..stats.counters import OpCounter
 from .topology import ClusterTopology
@@ -555,6 +555,12 @@ class ClusterCoordinator:
                                                 product, kind, k,
                                                 timeout_s, headers,
                                                 hedge_ctx)
+                except InvalidParameterError:
+                    # The shard answered: a 400 is the caller's mistake
+                    # (a product index or dimension only a worker can
+                    # check), not a failure of the shard.
+                    breaker.record_success()
+                    raise
                 except Exception as exc:
                     breaker.record_failure()
                     self._note_shard_error(shard_id, exc)
@@ -586,13 +592,21 @@ class ClusterCoordinator:
         """
         if kind not in ("rtk", "rkr"):
             raise InvalidParameterError("kind must be 'rtk' or 'rkr'")
-        k = int(k)
+        k = coerce(k, int, "k")
         if k <= 0:
             raise InvalidParameterError("k must be positive")
         if (vector is None) == (product is None):
             raise InvalidParameterError(
                 "provide exactly one of 'vector' or 'product'"
             )
+        # Checked here, before any shard sees it: a caller's mistake must
+        # never count against a shard's breaker.
+        if vector is not None:
+            vector = check_query_point(
+                vector, self.products.dim if self.products is not None
+                else None).tolist()
+        else:
+            product = coerce(product, int, "product")
         if self._inflight is None:
             return self._fan_out(vector, product, kind, k, deadline_s)
         if not self._inflight.acquire(blocking=False):
@@ -636,6 +650,8 @@ class ClusterCoordinator:
             for shard_id, future in futures.items():
                 try:
                     payloads.append(future.result())
+                except InvalidParameterError:
+                    raise  # the caller's mistake, as a shard said
                 except Exception as exc:
                     failed[shard_id] = exc
             degraded_shards = sorted(failed)
@@ -789,10 +805,11 @@ class ClusterCoordinator:
                 "cluster promote requires 'shard' (and optionally "
                 "'endpoint', one of that shard's replica URLs)"
             )
-        shard_id = int(payload["shard"])
+        shard_id = coerce(payload["shard"], int, "shard")
         spec = self.topology.shard(shard_id)
         endpoint = payload.get("endpoint")
-        if endpoint is not None and endpoint.rstrip("/") not in spec.endpoints:
+        if endpoint is not None and \
+                str(endpoint).rstrip("/") not in spec.endpoints:
             raise InvalidParameterError(
                 f"endpoint {endpoint!r} is not a replica of shard {shard_id}"
             )
@@ -810,6 +827,7 @@ class ClusterCoordinator:
             vector = payload.get("vector")
             if vector is None:
                 raise InvalidParameterError("insert requires 'vector'")
+            vector = as_vector(vector).tolist()
             receipts = self._broadcast(
                 "insert_product",
                 lambda client: client.insert_product(vector))
@@ -817,7 +835,7 @@ class ClusterCoordinator:
         else:
             if "index" not in payload:
                 raise InvalidParameterError("delete requires 'index'")
-            index = int(payload["index"])
+            index = coerce(payload["index"], int, "index")
             receipts = self._broadcast(
                 "delete_product",
                 lambda client: client.delete_product(index))
@@ -832,8 +850,7 @@ class ClusterCoordinator:
         index = indices.pop()
         lsns = {sid: receipt.get("lsn") for sid, receipt in receipts.items()}
         if op == "insert_product":
-            entry = ("insert_product",
-                     [float(x) for x in payload["vector"]], int(index))
+            entry = ("insert_product", vector, int(index))
         else:
             entry = ("delete_product", int(index))
         self._journal_mutation(entry, lsns)
@@ -847,6 +864,7 @@ class ClusterCoordinator:
             vector = payload.get("vector")
             if vector is None:
                 raise InvalidParameterError("insert requires 'vector'")
+            vector = as_vector(vector).tolist()
             renormalize = bool(payload.get("renormalize", False))
             with self._lock:
                 next_global = self._next_global
@@ -858,8 +876,7 @@ class ClusterCoordinator:
             with self._lock:
                 self._next_global = max(self._next_global, global_index) + 1
             self._journal_mutation(
-                ("insert_weight", shard_id,
-                 [float(x) for x in vector], local_index, renormalize),
+                ("insert_weight", shard_id, vector, local_index, renormalize),
                 {shard_id: receipt.get("lsn")},
             )
             return {"op": "insert_weight", "shard": shard_id,
@@ -868,7 +885,7 @@ class ClusterCoordinator:
                     "lsn": receipt.get("lsn")}
         if "index" not in payload:
             raise InvalidParameterError("delete requires 'index'")
-        global_index = int(payload["index"])
+        global_index = coerce(payload["index"], int, "index")
         if not 0 <= global_index:
             raise InvalidParameterError("'index' must be >= 0")
         shard_id, local = self.topology.to_local(global_index)

@@ -4,13 +4,13 @@
 :class:`~repro.cluster.coordinator.ClusterCoordinator` behind exactly the
 interface :class:`~repro.service.server._RequestHandler` expects from a
 :class:`~repro.service.server.QueryService` (``query``, ``healthz``,
-``metrics_snapshot``, ``prometheus_text``, ``traces_snapshot``,
-``slowlog``, ``info``, ``handle_mutation_request``, ``tracer``,
-``metrics``) — so the battle-tested handler, canonical-JSON encoding,
-structured rejections, and trace-per-request plumbing are reused
-verbatim.  Clients cannot tell a coordinator from a single node by its
-query responses (they are byte-identical, by construction) — only by the
-extra routes:
+``metrics_snapshot``, ``traces_snapshot``, ``slowlog``, ``info``,
+``handle_mutation_request``, ``tracer``, ``metrics``) — so the
+battle-tested handler, canonical-JSON encoding, structured rejections,
+trace-per-request plumbing and the Prometheus rendering of the
+``/metrics`` body are reused verbatim.  Clients cannot tell a
+coordinator from a single node by its query responses (they are
+byte-identical, by construction) — only by the extra routes:
 
   =========  ==================  ====================================
   method     path                body
@@ -46,6 +46,7 @@ from ..obs.trace import (
     current_trace_id,
     span,
 )
+from ..service.limits import coerce
 from ..service.metrics import ServiceMetrics
 from ..service.server import ReverseRankHTTPServer, _RequestHandler
 from .coordinator import ClusterCoordinator
@@ -89,9 +90,10 @@ class ClusterService:
               deadline_s: Optional[float] = None) -> dict:
         """One scatter-gathered request, with front-door accounting."""
         start = perf_counter()
+        k = coerce(k, int, "k")
         with span("cluster.query") as sp:
             sp.annotate("kind", kind)
-            sp.annotate("k", int(k))
+            sp.annotate("k", k)
             encoded = self.coordinator.query(
                 vector, product=product, kind=kind, k=k,
                 deadline_s=deadline_s,
@@ -104,7 +106,7 @@ class ClusterService:
         if self.slowlog.should_log(latency_s):
             entry = {
                 "kind": kind,
-                "k": int(k),
+                "k": k,
                 "latency_s": latency_s,
                 "cache_hit": False,
                 "degraded": degraded,
@@ -180,59 +182,6 @@ class ClusterService:
         if self.supervisor is not None:
             snap["supervision"] = self.supervisor.status()
         return snap
-
-    def prometheus_text(self) -> str:
-        text = self.metrics.prometheus(slowlog=self.slowlog.stats(),
-                                       traces=self.tracer.stats())
-        stats = self.coordinator.stats()
-        lines = [
-            "# HELP rrq_cluster_shards Shards in the serving topology.",
-            "# TYPE rrq_cluster_shards gauge",
-            f"rrq_cluster_shards {stats['shards']}",
-            "# HELP rrq_cluster_degraded_queries Queries answered with at"
-            " least one degraded shard.",
-            "# TYPE rrq_cluster_degraded_queries counter",
-            f"rrq_cluster_degraded_queries {stats['degraded_queries']}",
-            "# HELP rrq_cluster_breaker_open Per-shard circuit state"
-            " (1 = not closed).",
-            "# TYPE rrq_cluster_breaker_open gauge",
-        ]
-        for shard_id, state in sorted(stats["breakers"].items(),
-                                      key=lambda kv: int(kv[0])):
-            value = 0 if state == "closed" else 1
-            lines.append(
-                f'rrq_cluster_breaker_open{{shard="{shard_id}"}} {value}'
-            )
-        lines += [
-            "# HELP rrq_cluster_failovers Primary routing flips applied.",
-            "# TYPE rrq_cluster_failovers counter",
-            f"rrq_cluster_failovers {stats['failovers']}",
-            "# HELP rrq_cluster_hedged_probes Backup probes issued to"
-            " standbys.",
-            "# TYPE rrq_cluster_hedged_probes counter",
-            f"rrq_cluster_hedged_probes {stats['hedge']['probes']}",
-            "# HELP rrq_cluster_hedge_wins Hedged probes answered before"
-            " the primary.",
-            "# TYPE rrq_cluster_hedge_wins counter",
-            f"rrq_cluster_hedge_wins {stats['hedge']['wins']}",
-            "# HELP rrq_cluster_shed_queries Queries rejected by the"
-            " in-flight bound.",
-            "# TYPE rrq_cluster_shed_queries counter",
-            f"rrq_cluster_shed_queries {stats['shedding']['shed_queries']}",
-        ]
-        if self.supervisor is not None:
-            status = self.supervisor.status()
-            lines += [
-                "# HELP rrq_cluster_promotions Standby promotions performed"
-                " by the supervisor.",
-                "# TYPE rrq_cluster_promotions counter",
-                f"rrq_cluster_promotions {status['promotions']}",
-                "# HELP rrq_cluster_worker_restarts Dead workers restarted"
-                " as standbys.",
-                "# TYPE rrq_cluster_worker_restarts counter",
-                f"rrq_cluster_worker_restarts {status['restarts']}",
-            ]
-        return text + "\n".join(lines) + "\n"
 
     def traces_snapshot(self, trace_id: Optional[str] = None,
                         limit: Optional[int] = None) -> dict:

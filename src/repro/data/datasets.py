@@ -215,10 +215,25 @@ def check_compatible(products: ProductSet, weights: WeightSet) -> None:
         )
 
 
-def check_query_point(q: ArrayLike, dim: int) -> np.ndarray:
-    """Validate a query product vector and return it as a 1-D float64 array."""
-    arr = np.asarray(q, dtype=np.float64).reshape(-1)
-    if arr.shape[0] != dim:
+def as_vector(q: ArrayLike) -> np.ndarray:
+    """``q`` as a 1-D float64 array.
+
+    Anything that is not a list of numbers (``["a"]``, ``{"a": 1}``,
+    ragged rows) is a :class:`DataValidationError` — a caller's mistake,
+    never a bare ``ValueError``.
+    """
+    try:
+        return np.asarray(q, dtype=np.float64).reshape(-1)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataValidationError(
+            f"a vector must be a list of numbers ({exc})") from None
+
+
+def check_query_point(q: ArrayLike, dim: Optional[int]) -> np.ndarray:
+    """Validate a query product vector and return it as a 1-D float64 array
+    (``dim`` ``None`` accepts any dimensionality)."""
+    arr = as_vector(q)
+    if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatchError(
             f"query point has d={arr.shape[0]}, data sets have d={dim}"
         )

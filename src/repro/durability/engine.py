@@ -37,6 +37,7 @@ from typing import Deque, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..data.datasets import as_vector
 from ..data.io import atomic_write_bytes
 from ..errors import (
     DataValidationError,
@@ -406,8 +407,7 @@ class DurableDynamicRRQ:
     def insert_product(self, vector) -> Tuple[int, int]:
         """Durably add a product; returns ``(stable index, lsn)``."""
         lsn, idx = self._log_and_apply(
-            "insert_product", {"vector": _vector_list(
-                np.asarray(vector, dtype=np.float64).reshape(-1))})
+            "insert_product", {"vector": _vector_list(as_vector(vector))})
         return idx, lsn
 
     def delete_product(self, index: int) -> int:
@@ -421,8 +421,7 @@ class DurableDynamicRRQ:
         """Durably add a preference; returns ``(stable index, lsn)``."""
         lsn, idx = self._log_and_apply(
             "insert_weight",
-            {"vector": _vector_list(
-                np.asarray(vector, dtype=np.float64).reshape(-1)),
+            {"vector": _vector_list(as_vector(vector)),
              "renormalize": bool(renormalize)})
         return idx, lsn
 
@@ -440,8 +439,7 @@ class DurableDynamicRRQ:
         lsn, idx = self._log_and_apply(
             "modify_product",
             {"index": int(index),
-             "vector": _vector_list(
-                 np.asarray(vector, dtype=np.float64).reshape(-1))})
+             "vector": _vector_list(as_vector(vector))})
         return idx, lsn
 
     def modify_weight(self, index: int, vector,
@@ -450,8 +448,7 @@ class DurableDynamicRRQ:
         lsn, idx = self._log_and_apply(
             "modify_weight",
             {"index": int(index),
-             "vector": _vector_list(
-                 np.asarray(vector, dtype=np.float64).reshape(-1)),
+             "vector": _vector_list(as_vector(vector)),
              "renormalize": bool(renormalize)})
         return idx, lsn
 

@@ -10,7 +10,8 @@ the three pieces every other service module shares:
 * :func:`http_status` / :func:`rejection_body` — the structured mapping
   from the :mod:`repro.errors` hierarchy to JSON/HTTP rejections (429 for
   overload, 503 for unavailability/shutdown, 504 for deadline expiry,
-  400 for caller mistakes).
+  400 for caller mistakes) and :func:`coerce`, which turns a malformed
+  caller field into one.
 
 Keeping the mapping here means the scheduler raises plain library errors
 and stays transport-agnostic; only the frontend knows about status codes.
@@ -18,6 +19,7 @@ and stays transport-agnostic; only the frontend knows about status codes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -92,8 +94,9 @@ class Deadline:
         """Deadline ``seconds`` from now; ``None`` means unbounded."""
         if seconds is None:
             return cls(at=None)
-        if seconds < 0:
-            raise InvalidParameterError("deadline seconds must be >= 0")
+        if not 0 <= seconds < math.inf:  # NaN included
+            raise InvalidParameterError(
+                "deadline seconds must be finite and >= 0")
         return cls(at=time.monotonic() + seconds)
 
     @classmethod
@@ -117,12 +120,27 @@ class Deadline:
             raise DeadlineExceededError("request deadline exceeded")
 
 
+def coerce(value, kind: type, name: str):
+    """``kind(value)`` for one caller-supplied field (``k``, ``index``,
+    ``timeout_ms``, a ``?limit=``…); a value that does not convert is the
+    caller's mistake, raised as :class:`InvalidParameterError`."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidParameterError(
+            f"{name!r} must be {'an integer' if kind is int else 'a number'}"
+            f", not {type(value).__name__} {str(value)[:40]!r}") from None
+
+
 def http_status(exc: BaseException) -> int:
     """The HTTP status code a rejection/error maps to.
 
     429 for overload, 503 for unavailability (shutdown drain), 504 for
     deadline expiry, 409 for a mutation sent to a standby, 400 for any
-    other library (caller) error, 500 otherwise.
+    other library (caller) error, 500 otherwise — a bare ``ValueError``,
+    ``TypeError`` or ``KeyError`` is a bug in the server, not the
+    caller's mistake (caller input is checked where it enters, by
+    :func:`coerce` and :func:`~repro.data.datasets.check_query_point`).
     """
     if isinstance(exc, NotPrimaryError):
         return 409
@@ -132,9 +150,7 @@ def http_status(exc: BaseException) -> int:
         return 503
     if isinstance(exc, DeadlineExceededError):
         return 504
-    # ReproError derives ValueError; plain ValueError also covers malformed
-    # JSON bodies (json.JSONDecodeError) and bad numeric fields.
-    if isinstance(exc, (ReproError, ValueError, KeyError, TypeError)):
+    if isinstance(exc, ReproError):
         return 400
     return 500
 

@@ -58,7 +58,6 @@ from ..errors import (
     NotPrimaryError,
     ReproError,
 )
-from ..obs.prom import Exposition
 from ..obs.slowlog import (
     DEFAULT_SLOW_THRESHOLD_S,
     DEFAULT_SLOWLOG_CAPACITY,
@@ -75,8 +74,14 @@ from ..queries.types import RKRResult, RTKResult
 from ..resilience.faults import fire
 from .cache import DEFAULT_CAPACITY, ResultCache, bind_dynamic, make_key
 from .httpd import HTTPServer, RequestHandler
-from .limits import ServiceLimits, http_status, rejection_body
-from .metrics import ServiceMetrics
+from .limits import (
+    Deadline,
+    ServiceLimits,
+    coerce,
+    http_status,
+    rejection_body,
+)
+from .metrics import ServiceMetrics, render
 from .scheduler import DEFAULT_BATCH_WINDOW_S, MicroBatchScheduler
 
 PathLike = Union[str, Path]
@@ -267,12 +272,13 @@ class QueryService:
                 "provide exactly one of 'vector' or 'product'"
             )
         if product is not None:
+            product = coerce(product, int, "product")
             size = self.engine.products.size
-            if not 0 <= int(product) < size:
+            if not 0 <= product < size:
                 raise InvalidParameterError(
                     f"product index must be in [0, {size})"
                 )
-            vector = self.engine.products[int(product)]
+            vector = self.engine.products[product]
         return check_query_point(vector, self._dim)
 
     def _finish(self, kind: str, k: int, start: float,
@@ -328,17 +334,18 @@ class QueryService:
         fire("service.query")
         if kind not in ("rtk", "rkr"):
             raise InvalidParameterError("kind must be 'rtk' or 'rkr'")
-        if int(k) <= 0:
+        k = coerce(k, int, "k")
+        if k <= 0:
             raise InvalidParameterError("k must be positive")
-        if deadline_s is not None and deadline_s < 0:  # cached or not
-            raise InvalidParameterError("deadline seconds must be >= 0")
+        if deadline_s is not None:  # refused whether cached or not
+            Deadline.after(deadline_s)
         # The span closes (joining the trace) before _finish runs, so a
         # slow-query record sees the full service/scheduler span tree.
         with span("service.query") as sp:
             sp.annotate("kind", kind)
-            sp.annotate("k", int(k))
+            sp.annotate("k", k)
             encoded, cache_hit = self._answer(
-                sp, vector, product, kind, int(k), deadline_s
+                sp, vector, product, kind, k, deadline_s
             )
         self._finish(kind, k, start, cache_hit)
         return encoded
@@ -391,18 +398,11 @@ class QueryService:
 
     def metrics_snapshot(self) -> dict:
         """Live counters (the JSON ``/metrics`` body)."""
-        snap = self.metrics.snapshot(cache_stats=self.cache.stats())
+        snap = self.metrics.snapshot()
+        snap["cache"] = self.cache.stats()
         snap["slowlog"] = self.slowlog.stats()
         snap["traces"] = self.tracer.stats()
         return snap
-
-    def prometheus_text(self) -> str:
-        """The ``GET /metrics?format=prometheus`` body (text exposition)."""
-        return self.metrics.prometheus(
-            cache_stats=self.cache.stats(),
-            slowlog=self.slowlog.stats(),
-            traces=self.tracer.stats(),
-        )
 
     def traces_snapshot(self, trace_id: Optional[str] = None,
                         limit: Optional[int] = None) -> dict:
@@ -531,21 +531,23 @@ class DurableQueryService(QueryService):
         elif op in ("delete_product", "delete_weight"):
             if "index" not in payload:
                 raise InvalidParameterError(f"{op} requires 'index'")
-            lsn = getattr(engine, op)(int(payload["index"]))
-            body = {"op": op, "index": int(payload["index"]), "lsn": lsn}
+            index = coerce(payload["index"], int, "index")
+            lsn = getattr(engine, op)(index)
+            body = {"op": op, "index": index, "lsn": lsn}
         elif op in ("modify_product", "modify_weight"):
             if "index" not in payload:
                 raise InvalidParameterError(f"{op} requires 'index'")
+            old_index = coerce(payload["index"], int, "index")
             kwargs = {}
             if op == "modify_weight":
                 kwargs["renormalize"] = bool(payload.get("renormalize",
                                                          False))
             index, lsn = getattr(engine, op)(
-                int(payload["index"]), payload.get("vector"), **kwargs
+                old_index, payload.get("vector"), **kwargs
             )
             # ``index`` is the replacement row's (new) stable id.
-            body = {"op": op, "index": index,
-                    "old_index": int(payload["index"]), "lsn": lsn}
+            body = {"op": op, "index": index, "old_index": old_index,
+                    "lsn": lsn}
         elif op == "compact":
             p_map, w_map, lsn = engine.compact()
             # Per stable index: itself while live, -1 once removed.
@@ -644,25 +646,13 @@ class DurableQueryService(QueryService):
         return body
 
     def metrics_snapshot(self) -> dict:
-        snap = self.metrics.snapshot(
-            cache_stats=self.cache.stats(),
-            durability=self.engine.durability_stats(),
-            replication=self.replication_status(),
-            storage=self.engine.storage_stats(),
-        )
-        snap["slowlog"] = self.slowlog.stats()
-        snap["traces"] = self.tracer.stats()
+        snap = super().metrics_snapshot()
+        snap["durability"] = self.engine.durability_stats()
+        snap["storage"] = self.engine.storage_stats()
+        replication = self.replication_status()
+        if replication is not None:
+            snap["replication"] = replication
         return snap
-
-    def prometheus_text(self) -> str:
-        return self.metrics.prometheus(
-            cache_stats=self.cache.stats(),
-            durability=self.engine.durability_stats(),
-            replication=self.replication_status(),
-            slowlog=self.slowlog.stats(),
-            traces=self.tracer.stats(),
-            storage=self.engine.storage_stats(),
-        )
 
     def healthz(self) -> dict:
         body = super().healthz()
@@ -732,7 +722,7 @@ class _RequestHandler(RequestHandler):
     @staticmethod
     def _int_param(params, name: str) -> Optional[int]:
         raw = params.get(name, [None])[0]
-        return int(raw) if raw is not None else None
+        return coerce(raw, int, name) if raw is not None else None
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         parsed = urlsplit(self.path)
@@ -740,11 +730,13 @@ class _RequestHandler(RequestHandler):
             self._send_json(200, self.service.healthz())
         elif parsed.path == "/metrics":
             params = parse_qs(parsed.query)
+            body = self.service.metrics_snapshot()
             if params.get("format", [None])[0] == "prometheus":
-                self._send_text(200, self.service.prometheus_text()
-                                + self.server.idle_exposition())
+                self._send_text(200, render(
+                    body, self.service.metrics.latency_histogram(),
+                    self.server.idle_connections()))
             else:
-                self._send_json(200, self.service.metrics_snapshot())
+                self._send_json(200, body)
         elif parsed.path == "/traces":
             try:
                 params = parse_qs(parsed.query)
@@ -773,10 +765,9 @@ class _RequestHandler(RequestHandler):
                                                      "replication_feed"):
             try:
                 params = parse_qs(parsed.query)
-                since = int(params.get("since", ["0"])[0])
-                raw_limit = params.get("limit", [None])[0]
-                limit = int(raw_limit) if raw_limit is not None else None
-                feed = self.service.replication_feed(since, limit)
+                feed = self.service.replication_feed(
+                    self._int_param(params, "since") or 0,
+                    self._int_param(params, "limit"))
             except Exception as exc:  # structured, never a traceback
                 status = http_status(exc)
                 if status >= 500:
@@ -803,7 +794,11 @@ class _RequestHandler(RequestHandler):
         ) as root:
             root.annotate("path", path)
             try:
-                payload = json.loads(self.body or b"{}")
+                try:
+                    payload = json.loads(self.body or b"{}")
+                except (ValueError, RecursionError) as exc:
+                    raise InvalidParameterError(
+                        f"request body is not JSON ({exc})") from None
                 if not isinstance(payload, dict):
                     raise InvalidParameterError(
                         "request body must be an object"
@@ -818,8 +813,9 @@ class _RequestHandler(RequestHandler):
                         product=payload.get("product"),
                         kind=payload.get("kind", "rtk"),
                         k=payload.get("k", 10),
-                        deadline_s=(float(timeout_ms) / 1000.0
-                                    if timeout_ms is not None else None),
+                        deadline_s=(
+                            coerce(timeout_ms, float, "timeout_ms") / 1000.0
+                            if timeout_ms is not None else None),
                     )
                 status, body = 200, answer
             except Exception as exc:  # structured rejection, no traceback
@@ -850,14 +846,6 @@ class ReverseRankHTTPServer(HTTPServer):
         scheduler = getattr(service, "scheduler", None)
         if scheduler is not None:
             scheduler.idle_connections = self.idle_connections
-
-    def idle_exposition(self) -> str:
-        """The HTTP layer's own line of a Prometheus scrape."""
-        exp = Exposition()
-        exp.gauge("rrq_http_idle_connections",
-                  "Open connections waiting for their next request.",
-                  self.idle_connections())
-        return exp.render()
 
     @property
     def url(self) -> str:

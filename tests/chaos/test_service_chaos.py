@@ -206,6 +206,106 @@ class TestNoFalseDegradation:
             assert snap["fallbacks"]["total"] == 0
 
 
+    def test_internal_type_error_is_a_500(self, datasets, chaos_seed):
+        """A bare ``TypeError`` past the input checks is the server's
+        bug: a counted 500, never the caller's 400."""
+        plan = FaultPlan(seed=chaos_seed).add(
+            "scheduler.dispatch", "raise", times=1,
+            exception=lambda: TypeError("internal bug"))
+        with serve_in_background(make_service(datasets)) as server:
+            with inject(plan) as injector:
+                status, body = post(server.url, "/query", {"product": 3})
+                assert injector.fired("scheduler.dispatch") == 1
+            assert status == 500
+            assert body["error"] == "TypeError"
+            assert ServiceClient(server.url).metrics()[
+                "requests"]["errors"] == 1
+
+    def test_malformed_fields_are_400_and_uncounted(self, datasets,
+                                                    tmp_path):
+        with serve_in_background(make_service(datasets)) as node, \
+                serve_in_background(
+                    make_durable_service(tmp_path, datasets)) as durable:
+            for url in (node.url, durable.url):
+                for path, data in MALFORMED_QUERIES:
+                    status, body = send(url, path, data)
+                    assert status == 400, (path, data, body)
+                    assert body["error"] in CALLER_ERRORS, body
+            for path, data in MALFORMED_MUTATIONS:
+                status, body = send(durable.url, path, data)
+                assert status == 400, (path, data, body)
+                assert body["error"] in CALLER_ERRORS, body
+            for url in (node.url, durable.url):
+                client = ServiceClient(url)
+                assert client.metrics()["requests"]["errors"] == 0
+                assert client.healthz()["status"] == "ok"
+
+    def test_malformed_fields_at_the_coordinator_are_400_and_uncounted(
+            self):
+        """Refused before any shard sees them: no shard's breaker
+        counts a caller's mistake (the shards here do not even exist)."""
+        from repro.cluster import ClusterCoordinator, ClusterTopology
+        from repro.cluster.router_server import (
+            ClusterService,
+            serve_cluster_in_background,
+        )
+
+        topology = ClusterTopology.build([["http://127.0.0.1:9"]] * 2, 20)
+        service = ClusterService(ClusterCoordinator(topology))
+        with serve_cluster_in_background(service) as server:
+            for path, data in MALFORMED_QUERIES + MALFORMED_MUTATIONS:
+                status, body = send(server.url, path, data)
+                assert status == 400, (path, data, body)
+                assert body["error"] in CALLER_ERRORS, body
+            assert service.metrics_snapshot()["requests"]["errors"] == 0
+            for breaker in service.coordinator.breakers:
+                assert breaker.snapshot()["consecutive_failures"] == 0
+
+
+#: A caller's mistakes, each refused with a structured 400.
+CALLER_ERRORS = ("InvalidParameterError", "DataValidationError",
+                 "DimensionMismatchError")
+MALFORMED_QUERIES = [
+    ("/query", b"{not json"),
+    ("/query", b"\xff\xfe"),
+    ("/query", b"[1, 2]"),
+    ("/query", {"product": 3, "k": "abc"}),
+    ("/query", {"product": 3, "k": [1]}),
+    ("/query", {"product": 3, "k": 1e400}),
+    ("/query", {"product": 3, "timeout_ms": "soon"}),
+    ("/query", {"product": 3, "timeout_ms": [5]}),
+    ("/query", {"product": 3, "timeout_ms": float("nan")}),  # was a 504
+    ("/query", {"product": 3, "timeout_ms": 1e400}),  # was a 500
+    ("/query", {"product": "three"}),
+    ("/query", {"product": [3]}),
+    ("/query", {"product": 3, "kind": "xyz"}),
+    ("/query", {"vector": ["a", 1, 1, 1]}),
+    ("/query", {"vector": {"a": 1}}),
+    ("/query", {"vector": [[1], [1, 2]]}),
+    ("/traces?limit=abc", None),
+    ("/slowlog?limit=1.5", None),
+]
+MALFORMED_MUTATIONS = [
+    ("/insert", {"type": "product", "vector": ["a", 1, 1, 1]}),
+    ("/insert", {"type": "weight", "vector": {"a": 1}}),
+    ("/delete", {"type": "weight", "index": "abc"}),
+    ("/delete", {"type": "product", "index": [1]}),
+]
+
+
+def send(url, path, data):
+    """``(status, body)`` of a GET (``data`` None) or a POST of ``data``
+    (raw bytes, or an object sent as JSON)."""
+    if data is not None and not isinstance(data, bytes):
+        data = json.dumps(data).encode()
+    request = urllib.request.Request(url + path, data=data)
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as refused:
+        return refused.code, json.loads(refused.read())
+
+
 class TestCorruptIndexOverHTTP:
     def test_corrupt_index_serves_degraded_but_exact(self, built_index,
                                                      naive_oracle, tmp_path):

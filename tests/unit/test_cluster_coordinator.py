@@ -87,6 +87,26 @@ class TestScatterGather:
             with pytest.raises(InvalidParameterError):
                 coordinator.query()
 
+    def test_a_mistake_only_a_shard_can_see_is_a_400_not_a_failure(self):
+        """Without the products the coordinator cannot check a product
+        index or a vector's dimension; the shards' 400s are the answer
+        and never count against their breakers (three used to open
+        every breaker and 503 the next healthy query)."""
+        with ExitStack() as stack:
+            coordinator, _ = start_cluster(stack)
+            coordinator.products = None
+            coordinator.weights = None
+            for _ in range(6):
+                with pytest.raises(InvalidParameterError):
+                    coordinator.query(product=PRODUCTS.size, k=4)
+                with pytest.raises(InvalidParameterError):
+                    coordinator.query([0.1] * 4, k=4)
+            assert set(coordinator.stats()["breakers"].values()) == \
+                {"closed"}
+            got = coordinator.query(product=11, kind="rtk", k=5)
+            assert canonical_json(got) == \
+                canonical_json(expected(PRODUCTS[11], "rtk", 5))
+
 
 class TestPartialFailure:
     @pytest.mark.parametrize("kind", ["rtk", "rkr"])

@@ -169,8 +169,9 @@ class TestHTTPMapping:
         (ServiceOverloadError("full"), 429),
         (DeadlineExceededError("late"), 504),
         (InvalidParameterError("bad k"), 400),
-        (ValueError("bad json"), 400),
+        (InvalidParameterError("request body is not JSON"), 400),
         (RuntimeError("bug"), 500),
+        (ValueError("bug"), 500),
     ])
     def test_status_codes(self, exc, status):
         assert http_status(exc) == status

@@ -12,6 +12,7 @@ import urllib.request
 import pytest
 
 from repro.errors import (
+    DataValidationError,
     DeadlineExceededError,
     DimensionMismatchError,
     InvalidParameterError,
@@ -86,9 +87,14 @@ class TestHttpMapping:
         (DeadlineExceededError("late"), 504),
         (InvalidParameterError("bad k"), 400),
         (DimensionMismatchError("d"), 400),
-        (ValueError("not json"), 400),
-        (KeyError("q"), 400),
+        (InvalidParameterError("request body is not JSON"), 400),
+        (DataValidationError("query point must be a list of numbers"), 400),
         (RuntimeError("boom"), 500),
+        # Caller input is checked where it enters; a bare built-in error
+        # past that point is the server's bug, not the caller's mistake.
+        (ValueError("internal"), 500),
+        (KeyError("internal"), 500),
+        (TypeError("internal"), 500),
     ])
     def test_status_codes(self, exc, status):
         assert http_status(exc) == status

@@ -9,20 +9,25 @@ Three bug classes this file pins down:
 * **torn snapshots** — ``snapshot()`` must be internally consistent and
   own its dicts even while eight threads hammer the recorders;
 * **exposition fidelity** — the Prometheus rendering must lint clean and
-  agree with the JSON body it is derived from.
+  agree with the JSON body it is derived from, on a node, a durable
+  standby and the cluster coordinator, and ``docs/observability.md`` §2
+  must name exactly the families the table renders.
 """
 
 import re
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import NotPrimaryError
 from repro.obs.prom import lint_exposition
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import FAMILIES, ServiceMetrics, render
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src" / "repro"
+DOCS = Path(__file__).resolve().parents[2] / "docs"
 
 KERNEL_STATS = {
     "queries": 1,
@@ -164,15 +169,124 @@ class TestSnapshotIsolation:
             t.start()
         try:
             for _ in range(20):
-                assert lint_exposition(metrics.prometheus()) == []
+                assert lint_exposition(render(
+                    metrics.snapshot(), metrics.latency_histogram())) == []
         finally:
             stop.set()
             for t in threads:
                 t.join(timeout=5.0)
 
 
+_SAMPLE_RE = re.compile(r'^(\w+)(?:\{(.*)\})? (\S+)')
+_LABEL_RE = re.compile(r'(\w+)="([^"]*)"')
+
+
+def _parse(text):
+    """family name -> [(labels, value)] for every sample of a scrape."""
+    samples = {}
+    for line in text.splitlines():
+        match = _SAMPLE_RE.match(line)
+        if match is None:
+            continue
+        name, labels, value = match.groups()
+        samples.setdefault(name, []).append(
+            (dict(_LABEL_RE.findall(labels or "")), float(value)))
+    return samples
+
+
+def _leaf(body, path):
+    for key in path.split("."):
+        if not isinstance(body, dict) or key not in body:
+            return None
+        body = body[key]
+    return body
+
+
+def assert_matches_json(text, body):
+    """Every sample equals the JSON leaf its table row names; a family
+    whose leaf the body lacks is not in the scrape."""
+    assert lint_exposition(text) == []
+    samples = _parse(text)
+    for family in FAMILIES:
+        if family.type == "histogram" or family.path.startswith("http."):
+            continue  # not read off the JSON body
+        leaf = _leaf(body, family.path)
+        got = samples.get(family.name, [])
+        if leaf is None:
+            assert got == [], family.name
+            continue
+        if family.label is None:
+            assert got == [({}, float(leaf))], family.name
+        elif isinstance(family.label, tuple):
+            records = leaf or family.default
+            assert sorted(got, key=repr) == sorted(
+                ({name: str(rec[name]) for name in family.label},
+                 float(rec["count"])) for rec in records), family.name
+        else:
+            source = leaf or family.default or {}
+            if family.keys:
+                source = {key: leaf[sub] for key, sub in family.keys.items()}
+            assert {labels[family.label]: value for labels, value in got} \
+                == {str(key): float(family.value(raw) if family.value
+                                    else raw)
+                    for key, raw in source.items()}, family.name
+
+
+def _coordinator_body():
+    from repro.cluster import ClusterCoordinator, ClusterTopology
+    from repro.cluster.router_server import ClusterService
+
+    topology = ClusterTopology.build([["http://127.0.0.1:9"]] * 3, 30)
+    # The supervisor's status() is all /metrics reads of it.
+    supervisor = SimpleNamespace(
+        status=lambda: {"running": True, "promotions": 2, "restarts": 1},
+        stop=lambda: None)
+    with ClusterService(ClusterCoordinator(topology),
+                        supervisor=supervisor) as service:
+        service.metrics.record_request("rtk", 0.004, degraded=True,
+                                       trace_id="c1")
+        service.coordinator.breakers[1].record_failure()
+        for _ in range(5):
+            service.coordinator.breakers[2].record_failure()
+        return (service.metrics_snapshot(),
+                service.metrics.latency_histogram())
+
+
+def _standby_body(tmp_path):
+    from repro.durability import DurableDynamicRRQ
+    from repro.service.server import DurableQueryService, ServiceConfig
+
+    config = ServiceConfig(batch_window_s=0.0)
+    primary = DurableQueryService(
+        DurableDynamicRRQ(tmp_path / "p", dim=3, fsync="never"),
+        config=config)
+    try:
+        for vector in ([0.2, 0.3, 0.1], [0.5, 0.1, 0.4]):
+            primary.mutate("insert_product", {"vector": vector})
+        primary.mutate("insert_weight", {"vector": [0.3, 0.3, 0.4]})
+        standby = DurableQueryService(
+            DurableDynamicRRQ(tmp_path / "s", dim=3, fsync="never"),
+            config=config, role="standby",
+            primary_url=primary.engine.replication_feed,
+            poll_interval_s=0.01)
+        try:
+            deadline = time.monotonic() + 10.0
+            while standby.replication_status()["lag"] != 0:
+                assert time.monotonic() < deadline, "standby never caught up"
+                time.sleep(0.01)
+            standby.query([0.3, 0.2, 0.1], kind="rkr", k=1)
+            with pytest.raises(NotPrimaryError):
+                standby.mutate("insert_product", {"vector": [0.1] * 3})
+            return (standby.metrics_snapshot(),
+                    standby.metrics.latency_histogram())
+        finally:
+            standby.close()
+    finally:
+        primary.close()
+
+
 class TestPrometheusRendering:
-    def test_lints_clean_and_matches_json(self):
+    def test_lints_clean_and_matches_json(self, tmp_path):
         metrics = ServiceMetrics()
         metrics.record_request("rtk", 0.003, trace_id="abc123")
         metrics.record_request("rkr", 0.004)
@@ -180,9 +294,10 @@ class TestPrometheusRendering:
         metrics.record_kernel(dict(KERNEL_STATS))
         metrics.record_batch(3)
         metrics.record_mutation("compact")
-        text = metrics.prometheus(
-            cache_stats={"capacity": 10, "entries": 2, "hits": 1,
-                         "misses": 3, "invalidations": 0},
+        body = dict(
+            metrics.snapshot(),
+            cache={"capacity": 10, "entries": 2, "hits": 1,
+                   "misses": 3, "invalidations": 0},
             durability={"wal": {"appends": 7, "fsyncs": 7},
                         "last_lsn": 7, "snapshot_lsn": 3},
             replication={"lag": 0, "applied_records": 7,
@@ -190,6 +305,7 @@ class TestPrometheusRendering:
             slowlog={"recorded_total": 1, "threshold_s": 0.25},
             traces={"finished_total": 2},
         )
+        text = render(body, metrics.latency_histogram())
         assert lint_exposition(text) == []
         assert 'rrq_requests_total{kind="rtk"} 1' in text
         assert 'rrq_requests_total{kind="rkr"} 1' in text
@@ -202,6 +318,34 @@ class TestPrometheusRendering:
         assert "rrq_traces_finished_total 2" in text
         # The latency observation carries its trace id as an exemplar.
         assert 'trace_id="abc123"' in text
+        # The same holds for the scrapes of a cluster coordinator (its
+        # rrq_cluster_* families, a closed, a counting and an open
+        # breaker) and of a durable standby (replication, storage).
+        for body, latency in (
+                (body, None), _coordinator_body(), _standby_body(tmp_path)):
+            text = render(body, latency, idle_connections=0)
+            assert_matches_json(text, body)
+            assert "\nrrq_http_idle_connections 0\n" in text
+        coordinator = _parse(render(_coordinator_body()[0]))
+        assert coordinator["rrq_cluster_breaker_open"] == [
+            ({"shard": "0"}, 0.0), ({"shard": "1"}, 0.0),
+            ({"shard": "2"}, 1.0)]
+        assert coordinator["rrq_degraded_responses_total"] == [({}, 1.0)]
+        assert coordinator["rrq_cluster_promotions"] == [({}, 2.0)]
+        assert "rrq_cluster_degraded_queries" not in coordinator
+
+    def test_docs_name_every_family(self):
+        """docs/observability.md §2 is the contract: its table names
+        every family the renderer can emit, and nothing else."""
+        text = (DOCS / "observability.md").read_text()
+        section = text.split("## 2. Prometheus exposition", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        named = set()
+        for line in section.splitlines():
+            if line.startswith("|"):
+                first_cell = line.split("|")[1]
+                named.update(re.findall(r"`(rrq_\w+)`", first_cell))
+        assert named == {family.name for family in FAMILIES}
 
     def test_window_tallies_read_the_same_in_both_bodies(self):
         metrics = ServiceMetrics()
@@ -211,19 +355,21 @@ class TestPrometheusRendering:
         batches = metrics.snapshot()["batches"]
         assert batches["windows"] == {"expired": 1, "complete": 2, "full": 0}
         assert (batches["total"], batches["coalesced"]) == (3, 2)
-        text = metrics.prometheus()
+        text = render(metrics.snapshot())
         assert lint_exposition(text) == []
         for closed, count in batches["windows"].items():
             assert (f'rrq_batch_window_total{{closed="{closed}"}} {count}'
                     in text)
 
     def test_empty_metrics_still_lint_clean(self):
-        assert lint_exposition(ServiceMetrics().prometheus()) == []
+        metrics = ServiceMetrics()
+        assert lint_exposition(render(metrics.snapshot(),
+                                      metrics.latency_histogram())) == []
 
     def test_latency_histogram_counts_requests(self):
         metrics = ServiceMetrics()
         for latency in (0.0001, 0.003, 0.2, 9.0):
             metrics.record_request("rtk", latency)
-        text = metrics.prometheus()
+        text = render(metrics.snapshot(), metrics.latency_histogram())
         assert "rrq_request_latency_seconds_count 4" in text
         assert 'rrq_request_latency_seconds_bucket{le="+Inf"} 4' in text

@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.queries.engine import RRQEngine
 from repro.service.limits import ServiceLimits
+from repro.service.metrics import render
 from repro.service.scheduler import MicroBatchScheduler
 
 from ..model import LiveModel
@@ -398,7 +399,7 @@ class TestDeclaredFallback:
                         "count": len(requests)}],
         }
         assert snap["kernel"]["queries"] == 0
-        text = scheduler.metrics.prometheus()
+        text = render(scheduler.metrics.snapshot())
         assert ('rrq_fallback_total{from="kernel",to="reference_scan",'
                 f'reason="kernel_error"}} {len(requests)}') in text
 
