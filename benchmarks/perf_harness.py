@@ -52,9 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(overrides the built-in configs)")
     parser.add_argument("--seed", type=int, default=None,
                         help="base RNG seed (default: pinned harness seed)")
-    parser.add_argument("--shards", type=int, default=None,
-                        help="worker count for the sharded engine "
-                             "(0 disables; default max(2, cpu_count))")
     parser.add_argument("--no-verify", action="store_true",
                         help="skip the exact-oracle verification pass")
     parser.add_argument("--fused", action="store_true",
@@ -104,8 +101,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         else:
             report = run_harness(
-                configs=configs, seed=seed, shards=args.shards,
-                verify=not args.no_verify, out=out,
+                configs=configs, seed=seed, verify=not args.no_verify,
+                out=out,
                 progress=lambda message: print(message, flush=True),
             )
     except (ReproError, OSError) as exc:

@@ -6,10 +6,9 @@ win) is a diff against a committed JSON file instead of an anecdote.
 This module is that harness.  For each configuration it
 
 1. generates the workload (paper distributions, pinned seeds),
-2. answers the same queries with the per-weight ``GridIndexRRQ`` loop,
-   the blocked kernel (:class:`~repro.vectorized.girkernel.GirKernelRRQ`)
-   and — when more than one shard makes sense — the shared-memory
-   sharded engine (:class:`~repro.vectorized.shard.ShardedGirRRQ`),
+2. answers the same queries with the per-weight ``GridIndexRRQ`` loop
+   and the blocked kernel
+   (:class:`~repro.vectorized.girkernel.GirKernelRRQ`),
 3. records nearest-rank p50 per-query latency, speedups, and the
    kernel's pair-classification counts (the paper's filtering story), and
 4. **verifies** every kernel answer against the per-weight loop and an
@@ -43,7 +42,6 @@ from ..service.metrics import percentile
 from ..vectorized.batch import BatchOracle
 from ..vectorized.blasthreads import guarded_thread_counts
 from ..vectorized.girkernel import GirKernelRRQ, KernelStats
-from ..vectorized.shard import ShardedGirRRQ
 
 #: Seed offsets keep products / weights / query sampling independent.
 DEFAULT_SEED = 7
@@ -136,32 +134,19 @@ def _timed_queries(answer, queries: Sequence[np.ndarray], k: int,
     return times, answers
 
 
-def _kind_report(gir_times: List[float], kernel_times: List[float],
-                 sharded_times: Optional[List[float]]) -> dict:
+def _kind_report(gir_times: List[float], kernel_times: List[float]) -> dict:
     gir_p50 = percentile(gir_times, 0.50)
     kernel_p50 = percentile(kernel_times, 0.50)
-    report = {
+    return {
         "gir_p50_s": gir_p50,
         "kernel_p50_s": kernel_p50,
         "kernel_speedup": gir_p50 / kernel_p50 if kernel_p50 > 0 else 0.0,
     }
-    if sharded_times is not None:
-        sharded_p50 = percentile(sharded_times, 0.50)
-        report["sharded_p50_s"] = sharded_p50
-        report["sharded_speedup_vs_kernel"] = (
-            kernel_p50 / sharded_p50 if sharded_p50 > 0 else 0.0
-        )
-    return report
 
 
 def run_config(cfg: dict, seed: int = DEFAULT_SEED,
-               shards: Optional[int] = None, verify: bool = True) -> dict:
-    """Benchmark + verify one configuration; returns its JSON-ready record.
-
-    ``shards=0`` (or 1) skips the sharded engine; ``None`` uses
-    ``max(2, os.cpu_count())`` so single-core machines still record a
-    sharded data point (flagged by ``machine.cpu_count`` in the output).
-    """
+               verify: bool = True) -> dict:
+    """Benchmark + verify one configuration; returns its JSON-ready record."""
     name = cfg["name"]
     queries_n = int(cfg["queries"])
     k = int(cfg["k"])
@@ -184,49 +169,30 @@ def run_config(cfg: dict, seed: int = DEFAULT_SEED,
                      replace=False)
     queries = [products.values[i] for i in idx]
 
-    if shards is None:
-        shards = max(2, os.cpu_count() or 1)
-    sharded = (ShardedGirRRQ(products, weights, shards=shards, kernel=kernel)
-               if shards >= 2 else None)
-
     record = {
         "name": name,
         "params": dict(cfg),
         "seed": seed,
         "query_indices": [int(i) for i in idx],
-        "shards": sharded.shards if sharded is not None else 0,
     }
     identical = True
-    try:
-        for kind in ("rtk", "rkr"):
-            gir_fn = gir.reverse_topk if kind == "rtk" else gir.reverse_kranks
-            kernel_fn = (kernel.reverse_topk if kind == "rtk"
-                         else kernel.reverse_kranks)
-            gir_times, gir_answers = _timed_queries(gir_fn, queries, k)
-            kernel_times, kernel_answers = _timed_queries(
-                kernel_fn, queries, k, warm=True)
-            sharded_times = sharded_answers = None
-            if sharded is not None:
-                sharded_fn = (sharded.reverse_topk if kind == "rtk"
-                              else sharded.reverse_kranks)
-                sharded_times, sharded_answers = _timed_queries(
-                    sharded_fn, queries, k, warm=True)
-            identical &= gir_answers == kernel_answers
-            if sharded_answers is not None:
-                identical &= gir_answers == sharded_answers
-            if verify:
-                oracle = _oracle(products, weights)
-                oracle_fn = (oracle.reverse_topk if kind == "rtk"
-                             else oracle.reverse_kranks)
-                identical &= all(
-                    oracle_fn(q, k) == answer
-                    for q, answer in zip(queries, kernel_answers)
-                )
-            record[kind] = _kind_report(gir_times, kernel_times,
-                                        sharded_times)
-    finally:
-        if sharded is not None:
-            sharded.close()
+    for kind in ("rtk", "rkr"):
+        gir_fn = gir.reverse_topk if kind == "rtk" else gir.reverse_kranks
+        kernel_fn = (kernel.reverse_topk if kind == "rtk"
+                     else kernel.reverse_kranks)
+        gir_times, gir_answers = _timed_queries(gir_fn, queries, k)
+        kernel_times, kernel_answers = _timed_queries(
+            kernel_fn, queries, k, warm=True)
+        identical &= gir_answers == kernel_answers
+        if verify:
+            oracle = _oracle(products, weights)
+            oracle_fn = (oracle.reverse_topk if kind == "rtk"
+                         else oracle.reverse_kranks)
+            identical &= all(
+                oracle_fn(q, k) == answer
+                for q, answer in zip(queries, kernel_answers)
+            )
+        record[kind] = _kind_report(gir_times, kernel_times)
 
     # One serial pass over the kernel: the per-query p50/p95 that
     # ``repro-rrq bench`` prints, and their sum.
@@ -283,13 +249,12 @@ def _full_kernel_stats(kernel: GirKernelRRQ, queries: Sequence[np.ndarray],
 
 
 def run_harness(configs: Optional[Sequence[dict]] = None,
-                seed: int = DEFAULT_SEED, shards: Optional[int] = None,
-                verify: bool = True, out=None,
+                seed: int = DEFAULT_SEED, verify: bool = True, out=None,
                 progress=None) -> dict:
     """Run every configuration; optionally write the JSON file.
 
     Returns the full report dict; ``report["ok"]`` is False when any
-    kernel/sharded answer diverged from the per-weight loop or the
+    kernel answer diverged from the per-weight loop or the
     oracle (the property the whole optimization is worthless without).
     """
     configs = list(configs) if configs is not None else list(DEFAULT_CONFIGS)
@@ -303,8 +268,7 @@ def run_harness(configs: Optional[Sequence[dict]] = None,
     for cfg in configs:
         if progress is not None:
             progress(f"config {cfg['name']} ...")
-        records.append(run_config(cfg, seed=seed, shards=shards,
-                                  verify=verify))
+        records.append(run_config(cfg, seed=seed, verify=verify))
     report = {
         "schema": 1,
         "benchmark": "girkernel",

@@ -494,7 +494,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     report = run_harness(
         configs=configs,
         seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        shards=args.shards,
         verify=not args.no_verify,
         out=out,
         progress=lambda message: print(message, flush=True),
@@ -699,8 +698,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON file with a list of config objects")
     bench.add_argument("--seed", type=int, default=None,
                        help="base RNG seed (default: pinned harness seed)")
-    bench.add_argument("--shards", type=int, default=None,
-                       help="sharded-engine worker count (0 disables)")
     bench.add_argument("--no-verify", action="store_true",
                        help="skip the exact-oracle verification pass")
     bench.add_argument("--fused", action="store_true",

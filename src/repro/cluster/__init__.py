@@ -4,8 +4,7 @@ The paper's answers compose exactly across any partition of ``W``
 (RTK = union, RKR = k-smallest merge with the library tie-break), so a
 cluster of workers each owning a weight slice answers byte-identically
 to a single node over the full data — this package is that composition
-promoted from the in-process :mod:`repro.vectorized.shard` engine to a
-process/HTTP boundary:
+across a process/HTTP boundary, the one place ``W`` is split:
 
 * :mod:`~repro.cluster.topology` — the membership manifest, the
   ``range``/``mod`` weight partitioners, and rebalance plans;

@@ -4,8 +4,7 @@ For every RTK/RKR request the coordinator fans the query to each shard's
 :class:`~repro.service.client.ServiceClient` concurrently, translates
 the shard-local weight indices in each partial answer back to global
 indices through the :class:`~repro.cluster.topology.ClusterTopology`,
-and merges with the exact semantics proven in-process by
-:meth:`repro.vectorized.shard.ShardedGirRRQ._scatter_gather`:
+and merges exactly:
 
 * RTK — per-shard answers are disjoint global index sets; the merged
   answer is their union;

@@ -176,6 +176,10 @@ class ClusterService:
 
     def metrics_snapshot(self) -> dict:
         snap = self.metrics.snapshot()
+        # A node's scheduler records these; a coordinator dispatches no
+        # batch, sweeps no kernel and takes no node fallback.
+        for section in ("batches", "kernel", "fallbacks"):
+            del snap[section]
         snap["slowlog"] = self.slowlog.stats()
         snap["traces"] = self.tracer.stats()
         snap["cluster"] = self.coordinator.stats()

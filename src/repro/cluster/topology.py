@@ -7,15 +7,13 @@ owns a disjoint subset of the global weight indices.  Because
 ``rank(w, q)`` depends only on ``w``, ``q`` and ``P`` (never on other
 weights), any partition of ``W`` yields exact scatter-gather answers:
 RTK answers are unions of per-shard answers and RKR answers are
-k-smallest merges — the same merge :mod:`repro.vectorized.shard` runs
-in-process, promoted here to a process/HTTP boundary.
+k-smallest merges (:func:`~repro.queries.types.make_rkr_result`).
 
 Two partitioners, both deterministic and invertible:
 
 ``range``
-    Contiguous slices via the same ``linspace`` split the in-process
-    sharded engine uses.  Global index ``g`` on shard ``s`` becomes
-    local index ``g - base[s]``.  New weights are routed to the *last*
+    Contiguous ``linspace`` slices.  Global index ``g`` on shard ``s``
+    becomes local index ``g - base[s]``.  New weights are routed to the *last*
     shard (its range is open above); rebalancing moves boundary runs.
 ``mod``
     Round-robin by residue: global ``g`` lives on shard ``g % N`` at
@@ -105,13 +103,8 @@ class ShardSpec:
 def partition_weight_indices(total: int, shards: int,
                              partitioner: str = "range"
                              ) -> List[np.ndarray]:
-    """The global weight indices each of ``shards`` workers owns.
-
-    The ``range`` split is byte-compatible with
-    :class:`~repro.vectorized.shard.ShardedGirRRQ`'s in-process ranges
-    (``linspace`` boundaries), so a cluster sliced this way answers
-    exactly like the shared-memory engine sharded the same way.
-    """
+    """The global weight indices each of ``shards`` workers owns
+    (``range``: ``linspace`` boundaries; ``mod``: residues)."""
     if total < 0:
         raise InvalidParameterError("total must be >= 0")
     if shards < 1:

@@ -40,9 +40,8 @@ differs, and
 :class:`KernelStats` reports exactly where it went (filter / refine /
 merge stage seconds, pair classification counts).
 
-The compute core is array-only (:class:`KernelCore`) so that
-:mod:`repro.vectorized.shard` can run it inside worker processes over
-``multiprocessing.shared_memory`` views without copying anything.
+The compute core is array-only (:class:`KernelCore`), so a kernel store
+can hand it mapped arrays without copying anything.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ class KernelStats:
     filter_s, refine_s, merge_s:
         Seconds spent forming/classifying score tiles, refining the
         undecided band with exact dot products, and merging per-block
-        (or per-shard) partial answers.
+        partial answers.
     pairs_total:
         Live ``(p, w)`` pairs that entered classification.
     pairs_case1:
@@ -413,14 +412,14 @@ class _BlockState:
 class KernelCore:
     """Array-only compute core of the blocked kernel.
 
-    Deliberately free of dataset objects so shard workers can build one
-    directly over shared-memory views.  ``P`` and ``W`` are
+    Deliberately free of dataset objects so a kernel store can build one
+    directly over mapped arrays.  ``P`` and ``W`` are
     taken as-is (float64, C-contiguous preferred); on the float32 filter
     path the core also holds their single-precision copies ``P32`` /
     ``W32`` — cast here, or handed in by a caller that already has them
-    (a mapped kernel store, a shard worker's shared segments), in which
-    case nothing is scanned or copied.  Product rows may come in any
-    order: answers are weight indices and ranks, counts over ``P``.
+    (a mapped kernel store), in which case nothing is scanned or copied.
+    Product rows may come in any order: answers are weight indices and
+    ranks, counts over ``P``.
     """
 
     def __init__(self, P: np.ndarray, W: np.ndarray,
@@ -735,10 +734,10 @@ class KernelCore:
             batch.QM[qi], block.FQ[:, qi], block.TOL[:, qi], ws, rows, cols,
             counter, stats)
 
-    def _seed_limits(self, batch: _BatchState, ks: Sequence[int], lo: int,
-                     hi: int, counters: List[OpCounter],
+    def _seed_limits(self, batch: _BatchState, ks: Sequence[int],
+                     counters: List[OpCounter],
                      stats: KernelStats) -> np.ndarray:
-        """Per-query limit an RKR sweep of ``[lo, hi)`` can start from.
+        """Per-query limit an RKR sweep can start from.
 
         Under each of the ``SEED_CANDIDATES * k`` weights of the first
         block that score ``q`` lowest, count the products scoring at or
@@ -749,24 +748,22 @@ class KernelCore:
         below it, so a column whose certain-better count exceeds it is
         out; ``+ 1`` because a column stays while ``counts < limit``
         and an equal rank can still win on the smaller index.  ``inf``
-        where the block holds fewer than ``k`` weights.  Nothing outside
-        ``[lo, hi)`` is read: a shard's answer is the k best of its own
-        range.
+        where the block holds fewer than ``k`` weights.
         """
         t0 = perf_counter()
         work = _workspace
-        we = min(lo + self.w_block, hi)
+        we = min(self.w_block, self.W.shape[0])
         n = self.P.shape[0]
         seeds = np.full(len(ks), np.inf)
-        FQ = self.W[lo:we] @ batch.QM.T
+        FQ = self.W[:we] @ batch.QM.T
         for qi, k in enumerate(ks):
-            if we - lo < k:
+            if we < k:
                 continue
-            c = min(SEED_CANDIDATES * k, we - lo)
+            c = min(SEED_CANDIDATES * k, we)
             cand = np.argpartition(FQ[:, qi], c - 1)[:c]
             fq = FQ[cand, qi]
             gate = (fq + TIE_REL_TOL * (1.0 + np.abs(fq)))[:, None]
-            w_rows = self.W[lo + cand]
+            w_rows = self.W[cand]
             upper = np.zeros(c, dtype=np.int64)
             for ps in range(0, n, self.p_block):
                 pe = min(ps + self.p_block, n)
@@ -785,33 +782,34 @@ class KernelCore:
         return seeds
 
     # ------------------------------------------------------------------
-    # query kinds (range-restricted so shards can reuse them)
+    # query kinds
     # ------------------------------------------------------------------
 
     # Both sweeps run at one BLAS thread, here where the gemms are, so
-    # every caller gets it: the scheduler, a store read, a shard worker,
-    # the harness (``blasthreads``: a second thread buys a tenth and
-    # costs up to 5x when it has to be woken).
+    # every caller gets it: the scheduler, a store read, the harness
+    # (``blasthreads``: a second thread buys a tenth and costs up to 5x
+    # when it has to be woken).
     @single_threaded()
-    def rtk_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
+    def rtk_batch(self, QM: np.ndarray, ks: Sequence[int],
                   counters: List[OpCounter],
                   stats: KernelStats) -> List[List[int]]:
-        """Per-query weight indices in ``[lo, hi)`` whose rank of the
-        query is below its ``k``, all queries off one tile sweep."""
+        """Per-query weight indices whose rank of the query is below its
+        ``k``, all queries off one tile sweep."""
         nq = QM.shape[0]
+        m_w = self.W.shape[0]
         stats.record_sweep(nq)
         batch = self.prepare_batch(QM)
         results: List[List[int]] = [[] for _ in range(nq)]
         live: List[int] = []
         for qi in range(nq):
-            stats.pairs_domin_skipped += batch.n_dom[qi] * (hi - lo)
-            counters[qi].dominated_skips += batch.n_dom[qi] * (hi - lo)
+            stats.pairs_domin_skipped += batch.n_dom[qi] * m_w
+            counters[qi].dominated_skips += batch.n_dom[qi] * m_w
             if batch.n_dom[qi] >= ks[qi]:
                 # k dominators out-rank q under every weight: empty
                 # answer everywhere (Algorithm 2 lines 7-8), and the
                 # query leaves the batch before the sweep.
-                stats.weights_pruned += hi - lo
-                counters[qi].early_terminations += hi - lo
+                stats.weights_pruned += m_w
+                counters[qi].early_terminations += m_w
             else:
                 live.append(qi)
         if not live:
@@ -819,8 +817,8 @@ class KernelCore:
         batch = batch.take(live)
         counters = [counters[qi] for qi in live]
         limits = np.array([ks[qi] for qi in live], dtype=np.float64)
-        for ws in range(lo, hi, self.w_block):
-            we = min(ws + self.w_block, hi)
+        for ws in range(0, m_w, self.w_block):
+            we = min(ws + self.w_block, m_w)
             block = self.classify_batch(batch, ws, we, limits, counters,
                                         stats)
             for j, qi in enumerate(live):
@@ -834,10 +832,10 @@ class KernelCore:
         return results
 
     @single_threaded()
-    def rkr_batch(self, QM: np.ndarray, ks: Sequence[int], lo: int, hi: int,
+    def rkr_batch(self, QM: np.ndarray, ks: Sequence[int],
                   counters: List[OpCounter],
                   stats: KernelStats) -> List[List[Tuple[int, int]]]:
-        """Per-query k best ``(rank, index)`` pairs within ``[lo, hi)``.
+        """Per-query k best ``(rank, index)`` pairs.
 
         Tie-break matches the library contract: among equal ranks the
         smaller index wins (blocks are scanned in index order and the
@@ -850,17 +848,18 @@ class KernelCore:
         never wrongly.
         """
         nq = QM.shape[0]
+        m_w = self.W.shape[0]
         stats.record_sweep(nq)
         batch = self.prepare_batch(QM)
         for qi in range(nq):
-            stats.pairs_domin_skipped += batch.n_dom[qi] * (hi - lo)
-            counters[qi].dominated_skips += batch.n_dom[qi] * (hi - lo)
-        seeds = self._seed_limits(batch, ks, lo, hi, counters, stats)
+            stats.pairs_domin_skipped += batch.n_dom[qi] * m_w
+            counters[qi].dominated_skips += batch.n_dom[qi] * m_w
+        seeds = self._seed_limits(batch, ks, counters, stats)
         # Max-heaps of the current k best: entries (-rank, -index).
         heaps: List[List[Tuple[int, int]]] = [[] for _ in range(nq)]
         limits = np.empty(nq, dtype=np.float64)
-        for ws in range(lo, hi, self.w_block):
-            we = min(ws + self.w_block, hi)
+        for ws in range(0, m_w, self.w_block):
+            we = min(ws + self.w_block, m_w)
             for qi in range(nq):
                 heap = heaps[qi]
                 limits[qi] = (seeds[qi] if len(heap) < ks[qi]
@@ -896,17 +895,6 @@ class KernelCore:
                         heapq.heapreplace(heap, (-rnk, -(ws + int(j))))
                 stats.merge_s += perf_counter() - t0
         return [[(-nr, -ni) for nr, ni in heap] for heap in heaps]
-
-    def rtk_indices(self, q: np.ndarray, k: int, lo: int, hi: int,
-                    counter: OpCounter, stats: KernelStats) -> List[int]:
-        """:meth:`rtk_batch` for a batch of one."""
-        return self.rtk_batch(q[None, :], [k], lo, hi, [counter], stats)[0]
-
-    def rkr_pairs(self, q: np.ndarray, k: int, lo: int, hi: int,
-                  counter: OpCounter, stats: KernelStats,
-                  ) -> List[Tuple[int, int]]:
-        """:meth:`rkr_batch` for a batch of one."""
-        return self.rkr_batch(q[None, :], [k], lo, hi, [counter], stats)[0]
 
 
 class GirKernelRRQ(RRQAlgorithm):
@@ -978,14 +966,14 @@ class GirKernelRRQ(RRQAlgorithm):
     def _reverse_topk(self, q: np.ndarray, k: int,
                       counter: OpCounter) -> RTKResult:
         stats = KernelStats()
-        hits = self.core.rtk_indices(q, k, 0, self.W.shape[0], counter, stats)
+        hits, = self.core.rtk_batch(q[None, :], [k], [counter], stats)
         self.last_stats = stats
         return RTKResult(weights=frozenset(hits), k=k, counter=counter)
 
     def _reverse_kranks(self, q: np.ndarray, k: int,
                         counter: OpCounter) -> RKRResult:
         stats = KernelStats()
-        pairs = self.core.rkr_pairs(q, k, 0, self.W.shape[0], counter, stats)
+        pairs, = self.core.rkr_batch(q[None, :], [k], [counter], stats)
         self.last_stats = stats
         return make_rkr_result(pairs, k, counter)
 
@@ -1027,8 +1015,7 @@ class GirKernelRRQ(RRQAlgorithm):
         QM, ks = self._batch_inputs(queries, k)
         stats = KernelStats()
         counters = [OpCounter() for _ in range(len(queries))]
-        hits = self.core.rtk_batch(QM, ks, 0, self.W.shape[0],
-                                   counters, stats)
+        hits = self.core.rtk_batch(QM, ks, counters, stats)
         self.last_stats = stats
         return [RTKResult(weights=frozenset(h), k=kk, counter=counter)
                 for h, kk, counter in zip(hits, ks, counters)]
@@ -1047,8 +1034,7 @@ class GirKernelRRQ(RRQAlgorithm):
         QM, ks = self._batch_inputs(queries, k)
         stats = KernelStats()
         counters = [OpCounter() for _ in range(len(queries))]
-        pairs = self.core.rkr_batch(QM, ks, 0, self.W.shape[0],
-                                    counters, stats)
+        pairs = self.core.rkr_batch(QM, ks, counters, stats)
         self.last_stats = stats
         return [make_rkr_result(p, kk, counter)
                 for p, kk, counter in zip(pairs, ks, counters)]

@@ -7,8 +7,8 @@ wrong are all about *equal* ranks and *short* candidate lists, so the
 data here is built to produce them: every weight row appears several
 times (equal ranks whose winner is decided by index, inside one block
 and across block borders), ``|W|`` sits one either side of a block
-multiple, ``k`` runs from 1 past ``|W|``, and the scan is also run over
-``[lo, hi)`` sub-ranges the way ``ShardedGirRRQ`` runs it.  Every
+multiple, ``k`` runs from 1 past ``|W|``, and a kernel is also built
+over a ``W[lo:hi]`` slice the way a cluster worker holds one.  Every
 answer must equal ``NaiveRRQ``'s, for both filter dtypes.
 """
 
@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 
 from repro.algorithms.naive import NaiveRRQ
 from repro.data.datasets import ProductSet, WeightSet
-from repro.stats.counters import OpCounter
-from repro.vectorized.girkernel import GirKernelRRQ, KernelStats
+from repro.vectorized.girkernel import GirKernelRRQ
 
 W_BLOCK = 8
 
@@ -55,6 +54,9 @@ def test_rkr_matches_naive_at_the_cap_boundary(dim, filter_dtype, blocks,
     lo = int(rng.integers(0, n_weights - 1))
     hi = int(rng.integers(lo + 1, n_weights + 1))
     naive_range = NaiveRRQ(P, WeightSet(W[lo:hi]))
+    kernel_range = GirKernelRRQ(P, WeightSet(W[lo:hi]), partitions=8,
+                                w_block=W_BLOCK, p_block=16,
+                                filter_dtype=filter_dtype)
     queries = [P[int(rng.integers(P.size))], rng.uniform(0.05, 0.95, dim)]
     ks = (1, 2, int(rng.integers(3, n_weights + 1)), n_weights,
           n_weights + 3)
@@ -62,12 +64,9 @@ def test_rkr_matches_naive_at_the_cap_boundary(dim, filter_dtype, blocks,
         for q in queries:
             expected = naive.reverse_kranks(q, k).entries
             assert kernel.reverse_kranks(q, k).entries == expected
-            # The shard route: one [lo, hi) range, local top-k.
-            pairs = kernel.core.rkr_pairs(np.asarray(q, dtype=np.float64), k,
-                                          lo, hi, OpCounter(), KernelStats())
-            assert tuple(sorted(pairs)) == tuple(
-                (rank, j + lo)
-                for rank, j in naive_range.reverse_kranks(q, k).entries)
+            # A worker's route: one W[lo:hi] slice, local top-k.
+            assert (kernel_range.reverse_kranks(q, k).entries
+                    == naive_range.reverse_kranks(q, k).entries)
         # Both queries in one sweep: the cap is per query.
         together = kernel.reverse_kranks_batch(queries, k)
         assert [r.entries for r in together] == [

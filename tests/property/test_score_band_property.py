@@ -136,9 +136,10 @@ def test_negative_coordinate_falls_back_to_float64():
         assert core.P32 is None and core.W32 is None
         ranks = (P2 @ W2.T < W2 @ q).sum(axis=0)
         stats = KernelStats()
-        hits = core.rtk_indices(q, 30, 0, 40, OpCounter(), stats)
+        hits, = core.rtk_batch(q[None, :], [30], [OpCounter()], stats)
         assert sorted(hits) == np.flatnonzero(ranks < 30).tolist()
         assert stats.pairs_f32 == 0 < stats.pairs_total
-        pairs = core.rkr_pairs(q, 5, 0, 40, OpCounter(), KernelStats())
+        pairs, = core.rkr_batch(q[None, :], [5], [OpCounter()],
+                                KernelStats())
         assert sorted(pairs) == sorted(
             (int(r), j) for j, r in enumerate(ranks))[:5]

@@ -11,9 +11,8 @@ segments, so the RKR ``(rank, id)`` tie-break must pick the smaller
 the unsealed delta).
 
 Invariant, for any query point and any k: the pinned-snapshot merge
-path, the densified :class:`SnapshotKernel`, and a
-``ShardedGirRRQ.from_snapshot`` engine all produce canonical JSON
-**byte-identical** to ``NaiveRRQ`` over the snapshot's live rows.
+path and the densified :class:`SnapshotKernel` both produce canonical
+JSON **byte-identical** to ``NaiveRRQ`` over the snapshot's live rows.
 """
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.algorithms.naive import NaiveRRQ
 from repro.data.datasets import ProductSet, WeightSet
 from repro.service.server import canonical_json, encode_result
 from repro.storage import SegmentStore, SnapshotKernel
-from repro.vectorized.shard import ShardedGirRRQ
 
 DIM = 3
 GRID = (0.15, 0.35, 0.55, 0.75)  # tiny finite grid -> dense duplicates
@@ -77,9 +75,7 @@ def pinned(tmp_path_factory):
     oracle = NaiveRRQ(ProductSet(p_live, value_range=store.value_range),
                       WeightSet(w_live))
     kernel = SnapshotKernel.build(snap)
-    sharded = ShardedGirRRQ.from_snapshot(snap, shards=3)
-    yield snap, oracle, w_gids, kernel, sharded
-    sharded.close()
+    yield snap, oracle, w_gids, kernel
     snap.release()
     store.close()
 
@@ -105,11 +101,10 @@ def _oracle_json(oracle, w_gids, q, k, kind):
 @given(q=query_points, k=st.integers(min_value=1, max_value=35))
 @settings(max_examples=40, deadline=None)
 def test_rkr_merge_matches_single_index_oracle(pinned, q, k):
-    snap, oracle, w_gids, kernel, sharded = pinned
+    snap, oracle, w_gids, kernel = pinned
     q_arr = np.array(q)
     reference = _oracle_json(oracle, w_gids, q_arr, k, "rkr")
-    for label, backend in (("merge", snap), ("kernel", kernel),
-                           ("sharded", sharded)):
+    for label, backend in (("merge", snap), ("kernel", kernel)):
         got = canonical_json(
             encode_result(backend.reverse_kranks(q_arr, k), "rkr"))
         assert got == reference, f"{label} RKR diverged from the oracle"
@@ -118,11 +113,10 @@ def test_rkr_merge_matches_single_index_oracle(pinned, q, k):
 @given(q=query_points, k=st.integers(min_value=1, max_value=12))
 @settings(max_examples=25, deadline=None)
 def test_rtk_merge_matches_single_index_oracle(pinned, q, k):
-    snap, oracle, w_gids, kernel, sharded = pinned
+    snap, oracle, w_gids, kernel = pinned
     q_arr = np.array(q)
     reference = _oracle_json(oracle, w_gids, q_arr, k, "rtk")
-    for label, backend in (("merge", snap), ("kernel", kernel),
-                           ("sharded", sharded)):
+    for label, backend in (("merge", snap), ("kernel", kernel)):
         got = canonical_json(
             encode_result(backend.reverse_topk(q_arr, k), "rtk"))
         assert got == reference, f"{label} RTK diverged from the oracle"

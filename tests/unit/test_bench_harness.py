@@ -47,36 +47,27 @@ class TestConfigs:
 
 class TestRunConfig:
     def test_micro_config_verifies(self):
-        record = run_config(MICRO, seed=11, shards=0, verify=True)
+        record = run_config(MICRO, seed=11, verify=True)
         assert record["verified"]
         assert record["oracle"] == "naive"
-        assert record["shards"] == 0
+        assert "shards" not in record
         for kind in ("rtk", "rkr"):
             assert record[kind]["gir_p50_s"] > 0
             assert record[kind]["kernel_p50_s"] > 0
             assert "sharded_p50_s" not in record[kind]
         assert "filter_rate" not in record["kernel_stats"]
 
-    def test_sharded_numbers_recorded(self):
-        record = run_config(MICRO, seed=11, shards=2, verify=False)
-        assert record["shards"] == 2
-        assert record["rtk"]["sharded_p50_s"] > 0
-        assert record["rtk"]["sharded_speedup_vs_kernel"] > 0
-        # Sharded answers are still compared against the loop's even
-        # with the oracle pass disabled.
-        assert record["verified"]
-
     def test_rejects_bad_sizes(self):
         bad = dict(MICRO, queries=0)
         with pytest.raises(InvalidParameterError):
-            run_config(bad, shards=0)
+            run_config(bad)
 
 
 class TestRunHarness:
     def test_report_shape_and_file(self, tmp_path):
         out = tmp_path / "BENCH.json"
         messages = []
-        report = run_harness([MICRO], seed=5, shards=0, verify=True,
+        report = run_harness([MICRO], seed=5, verify=True,
                              out=out, progress=messages.append)
         assert report["ok"]
         assert messages  # progress callback fired
@@ -166,8 +157,8 @@ class TestCheckRegression:
 
 
 class TestWarmTiming:
-    """The kernel and sharded columns are best-of-warm; a cold single
-    call swung 128 <-> 225 ms between runs of one build."""
+    """The kernel column is best-of-warm; a cold single call swung
+    128 <-> 225 ms between runs of one build."""
 
     def test_best_of_repeats_after_one_untimed_call(self, monkeypatch):
         from repro.bench import harness
@@ -208,9 +199,8 @@ class TestWarmTiming:
             return timed(answer, queries, k, warm)
 
         monkeypatch.setattr(harness, "_timed_queries", recording)
-        run_config(MICRO, seed=11, shards=2, verify=False)
-        assert seen == [("GridIndexRRQ", False), ("GirKernelRRQ", True),
-                        ("ShardedGirRRQ", True)] * 2
+        run_config(MICRO, seed=11, verify=False)
+        assert seen == [("GridIndexRRQ", False), ("GirKernelRRQ", True)] * 2
 
 
 def _counted(report, rtk_pairs, rkr_pairs):
@@ -277,7 +267,7 @@ class TestPerKindKernelStats:
         # Regression: the merged stats object used to report the RTK and
         # RKR sweeps' query totals *summed* ("queries": 4 for a 2-query
         # config); the per-kind split must report each sweep's own count.
-        record = run_config(MICRO, seed=11, shards=0, verify=False)
+        record = run_config(MICRO, seed=11, verify=False)
         stats = record["kernel_stats"]
         assert stats["rtk"]["queries"] == MICRO["queries"]
         assert stats["rkr"]["queries"] == MICRO["queries"]

@@ -146,7 +146,7 @@ class TestBench:
         config_file.write_text(json.dumps(config))
         out = tmp_path / "BENCH_test.json"
         rc = main(["bench", "--config", str(config_file),
-                   "--out", str(out), "--shards", "0"])
+                   "--out", str(out)])
         assert rc == 0
         assert "verified=True" in capsys.readouterr().out
         report = json.loads(out.read_text())
@@ -221,6 +221,30 @@ class TestServeFlags:
             build_parser().parse_args(["serve", "idx/"] + flag)
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
+
+
+def _perf_harness_parser():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks/perf_harness.py"
+    spec = importlib.util.spec_from_file_location("perf_harness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build_parser()
+
+
+class TestBenchFlags:
+    @pytest.mark.parametrize("parser,argv", [
+        (build_parser, ["bench", "--shards", "2"]),
+        (_perf_harness_parser, ["--shards", "2"]),
+    ], ids=["repro-rrq", "perf_harness"])
+    def test_bench_has_no_shards_flag(self, parser, argv, capsys):
+        """One process sweeps one kernel: there is no sharded column
+        to size."""
+        with pytest.raises(SystemExit) as excinfo:
+            parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--shards" in capsys.readouterr().err
 
 
 class TestClusterFlags:

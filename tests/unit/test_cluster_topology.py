@@ -31,8 +31,8 @@ class TestPartitioners:
         assert sorted(merged.tolist()) == list(range(total))
 
     def test_range_matches_sharded_engine_split(self):
-        # The in-process sharded engine splits with the same linspace;
-        # a cluster partitioned 'range' answers exactly like it.
+        # Contiguous linspace slices: the split
+        # tests/property/test_shard_merge_property.py merges.
         total, shards = 103, 5
         bounds = np.linspace(0, total, shards + 1).astype(int)
         owned = partition_weight_indices(total, shards, "range")

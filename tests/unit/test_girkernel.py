@@ -424,10 +424,10 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("n_weights", [63, 65])
     def test_ragged_last_block(self, n_weights):
-        """|W| one off the block size, and a ``[lo, hi)`` range that
-        ends inside a block: the per-block reset at a short block."""
+        """|W| one off the block size, and a slice ``W[lo:hi]`` (what a
+        cluster worker holds) that ends inside a block: the per-block
+        reset at a short block."""
         from repro.data.datasets import WeightSet
-        from repro.stats.counters import OpCounter
 
         P = uniform_products(120, 4, seed=51)
         W = uniform_weights(n_weights, 4, seed=52)
@@ -439,16 +439,13 @@ class TestWorkspace:
                     == _answers(naive, kind, queries, 4))
         lo, hi = 7, n_weights - 9
         part = NaiveRRQ(P, WeightSet(W.values[lo:hi]))
-        small = GirKernelRRQ(P, W, partitions=16, w_block=20, p_block=32)
+        small = GirKernelRRQ(P, WeightSet(W.values[lo:hi]), partitions=16,
+                             w_block=20, p_block=32)
         for q in queries:
-            pairs = small.core.rkr_pairs(q, 4, lo, hi, OpCounter(),
-                                         KernelStats())
-            assert tuple(sorted(pairs)) == tuple(
-                (rank, j + lo) for rank, j in part.reverse_kranks(q, 4).entries)
-            hits = small.core.rtk_indices(q, 4, lo, hi, OpCounter(),
-                                          KernelStats())
-            assert frozenset(hits) == frozenset(
-                j + lo for j in part.reverse_topk(q, 4).weights)
+            assert (small.reverse_kranks(q, 4).entries
+                    == part.reverse_kranks(q, 4).entries)
+            assert (small.reverse_topk(q, 4).weights
+                    == part.reverse_topk(q, 4).weights)
 
     def test_plain_batch_call_sweeps_at_one_blas_thread(self, data,
                                                         two_threads):
@@ -504,8 +501,8 @@ class TestSeededLimit:
         assert result.entries == NaiveRRQ(P, W).reverse_kranks(q, k).entries
         # The seed was as tight as a seed gets, and pruned nobody wrongly.
         seeds = kernel.core._seed_limits(
-            kernel.core.prepare_batch(q[None, :]), [k], 0, n_weights,
-            [OpCounter()], KernelStats())
+            kernel.core.prepare_batch(q[None, :]), [k], [OpCounter()],
+            KernelStats())
         assert seeds.tolist() == [R + 1]
 
     @pytest.mark.parametrize("lo,hi", [
@@ -515,9 +512,10 @@ class TestSeededLimit:
         (43, 117),       # several blocks, ragged both ends
     ])
     def test_a_range_is_seeded_from_its_own_weights(self, lo, hi):
-        """The best-ranked weights sit *before* ``lo``: a seed that
-        looked at them would prune the whole range.  ``ShardedGirRRQ``'s
-        merge needs the k best of exactly ``[lo, hi)``."""
+        """A kernel over the slice ``W[lo:hi]``, as a cluster worker
+        holds one: the best-ranked weights of the full ``W`` sit *before*
+        ``lo``, and the coordinator's merge needs the k best of exactly
+        the slice."""
         from repro.data.datasets import WeightSet
 
         k = 4
@@ -529,12 +527,11 @@ class TestSeededLimit:
             NaiveRRQ(P, W).reverse_kranks(q, W.size).entries,
             key=lambda entry: entry[1])]
         W = WeightSet(W.values[np.argsort(ranks, kind="stable")])
-        kernel = GirKernelRRQ(P, W, partitions=16, w_block=20, p_block=32)
+        kernel = GirKernelRRQ(P, WeightSet(W.values[lo:hi]), partitions=16,
+                              w_block=20, p_block=32)
         part = NaiveRRQ(P, WeightSet(W.values[lo:hi]))
-        pairs = kernel.core.rkr_pairs(q, k, lo, hi, OpCounter(),
-                                      KernelStats())
-        assert tuple(sorted(pairs)) == tuple(
-            (rank, j + lo) for rank, j in part.reverse_kranks(q, k).entries)
+        assert (kernel.reverse_kranks(q, k).entries
+                == part.reverse_kranks(q, k).entries)
 
     @pytest.mark.parametrize("use_domin", [True, False])
     @pytest.mark.parametrize("filter_dtype", girkernel.FILTER_DTYPES)
@@ -580,10 +577,12 @@ class TestSeededLimit:
         # float64 scores are no classified pairs.
         assert stats.pairs_f32 == stats.pairs_total
         # A first block shorter than k has no seed and pays for none.
-        unseeded = OpCounter()
-        short = kernel.core.rkr_pairs(P[532], 10, 0, 9, unseeded,
-                                      KernelStats())
-        assert len(short) == 9
+        from repro.data.datasets import WeightSet
+
+        nine = GirKernelRRQ(P, WeightSet(W.values[:9]), partitions=32)
+        short = nine.reverse_kranks(P[532], 10)
+        unseeded = short.counter
+        assert len(short.entries) == 9
         # The query itself and its 26 dominators are no classified pair.
         rows, q = P.values, P[532]
         excluded = np.all(rows == q, axis=1) | np.all(rows < q, axis=1)

@@ -1,8 +1,7 @@
 """Unit tests for the MVCC segment store (``repro.storage``).
 
-Contract under test: every query answer — the store's own reads, a
-directly built kernel, or a snapshot-fed sharded engine — is
-**byte-identical** to ``NaiveRRQ``
+Contract under test: every query answer — the store's own reads or a
+directly built kernel — is **byte-identical** to ``NaiveRRQ``
 over the same live rows, across seals, compactions, and concurrent
 mutations; pinned snapshots are immune to everything that happens after
 the pin; retired segment files survive exactly as long as a pin holds
@@ -305,22 +304,6 @@ class TestDenseReaders:
         store.insert_product(rng.uniform(0, 0.9, DIM))
         with store.pin() as snap2:
             assert not kernel.matches(snap2)
-
-    def test_sharded_engine_from_snapshot(self, tmp_path):
-        from repro.vectorized.shard import ShardedGirRRQ
-
-        rng = _rng(111)
-        store = SegmentStore(DIM, partitions=8, directory=tmp_path)
-        pids, wids = fill(store, rng, n_products=30, n_weights=20)
-        store.seal(force=True)
-        store.remove_weight(wids[2])
-        fill(store, rng, n_products=4, n_weights=4)
-        with store.pin() as snap:
-            sharded = ShardedGirRRQ.from_snapshot(snap, shards=3)
-            try:
-                assert_parity(sharded, store, rng)
-            finally:
-                sharded.close()
 
 
 class TestKernelMemo:

@@ -326,13 +326,23 @@ class TestPrometheusRendering:
             text = render(body, latency, idle_connections=0)
             assert_matches_json(text, body)
             assert "\nrrq_http_idle_connections 0\n" in text
-        coordinator = _parse(render(_coordinator_body()[0]))
+        coordinator_text = render(_coordinator_body()[0])
+        coordinator = _parse(coordinator_text)
         assert coordinator["rrq_cluster_breaker_open"] == [
             ({"shard": "0"}, 0.0), ({"shard": "1"}, 0.0),
             ({"shard": "2"}, 1.0)]
         assert coordinator["rrq_degraded_responses_total"] == [({}, 1.0)]
         assert coordinator["rrq_cluster_promotions"] == [({}, 2.0)]
         assert "rrq_cluster_degraded_queries" not in coordinator
+        # A node's scheduler sections are not a coordinator's: none of
+        # their 12 families is in its scrape.
+        node_only = {family.name for family in FAMILIES
+                     if family.path.split(".")[0]
+                     in ("batches", "kernel", "fallbacks")}
+        assert len(node_only) == 12
+        assert [name for name in node_only
+                if name in coordinator
+                or f" {name} " in coordinator_text] == []
 
     def test_docs_name_every_family(self):
         """docs/observability.md §2 is the contract: its table names
