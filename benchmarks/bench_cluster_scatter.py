@@ -15,13 +15,13 @@ checked byte-identical (canonical JSON) to the single-node answer, and
 no response may carry a ``degraded`` flag: the speedup only counts if
 the answers are exact.
 
-The dynamic engine behind ``serve --durable`` walks ``W`` one weight at
-a time, so each worker does ``1/N`` of the work — but the shards only
-run *concurrently* when the machine has cores to run them on.  The
-expected speedup is roughly ``min(workers, cpu_count)`` minus the
-coordinator's overhead (one HTTP hop + the k-smallest merge, both
-sub-millisecond at these sizes); on a single-core box the bench
-therefore measures pure coordination overhead (~0.8x), which is why
+Every ``serve --durable`` worker answers with one blocked-kernel sweep
+over its own weight slice, so each worker sweeps ``1/N`` of ``W`` — but
+the shards only run *concurrently* when the machine has cores to run
+them on.  The expected speedup is roughly ``min(workers, cpu_count)``
+minus the coordinator's overhead (one HTTP hop + the k-smallest merge,
+both sub-millisecond at these sizes); on a single-core box the bench
+therefore measures pure coordination overhead, which is why
 ``machine.cpu_count`` is part of the committed report.
 
 Default sizes follow the kernel trajectory configs (|P| = 1500,
@@ -50,8 +50,9 @@ DEFAULT_QUERIES = 4
 DEFAULT_K = 10
 DEFAULT_SEED = 7
 
-#: Generous per-shard budget: a 100k-weight RKR walk takes ~10 s on the
-#: single node, so shard answers must never be cut off by the default 5 s.
+#: Per-shard budget far above any answer: a 100k-weight RKR sweep takes
+#: under 0.1 s on one node (2 vCPUs), and a shard cut off by the timeout
+#: would be answered by the coordinator's fallback instead of measured.
 SHARD_TIMEOUT_S = 120.0
 
 

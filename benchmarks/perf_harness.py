@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Run the kernel perf-regression harness and write ``BENCH_*.json``.
 
-Thin script wrapper over :mod:`repro.bench.harness` (the CLI equivalent
-is ``repro-rrq bench``).  Three modes:
+Thin script wrapper over :mod:`repro.bench.harness`, and its one entry
+point (``repro-rrq`` has no ``bench`` subcommand).  Three modes:
 
 * default — the committed trajectory configs (|W| = 100k), writes
   ``BENCH_kernel.json`` next to the repo root;

@@ -14,11 +14,11 @@ This module is that harness.  For each configuration it
 4. **verifies** every kernel answer against the per-weight loop and an
    independent oracle (:class:`~repro.algorithms.naive.NaiveRRQ` on
    small configs, :class:`~repro.vectorized.batch.BatchOracle` on large
-   ones) — a divergence marks the run ``ok: false``, which the CI smoke
-   job and the ``repro-rrq bench`` CLI turn into a failing exit code.
+   ones) — a divergence marks the run ``ok: false``, which
+   ``benchmarks/perf_harness.py`` turns into a failing exit code.
 
-Entry points: :func:`run_harness` (programmatic),
-``benchmarks/perf_harness.py`` (script), ``repro-rrq bench`` (CLI).
+Entry points: :func:`run_harness` (programmatic) and
+``benchmarks/perf_harness.py`` (script, the one command line).
 """
 
 from __future__ import annotations
@@ -194,8 +194,8 @@ def run_config(cfg: dict, seed: int = DEFAULT_SEED,
             )
         record[kind] = _kind_report(gir_times, kernel_times)
 
-    # One serial pass over the kernel: the per-query p50/p95 that
-    # ``repro-rrq bench`` prints, and their sum.
+    # One serial pass over the kernel: the record's per-query p50/p95,
+    # and their sum.
     batch_times = []
     for q in queries:
         start = perf_counter()

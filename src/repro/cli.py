@@ -16,10 +16,6 @@ Installed as ``repro-rrq``.  Subcommands cover the full life cycle:
   endpoints and optional hot-standby replication (``--standby-of``);
 * ``cluster`` — launch N local durable workers plus the scatter-gather
   coordinator front door (dev/test form of ``repro.cluster``);
-* ``bench`` — run the kernel perf-regression harness and write a
-  ``BENCH_*.json`` trajectory file (exit 1 if kernel answers diverge
-  from the exact oracle); ``--fused`` runs the fused multi-query batch
-  and mmap cold-start harness instead;
 * ``wal-dump`` — print every decoded record of a write-ahead log;
 * ``storage-dump`` — decode a ``--durable`` directory's MVCC segment
   store: manifest generation/LSN, per-segment row counts and checksum
@@ -33,8 +29,6 @@ Examples::
     repro-rrq compare data/ --product 17 -k 10
     repro-rrq model --dim 20 --epsilon 0.01
     repro-rrq serve idx/ --port 8377 --batch-window-ms 2   # maps idx/'s kernel
-    repro-rrq bench --smoke --out BENCH_smoke.json
-    repro-rrq bench --fused --smoke              # fused batch + mmap gate
     repro-rrq serve wal/ --durable --dim 6 --fsync always
     repro-rrq serve wal2/ --durable --standby-of http://127.0.0.1:8377
     repro-rrq wal-dump wal/
@@ -42,6 +36,9 @@ Examples::
 
 Invalid paths and malformed inputs exit with code 2 and a one-line
 ``error:`` message on stderr — never a traceback.
+
+The kernel perf-regression harness (``BENCH_*.json``, ``--fused``,
+``--baseline``) is ``benchmarks/perf_harness.py``, not a subcommand.
 """
 
 from __future__ import annotations
@@ -314,10 +311,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_cluster(args: argparse.Namespace) -> int:
     """Launch N local durable workers + the scatter-gather coordinator.
 
-    A dev/test convenience: production deployments start workers
-    individually (``serve --durable``) and point a coordinator at their
-    URLs via a topology manifest; this subcommand does all of it in one
-    process tree over a generated or on-disk data set.
+    A dev/test convenience: it starts the workers (``serve --durable``)
+    and the coordinator over their URLs in one process tree, over a
+    generated or on-disk data set.
     """
     from .cluster import LocalCluster
 
@@ -332,20 +328,18 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
     cluster = LocalCluster(
         products, weights,
         num_workers=args.workers,
-        partitioner=args.partitioner,
         base_dir=args.dirs,
         fsync=args.fsync,
         host=args.host,
         coordinator_port=args.port,
         shard_timeout_s=args.shard_timeout_ms / 1000.0,
-        fallback=not args.no_fallback,
         replicas=args.replicas,
         supervise=args.supervise,
         hedge=args.hedge,
     )
     try:
-        print(f"cluster: {args.workers} workers ({args.partitioner} "
-              f"partitioner, {args.replicas} standby(s)/shard"
+        print(f"cluster: {args.workers} workers (range partition, "
+              f"{args.replicas} standby(s)/shard"
               f"{', supervised' if args.supervise else ''}"
               f"{', hedged reads' if args.hedge else ''}) over "
               f"{products.size}x{weights.size} "
@@ -464,89 +458,6 @@ def _durability_info(path: Path) -> int:
         print(f"{'wal error':18s} {wal['error']} (offset {wal['offset']})")
     print(f"{'integrity':18s} {'ok' if report['ok'] else 'DAMAGED'}")
     return 0 if report["ok"] else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the kernel perf harness; write ``BENCH_*.json``.
-
-    Exit 2 on bad paths (missing config file, unwritable output
-    directory — the CLI convention), exit 1 when a kernel answer
-    diverges from the exact oracle.
-    """
-    from .bench.harness import (
-        DEFAULT_SEED,
-        FUSED_SMOKE_CONFIGS,
-        SMOKE_CONFIGS,
-        load_configs,
-        run_harness,
-    )
-
-    configs = None
-    if args.config is not None:
-        configs = load_configs(args.config)
-    elif args.smoke:
-        configs = list(FUSED_SMOKE_CONFIGS if args.fused
-                       else SMOKE_CONFIGS)
-    if args.fused:
-        return _bench_fused(args, configs)
-    out = args.out or ("BENCH_smoke.json" if args.smoke
-                       else "BENCH_kernel.json")
-    report = run_harness(
-        configs=configs,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        verify=not args.no_verify,
-        out=out,
-        progress=lambda message: print(message, flush=True),
-    )
-    for record in report["configs"]:
-        batch = record["batch"]
-        print(f"{record['name']}: "
-              f"rtk x{record['rtk']['kernel_speedup']:.1f} "
-              f"rkr x{record['rkr']['kernel_speedup']:.1f} "
-              f"rkr_pairs="
-              f"{record['kernel_stats']['rkr']['pairs']['total']} "
-              f"batch p50={batch['per_query_p50_s']*1000:.1f}ms "
-              f"p95={batch['per_query_p95_s']*1000:.1f}ms "
-              f"verified={record['verified']}")
-    print(f"wrote {out} (ok={report['ok']})")
-    if not report["ok"]:
-        print("error: kernel answers diverged from the oracle",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _bench_fused(args: argparse.Namespace, configs) -> int:
-    """``bench --fused``: the fused-batch + mmap cold-start harness."""
-    from .bench.harness import DEFAULT_SEED, run_fused_harness
-
-    out = args.out or ("BENCH_fused_smoke.json" if args.smoke
-                       else "BENCH_fused.json")
-    report = run_fused_harness(
-        configs=configs,
-        seed=args.seed if args.seed is not None else DEFAULT_SEED,
-        verify=not args.no_verify,
-        out=out,
-        progress=lambda message: print(message, flush=True),
-    )
-    for record in report["configs"]:
-        cold = record["cold_start"]
-        print(f"{record['name']}: "
-              f"rtk wall x{record['fused_rtk']['wall_speedup']:.2f} "
-              f"filter x{record['fused_rtk']['filter_speedup']:.2f}  "
-              f"rkr wall x{record['fused_rkr']['wall_speedup']:.2f} "
-              f"filter x{record['fused_rkr']['filter_speedup']:.2f}  "
-              f"cold-start x{cold['speedup']:.1f} "
-              f"(rebuild {cold['rebuild_s']*1000:.1f}ms, "
-              f"mmap {cold['mmap_load_s']*1000:.2f}ms, "
-              f"store {cold['store_bytes']:,}B) "
-              f"verified={record['verified']}")
-    print(f"wrote {out} (ok={report['ok']})")
-    if not report["ok"]:
-        print("error: fused answers diverged from the sequential kernel "
-              "or the oracle", file=sys.stderr)
-        return 1
-    return 0
 
 
 def _cmd_wal_dump(args: argparse.Namespace) -> int:
@@ -686,26 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     info.add_argument("index")
     info.set_defaults(func=_cmd_info)
 
-    bench = sub.add_parser(
-        "bench", help="kernel perf harness: write a BENCH_*.json trajectory"
-    )
-    bench.add_argument("--smoke", action="store_true",
-                       help="tiny pinned-seed configs (CI smoke)")
-    bench.add_argument("--out", default=None,
-                       help="output JSON path (default BENCH_kernel.json, "
-                            "or BENCH_smoke.json with --smoke)")
-    bench.add_argument("--config", default=None, metavar="FILE",
-                       help="JSON file with a list of config objects")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="base RNG seed (default: pinned harness seed)")
-    bench.add_argument("--no-verify", action="store_true",
-                       help="skip the exact-oracle verification pass")
-    bench.add_argument("--fused", action="store_true",
-                       help="run the fused multi-query batch + mmap "
-                            "cold-start harness instead (writes "
-                            "BENCH_fused*.json)")
-    bench.set_defaults(func=_cmd_bench)
-
     wal_dump = sub.add_parser(
         "wal-dump", help="decode a write-ahead log (exit 1 on corruption)"
     )
@@ -778,10 +669,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("data", help="data directory from 'generate'")
     cluster.add_argument("--workers", type=int, default=3,
                          help="worker process count (one shard each)")
-    cluster.add_argument("--partitioner", choices=("range", "mod"),
-                         default="range",
-                         help="weight partition function (see "
-                              "docs/operations.md)")
     cluster.add_argument("--dirs", default=None, metavar="DIR",
                          help="parent directory for per-worker durability "
                               "dirs (default: a fresh temp dir)")
@@ -794,10 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker WAL fsync policy (dev default: never)")
     cluster.add_argument("--shard-timeout-ms", type=float, default=5000.0,
                          help="per-shard sub-request timeout")
-    cluster.add_argument("--no-fallback", action="store_true",
-                         help="omit a failed shard's slice (flagged) "
-                              "instead of answering it from a local "
-                              "exact fallback")
     cluster.add_argument("--replicas", type=int, default=0,
                          help="hot standbys per shard, each tailing its "
                               "primary's WAL feed (0 disables)")

@@ -6,8 +6,8 @@ cluster of workers each owning a weight slice answers byte-identically
 to a single node over the full data — this package is that composition
 across a process/HTTP boundary, the one place ``W`` is split:
 
-* :mod:`~repro.cluster.topology` — the membership manifest, the
-  ``range``/``mod`` weight partitioners, and rebalance plans;
+* :mod:`~repro.cluster.topology` — the routing table and the ``range``
+  weight partition;
 * :mod:`~repro.cluster.coordinator` — concurrent fan-out, exact merge,
   per-shard circuit breakers, degraded-but-exact partial failure, and
   ownership-aware mutation routing;
@@ -25,13 +25,12 @@ _EXPORTS = {
     "launcher": ["LocalCluster", "WorkerProcess"],
     "router_server": ["ClusterHTTPServer", "ClusterService",
                       "make_cluster_server", "serve_cluster_in_background"],
-    "topology": ["PARTITIONERS", "ClusterTopology", "ShardSpec",
+    "topology": ["ClusterTopology", "ShardSpec",
                  "partition_weight_indices"],
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
-    "PARTITIONERS",
     "ClusterCoordinator",
     "ClusterHTTPServer",
     "ClusterService",

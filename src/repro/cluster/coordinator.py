@@ -52,10 +52,9 @@ writer, which is what keeps failover split-brain-free.
 
 Writes route by ownership: weight mutations go to the owning shard's
 primary (the per-shard client's 409 rotate-on-standby failover from the
-durability layer applies unchanged), product mutations broadcast to all
-shards (every worker holds the full ``P``), and ``compact`` is refused
-— it would renumber shard-local indices under the topology's feet; the
-documented procedure is a rebalance.
+durability layer applies unchanged), and product mutations,
+``compact`` and ``snapshot`` broadcast to all shards (every worker holds
+the full ``P``; compaction keeps shard-local indices stable).
 """
 
 from __future__ import annotations
@@ -88,18 +87,22 @@ from .topology import ClusterTopology
 #: Default per-shard sub-request socket timeout, seconds.
 DEFAULT_SHARD_TIMEOUT_S = 5.0
 
-#: Default consecutive sub-request failures that open a shard's breaker.
-DEFAULT_SHARD_BREAKER_THRESHOLD = 3
+#: Consecutive sub-request failures that open a shard's breaker.
+SHARD_BREAKER_THRESHOLD = 3
 
-#: Default cool-down before a shard breaker admits a half-open probe.
-DEFAULT_SHARD_BREAKER_RESET_S = 5.0
+#: Cool-down before a shard breaker admits a half-open probe, seconds.
+SHARD_BREAKER_RESET_S = 5.0
 
-#: Default backup probes one query may issue across all its shards.
-DEFAULT_HEDGE_BUDGET = 2
+#: Per-shard sub-request retries: none, so a failed shard falls back at
+#: once instead of stalling the merge behind backoff sleeps.
+SHARD_RETRIES = 0
+
+#: Backup probes one query may issue across all its shards.
+HEDGE_BUDGET = 2
 
 #: Floor for the hedge delay (and the cold-start delay before enough
 #: latency samples exist to derive a p95).
-DEFAULT_HEDGE_MIN_DELAY_S = 0.01
+HEDGE_MIN_DELAY_S = 0.01
 
 #: Default bound on concurrently running fan-outs before 503s start.
 DEFAULT_MAX_INFLIGHT = 64
@@ -137,13 +140,18 @@ def _p95(samples: List[float]) -> float:
     return samples[int(0.95 * (len(samples) - 1))]
 
 
+def _shard_breaker() -> CircuitBreaker:
+    return CircuitBreaker(failure_threshold=SHARD_BREAKER_THRESHOLD,
+                          reset_after_s=SHARD_BREAKER_RESET_S)
+
+
 class ClusterCoordinator:
     """Scatter-gather over the shards of one :class:`ClusterTopology`.
 
     Parameters
     ----------
     topology:
-        The membership manifest (endpoints, partitioner, counts).
+        The routing table (endpoints, per-shard weight counts).
     products, weights:
         The full data sets, when available (the local launcher always
         has them).  They power the degraded-but-exact fallback: a failed
@@ -155,19 +163,11 @@ class ClusterCoordinator:
         slice is omitted from (flagged) answers instead.
     shard_timeout_s:
         Per-shard sub-request socket timeout; each sub-request is
-        additionally capped by the request's remaining deadline budget.
-    retries:
-        Per-shard sub-request retries (default 0: fail fast to the
-        fallback instead of stalling the merge behind backoff sleeps).
-    default_deadline_s:
-        Deadline applied to queries that do not carry their own.
+        additionally capped by the query's own deadline, when it
+        carries one.
     hedge:
         Enable hedged reads against standby replicas (off by default:
         it costs duplicate probes and needs per-shard replicas).
-    hedge_budget:
-        Backup probes one query may issue across all its shards.
-    hedge_min_delay_s:
-        Floor (and cold-start value) for the p95-derived hedge delay.
     max_inflight:
         Concurrently running fan-outs admitted before queries are shed
         with a structured 503 (``None`` disables shedding).
@@ -176,20 +176,10 @@ class ClusterCoordinator:
     def __init__(self, topology: ClusterTopology,
                  products=None, weights=None,
                  shard_timeout_s: float = DEFAULT_SHARD_TIMEOUT_S,
-                 retries: int = 0,
-                 default_deadline_s: Optional[float] = None,
-                 breaker_threshold: int = DEFAULT_SHARD_BREAKER_THRESHOLD,
-                 breaker_reset_s: float = DEFAULT_SHARD_BREAKER_RESET_S,
                  hedge: bool = False,
-                 hedge_budget: int = DEFAULT_HEDGE_BUDGET,
-                 hedge_min_delay_s: float = DEFAULT_HEDGE_MIN_DELAY_S,
                  max_inflight: Optional[int] = DEFAULT_MAX_INFLIGHT):
         if shard_timeout_s <= 0:
             raise InvalidParameterError("shard_timeout_s must be positive")
-        if hedge_budget < 0:
-            raise InvalidParameterError("hedge_budget must be >= 0")
-        if hedge_min_delay_s < 0:
-            raise InvalidParameterError("hedge_min_delay_s must be >= 0")
         if max_inflight is not None and max_inflight <= 0:
             raise InvalidParameterError(
                 "max_inflight must be positive or None"
@@ -198,19 +188,11 @@ class ClusterCoordinator:
         self.products = products
         self.weights = weights
         self.shard_timeout_s = float(shard_timeout_s)
-        self.default_deadline_s = default_deadline_s
-        self._retries = int(retries)
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_reset_s = float(breaker_reset_s)
         self.clients: List[ServiceClient] = [
-            ServiceClient(list(spec.endpoints), timeout_s=shard_timeout_s,
-                          retries=retries, annotate_endpoint=True)
-            for spec in topology.shards
+            self._shard_client(spec) for spec in topology.shards
         ]
         self.breakers: List[CircuitBreaker] = [
-            CircuitBreaker(failure_threshold=breaker_threshold,
-                           reset_after_s=breaker_reset_s)
-            for _ in topology.shards
+            _shard_breaker() for _ in topology.shards
         ]
         self._pool = ThreadPoolExecutor(
             max_workers=max(2, topology.num_shards),
@@ -220,8 +202,6 @@ class ClusterCoordinator:
         # fan-out pool would deadlock once every fan-out thread is busy
         # waiting on probes.
         self.hedge_enabled = bool(hedge)
-        self.hedge_budget = int(hedge_budget)
-        self.hedge_min_delay_s = float(hedge_min_delay_s)
         self._hedge_pool: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(max_workers=max(4, 2 * topology.num_shards),
                                thread_name_prefix="rrq-hedge")
@@ -258,6 +238,11 @@ class ClusterCoordinator:
         self.hedge_wins = 0
         #: Primary routing flips applied via replace_shard_endpoints.
         self.failovers = 0
+
+    def _shard_client(self, spec) -> ServiceClient:
+        return ServiceClient(list(spec.endpoints),
+                             timeout_s=self.shard_timeout_s,
+                             retries=SHARD_RETRIES, annotate_endpoint=True)
 
     # ------------------------------------------------------------------
     # fallback (degraded-but-exact partials, mutation-synced)
@@ -447,8 +432,8 @@ class ClusterCoordinator:
             samples = [s for sid, window in enumerate(self._latency)
                        if sid != shard_id for s in window]
         if len(samples) < _MIN_HEDGE_SAMPLES:
-            return self.hedge_min_delay_s
-        return max(self.hedge_min_delay_s, _p95(samples))
+            return HEDGE_MIN_DELAY_S
+        return max(HEDGE_MIN_DELAY_S, _p95(samples))
 
     def _retry_after_hint_s(self) -> float:
         """How long a shed caller should wait (recent p95 fan-out cost)."""
@@ -625,14 +610,11 @@ class ClusterCoordinator:
     def _fan_out(self, vector, product, kind: str, k: int,
                  deadline_s: Optional[float]) -> dict:
         """The scatter-gather behind :meth:`query` (admission already done)."""
-        budget = deadline_s if deadline_s is not None else \
-            self.default_deadline_s
-        deadline = Deadline.after(budget)
+        deadline = Deadline.after(deadline_s)
         deadline.check()
         ctx = current()
         trace_id = current_trace_id()
-        hedge_ctx = (_HedgeBudget(self.hedge_budget)
-                     if self.hedge_enabled and self.hedge_budget > 0
+        hedge_ctx = (_HedgeBudget(HEDGE_BUDGET) if self.hedge_enabled
                      else None)
         with span("cluster.scatter_gather") as sp:
             sp.annotate("kind", kind)
@@ -718,17 +700,11 @@ class ClusterCoordinator:
             self.topology = self.topology.with_shard_endpoints(shard_id,
                                                                endpoints)
             spec = self.topology.shard(shard_id)
-            self.clients[shard_id] = ServiceClient(
-                list(spec.endpoints), timeout_s=self.shard_timeout_s,
-                retries=self._retries, annotate_endpoint=True,
-            )
+            self.clients[shard_id] = self._shard_client(spec)
             flipped = spec.primary != old_primary
             if flipped:
                 self.failovers += 1
-                self.breakers[shard_id] = CircuitBreaker(
-                    failure_threshold=self._breaker_threshold,
-                    reset_after_s=self._breaker_reset_s,
-                )
+                self.breakers[shard_id] = _shard_breaker()
                 self._last_errors.pop(shard_id, None)
             return {"shard": shard_id, "primary": spec.primary,
                     "endpoints": list(spec.endpoints), "flipped": flipped}
@@ -970,7 +946,6 @@ class ClusterCoordinator:
         with self._lock:
             return {
                 "shards": self.topology.num_shards,
-                "partitioner": self.topology.partitioner,
                 "total_weights": self.topology.total_weights,
                 "next_global": self._next_global,
                 "degraded_queries": self.degraded_queries,
@@ -984,7 +959,7 @@ class ClusterCoordinator:
                 "failovers": self.failovers,
                 "hedge": {
                     "enabled": self.hedge_enabled,
-                    "budget": self.hedge_budget,
+                    "budget": HEDGE_BUDGET,
                     "probes": self.hedged_probes,
                     "wins": self.hedge_wins,
                 },

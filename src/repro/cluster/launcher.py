@@ -3,8 +3,7 @@
 :class:`LocalCluster` is the dev/test harness behind the
 ``repro-rrq cluster`` subcommand and the cluster integration suite.  It
 
-1. slices the global weight set with the topology's partitioner and
-   seeds one durability directory per worker via
+1. slices the global weight set into contiguous ranges and seeds one durability directory per worker via
    :meth:`~repro.durability.engine.DurableDynamicRRQ.bootstrap`
    (products fully replicated, weights partitioned);
 2. spawns each worker as a **real subprocess** running
@@ -124,16 +123,14 @@ class LocalCluster:
     products, weights:
         The full data sets.  Products are replicated to every worker;
         weights are partitioned.  They are also handed to the
-        coordinator (unless ``fallback=False``) so a SIGKILLed worker's
-        slice can be answered exactly by the local fallback.
+        coordinator so a SIGKILLed worker's slice can be answered
+        exactly by the local fallback.
     num_workers:
         Worker process count (one shard each).
     replicas:
         Hot standbys per shard.  Each tails its primary's WAL feed from
         its own durability directory; the coordinator routes queries to
         the primary first and rotates to standbys on transport errors.
-    partitioner:
-        ``"range"`` or ``"mod"`` (see :mod:`repro.cluster.topology`).
     base_dir:
         Parent for the per-worker durability directories (a fresh
         temporary directory when omitted; remembered but never deleted —
@@ -152,7 +149,7 @@ class LocalCluster:
         manually for deterministic, bounded failover.
     detector_kwargs:
         Overrides for the supervisor's :class:`FailureDetector`
-        (``probe_timeout_s``, ``suspect_after``, ``dead_after``, ...).
+        (``probe_timeout_s``, ``suspect_after``, ``dead_after``).
     hedge:
         Enable coordinator hedged reads against the standbys.
     worker_extra_args:
@@ -162,10 +159,9 @@ class LocalCluster:
     """
 
     def __init__(self, products, weights, num_workers: int = 3,
-                 partitioner: str = "range",
                  base_dir=None, fsync: str = "never",
                  host: str = "127.0.0.1", coordinator_port: int = 0,
-                 shard_timeout_s: float = 5.0, fallback: bool = True,
+                 shard_timeout_s: float = 5.0,
                  start_timeout_s: float = WORKER_START_TIMEOUT_S,
                  replicas: int = 0,
                  supervise: bool = False,
@@ -197,8 +193,7 @@ class LocalCluster:
         self.supervisor: Optional[ClusterSupervisor] = None
         worker_extra_args = worker_extra_args or {}
         try:
-            owned = partition_weight_indices(weights.size, num_workers,
-                                             partitioner)
+            owned = partition_weight_indices(weights.size, num_workers)
             for shard_id in range(num_workers):
                 slice_weights = WeightSet(weights.values[owned[shard_id]])
                 primary = self._spawn(
@@ -224,12 +219,12 @@ class LocalCluster:
                 [[self.workers[shard_id].url]
                  + [s.url for s in self.standbys[shard_id]]
                  for shard_id in range(num_workers)],
-                weights.size, partitioner,
+                weights.size,
             )
             self.coordinator = ClusterCoordinator(
                 self.topology,
-                products=products if fallback else None,
-                weights=weights if fallback else None,
+                products=products,
+                weights=weights,
                 shard_timeout_s=shard_timeout_s,
                 hedge=hedge,
                 **({"max_inflight": max_inflight}

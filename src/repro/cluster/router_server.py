@@ -16,7 +16,7 @@ byte-identical, by construction) — only by the extra routes:
   method     path                body
   =========  ==================  ====================================
   GET        /cluster/healthz    per-shard health fan-out + breakers
-  GET        /cluster/topology   the membership/partition manifest
+  GET        /cluster/topology   the routing table and weight counts
   =========  ==================  ====================================
 
 Trace propagation: the handler opens one root trace per request (minting
@@ -32,7 +32,6 @@ import threading
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Iterator, Optional
-from urllib.parse import urlsplit
 
 from ..obs.slowlog import (
     DEFAULT_SLOW_THRESHOLD_S,
@@ -134,7 +133,6 @@ class ClusterService:
             "degraded": degraded,
             "role": "coordinator",
             "shards": stats["shards"],
-            "partitioner": stats["partitioner"],
             "breakers": stats["breakers"],
             "uptime_s": self.metrics.uptime_s(),
             "degraded_queries": stats["degraded_queries"],
@@ -149,7 +147,7 @@ class ClusterService:
         return body
 
     def topology_snapshot(self) -> dict:
-        """The ``GET /cluster/topology`` body: the membership manifest."""
+        """The ``GET /cluster/topology`` body: the routing table."""
         body = self.coordinator.topology.to_dict()
         body["next_global"] = self.coordinator.stats()["next_global"]
         return body
@@ -164,7 +162,6 @@ class ClusterService:
             "role": "coordinator",
             "method": "cluster",
             "shards": stats["shards"],
-            "partitioner": stats["partitioner"],
             "total_weights": stats["total_weights"],
             "shard_timeout_s": self.coordinator.shard_timeout_s,
             "fallback": stats["fallback_available"],
@@ -210,15 +207,8 @@ class _ClusterRequestHandler(_RequestHandler):
     """The single-node handler plus the ``/cluster/*`` read routes."""
 
     server_version = "repro-rrq-cluster"
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        path = urlsplit(self.path).path
-        if path == "/cluster/healthz":
-            self._send_json(200, self.service.cluster_healthz())
-        elif path == "/cluster/topology":
-            self._send_json(200, self.service.topology_snapshot())
-        else:
-            super().do_GET()
+    _EXTRA_GET_ROUTES = {"/cluster/healthz": "cluster_healthz",
+                         "/cluster/topology": "topology_snapshot"}
 
 
 class ClusterHTTPServer(ReverseRankHTTPServer):

@@ -8,12 +8,12 @@ coordinator got an atomic routing flip
 replace_shard_endpoints`).  The supervisor drives them automatically:
 
 1. **Detect** — :class:`FailureDetector` probes every shard primary's
-   ``/healthz`` each tick and classifies it ``alive`` / ``slow`` /
-   ``suspect`` / ``dead``.  Only *missed* probes (transport errors,
-   timeouts) advance toward ``dead``; a reachable-but-slow primary is
-   ``slow`` (latency EWMA above threshold) and is never failed over —
-   hedged reads handle stragglers, failover handles corpses.  The
-   distinction matters: restarting a slow node under load is how
+   ``/healthz`` each tick and classifies it ``alive`` / ``suspect`` /
+   ``dead``.  Only *missed* probes (no answer, a timeout or an HTTP
+   error status) advance toward ``dead``; a reachable-but-slow primary
+   stays ``alive`` (its latency EWMA is reported) and is never failed
+   over — hedged reads handle stragglers, failover handles corpses.
+   The distinction matters: restarting a slow node under load is how
    outages metastasize.
 2. **Promote** — once a primary is ``dead``
    (``dead_after`` consecutive misses), :class:`ClusterSupervisor`
@@ -44,11 +44,8 @@ background thread for production use.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections import deque
 from typing import Callable, Dict, List, Optional
 
@@ -65,11 +62,8 @@ DEFAULT_DEAD_AFTER = 5
 #: Per-probe socket timeout, seconds.
 DEFAULT_PROBE_TIMEOUT_S = 1.0
 
-#: Latency EWMA above this marks a reachable primary ``slow``.
-DEFAULT_SLOW_THRESHOLD_S = 0.5
-
-#: EWMA smoothing factor for probe latency.
-DEFAULT_EWMA_ALPHA = 0.2
+#: EWMA smoothing factor for the reported probe latency.
+EWMA_ALPHA = 0.2
 
 #: Background supervisor tick interval, seconds.
 DEFAULT_TICK_INTERVAL_S = 0.5
@@ -79,21 +73,6 @@ DEFAULT_MAX_RESTARTS = 3
 
 #: Failover events retained for ``status()``.
 _EVENT_LOG_SIZE = 64
-
-
-def _http_healthz(url: str, timeout_s: float) -> dict:
-    """One ``GET /healthz`` against one endpoint (no rotation, no retry)."""
-    request = urllib.request.Request(url.rstrip("/") + "/healthz")
-    try:
-        with urllib.request.urlopen(request, timeout=timeout_s) as resp:
-            return json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        # An HTTP error still proves the process is alive; surface the
-        # body when it is the structured JSON rejection.
-        try:
-            return json.loads(exc.read().decode("utf-8"))
-        except Exception:
-            return {"status": "degraded", "error": f"HTTP {exc.code}"}
 
 
 class HeartbeatState:
@@ -126,17 +105,19 @@ class HeartbeatState:
 
 
 class FailureDetector:
-    """Heartbeat probes classifying each shard primary alive/slow/suspect/dead.
+    """Heartbeat probes classifying each shard primary alive/suspect/dead.
 
-    A probe *misses* only on transport failure (connection refused,
-    reset, timeout) — an answering-but-degraded worker is not missing.
+    A probe goes through the shard's own
+    :class:`~repro.service.client.ServiceClient`, pinned to the primary
+    with no retry.  It *misses* when no ``200`` comes back (connection
+    refused or reset, timeout, an HTTP error status); a worker that
+    answers ``"status": "degraded"`` is not missing.
     ``suspect_after`` consecutive misses mark the primary ``suspect``
     (no action yet; one GC pause must not trigger failover),
     ``dead_after`` mark it ``dead`` (the supervisor acts).  A single
     successful probe resets the streak: liveness, not load, is what is
-    being measured.  Reachable primaries whose latency EWMA exceeds
-    ``slow_threshold_s`` are ``slow`` — reported, hedged against, never
-    failed over.
+    being measured.  A slow but answering primary stays ``alive``; its
+    latency EWMA is reported, never acted on.
 
     Probes run ``fire("supervision.heartbeat")`` first, so fault plans
     can drop heartbeats deterministically in chaos tests.
@@ -145,9 +126,7 @@ class FailureDetector:
     def __init__(self, coordinator: ClusterCoordinator,
                  probe_timeout_s: float = DEFAULT_PROBE_TIMEOUT_S,
                  suspect_after: int = DEFAULT_SUSPECT_AFTER,
-                 dead_after: int = DEFAULT_DEAD_AFTER,
-                 slow_threshold_s: float = DEFAULT_SLOW_THRESHOLD_S,
-                 ewma_alpha: float = DEFAULT_EWMA_ALPHA):
+                 dead_after: int = DEFAULT_DEAD_AFTER):
         if not 0 < suspect_after <= dead_after:
             raise ValueError(
                 "need 0 < suspect_after <= dead_after "
@@ -157,8 +136,6 @@ class FailureDetector:
         self.probe_timeout_s = float(probe_timeout_s)
         self.suspect_after = int(suspect_after)
         self.dead_after = int(dead_after)
-        self.slow_threshold_s = float(slow_threshold_s)
-        self.ewma_alpha = float(ewma_alpha)
         self._lock = threading.Lock()
         self._states: Dict[int, HeartbeatState] = {}
 
@@ -177,6 +154,11 @@ class FailureDetector:
         with self._lock:
             self._states.pop(shard_id, None)
 
+    def healthz(self, shard_id: int, endpoint: str) -> dict:
+        """One ``GET /healthz`` pinned to ``endpoint``, no retry."""
+        return self.coordinator.clients[shard_id].healthz(
+            timeout_s=self.probe_timeout_s, retries=0, endpoint=endpoint)
+
     def probe(self, shard_id: int) -> str:
         """Probe one shard's primary; returns its new state."""
         endpoint = self.coordinator.topology.shard(shard_id).primary
@@ -185,7 +167,7 @@ class FailureDetector:
         started = time.monotonic()
         try:
             fire("supervision.heartbeat")
-            health = _http_healthz(endpoint, self.probe_timeout_s)
+            health = self.healthz(shard_id, endpoint)
         except Exception as exc:
             hb.misses += 1
             hb.consecutive_misses += 1
@@ -202,11 +184,9 @@ class FailureDetector:
         if hb.ewma_latency_s is None:
             hb.ewma_latency_s = latency
         else:
-            hb.ewma_latency_s = (self.ewma_alpha * latency
-                                 + (1.0 - self.ewma_alpha)
-                                 * hb.ewma_latency_s)
-        hb.state = ("slow" if hb.ewma_latency_s > self.slow_threshold_s
-                    else "alive")
+            hb.ewma_latency_s = (EWMA_ALPHA * latency
+                                 + (1.0 - EWMA_ALPHA) * hb.ewma_latency_s)
+        hb.state = "alive"
         self.coordinator.observe_worker_health(shard_id, health)
         return hb.state
 
@@ -297,9 +277,10 @@ class ClusterSupervisor:
             self._events.append(fields)
         return fields
 
-    def _probe_standby(self, endpoint: str) -> Optional[dict]:
+    def _probe_standby(self, shard_id: int,
+                       endpoint: str) -> Optional[dict]:
         try:
-            return _http_healthz(endpoint, self.detector.probe_timeout_s)
+            return self.detector.healthz(shard_id, endpoint)
         except Exception:
             return None
 
@@ -315,7 +296,7 @@ class ClusterSupervisor:
             # standbys wins (first wins ties — deterministic order).
             candidates = []
             for endpoint in spec.replicas:
-                health = self._probe_standby(endpoint)
+                health = self._probe_standby(shard_id, endpoint)
                 if health is None:
                     continue
                 candidates.append((int(health.get("last_lsn") or 0),

@@ -9,41 +9,24 @@ weights), any partition of ``W`` yields exact scatter-gather answers:
 RTK answers are unions of per-shard answers and RKR answers are
 k-smallest merges (:func:`~repro.queries.types.make_rkr_result`).
 
-Two partitioners, both deterministic and invertible:
+The partition is ``range``: contiguous ``linspace`` slices.  Global
+index ``g`` on shard ``s`` becomes local index ``g - base[s]``, and new
+weights are routed to the *last* shard (its range is open above).
 
-``range``
-    Contiguous ``linspace`` slices.  Global index ``g`` on shard ``s``
-    becomes local index ``g - base[s]``.  New weights are routed to the *last*
-    shard (its range is open above); rebalancing moves boundary runs.
-``mod``
-    Round-robin by residue: global ``g`` lives on shard ``g % N`` at
-    local index ``g // N``.  Inserts routed through the coordinator
-    stay perfectly balanced; rebalancing to a different ``N`` moves the
-    residue-crossing indices.
-
-The topology is a static membership **manifest**: shard ids, their
+The topology is the coordinator's routing table: shard ids, their
 endpoint URLs (primary first, standbys after — the order the write
-failover walks), per-shard initial weight counts, and the partitioner.
-It serializes to canonical JSON (``GET /cluster/topology``, or a file
-next to the cluster's data) and computes :func:`rebalance plans
-<ClusterTopology.rebalance_plan>` when membership changes.
+failover walks) and per-shard initial weight counts.  It serializes to
+canonical JSON as the ``GET /cluster/topology`` body.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InvalidParameterError
-
-PathLike = Union[str, Path]
-
-#: Supported weight partitioners.
-PARTITIONERS = ("range", "mod")
 
 
 @dataclass(frozen=True)
@@ -103,45 +86,37 @@ class ShardSpec:
 def partition_weight_indices(total: int, shards: int,
                              partitioner: str = "range"
                              ) -> List[np.ndarray]:
-    """The global weight indices each of ``shards`` workers owns
-    (``range``: ``linspace`` boundaries; ``mod``: residues)."""
+    """The global weight indices each of ``shards`` workers owns:
+    contiguous ``linspace`` slices.  ``partitioner`` must be
+    ``"range"``, the one partition there is."""
+    if partitioner != "range":
+        raise InvalidParameterError(
+            f"unknown partitioner {partitioner!r}; the partition is 'range'"
+        )
     if total < 0:
         raise InvalidParameterError("total must be >= 0")
     if shards < 1:
         raise InvalidParameterError("shards must be positive")
-    if partitioner == "range":
-        bounds = np.linspace(0, total, shards + 1).astype(int)
-        return [np.arange(int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
-    if partitioner == "mod":
-        return [np.arange(s, total, shards) for s in range(shards)]
-    raise InvalidParameterError(
-        f"unknown partitioner {partitioner!r}; expected one of "
-        f"{', '.join(PARTITIONERS)}"
-    )
+    bounds = np.linspace(0, total, shards + 1).astype(int)
+    return [np.arange(int(lo), int(hi))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 @dataclass(frozen=True)
 class ClusterTopology:
-    """The static membership manifest + the global↔local index bijection.
+    """The routing table + the global↔local index bijection.
 
     ``shards`` must be a dense ``shard_id`` sequence ``0..N-1`` whose
     ``weight_count`` values reproduce :func:`partition_weight_indices`
     over the topology's ``total_weights`` — the constructor enforces it,
-    because a manifest whose counts drifted from the partitioner would
-    silently corrupt every global↔local translation.
+    because counts that drifted from the partition would silently
+    corrupt every global↔local translation.
     """
 
-    partitioner: str
     shards: Tuple[ShardSpec, ...]
     _bases: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.partitioner not in PARTITIONERS:
-            raise InvalidParameterError(
-                f"unknown partitioner {self.partitioner!r}; expected one of "
-                f"{', '.join(PARTITIONERS)}"
-            )
         if not self.shards:
             raise InvalidParameterError("a topology needs at least one shard")
         ids = [spec.shard_id for spec in self.shards]
@@ -151,17 +126,16 @@ class ClusterTopology:
                 f"got {ids}"
             )
         expected = partition_weight_indices(self.total_weights,
-                                            len(self.shards),
-                                            self.partitioner)
+                                            len(self.shards))
         for spec, owned in zip(self.shards, expected):
             if spec.weight_count != len(owned):
                 raise InvalidParameterError(
                     f"shard {spec.shard_id}: weight_count "
-                    f"{spec.weight_count} does not match the "
-                    f"{self.partitioner!r} partition of "
-                    f"{self.total_weights} weights ({len(owned)})"
+                    f"{spec.weight_count} does not match the range "
+                    f"partition of {self.total_weights} weights "
+                    f"({len(owned)})"
                 )
-        # Range bases let to_global/to_local run without re-deriving the
+        # Bases let to_global/to_local run without re-deriving the
         # linspace split on every call.
         counts = [spec.weight_count for spec in self.shards]
         object.__setattr__(self, "_bases",
@@ -196,8 +170,8 @@ class ClusterTopology:
     def owned_globals(self, shard_id: int) -> np.ndarray:
         """The global weight indices shard ``shard_id`` owns, ascending."""
         self.shard(shard_id)
-        return partition_weight_indices(self.total_weights, self.num_shards,
-                                        self.partitioner)[shard_id]
+        return partition_weight_indices(self.total_weights,
+                                        self.num_shards)[shard_id]
 
     def to_global(self, shard_id: int, local: int) -> int:
         """Map a shard-local weight index back to its global index.
@@ -209,8 +183,6 @@ class ClusterTopology:
         self.shard(shard_id)
         if local < 0:
             raise InvalidParameterError("local index must be >= 0")
-        if self.partitioner == "mod":
-            return shard_id + local * self.num_shards
         return self._bases[shard_id] + local
 
     def to_local(self, global_index: int) -> Tuple[int, int]:
@@ -218,8 +190,6 @@ class ClusterTopology:
         g = int(global_index)
         if g < 0:
             raise InvalidParameterError("global index must be >= 0")
-        if self.partitioner == "mod":
-            return g % self.num_shards, g // self.num_shards
         owner = int(np.searchsorted(self._bases, g, side="right")) - 1
         return owner, g - self._bases[owner]
 
@@ -228,70 +198,27 @@ class ClusterTopology:
         return self.to_local(global_index)[0]
 
     def insert_owner(self, next_global: int) -> int:
-        """The shard a weight inserted at ``next_global`` routes to.
-
-        ``mod`` keeps round-robin balance; ``range`` appends to the last
-        shard, whose range is open above (rebalance to restore balance).
-        """
-        if self.partitioner == "mod":
-            return int(next_global) % self.num_shards
+        """The shard a weight inserted at ``next_global`` routes to: the
+        last shard, whose range is open above."""
         return self.num_shards - 1
 
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-
     def to_dict(self) -> dict:
-        """JSON-ready manifest (the ``GET /cluster/topology`` body)."""
+        """JSON-ready routing table (the ``GET /cluster/topology`` body)."""
         return {
-            "partitioner": self.partitioner,
             "num_shards": self.num_shards,
             "total_weights": self.total_weights,
             "shards": [spec.to_dict() for spec in self.shards],
         }
 
-    @classmethod
-    def from_dict(cls, manifest: dict) -> "ClusterTopology":
-        try:
-            shards = tuple(
-                ShardSpec(shard_id=int(entry["shard_id"]),
-                          endpoints=tuple(str(u) for u in entry["endpoints"]),
-                          weight_count=int(entry["weight_count"]))
-                for entry in manifest["shards"]
-            )
-            return cls(partitioner=str(manifest["partitioner"]),
-                       shards=shards)
-        except (KeyError, TypeError) as exc:
-            raise InvalidParameterError(
-                f"malformed topology manifest: {exc!r}"
-            ) from None
-
-    def save(self, path: PathLike) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
-
-    @classmethod
-    def load(cls, path: PathLike) -> "ClusterTopology":
-        path = Path(path)
-        if not path.is_file():
-            raise InvalidParameterError(f"{path}: no such topology manifest")
-        try:
-            manifest = json.loads(path.read_text())
-        except ValueError as exc:
-            raise InvalidParameterError(
-                f"{path}: invalid JSON ({exc})"
-            ) from None
-        return cls.from_dict(manifest)
-
     # ------------------------------------------------------------------
-    # membership change
+    # construction and routing flips
     # ------------------------------------------------------------------
 
     @classmethod
     def build(cls, endpoints: Sequence[Sequence[str]], total_weights: int,
               partitioner: str = "range") -> "ClusterTopology":
-        """A topology over ``endpoints`` (one endpoint list per shard)."""
+        """A topology over ``endpoints`` (one endpoint list per shard);
+        ``partitioner`` is checked by :func:`partition_weight_indices`."""
         owned = partition_weight_indices(int(total_weights), len(endpoints),
                                          partitioner)
         shards = tuple(
@@ -301,7 +228,7 @@ class ClusterTopology:
                       weight_count=len(owned[i]))
             for i, urls in enumerate(endpoints)
         )
-        return cls(partitioner=partitioner, shards=shards)
+        return cls(shards=shards)
 
     def with_shard_endpoints(self, shard_id: int,
                              endpoints: Sequence[str]) -> "ClusterTopology":
@@ -320,59 +247,4 @@ class ClusterTopology:
         shards = tuple(spec.with_endpoints(endpoints)
                        if s.shard_id == shard_id else s
                        for s in self.shards)
-        return ClusterTopology(partitioner=self.partitioner, shards=shards)
-
-    def rebalance_plan(self, new_endpoints: Sequence[Sequence[str]],
-                       partitioner: Optional[str] = None) -> dict:
-        """What must move when membership changes to ``new_endpoints``.
-
-        Returns a JSON-ready plan: the new topology manifest plus one
-        move record per ``(from, to)`` shard pair listing how many
-        weights cross and, for contiguous runs, the global index ranges
-        (``[lo, hi)``).  Weights whose owner is unchanged do not appear.
-        The plan is *descriptive* — executing it (stream the moved
-        weights into their new owner's WAL, then flip the manifest) is
-        the operator procedure documented in ``docs/operations.md``.
-        """
-        new = ClusterTopology.build(new_endpoints, self.total_weights,
-                                    partitioner or self.partitioner)
-        total = self.total_weights
-        moves: List[dict] = []
-        if total:
-            g = np.arange(total)
-            if self.partitioner == "mod":
-                old_owner = g % self.num_shards
-            else:
-                old_owner = np.searchsorted(self._bases, g,
-                                            side="right") - 1
-            if new.partitioner == "mod":
-                new_owner = g % new.num_shards
-            else:
-                new_owner = np.searchsorted(new._bases, g,
-                                            side="right") - 1
-            moving = old_owner != new_owner
-            for pair in sorted({(int(a), int(b))
-                                for a, b in zip(old_owner[moving],
-                                                new_owner[moving])}):
-                src, dst = pair
-                indices = g[moving & (old_owner == src)
-                            & (new_owner == dst)]
-                # Compress to contiguous [lo, hi) runs for readability.
-                breaks = np.where(np.diff(indices) != 1)[0]
-                starts = np.concatenate([[0], breaks + 1])
-                ends = np.concatenate([breaks, [len(indices) - 1]])
-                moves.append({
-                    "from": src,
-                    "to": dst,
-                    "count": int(len(indices)),
-                    "ranges": [[int(indices[a]), int(indices[b]) + 1]
-                               for a, b in zip(starts, ends)],
-                })
-        return {
-            "from_shards": self.num_shards,
-            "to_shards": new.num_shards,
-            "total_weights": total,
-            "moved_weights": sum(m["count"] for m in moves),
-            "moves": moves,
-            "new_topology": new.to_dict(),
-        }
+        return ClusterTopology(shards=shards)

@@ -296,10 +296,12 @@ class ServiceClient:
         return tuple((rank, idx) for rank, idx in answer["entries"])
 
     def healthz(self, timeout_s: Optional[float] = None,
-                retries: Optional[int] = None) -> dict:
-        """``GET /healthz`` (``timeout_s``/``retries`` per-call overrides)."""
+                retries: Optional[int] = None,
+                endpoint: Optional[str] = None) -> dict:
+        """``GET /healthz`` (``timeout_s``/``retries`` per-call overrides;
+        ``endpoint`` pins the probe to one replica, no rotation)."""
         return self._request("GET", "/healthz", timeout_s=timeout_s,
-                             retries=retries)
+                             retries=retries, endpoint=endpoint)
 
     def metrics(self) -> dict:
         """``GET /metrics``."""

@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter, process_time
-from typing import Iterator, Optional, Union
+from typing import Dict, Iterator, Optional, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..data.datasets import check_query_point
@@ -715,6 +715,10 @@ class _RequestHandler(RequestHandler):
     _MUTATION_PATHS = ("/insert", "/delete", "/modify", "/compact",
                        "/snapshot", "/promote", "/retarget")
 
+    #: Read routes a subclass adds: path -> the service method whose
+    #: return value is the 200 body.
+    _EXTRA_GET_ROUTES: Dict[str, str] = {}
+
     def _not_found(self, path: str) -> None:
         self._send_json(404, {"error": "NotFound", "message": path,
                               "status": 404})
@@ -775,6 +779,10 @@ class _RequestHandler(RequestHandler):
                 self._send_json(status, rejection_body(exc))
                 return
             self._send_json(200, feed)
+        elif parsed.path in self._EXTRA_GET_ROUTES:
+            method = getattr(self.service,
+                             self._EXTRA_GET_ROUTES[parsed.path])
+            self._send_json(200, method())
         else:
             self._not_found(parsed.path)
 

@@ -17,9 +17,10 @@ real worker subprocesses:
 * convergence takes a bounded, deterministic number of supervisor ticks
   (the supervisor is driven manually — no background thread, no races).
 
-Plus the tail-latency half of the tentpole: a worker made a permanent
-straggler by deterministic fault injection (``--chaos-latency-ms``) is
-masked by hedged reads without changing a byte of any answer.
+Plus the tail-latency half: a worker made a permanent straggler by
+deterministic fault injection (``--chaos-latency-ms``) is masked by
+hedged reads, and — with no standby to hedge to — cut off by the
+shard's circuit breaker, without changing a byte of any answer.
 
 All tests spawn real ``repro-rrq serve --durable`` subprocesses through
 :class:`LocalCluster`; ``@pytest.mark.chaos_serial`` keeps them off any
@@ -253,6 +254,37 @@ def test_hedged_reads_mask_permanent_straggler(datasets, tmp_path):
         # Unhedged, every query would pay the full straggler latency;
         # hedged, the median must land well under it.
         assert sorted(latencies)[len(latencies) // 2] < straggle_s * 0.75
+
+
+def test_breaker_cuts_a_straggler_off_after_three_timeouts(
+        datasets, tmp_path):
+    """A shard slower than ``shard_timeout_s`` costs a full timeout per
+    query until its breaker opens after 3 failures; from then on the
+    coordinator answers its slice from the exact fallback without
+    waiting.  The breaker's number: the next queries cost well under
+    half a timeout, and every answer stays byte-identical."""
+    P, W = datasets
+    oracle = NaiveRRQ(P, W)
+    shard_timeout_s = 0.25
+    with LocalCluster(P, W, num_workers=NUM_SHARDS,
+                      shard_timeout_s=shard_timeout_s, base_dir=tmp_path,
+                      worker_extra_args={0: ("--chaos-latency-ms", "1500")},
+                      ) as cluster:
+        client = cluster.client()
+        latencies = []
+        for qi in range(10):
+            q = P.values[qi]
+            t0 = time.monotonic()
+            answer = client.query(vector=list(q), kind="rkr", k=10)
+            latencies.append(time.monotonic() - t0)
+            assert answer.pop("degraded") is True
+            assert answer.pop("degraded_shards") == [0]
+            expected = encode_result(oracle.reverse_kranks(q, 10), "rkr")
+            assert canonical_json(answer) == canonical_json(expected)
+        assert all(s >= shard_timeout_s for s in latencies[:3]), latencies
+        assert cluster.coordinator.stats()["breakers"]["0"] == "open"
+        after = sorted(latencies[3:])
+        assert after[len(after) // 2] < shard_timeout_s / 2, latencies
 
 
 def test_fallback_survives_routed_mutations_and_stays_exact(

@@ -135,6 +135,21 @@ class TestModel:
         assert "recommended n   : 32" in out
 
 
+def _perf_harness():
+    """``benchmarks/perf_harness.py``, the one kernel-bench entry point."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks/perf_harness.py"
+    spec = importlib.util.spec_from_file_location("perf_harness", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _perf_harness_parser():
+    return _perf_harness().build_parser()
+
+
 class TestBench:
     def test_smoke_writes_json_and_verifies(self, tmp_path, capsys):
         import json
@@ -145,8 +160,8 @@ class TestBench:
         config_file = tmp_path / "configs.json"
         config_file.write_text(json.dumps(config))
         out = tmp_path / "BENCH_test.json"
-        rc = main(["bench", "--config", str(config_file),
-                   "--out", str(out)])
+        rc = _perf_harness().main(["--configs", str(config_file),
+                                   "--out", str(out)])
         assert rc == 0
         assert "verified=True" in capsys.readouterr().out
         report = json.loads(out.read_text())
@@ -161,20 +176,20 @@ class TestBench:
             assert record["kernel_stats"][kind]["queries"] == 2
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
-        rc = main(["bench", "--config", str(tmp_path / "nope.json")])
+        rc = _perf_harness().main(["--configs", str(tmp_path / "nope.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_bad_out_dir_exits_2(self, tmp_path, capsys):
-        rc = main(["bench", "--smoke",
-                   "--out", str(tmp_path / "missing" / "b.json")])
+        rc = _perf_harness().main(
+            ["--smoke", "--out", str(tmp_path / "missing" / "b.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
     def test_malformed_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        rc = main(["bench", "--config", str(bad)])
+        rc = _perf_harness().main(["--configs", str(bad)])
         assert rc == 2
         assert "invalid JSON" in capsys.readouterr().err
 
@@ -187,8 +202,8 @@ class TestBench:
         config_file = tmp_path / "configs.json"
         config_file.write_text(json.dumps(config))
         out = tmp_path / "BENCH_fused_test.json"
-        rc = main(["bench", "--fused", "--config", str(config_file),
-                   "--out", str(out)])
+        rc = _perf_harness().main(["--fused", "--configs", str(config_file),
+                                   "--out", str(out)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "verified=True" in printed
@@ -201,9 +216,9 @@ class TestBench:
         assert record["cold_start"]["mmap_load_s"] > 0
 
     def test_fused_smoke_defaults_to_fused_configs(self):
-        args = build_parser().parse_args(["bench", "--fused", "--smoke"])
+        args = _perf_harness_parser().parse_args(["--fused", "--smoke"])
         assert args.fused and args.smoke
-        args = build_parser().parse_args(["bench"])
+        args = _perf_harness_parser().parse_args([])
         assert not args.fused
 
 
@@ -215,63 +230,58 @@ class TestServeFlags:
     def test_static_serve_has_no_engine_or_cache_flags(self, flag, capsys):
         """The index is the kernel store: nothing picks a cache, an
         engine or a recovery mode for it, and nothing switches off its
-        one degraded route (``cluster --no-fallback`` is the
-        coordinator's)."""
+        one degraded route."""
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["serve", "idx/"] + flag)
         assert excinfo.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
 
-def _perf_harness_parser():
-    import importlib.util
-
-    path = Path(__file__).resolve().parents[2] / "benchmarks/perf_harness.py"
-    spec = importlib.util.spec_from_file_location("perf_harness", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.build_parser()
-
-
 class TestBenchFlags:
-    @pytest.mark.parametrize("parser,argv", [
-        (build_parser, ["bench", "--shards", "2"]),
-        (_perf_harness_parser, ["--shards", "2"]),
+    @pytest.mark.parametrize("parser,argv,refused", [
+        (build_parser, ["bench", "--shards", "2"], "'bench'"),
+        (_perf_harness_parser, ["--shards", "2"], "--shards"),
     ], ids=["repro-rrq", "perf_harness"])
-    def test_bench_has_no_shards_flag(self, parser, argv, capsys):
+    def test_bench_has_no_shards_flag(self, parser, argv, refused, capsys):
         """One process sweeps one kernel: there is no sharded column
-        to size."""
+        to size (and ``repro-rrq`` has no ``bench`` at all)."""
         with pytest.raises(SystemExit) as excinfo:
             parser().parse_args(argv)
         assert excinfo.value.code == 2
-        assert "--shards" in capsys.readouterr().err
+        assert refused in capsys.readouterr().err
 
 
 class TestClusterFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["cluster", "data/"])
         assert args.workers == 3
-        assert args.partitioner == "range"
         assert args.fsync == "never"
         assert args.port == 8378
         assert args.shard_timeout_ms == 5000.0
-        assert not args.no_fallback
 
     def test_overrides(self):
         args = build_parser().parse_args(
-            ["cluster", "data/", "--workers", "5", "--partitioner", "mod",
-             "--fsync", "always", "--shard-timeout-ms", "250",
-             "--no-fallback"])
+            ["cluster", "data/", "--workers", "5",
+             "--fsync", "always", "--shard-timeout-ms", "250"])
         assert args.workers == 5
-        assert args.partitioner == "mod"
         assert args.fsync == "always"
         assert args.shard_timeout_ms == 250.0
-        assert args.no_fallback
 
-    def test_bad_partitioner_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["cluster", "data/", "--partitioner", "hash"])
+    def test_bad_partitioner_rejected(self, capsys):
+        """Range is the one partition: no flag picks one."""
+        for name in ("range", "hash"):
+            with pytest.raises(SystemExit) as excinfo:
+                build_parser().parse_args(
+                    ["cluster", "data/", "--partitioner", name])
+            assert excinfo.value.code == 2
+            assert "--partitioner" in capsys.readouterr().err
+
+    def test_fallback_cannot_be_switched_off(self, capsys):
+        """The exact local fallback is always on."""
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["cluster", "data/", "--no-fallback"])
+        assert excinfo.value.code == 2
+        assert "--no-fallback" in capsys.readouterr().err
 
 
 class TestParser:

@@ -56,7 +56,7 @@ def expected(q, kind, k):
 
 
 class TestScatterGather:
-    @pytest.mark.parametrize("partitioner", ["range", "mod"])
+    @pytest.mark.parametrize("partitioner", ["range"])
     @pytest.mark.parametrize("kind", ["rtk", "rkr"])
     def test_byte_identical_to_single_node(self, partitioner, kind):
         with ExitStack() as stack:
@@ -161,11 +161,9 @@ class TestPartialFailure:
         with ExitStack() as stack:
             coordinator, _ = start_cluster(stack)
             coordinator.clients[2].endpoints = ["http://127.0.0.1:9"]
-            from repro.cluster.coordinator import (
-                DEFAULT_SHARD_BREAKER_THRESHOLD,
-            )
+            from repro.cluster.coordinator import SHARD_BREAKER_THRESHOLD
 
-            for _ in range(DEFAULT_SHARD_BREAKER_THRESHOLD):
+            for _ in range(SHARD_BREAKER_THRESHOLD):
                 coordinator.query([0.2, 0.2, 0.2], kind="rtk", k=4)
             assert coordinator.stats()["breakers"]["2"] != "closed"
             # Queries keep answering exactly through the fallback.

@@ -1,7 +1,9 @@
-"""Unit tests for the cluster membership manifest and partitioners."""
+"""Unit tests for the cluster routing table and its range partition."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.topology import (
     ClusterTopology,
@@ -19,7 +21,7 @@ def make_topology(total=100, shards=3, partitioner="range"):
 
 
 class TestPartitioners:
-    @pytest.mark.parametrize("partitioner", ["range", "mod"])
+    @pytest.mark.parametrize("partitioner", ["range"])
     @pytest.mark.parametrize("total,shards", [
         (0, 1), (1, 3), (7, 3), (100, 1), (100, 7), (101, 4),
     ])
@@ -39,18 +41,16 @@ class TestPartitioners:
         for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
             assert owned[s][0] == lo and owned[s][-1] == hi - 1
 
-    def test_mod_is_balanced(self):
-        owned = partition_weight_indices(100, 7, "mod")
-        sizes = sorted(len(o) for o in owned)
-        assert sizes[-1] - sizes[0] <= 1
-
     def test_unknown_partitioner_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            partition_weight_indices(10, 2, "hash-ring")
+        for partitioner in ("hash-ring", "mod"):
+            with pytest.raises(InvalidParameterError):
+                partition_weight_indices(10, 2, partitioner)
+            with pytest.raises(InvalidParameterError):
+                make_topology(10, 2, partitioner)
 
 
 class TestBijection:
-    @pytest.mark.parametrize("partitioner", ["range", "mod"])
+    @pytest.mark.parametrize("partitioner", ["range"])
     def test_to_local_to_global_roundtrip(self, partitioner):
         topo = make_topology(101, 4, partitioner)
         for g in range(101):
@@ -58,17 +58,12 @@ class TestBijection:
             assert topo.to_global(shard_id, local) == g
             assert topo.owner_of(g) == shard_id
 
-    @pytest.mark.parametrize("partitioner", ["range", "mod"])
+    @pytest.mark.parametrize("partitioner", ["range"])
     def test_owned_globals_agree_with_owner_of(self, partitioner):
         topo = make_topology(60, 3, partitioner)
         for shard_id in range(3):
             for g in topo.owned_globals(shard_id):
                 assert topo.owner_of(int(g)) == shard_id
-
-    def test_insert_owner_mod_round_robins(self):
-        topo = make_topology(10, 3, "mod")
-        assert [topo.insert_owner(10 + i) for i in range(6)] == \
-            [1, 2, 0, 1, 2, 0]
 
     def test_insert_owner_range_appends_to_last_shard(self):
         topo = make_topology(10, 3, "range")
@@ -87,36 +82,28 @@ class TestBijection:
 
 class TestManifest:
     def test_roundtrip_via_dict(self):
-        topo = make_topology(77, 3, "mod")
-        again = ClusterTopology.from_dict(topo.to_dict())
+        """The ``GET /cluster/topology`` body carries everything the
+        routing table is built from, and nothing else."""
+        topo = make_topology(77, 3)
+        body = topo.to_dict()
+        assert set(body) == {"num_shards", "total_weights", "shards"}
+        again = ClusterTopology.build(
+            [shard["endpoints"] for shard in body["shards"]],
+            body["total_weights"])
         assert again == topo
 
-    def test_roundtrip_via_file(self, tmp_path):
-        topo = make_topology(50, 2)
-        path = tmp_path / "topology.json"
-        topo.save(path)
-        assert ClusterTopology.load(path) == topo
-
-    def test_load_missing_file_is_clean_error(self, tmp_path):
-        with pytest.raises(InvalidParameterError):
-            ClusterTopology.load(tmp_path / "nope.json")
-
-    def test_malformed_manifest_is_clean_error(self):
-        with pytest.raises(InvalidParameterError):
-            ClusterTopology.from_dict({"partitioner": "range"})
-
     def test_drifted_counts_rejected(self):
-        # A manifest whose counts disagree with the partitioner would
-        # corrupt every global<->local translation: refuse to load it.
+        # Counts that disagree with the partition would corrupt every
+        # global<->local translation: refuse them.
         with pytest.raises(InvalidParameterError):
-            ClusterTopology(partitioner="range", shards=(
+            ClusterTopology(shards=(
                 ShardSpec(0, ("http://a",), 10),
                 ShardSpec(1, ("http://b",), 5),
             ))
 
     def test_sparse_shard_ids_rejected(self):
         with pytest.raises(InvalidParameterError):
-            ClusterTopology(partitioner="range", shards=(
+            ClusterTopology(shards=(
                 ShardSpec(0, ("http://a",), 5),
                 ShardSpec(2, ("http://b",), 5),
             ))
@@ -130,38 +117,36 @@ class TestManifest:
         assert spec.primary == "http://p"
 
 
-class TestRebalancePlan:
-    def test_scale_out_moves_only_crossing_indices(self):
-        topo = make_topology(100, 2, "range")
-        plan = topo.rebalance_plan(
-            [[f"http://127.0.0.1:{9100 + s}"] for s in range(4)])
-        assert plan["from_shards"] == 2 and plan["to_shards"] == 4
-        # Every move's ranges cover exactly its count, and the new
-        # manifest is loadable.
-        for move in plan["moves"]:
-            covered = sum(hi - lo for lo, hi in move["ranges"])
-            assert covered == move["count"]
-        assert plan["moved_weights"] == sum(m["count"]
-                                            for m in plan["moves"])
-        new = ClusterTopology.from_dict(plan["new_topology"])
-        assert new.num_shards == 4
-        assert new.total_weights == 100
+@settings(max_examples=60, deadline=None)
+@given(
+    total=st.integers(min_value=0, max_value=400),
+    shards=st.integers(min_value=1, max_value=8),
+)
+def test_built_topology_is_a_balanced_bijection(total, shards):
+    """A built topology round-trips every global index through
+    ``to_local``/``to_global`` (bijection), its shard sizes differ by at
+    most one (balance), and ``owned_globals`` partitions ``[0, total)``
+    exactly.  A weight mapped twice would be double-counted in RKR
+    merges; one mapped nowhere would vanish from RTK answers."""
+    topology = ClusterTopology.build(
+        [[f"http://10.0.0.{i}:8377"] for i in range(shards)], total)
 
-    def test_identity_rebalance_moves_nothing(self):
-        topo = make_topology(100, 3, "mod")
-        plan = topo.rebalance_plan(
-            [[f"http://127.0.0.1:{9000 + s}"] for s in range(3)])
-        assert plan["moved_weights"] == 0
-        assert plan["moves"] == []
+    seen_pairs = set()
+    for g in range(total):
+        shard_id, local = topology.to_local(g)
+        assert 0 <= shard_id < shards
+        assert local >= 0
+        pair = (shard_id, local)
+        assert pair not in seen_pairs, "two globals map to one local slot"
+        seen_pairs.add(pair)
+        assert topology.to_global(shard_id, local) == g
+        assert topology.owner_of(g) == shard_id
 
-    def test_moves_are_consistent_with_new_owner(self):
-        topo = make_topology(60, 3, "range")
-        plan = topo.rebalance_plan(
-            [[f"http://127.0.0.1:{9200 + s}"] for s in range(2)],
-            partitioner="mod")
-        new = ClusterTopology.from_dict(plan["new_topology"])
-        for move in plan["moves"]:
-            for lo, hi in move["ranges"]:
-                for g in range(lo, hi):
-                    assert topo.owner_of(g) == move["from"]
-                    assert new.owner_of(g) == move["to"]
+    sizes = [len(topology.owned_globals(s)) for s in range(shards)]
+    assert sum(sizes) == total
+    if total:
+        assert max(sizes) - min(sizes) <= 1
+
+    union = np.concatenate([topology.owned_globals(s)
+                            for s in range(shards)])
+    assert sorted(int(g) for g in union) == list(range(total))

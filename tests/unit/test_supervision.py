@@ -73,17 +73,35 @@ class TestFailureDetector:
                 assert injector.fired("supervision.heartbeat") == 2
             assert detector.snapshot()["0"]["consecutive_misses"] == 0
 
-    def test_reachable_but_slow_is_slow_never_dead(self):
-        """Latency marks a primary slow; only misses can kill it."""
+    def test_reachable_but_slow_stays_alive_never_dead(self):
+        """Latency is reported, never acted on; only misses can kill."""
         with ExitStack() as stack:
             server = start_worker(stack)
             coordinator = make_coordinator(stack, [[server.url]])
             detector = FailureDetector(coordinator,
-                                       slow_threshold_s=0.0,
                                        dead_after=1, suspect_after=1)
-            for _ in range(5):
-                assert detector.probe(0) == "slow"
-            assert detector.snapshot()["0"]["ewma_latency_ms"] is not None
+            plan = FaultPlan().add("supervision.heartbeat", "latency",
+                                   latency_s=0.05, times=5)
+            with inject(plan):
+                for _ in range(5):
+                    assert detector.probe(0) == "alive"
+            snap = detector.snapshot()["0"]
+            assert snap["misses"] == 0
+            assert snap["ewma_latency_ms"] >= 50.0
+
+    def test_http_error_status_is_a_miss(self):
+        """A probe goes through the shard's ``ServiceClient``: an answer
+        that is not a 200 (here a 404) is a missed heartbeat, like no
+        answer."""
+        with ExitStack() as stack:
+            server = start_worker(stack)
+            coordinator = make_coordinator(stack, [[server.url + "/nope"]])
+            detector = FailureDetector(coordinator, suspect_after=1,
+                                       dead_after=2)
+            assert [detector.probe(0) for _ in range(2)] == \
+                ["suspect", "dead"]
+            assert detector.snapshot()["0"]["last_error"].endswith(
+                "/nope/healthz")
 
     def test_routing_flip_starts_a_fresh_streak(self):
         """A promoted primary must not inherit its predecessor's misses."""
