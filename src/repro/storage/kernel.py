@@ -15,8 +15,11 @@ in ascending global-id order, so local order *is* global order and the
 kernel's lexicographic ``(rank, index)`` truncation commutes with the
 id map.
 
-Build cost is one gather, one sort of the product rows and one float32
-cast, paid once per store generation a read sees: the store memoizes
+Build cost is one gather, one sort of the product rows, the
+level-by-level kd order of the weight rows
+(:func:`~repro.vectorized.girkernel.kd_boxes`: one ``argsort`` per
+level, about 0.8 ms at |W| = 2,000) and one float32 cast, paid once per
+store generation a read sees: the store memoizes
 the one kernel it built last (``SegmentStore._kernel_for``) and nothing
 else calls :meth:`build`.
 """

@@ -6,11 +6,13 @@ cheap next to a query sweep, but it is pure overhead on every cold
 start of a static server, and it scales linearly with ``|W|``.  (A
 mutable store's kernel is not worth a disk round trip: it is rebuilt in
 RAM per generation, see :mod:`repro.storage.kernel`.)  This module
-persists everything the kernel holds — ``P`` and ``W``, the product
-rows a second time in the order the core sweeps them (``P_swept``;
-``P`` stays in dataset order, which is what a caller compares with its
-own data), and (on the float32 filter path) the single-precision copies
-the tiles are formed from (``P_swept32``, ``W32``) — as a single packed
+persists everything the kernel holds — ``P`` and ``W``, the rows a
+second time in the order the core sweeps them (``P_swept``,
+``W_swept``; ``P`` and ``W`` stay in dataset order, which is what a
+caller compares with its own data), the weights' kd-box order and box
+gates (``w_order``, ``box_gate``), and (on the float32 filter path) the
+single-precision copies the tiles are formed from (``P_swept32``,
+``W_swept32``) — as a single packed
 blob (``kernel.bin``: raw C-contiguous array bytes at 64-byte-aligned
 offsets) plus a JSON ``kernel.meta`` that records each array's dtype,
 shape and offset, committed through the same checksummed-manifest
@@ -55,15 +57,15 @@ from .girkernel import GirKernelRRQ, KernelCore
 _META_NAME = "kernel.meta"
 _BLOB_NAME = "kernel.bin"
 _MANIFEST_NAME = "MANIFEST.json"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _ALIGN = 64  # cache-line alignment for every packed array
 
 #: Core array artifacts every kernel store carries, in write order.
-CORE_ARRAYS = ("P", "W", "P_swept")
+CORE_ARRAYS = ("P", "W", "P_swept", "W_swept", "w_order", "box_gate")
 
-#: float32 copies of ``P_swept`` and ``W``, present only when saved with
-#: filter_dtype=float32.
-F32_ARRAYS = ("P_swept32", "W32")
+#: float32 copies of ``P_swept`` and ``W_swept``, present only when saved
+#: with filter_dtype=float32.
+F32_ARRAYS = ("P_swept32", "W_swept32")
 
 
 def _pack_blob(arrays: Dict[str, np.ndarray]):
@@ -102,14 +104,16 @@ def kernel_payloads(kernel: GirKernelRRQ) -> Dict[str, bytes]:
     Grid-index."""
     core = kernel.core
     arrays: Dict[str, np.ndarray] = {
-        "P": kernel.P, "W": core.W,
+        "P": kernel.P, "W": kernel.W,
         # The core's rows are in its sweep order; packing them as
-        # swept, and the float32 copies as cast, keeps the load free
-        # of any sort, gather or ``astype``.
-        "P_swept": core.P,
+        # swept, with the weights' order and box gates, and the float32
+        # copies as cast, keeps the load free of any sort, gather or
+        # ``astype``.
+        "P_swept": core.P, "W_swept": core.W,
+        "w_order": core.w_order, "box_gate": core.box_gate,
     }
     if core.filter_dtype == "float32":
-        arrays.update({"P_swept32": core.P32, "W32": core.W32})
+        arrays.update({"P_swept32": core.P32, "W_swept32": core.W32})
     blob, layout = _pack_blob(arrays)
     meta = {
         "version": _FORMAT_VERSION,
@@ -277,14 +281,15 @@ def load_kernel(directory, mmap: bool = True,
     # RRQAlgorithm.__init__ is only a dim-compatibility check plus raw
     # array aliases — safe and O(1) over the views.
     RRQAlgorithm.__init__(kernel, products, weights)
-    # Handed its float32 copies, the constructor neither casts nor
-    # probes: the saved store carries the results of both.
+    # Handed its float32 copies and its boxes, the constructor neither
+    # casts, probes nor sorts: the saved store carries the results.
     kernel.core = KernelCore(
-        arrays["P_swept"], arrays["W"],
+        arrays["P_swept"], arrays["W_swept"],
         w_block=int(meta["w_block"]), p_block=int(meta["p_block"]),
         use_domin=bool(meta["use_domin"]),
         filter_dtype=meta["filter_dtype"],
-        P32=arrays.get("P_swept32"), W32=arrays.get("W32"),
+        P32=arrays.get("P_swept32"), W32=arrays.get("W_swept32"),
+        boxes=(arrays["w_order"], arrays["box_gate"]),
     )
     kernel.last_stats = None
     return kernel

@@ -62,7 +62,8 @@ class TestRoundTrip:
         assert loaded.core.filter_dtype == "float64"
         assert loaded.core.P32 is None and loaded.core.W32 is None
         meta = json.loads((tmp_path / "kernel.meta").read_text())
-        assert list(meta["arrays"]) == ["P", "W", "P_swept"]
+        assert list(meta["arrays"]) == ["P", "W", "P_swept", "W_swept",
+                                        "w_order", "box_gate"]
         q = kernel.products[3]
         assert loaded.reverse_topk(q, 5) == kernel.reverse_topk(q, 5)
 
@@ -125,7 +126,7 @@ class TestCorruption:
         # manifest must be regenerated for sizes to match.
         meta_path = store / "kernel.meta"
         meta = json.loads(meta_path.read_text())
-        del meta["arrays"]["W32"]
+        del meta["arrays"]["W_swept32"]
         from repro.core.storage import write_manifest_dir
         write_manifest_dir(store, {
             "kernel.bin": (store / "kernel.bin").read_bytes(),
@@ -133,7 +134,7 @@ class TestCorruption:
         })
         with pytest.raises(IndexCorruptionError) as exc:
             load_kernel(store)
-        assert "W32" in str(exc.value)
+        assert "W_swept32" in str(exc.value)
 
     def test_unsupported_version_rejected(self, store):
         meta_path = store / "kernel.meta"
@@ -157,17 +158,21 @@ class TestLayout:
         meta = json.loads((store / "kernel.meta").read_text())
         for name, spec in meta["arrays"].items():
             assert spec["offset"] % 64 == 0, name
-        assert meta["version"] == 4
+        assert meta["version"] == 5
         assert list(meta["arrays"]) == list(CORE_ARRAYS + F32_ARRAYS) == [
-            "P", "W", "P_swept", "P_swept32", "W32"]
+            "P", "W", "P_swept", "W_swept", "w_order", "box_gate",
+            "P_swept32", "W_swept32"]
 
     def test_store_bytes_at_the_benchmark_shape(self, tmp_path):
         """Format 3 packed the int64 grid codes of every row beside the
         rows themselves (96,000 of 272,000 array bytes for UNxUN d=4,
-        1000 x 2000); format 4 packs rows and their float32 copies."""
+        1000 x 2000); format 4 packed rows and their float32 copies
+        (under 180,000 bytes); format 5 adds the swept weight rows
+        (64,000), their order (16,000) and 63 box gates (4,032): 261,162
+        bytes."""
         kernel = GirKernelRRQ(uniform_products(1000, 4, seed=7),
                               uniform_weights(2000, 4, seed=8))
-        assert save_kernel(tmp_path, kernel)["bytes"] < 180_000
+        assert save_kernel(tmp_path, kernel)["bytes"] < 262_000
 
     def test_store_is_two_artifacts_plus_manifest(self, store):
         names = sorted(f.name for f in store.iterdir())
@@ -229,6 +234,82 @@ class TestSweepOrder:
         nothing reads."""
         self._refused_rebuilt_resaved(tmp_path, monkeypatch, 3)
 
+    def test_version_4_cache_is_refused_rebuilt_and_resaved(self, tmp_path,
+                                                            monkeypatch):
+        """A format-4 store, written as format 4 wrote it: ``W`` and
+        ``W32`` in dataset order, no box order and no box gates.  Swept as
+        it is, ``W`` would be read as kd-ordered rows under gates that
+        are not there.  It is refused, served from one counted rebuild,
+        re-saved as format 5, and a server over the format-5 store builds
+        no kernel and sorts nothing."""
+        from repro.core import storage
+        from repro.core.gir import GridIndexRRQ
+        from repro.service.server import QueryService
+        from repro.vectorized import girkernel, kernelstore
+
+        P = uniform_products(60, 3, seed=931)
+        W = uniform_weights(140, 3, seed=932)
+        gir = GridIndexRRQ(P, W, partitions=8)
+
+        def format_4(kernel):
+            core = kernel.core
+            blob, layout = kernelstore._pack_blob({
+                "P": kernel.P, "W": kernel.W, "P_swept": core.P,
+                "P_swept32": core.P32,
+                "W32": kernel.W.astype(np.float32)})
+            meta = {"version": 4, "dim": 3, "n_products": 60,
+                    "n_weights": 140, "value_range": 1.0,
+                    "w_block": core.w_block, "p_block": core.p_block,
+                    "use_domin": core.use_domin,
+                    "filter_dtype": core.filter_dtype, "arrays": layout}
+            return {"kernel.bin": blob,
+                    "kernel.meta": json.dumps(meta).encode()}
+
+        idx = tmp_path / "idx"
+        with monkeypatch.context() as patch:
+            patch.setattr(storage, "kernel_payloads", format_4)
+            storage.save_index(idx, gir)
+        with pytest.raises(DataValidationError, match="version 4"):
+            load_kernel(idx)
+        with pytest.warns(RuntimeWarning, match="version 4"):
+            refused = QueryService.from_index_dir(idx)
+        refused.close()
+        assert refused.engine.core.W.flags.owndata  # built, not mapped
+        assert refused.metrics.snapshot()["fallbacks"]["routes"] == [
+            {"from": "kernel_store", "to": "rebuild",
+             "reason": "corrupt", "count": 1}]
+
+        storage.save_index(idx, gir)
+        meta = json.loads((idx / "kernel.meta").read_text())
+        assert meta["version"] == 5
+        calls = {"builds": 0, "kd_boxes": 0}
+        build, kd_boxes = GirKernelRRQ.__init__, girkernel.kd_boxes
+
+        def counting_build(self, *args, **kwargs):
+            calls["builds"] += 1
+            build(self, *args, **kwargs)
+
+        def counting_kd_boxes(*args):
+            calls["kd_boxes"] += 1
+            return kd_boxes(*args)
+
+        monkeypatch.setattr(GirKernelRRQ, "__init__", counting_build)
+        monkeypatch.setattr(girkernel, "kd_boxes", counting_kd_boxes)
+        warm = QueryService.from_index_dir(idx)
+        warm.close()
+        assert calls == {"builds": 0, "kd_boxes": 0}
+        assert warm.metrics.snapshot()["fallbacks"]["total"] == 0
+        for arr in (warm.engine.core.W, warm.engine.core.w_order,
+                    warm.engine.core.box_gate, warm.engine.core.W32):
+            assert not arr.flags.owndata and not arr.flags.writeable
+        q = P[11]
+        for k in (1, 5, 40):
+            assert (warm.engine.reverse_kranks(q, k).entries
+                    == refused.engine.reverse_kranks(q, k).entries
+                    == gir.reverse_kranks(q, k).entries)
+            assert (warm.engine.reverse_topk(q, k).weights
+                    == gir.reverse_topk(q, k).weights)
+
     @staticmethod
     def _refused_rebuilt_resaved(tmp_path, monkeypatch, version):
         from repro.core.gir import GridIndexRRQ
@@ -259,9 +340,8 @@ class TestSweepOrder:
 
         save_index(idx, gir)
         meta = json.loads((idx / "kernel.meta").read_text())
-        assert meta["version"] == 4
-        assert list(meta["arrays"]) == [
-            "P", "W", "P_swept", "P_swept32", "W32"]
+        assert meta["version"] == 5
+        assert list(meta["arrays"]) == list(CORE_ARRAYS + F32_ARRAYS)
         warm = QueryService.from_index_dir(idx)
         warm.close()
         assert warm.metrics.snapshot()["fallbacks"]["total"] == 0
