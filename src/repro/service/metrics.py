@@ -341,7 +341,7 @@ FAMILIES = (
            "Largest micro-batch dispatched so far."),
     Family("rrq_batch_window_total", "counter", "batches.windows",
            "Coalescing windows by what closed them: the clock (expired), "
-           "no idle connection left to wait for (complete) or max_batch "
+           "no request left arriving (complete) or max_batch "
            "(full).", label="closed"),
     Family("rrq_kernel_queries_total", "counter", "kernel.queries",
            "Queries answered by the blocked GIR kernel."),
