@@ -496,6 +496,39 @@ class TestWindowEnd:
         (dispatch,) = tracer.get(root.trace_id)["spans"][0]["children"]
         assert dispatch["annotations"]["window"] == "complete"
 
+    def test_nothing_arriving_is_counted_again_after_a_yield(
+            self, engine, monkeypatch):
+        """A count of zero is believed only once the dispatcher has given
+        up the CPU and counted again: the second request of a pair whose
+        sender was preempted goes out in that yield."""
+        import os
+
+        yields, seen, looked = [], [], threading.Event()
+        monkeypatch.setattr(os, "sched_yield", lambda: yields.append(1))
+
+        def idle_connections():
+            seen.append(len(yields))
+            if len(seen) == 2:  # the peer sent in the yield
+                looked.set()
+                return 1
+            return 0
+
+        scheduler = make_scheduler(engine, batch_window_s=5.0,
+                                   idle_connections=idle_connections)
+        scheduler.start()
+        try:
+            first = scheduler.submit(engine.products[5], "rtk", 4)
+            assert looked.wait(timeout=3)
+            assert not first.done()
+            second = scheduler.submit(engine.products[6], "rtk", 4)
+            [f.result(timeout=3) for f in (first, second)]
+        finally:
+            scheduler.close()
+        assert seen[:2] == [0, 1]  # counted before the yield and after
+        batches = scheduler.metrics.snapshot()["batches"]
+        assert (batches["total"], batches["max_size"]) == (1, 2)
+        assert batches["windows"] == {"expired": 0, "complete": 1, "full": 0}
+
     def test_the_queue_is_drained_before_the_window_closes(self, engine):
         scheduler = make_scheduler(engine, batch_window_s=5.0,
                                    idle_connections=lambda: 0)
